@@ -15,7 +15,10 @@ slot-second totals are byte-deterministic per seed and can be pinned by
 the band guard at the usual 10% tolerance.  The event-loop throughput
 (``events_per_s``: trace rows processed per wall second) is the only
 wall-clock number — recorded for the ROADMAP's >60x real-time claim but
-deliberately excluded from the band guard.
+deliberately excluded from the band guard.  The three modes serve one
+trace with one set of profiles, both built before any mode is timed,
+so ``events_per_s`` times the simulation alone and does not depend on
+which mode runs first.
 
 Regenerate the committed record with ``python benchmarks/bench_cluster.py``
 after an intentional cluster-model change (and say why in the commit).
@@ -25,11 +28,14 @@ import json
 import time
 from pathlib import Path
 
+from repro.config import AcamarConfig
 from repro.experiments.report import ExperimentTable
+from repro.serve import build_profiles
 from repro.serve.cluster import (
     ClusterConfig,
     ClusterLoadSpec,
-    run_cluster_loadtest,
+    generate_trace,
+    run_cluster,
 )
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_cluster.json"
@@ -74,16 +80,20 @@ def _mode_record(report, elapsed_s: float) -> dict:
     }
 
 
-def _run_mode(config: ClusterConfig) -> dict:
-    started = time.perf_counter()
-    report = run_cluster_loadtest(CANONICAL_SPEC, config)
-    return _mode_record(report, time.perf_counter() - started)
-
-
 def measure() -> dict:
-    warm = _run_mode(_config())
-    scatter = _run_mode(_config(affinity_routing=False))
-    static = _run_mode(
+    trace = generate_trace(CANONICAL_SPEC)
+    profiles = build_profiles(
+        list(trace.sources), AcamarConfig(), seed=_config().profile_seed
+    )
+
+    def run_mode(config: ClusterConfig) -> dict:
+        started = time.perf_counter()
+        report = run_cluster(trace, config, profiles=profiles)
+        return _mode_record(report, time.perf_counter() - started)
+
+    warm = run_mode(_config())
+    scatter = run_mode(_config(affinity_routing=False))
+    static = run_mode(
         _config(
             initial_fleets=MAX_FLEETS, min_fleets=MAX_FLEETS,
             autoscale=False,

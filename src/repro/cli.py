@@ -409,6 +409,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(command: str, exc: Exception) -> int:
+    """Report a rejected argument on stderr; usage errors exit 2."""
+    message = exc.args[0] if exc.args else str(exc)
+    print(f"{command}: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_list_datasets() -> int:
     print(f"{'key':4s} {'dataset':20s} {'paper dim':10s} {'n':>5s} structure")
     for key in dataset_keys():
@@ -574,9 +581,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
     except ConfigurationError as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"loadtest: {message}", file=sys.stderr)
-        return 2
+        return _usage_error("loadtest", exc)
     report = run_cluster_loadtest(spec, config)
     print(
         f"loadtest --cluster: served {report.generated} requests over "
@@ -603,6 +608,7 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
     """Shared implementation of ``serve`` and ``loadtest``."""
     if command == "loadtest" and getattr(args, "cluster", False):
         return _cmd_cluster(args)
+    from repro.errors import ConfigurationError
     from repro.fpga import FleetSpec
     from repro.serve import (
         LoadSpec,
@@ -613,32 +619,35 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
         write_request_log,
     )
 
-    service_config = ServiceConfig(
-        queue_capacity=args.queue_capacity,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-        cache_enabled=not args.no_cache,
-        cache_capacity=args.cache_capacity,
-        fleet=FleetSpec(
-            devices=args.devices,
-            slots_per_device=args.slots_per_device,
-            gpu_tenants=args.gpu_tenants,
-            cpu_assist=args.cpu_assist,
-        ),
-        workers=args.workers,
-    )
     requests_path = getattr(args, "requests", None)
-    if requests_path:
-        requests = read_request_log(requests_path)
-        meta = {"request_log": str(requests_path)}
-    else:
-        spec = LoadSpec(
+    try:
+        service_config = ServiceConfig(
+            queue_capacity=args.queue_capacity,
+            max_batch=args.max_batch,
+            batch_window_ms=args.batch_window_ms,
+            cache_enabled=not args.no_cache,
+            cache_capacity=args.cache_capacity,
+            fleet=FleetSpec(
+                devices=args.devices,
+                slots_per_device=args.slots_per_device,
+                gpu_tenants=args.gpu_tenants,
+                cpu_assist=args.cpu_assist,
+            ),
+            workers=args.workers,
+        )
+        spec = None if requests_path else LoadSpec(
             seed=args.seed,
             duration_s=args.duration,
             rate_rps=args.rate,
             mix=args.mix,
             deadline_ms=args.deadline_ms,
         )
+    except ConfigurationError as exc:
+        return _usage_error(command, exc)
+    if spec is None:
+        requests = read_request_log(requests_path)
+        meta = {"request_log": str(requests_path)}
+    else:
         requests = generate_requests(spec)
         meta = {
             "seed": spec.seed,
@@ -736,9 +745,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if baseline_path.exists() or args.baseline:
             report = apply_baseline(report, load_baseline(baseline_path))
     except (ConfigurationError, UnknownNameError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"lint: {message}", file=sys.stderr)
-        return 2
+        return _usage_error("lint", exc)
     rendered = format_findings(report, args.format)
     if args.out:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")
@@ -765,9 +772,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     try:
         report = run_chaos(args.chaos_seed, profiles)
     except (ConfigurationError, UnknownNameError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"chaos: {message}", file=sys.stderr)
-        return 2
+        return _usage_error("chaos", exc)
     if args.out:
         Path(args.out).write_text(report.to_json())
     if args.format == "json":
@@ -812,9 +817,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             collector=collector,
         )
     except (ConfigurationError, UnknownNameError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"dse: {message}", file=sys.stderr)
-        return 2
+        return _usage_error("dse", exc)
     if args.out:
         print(f"wrote report to {report.write_json(args.out)}",
               file=sys.stderr)

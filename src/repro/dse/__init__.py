@@ -23,6 +23,7 @@ from repro.dse.evaluator import (
     cluster_config_for,
     evaluate_items,
     evaluate_point,
+    load_spec_for,
     run_sweep,
 )
 from repro.dse.frontier import OBJECTIVES, compute_frontier, point_objectives
@@ -70,6 +71,7 @@ __all__ = [
     "evaluate_point",
     "is_feasible",
     "load_space",
+    "load_spec_for",
     "plan_capacity",
     "point_id",
     "point_objectives",

@@ -14,9 +14,19 @@ space out over :func:`repro.parallel.run_sharded` — pool restarts,
 fault isolation and ordered reassembly included — while staying
 byte-deterministic for any worker count: the virtual clock inside each
 point never observes the pool, and results are reassembled in point
-order.  Cold profiles are memoized per (sources, solver-plan) key so
-the sweep pays each real solve once per worker process, not once per
-point.
+order.
+
+Two memos keep the sweep from repeating work its points share:
+
+- **Traces.** :func:`evaluate_items` generates each distinct
+  ``ClusterLoadSpec`` (traffic regime, seed, sources) once per call and
+  hands the read-only :class:`~repro.serve.cluster.trace.RequestTrace`
+  to every point that uses it.  The memo lives only for that call, so
+  nothing outlives the sweep: a module-level memo would keep an
+  hour-long 10k-rps trace (~680 MB) for the life of the process.
+- **Profiles.** :data:`_PROFILE_MEMO` keeps cold profiles per
+  (sources, solver-plan) key for the life of the worker process, so a
+  sweep pays each real solve once per worker, not once per point.
 """
 
 from __future__ import annotations
@@ -36,15 +46,17 @@ from repro.dse.space import (
 from repro.fpga.cost_model import PerformanceModel
 from repro.fpga.device import ALVEO_U55C, FPGADevice
 from repro.fpga.energy import EnergyModel
-from repro.placement import GPU_TENANT_AREA_MM2
 from repro.parallel import ItemResult, WorkItem, run_sharded
+from repro.placement import GPU_TENANT_AREA_MM2
 from repro.serve import (
     ClusterConfig,
     ClusterLoadSpec,
     SolveProfile,
     build_profiles,
-    run_cluster_loadtest,
+    generate_trace,
+    run_cluster,
 )
+from repro.serve.cluster import RequestTrace
 from repro.serve.loadgen import source_weights
 from repro.telemetry import Telemetry
 
@@ -95,6 +107,20 @@ def acamar_config_for(
     )
 
 
+def load_spec_for(
+    traffic: TrafficSpec, sources: Sequence[str], seed: int
+) -> ClusterLoadSpec:
+    """The cluster traffic one regime generates for a sweep seed."""
+    return ClusterLoadSpec(
+        seed=seed,
+        duration_s=traffic.duration_s,
+        rate_rps=traffic.rate_rps,
+        mix=traffic.mix,
+        deadline_ms=traffic.deadline_ms,
+        sources=tuple(sources),
+    )
+
+
 def cluster_config_for(shape: FleetShape) -> ClusterConfig:
     """The cluster-tier deployment a shape describes."""
     return ClusterConfig(
@@ -141,23 +167,22 @@ def evaluate_point(
     seed: int,
     base_config: AcamarConfig | None = None,
     device: FPGADevice = ALVEO_U55C,
+    trace: RequestTrace | None = None,
 ) -> dict[str, Any]:
-    """Deploy one design point through the cluster simulator and price it."""
+    """Deploy one design point through the cluster simulator and price it.
+
+    ``trace`` is the traffic to serve when the caller generated it
+    already (:func:`evaluate_items` shares one per regime).  It must be
+    ``generate_trace(load_spec_for(traffic, sources, seed))``, which is
+    what runs here when it is omitted.
+    """
     with tm.span("dse.point_eval"):
         acamar = acamar_config_for(shape, base_config)
         config = cluster_config_for(shape)
         profiles = _profiles_for(sources, config.profile_seed, acamar)
-        spec = ClusterLoadSpec(
-            seed=seed,
-            duration_s=traffic.duration_s,
-            rate_rps=traffic.rate_rps,
-            mix=traffic.mix,
-            deadline_ms=traffic.deadline_ms,
-            sources=tuple(sources),
-        )
-        report = run_cluster_loadtest(
-            spec, config, acamar, profiles=profiles
-        )
+        if trace is None:
+            trace = generate_trace(load_spec_for(traffic, sources, seed))
+        report = run_cluster(trace, config, acamar, profiles=profiles)
         doc = report.as_dict()
 
         fleets = doc["fleets"]
@@ -247,19 +272,29 @@ def evaluate_items(
     ``run_sharded`` unchanged: each item gets its own telemetry
     collector and any exception becomes a structured error record.
     ``item.source`` is the point payload built by :func:`run_sweep`.
+    The chunk's points generate each distinct traffic trace once and
+    share it; a regime whose trace cannot be generated fails only its
+    own points.
     """
     results: list[ItemResult] = []
+    traces: dict[ClusterLoadSpec, RequestTrace] = {}
     for item in items:
         payload = item.source
         collector = Telemetry()
         with collector.activate():
             try:
+                traffic = TrafficSpec(**payload["traffic"])
+                sources = tuple(payload["sources"])
+                spec = load_spec_for(traffic, sources, item.seed)
+                if spec not in traces:
+                    traces[spec] = generate_trace(spec)
                 record = evaluate_point(
                     shape=FleetShape(**payload["shape"]),
-                    traffic=TrafficSpec(**payload["traffic"]),
-                    sources=tuple(payload["sources"]),
+                    traffic=traffic,
+                    sources=sources,
                     seed=item.seed,
                     base_config=config,
+                    trace=traces[spec],
                 )
                 tm.count("dse.points_evaluated")
                 results.append(

@@ -21,6 +21,7 @@ from repro.dse.capacity import CapacityQuery, plan_capacity
 from repro.dse.evaluator import run_sweep
 from repro.dse.frontier import OBJECTIVES, compute_frontier
 from repro.dse.space import DesignSpace, demo_space
+from repro.serve.stats import format_latency_ms
 from repro.telemetry import Telemetry
 
 DSE_SCHEMA_VERSION = 1
@@ -133,8 +134,9 @@ class DseReport:
         by_id = {record["id"]: record for record in self.records}
         for identity in self.frontier_ids:
             metrics = by_id[identity]["metrics"]
+            p99 = format_latency_ms(metrics["p99_ms"])
             lines.append(
-                f"  {identity}: p99 {metrics['p99_ms']:.3f} ms, "
+                f"  {identity}: p99 {p99} ms, "
                 f"{metrics['device_seconds']:.4f} dev-s, "
                 f"{metrics['area_mm2']:.3f} mm2, "
                 f"{metrics['reconfig_rate_per_s']:.2f} cfg/s, "
@@ -155,7 +157,7 @@ class DseReport:
         else:
             lines.append(
                 f"capacity answer        : {cheapest['id']} "
-                f"(p99 {cheapest['p99_ms']:.3f} ms, "
+                f"(p99 {format_latency_ms(cheapest['p99_ms'])} ms, "
                 f"{cheapest['fabric_mm2_seconds']:.3f} mm2-s, "
                 f"{len(self.capacity['feasible'])} feasible)"
             )

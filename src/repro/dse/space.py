@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.serve import TRAFFIC_MIXES
+from repro.serve.loadgen import validate_traffic
 
 SOLVER_MIXES: Mapping[str, tuple[str, ...]] = {
     # The paper's Solver Modifier preference: most general method first.
@@ -156,19 +156,10 @@ class TrafficSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("traffic spec needs a non-empty name")
-        if self.mix not in TRAFFIC_MIXES:
-            raise ConfigurationError(
-                f"unknown traffic mix {self.mix!r}; "
-                f"expected one of {TRAFFIC_MIXES}"
-            )
-        if self.rate_rps <= 0:
-            raise ConfigurationError(
-                f"rate must be > 0 rps, got {self.rate_rps}"
-            )
-        if self.duration_s <= 0:
-            raise ConfigurationError(
-                f"duration must be > 0 s, got {self.duration_s}"
-            )
+        validate_traffic(
+            self.mix, self.duration_s, self.rate_rps,
+            deadline_ms=self.deadline_ms,
+        )
         if self.deadline_ms <= 0:
             raise ConfigurationError(
                 f"deadline must be > 0 ms, got {self.deadline_ms}"

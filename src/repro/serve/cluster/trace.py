@@ -29,9 +29,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.serve.api import PRIORITY_NAMES, Priority
-from repro.serve.loadgen import PRIORITY_SHARES, TRAFFIC_MIXES, source_weights
+from repro.serve.loadgen import (
+    PRIORITY_SHARES,
+    source_weights,
+    validate_traffic,
+)
 
 NO_DEADLINE = np.inf
 """Sentinel in ``deadline_s`` for requests without a deadline."""
@@ -56,19 +59,15 @@ class ClusterLoadSpec:
     sources: tuple[str, ...] = ()  # empty → the Table II registry
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigurationError(
-                f"duration must be > 0 s, got {self.duration_s}"
-            )
-        if self.rate_rps <= 0:
-            raise ConfigurationError(
-                f"rate must be > 0 rps, got {self.rate_rps}"
-            )
-        if self.mix not in TRAFFIC_MIXES:
-            raise ConfigurationError(
-                f"unknown traffic mix {self.mix!r}; "
-                f"expected one of {TRAFFIC_MIXES}"
-            )
+        validate_traffic(
+            self.mix,
+            self.duration_s,
+            self.rate_rps,
+            deadline_ms=self.deadline_ms,
+            burst_factor=self.burst_factor,
+            burst_s=self.burst_s,
+            burst_period_s=self.burst_period_s,
+        )
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -82,7 +81,12 @@ class ClusterLoadSpec:
 
 @dataclass
 class RequestTrace:
-    """Struct-of-arrays request log; row ``i`` is request id ``i``."""
+    """Struct-of-arrays request log; row ``i`` is request id ``i``.
+
+    :func:`generate_trace` returns the four arrays read-only, so one
+    trace can drive many simulations (the DSE sweep shares one per
+    traffic regime) without any of them changing what the next sees.
+    """
 
     sources: tuple[str, ...]
     arrival_s: np.ndarray
@@ -159,6 +163,8 @@ def generate_trace(spec: ClusterLoadSpec) -> RequestTrace:
     deadline[interactive] = np.round(
         arrivals[interactive] + spec.deadline_ms * 1e-3, 9
     )
+    for array in (arrivals, source_idx, priority, deadline):
+        array.flags.writeable = False
     return RequestTrace(
         sources=keys,
         arrival_s=arrivals,

@@ -25,6 +25,8 @@ for replay and offline analysis.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -60,19 +62,42 @@ class LoadSpec:
     sources: tuple[str, ...] = ()  # empty → the Table II registry
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
+        validate_traffic(
+            self.mix,
+            self.duration_s,
+            self.rate_rps,
+            deadline_ms=self.deadline_ms,
+            burst_factor=self.burst_factor,
+            burst_s=self.burst_s,
+            burst_period_s=self.burst_period_s,
+        )
+
+
+def validate_traffic(
+    mix: str, duration_s: float, rate_rps: float, **others: float
+) -> None:
+    """Reject a traffic regime the generators cannot run.
+
+    Shared by :class:`LoadSpec`, the cluster tier's ``ClusterLoadSpec``
+    and the DSE ``TrafficSpec``.  Every value must be a finite number:
+    a NaN or infinite rate or duration never ends the arrival loop (or
+    allocates until memory runs out), and a NaN deadline never expires.
+    The duration and the rate must also be positive.
+    """
+    values = {"duration_s": duration_s, "rate_rps": rate_rps, **others}
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
             raise ConfigurationError(
-                f"duration must be > 0 s, got {self.duration_s}"
+                f"{name} must be a finite number, got {value!r}"
             )
-        if self.rate_rps <= 0:
-            raise ConfigurationError(
-                f"rate must be > 0 rps, got {self.rate_rps}"
-            )
-        if self.mix not in TRAFFIC_MIXES:
-            raise ConfigurationError(
-                f"unknown traffic mix {self.mix!r}; "
-                f"expected one of {TRAFFIC_MIXES}"
-            )
+    if duration_s <= 0:
+        raise ConfigurationError(f"duration must be > 0 s, got {duration_s}")
+    if rate_rps <= 0:
+        raise ConfigurationError(f"rate must be > 0 rps, got {rate_rps}")
+    if mix not in TRAFFIC_MIXES:
+        raise ConfigurationError(
+            f"unknown traffic mix {mix!r}; expected one of {TRAFFIC_MIXES}"
+        )
 
 
 def source_weights(mix: str, n_keys: int) -> np.ndarray:

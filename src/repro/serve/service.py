@@ -70,6 +70,11 @@ class ServiceConfig:
     device_faults: tuple[DeviceFaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.queue_capacity < 1:
+            raise ConfigurationError(
+                "admission queue capacity must be >= 1, got "
+                f"{self.queue_capacity}"
+            )
         if self.tick_ms <= 0:
             raise ConfigurationError(
                 f"tick must be > 0 ms, got {self.tick_ms}"

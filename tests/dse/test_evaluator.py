@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.dse.evaluator as evaluator
+from repro.config import AcamarConfig
 from repro.dse import (
     DesignSpace,
     FleetShape,
@@ -12,7 +14,6 @@ from repro.dse import (
     evaluate_point,
     run_sweep,
 )
-from repro.config import AcamarConfig
 from repro.parallel import WorkItem
 from repro.telemetry import Telemetry
 
@@ -124,6 +125,57 @@ class TestEvaluateItems:
         collector = Telemetry()
         run_sweep(space, seed=0, collector=collector)
         assert collector.counters["dse.points_evaluated"] == len(space)
+
+
+def two_regime_space():
+    return DesignSpace(
+        shapes=(tiny_shape(), tiny_shape(max_unroll=64)),
+        traffic=(
+            tiny_traffic(),
+            TrafficSpec(
+                name="b", mix="bursty", rate_rps=80.0, duration_s=2.0
+            ),
+        ),
+        sources=("2C", "Wi"),
+    )
+
+
+class TestTraceSharing:
+    def test_sweep_generates_each_regime_trace_once(self, monkeypatch):
+        calls = []
+        original = evaluator.generate_trace
+
+        def counting(spec):
+            calls.append(spec.rate_rps)
+            return original(spec)
+
+        monkeypatch.setattr(evaluator, "generate_trace", counting)
+        results = run_sweep(two_regime_space(), seed=0)
+        assert all(r.entry is not None for r in results)
+        assert sorted(calls) == [50.0, 80.0]
+
+    def test_shared_records_equal_unshared_points(self):
+        space = two_regime_space()
+        shared = [r.entry for r in run_sweep(space, seed=0)]
+        unshared = [
+            evaluate_point(shape, traffic, space.sources, seed=0)
+            for shape, traffic in space.points()
+        ]
+        assert shared == unshared
+
+    def test_failed_trace_fails_only_its_regime(self, monkeypatch):
+        original = evaluator.generate_trace
+
+        def failing(spec):
+            if spec.mix == "bursty":
+                raise RuntimeError("trace generation failed")
+            return original(spec)
+
+        monkeypatch.setattr(evaluator, "generate_trace", failing)
+        results = run_sweep(two_regime_space(), seed=0)
+        failed = [r for r in results if r.entry is None]
+        assert [r.label.rsplit("@", 1)[1] for r in failed] == ["b", "b"]
+        assert all("RuntimeError" in r.error for r in failed)
 
 
 class TestRunSweep:

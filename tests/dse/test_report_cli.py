@@ -146,6 +146,21 @@ class TestDseCli:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
+    def test_idle_frontier_point_renders_na(self, tmp_path, capsys):
+        # 0.1 rps for 1 s draws no arrival at seed 0: the only point
+        # completes nothing, so its p99 is None.
+        document = tiny_space_document()
+        document["axes"]["slots_per_fleet"] = [2]
+        document["traffic"][0].update(rate_rps=0.1, duration_s=1.0)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(document))
+        code = main(["dse", "--seed", "0", "--space", str(path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "p99 n/a ms" in out
+        assert "no feasible configuration" in out
+        assert "Traceback" not in err
+
     def test_csv_format_prints_rows(self, tmp_path, capsys):
         path = tmp_path / "space.json"
         path.write_text(json.dumps(tiny_space_document()))

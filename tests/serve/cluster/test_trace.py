@@ -68,6 +68,16 @@ class TestShape:
         )
 
 
+class TestReadOnly:
+    @pytest.mark.parametrize(
+        "name", ["arrival_s", "source_idx", "priority", "deadline_s"]
+    )
+    def test_in_place_write_raises(self, name):
+        array = getattr(generate_trace(spec(duration_s=1.0)), name)
+        with pytest.raises(ValueError):
+            array[:] = 0
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
         a = generate_trace(spec())

@@ -1,15 +1,38 @@
 """Tests for the deterministic synthetic load generator."""
 
+import math
+
 import pytest
 
+from repro.dse import TrafficSpec
 from repro.errors import ConfigurationError
 from repro.serve.api import Priority
+from repro.serve.cluster import ClusterLoadSpec
 from repro.serve.loadgen import (
     LoadSpec,
     generate_requests,
     read_request_log,
     write_request_log,
 )
+
+LOAD_SPEC_FLOATS = (
+    "duration_s", "rate_rps", "deadline_ms", "burst_factor", "burst_s",
+    "burst_period_s",
+)
+
+
+def traffic_spec(**overrides):
+    fields = dict(name="t", mix="uniform", rate_rps=10.0, duration_s=1.0)
+    fields.update(overrides)
+    return TrafficSpec(**fields)
+
+
+TRAFFIC_SPEC_FIELDS = [
+    *((LoadSpec, name) for name in LOAD_SPEC_FLOATS),
+    *((ClusterLoadSpec, name) for name in LOAD_SPEC_FLOATS),
+    *((traffic_spec, name)
+      for name in ("duration_s", "rate_rps", "deadline_ms")),
+]
 
 
 class TestLoadSpec:
@@ -20,6 +43,22 @@ class TestLoadSpec:
             LoadSpec(rate_rps=0.0)
         with pytest.raises(ConfigurationError):
             LoadSpec(mix="mystery")
+
+
+class TestNonFiniteTraffic:
+    """NaN and infinite values never reach a generator loop."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build, field", TRAFFIC_SPEC_FIELDS)
+    def test_rejected(self, build, field, value):
+        with pytest.raises(
+            ConfigurationError, match=f"{field} must be a finite number"
+        ):
+            build(**{field: value})
+
+    def test_non_number_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite number"):
+            traffic_spec(rate_rps="fast")
 
 
 class TestGenerateRequests:

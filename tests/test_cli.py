@@ -1,8 +1,52 @@
 """Tests for the command-line interface."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
+
+CHILD_TIMEOUT_S = 60
+CHILD_ADDRESS_SPACE_B = 1 << 30
+
+
+def _cap_address_space():
+    import resource
+
+    limit = (CHILD_ADDRESS_SPACE_B, CHILD_ADDRESS_SPACE_B)
+    resource.setrlimit(resource.RLIMIT_AS, limit)
+
+
+def run_cli(*argv):
+    """Run ``python -m repro`` in a child process under a time and memory cap.
+
+    The cases that use it would, without input validation, loop forever
+    or allocate until memory runs out; the caps turn that into a failed
+    test instead of a hung or exhausted host.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=CHILD_TIMEOUT_S,
+        preexec_fn=_cap_address_space if os.name == "posix" else None,
+    )
 
 
 class TestListDatasets:
@@ -208,6 +252,54 @@ class TestServe:
         assert document["schema_version"] == 1
         assert "serve.latency_ms" in document["distributions"]
         assert document["counters"]["serve.requests"] > 0
+
+
+class TestServingExitContract:
+    @pytest.mark.parametrize("command", ["loadtest", "serve"])
+    @pytest.mark.parametrize("flags", [
+        ("--rate", "-5"),
+        ("--queue-capacity", "0"),
+        ("--slots-per-device", "0"),
+    ])
+    def test_invalid_config_exits_two(self, command, flags, capsys):
+        assert main([command, "--duration", "0.5", *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"{command}: ")
+
+
+class TestNonFiniteTraffic:
+    @pytest.mark.parametrize("argv", [
+        ("loadtest", "--rate", "nan", "--duration", "1"),
+        ("loadtest", "--duration", "inf"),
+        ("loadtest", "--deadline-ms", "nan", "--duration", "1"),
+        ("loadtest", "--cluster", "--rate", "nan"),
+        ("loadtest", "--cluster", "--duration", "inf"),
+    ])
+    def test_loadtest_exits_two(self, argv):
+        result = run_cli(*argv)
+        assert result.returncode == 2, result.stderr
+        assert "must be a finite number" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_dse_space_exits_two(self, tmp_path, value):
+        # json.dumps writes the NaN / Infinity literals json.loads accepts.
+        document = {
+            "axes": {
+                "slots_per_fleet": [2], "max_unroll": [16],
+                "solver_mix": ["paper-default"], "cache_capacity": [8],
+                "queue_capacity": [256], "fleet_bounds": [[1, 2]],
+            },
+            "traffic": [{
+                "name": "t", "mix": "uniform", "rate_rps": value,
+                "duration_s": 1.0,
+            }],
+        }
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(document))
+        result = run_cli("dse", "--space", str(path))
+        assert result.returncode == 2, result.stderr
+        assert "rate_rps must be a finite number" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestClusterLoadtest:
