@@ -59,9 +59,9 @@ def perf_trajectory() -> ExperimentTable:
         ),
         (
             "batched",
-            "host seconds per solve speedup",
-            float(batched["host"]["host_per_solve_speedup"]),
-            2.0,
+            "campaign --batch end-to-end CPU ratio",
+            float(batched["campaign"]["ratio"]),
+            1.0,
         ),
         (
             "dse",

@@ -4,7 +4,8 @@ Acamar is a dynamically reconfigurable FPGA accelerator for iterative
 sparse linear solvers.  This package rebuilds the whole system in Python
 at cycle-model fidelity:
 
-- :mod:`repro.sparse` — CSR/CSC/COO substrate with from-scratch SpMV,
+- :mod:`repro.sparse` — CSR/COO containers with from-scratch SpMV and a
+  cached transpose that serves as the Matrix Structure unit's CSC view,
 - :mod:`repro.solvers` — Jacobi, CG, BiCG-STAB (+ Gauss-Seidel, SOR,
   GMRES) with hardware-style convergence/divergence monitoring,
 - :mod:`repro.core` — the accelerator itself: Matrix Structure unit,

@@ -78,12 +78,10 @@ ALLOWED_DEPENDENCIES: Mapping[str, frozenset[str]] = {
     ),
     # -- orchestration ------------------------------------------------
     # campaign ↔ parallel is a sanctioned cycle: workers lazily import
-    # campaign's entry builders.  campaign → solvers covers the batched
-    # group driver, which runs the shared first attempt through
-    # ``solve_batched`` before handing per-item results to core.
+    # campaign's entry builders.
     "campaign": frozenset({
-        "errors", "config", "telemetry", "sparse", "solvers", "datasets",
-        "core", "fpga", "metrics", "parallel",
+        "errors", "config", "telemetry", "sparse", "datasets", "core",
+        "fpga", "metrics", "parallel",
     }),
     "parallel": frozenset(
         {"errors", "config", "telemetry", "datasets", "campaign"}

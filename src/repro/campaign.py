@@ -44,6 +44,7 @@ from repro.datasets.suite import dataset_keys
 from repro.errors import DatasetError, ValidationError
 from repro.fpga import PerformanceModel, mean_underutilization
 from repro.metrics import achieved_throughput_fraction
+from repro.sparse.csr import CSRMatrix
 from repro.telemetry import TELEMETRY_SCHEMA_VERSION, Telemetry
 
 ProblemSource = Union[str, Path, Problem]
@@ -233,10 +234,6 @@ def resolve_source(source: ProblemSource, seed: int) -> Problem:
     return load_problem(text)
 
 
-# Kept for callers/tests that used the historical private name.
-_resolve = resolve_source
-
-
 def _source_fingerprint(
     source: ProblemSource, seed: int, cache: dict[str, str]
 ) -> str:
@@ -261,10 +258,10 @@ def build_entry(
 ) -> CampaignEntry:
     """Solve one problem and cost it on the FPGA model.
 
-    ``batch_context`` carries pre-computed host analysis (and the
-    lockstep first attempt) when this problem is part of a
-    fingerprint-sharing batch; the entry comes out identical either way
-    because the injected results are bit-identical.
+    ``batch_context`` carries pre-computed host analysis when this
+    problem is part of a batch that shares one operator; the entry comes
+    out identical either way because the analysis is a pure function of
+    the operator.
     """
     acamar = acamar if acamar is not None else Acamar(config)
     model = model if model is not None else PerformanceModel()
@@ -297,39 +294,21 @@ def build_entry(
     )
 
 
-def _shared_batch_contexts(
-    config: AcamarConfig, problems: list[Problem]
-) -> list[BatchContext]:
-    """Host analysis once, first attempt in lockstep, for a whole group.
+def _shared_batch_context(
+    config: AcamarConfig, matrix: CSRMatrix
+) -> BatchContext:
+    """Host analysis once for a group that shares one operator.
 
-    All problems must share one operator (same values, verified by the
-    caller): the Matrix Structure verdict and unroll plan are computed
-    once, the selected solver's first attempt runs for every member in
-    lockstep, and each member gets a :class:`BatchContext` carrying its
-    own bit-identical first result.
+    The caller has verified that every member carries the same values,
+    so the Matrix Structure verdict and the unroll plan computed here
+    hold for each of them; only the solver numerics run per member.
     """
-    from repro.solvers.batched import solve_batched
-
     acamar = Acamar(config)
-    matrix = problems[0].matrix
     with tm.span("matrix_structure.select"):
         selection = acamar.matrix_structure.select_solver(matrix)
-    plan = acamar.fine_grained.plan(matrix)
-    solver_dtype = np.dtype(config.dtype)
-    if matrix.data.dtype != solver_dtype:
-        compute_matrix = matrix.astype(solver_dtype)
-    else:
-        compute_matrix = matrix
-    solver = acamar._make_solver(selection.solver, matrix.shape[0])
-    firsts = solve_batched(
-        solver,
-        [compute_matrix] * len(problems),
-        [problem.b for problem in problems],
+    return BatchContext(
+        selection=selection, plan=acamar.fine_grained.plan(matrix)
     )
-    return [
-        BatchContext(selection=selection, plan=plan, first_attempt=first)
-        for first in firsts
-    ]
 
 
 def solve_group(items: "Sequence[Any]", config: AcamarConfig) -> list:
@@ -381,15 +360,12 @@ def solve_group(items: "Sequence[Any]", config: AcamarConfig) -> list:
         # point of batching is that the remaining members pay nothing.
         lead_collector = resolved[0][2]
         with lead_collector.activate():
+            tm.count("batch.groups")
+            tm.count("batch.items", len(resolved))
             if shareable:
-                contexts = list(
-                    _shared_batch_contexts(
-                        config, [problem for _, problem, _ in resolved]
-                    )
-                )
+                context = _shared_batch_context(config, base)
+                contexts = [context] * len(resolved)
             else:
-                tm.count("batch.groups")
-                tm.count("batch.items", len(resolved))
                 tm.count("batch.fallback_sequential", len(resolved))
 
     for (item, problem, collector), context in zip(resolved, contexts):
@@ -475,10 +451,10 @@ def run_campaign(
 
     ``batch=True`` groups the population by matrix structure fingerprint
     before sharding: fingerprint-sharing items land on one worker, which
-    runs their host analysis once and their first solver attempt in
-    lockstep (:func:`solve_group`).  The batched solver drivers are
-    bit-identical to sequential solves, so the report — and its CSV —
-    is byte-identical with batching on or off.
+    runs their host analysis once when they share one operator
+    (:func:`solve_group`).  Every member still runs its own solves, so
+    the report — and its CSV — is byte-identical with batching on or
+    off.
     """
     from repro.parallel.cost import estimate_cost
     from repro.parallel.engine import (

@@ -106,13 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--seed", type=int, default=1)
     campaign.add_argument(
         "--batch", action="store_true",
-        help="group fingerprint-sharing problems and solve them in "
-        "lockstep (bit-identical results, amortized host analysis)",
-    )
-    campaign.add_argument(
-        "--substrate", metavar="NAME", default=None,
-        help="kernel substrate for SpMV inner stages (default: numpy; "
-        "'numba' needs the optional compiled backend)",
+        help="group problems that share one operator and run their host "
+        "analysis once (identical results)",
     )
     campaign.add_argument(
         "--telemetry", metavar="FILE",
@@ -416,6 +411,30 @@ def _usage_error(command: str, exc: Exception) -> int:
     return 2
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Reject unwritable output paths before any work is done.
+
+    Raises :class:`~repro.errors.ConfigurationError` (a usage error) for
+    the first path that is a directory or whose parent directory is
+    missing or not writable.
+    """
+    from repro.errors import ConfigurationError
+
+    for path in paths:
+        if not path:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            problem = "it is a directory"
+        elif not os.path.isdir(parent):
+            problem = f"directory {parent} does not exist"
+        elif not os.access(parent, os.W_OK):
+            problem = f"directory {parent} is not writable"
+        else:
+            continue
+        raise ConfigurationError(f"cannot write {path}: {problem}")
+
+
 def _cmd_list_datasets() -> int:
     print(f"{'key':4s} {'dataset':20s} {'paper dim':10s} {'n':>5s} structure")
     for key in dataset_keys():
@@ -509,19 +528,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.errors import DatasetError, ReproError
+    from repro.errors import ConfigurationError, DatasetError
 
-    if args.substrate is not None:
-        from repro.sparse.substrate import SUBSTRATE_ENV, set_substrate
-
-        try:
-            set_substrate(args.substrate)
-        except ReproError as exc:
-            print(f"campaign: {exc}", file=sys.stderr)
-            return 2
-        # Worker processes pick the substrate up from the environment.
-        os.environ[SUBSTRATE_ENV] = args.substrate
     try:
+        _check_outputs(args.csv, args.telemetry)
         report = run_campaign(
             sources,
             seed=args.seed,
@@ -529,9 +539,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             batch=args.batch,
         )
-    except DatasetError as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigurationError, DatasetError) as exc:
+        return _usage_error("campaign", exc)
     for line in report.summary_lines():
         print(line)
     for entry in report.failures:
@@ -554,6 +563,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
 
     try:
+        _check_outputs(args.out, args.telemetry)
         spec = ClusterLoadSpec(
             seed=args.seed,
             duration_s=args.duration,
@@ -621,6 +631,10 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
 
     requests_path = getattr(args, "requests", None)
     try:
+        _check_outputs(
+            args.out, args.responses, args.telemetry,
+            getattr(args, "save_requests", None),
+        )
         service_config = ServiceConfig(
             queue_capacity=args.queue_capacity,
             max_batch=args.max_batch,
@@ -714,6 +728,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     baseline_path = Path(args.baseline) if args.baseline else DEFAULT_BASELINE
     try:
+        _check_outputs(args.out)
         if args.write_baseline and args.prune_baseline:
             raise ConfigurationError(
                 "--write-baseline and --prune-baseline are mutually "
@@ -770,6 +785,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         CHAOS_PROFILES if args.profile == "all" else (args.profile,)
     )
     try:
+        _check_outputs(args.out)
         report = run_chaos(args.chaos_seed, profiles)
     except (ConfigurationError, UnknownNameError) as exc:
         return _usage_error("chaos", exc)
@@ -798,6 +814,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 
     collector = Telemetry()
     try:
+        _check_outputs(args.out, args.csv, args.telemetry)
         space = load_space(args.space) if args.space else None
         query_overrides = {
             key: value

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro import telemetry as tm
 from repro.config import AcamarConfig
-from repro.errors import ConfigurationError
 from repro.core.finegrained import FineGrainedReconfigurationUnit, ReconfigurationPlan
 from repro.core.matrix_structure import MatrixStructureUnit, SolverSelection
 from repro.core.solver_modifier import SolverModifierUnit
@@ -105,22 +104,16 @@ class BatchContext:
     The Matrix Structure verdict and the Fine-Grained unit's unroll plan
     are pure functions of the operator, so a batch of solves against the
     same operator can run them once and amortize the host-analysis cost
-    across every member.  The batched campaign driver additionally runs
-    the *first* solver attempt for all members in lockstep
-    (:func:`repro.solvers.batched.solve_batched`) and injects each
-    member's bit-identical result here, so :meth:`Acamar.solve` only
-    re-enters the numerics when the Solver Modifier has to fall back.
+    across every member.
 
     Correctness contract: the context must have been computed for *this
     operator* (same values, not merely the same pattern — the symmetry
-    check reads values), and ``first_attempt`` must be bit-identical to
-    what the selected solver would produce.  The decision trace and
-    telemetry counters then come out exactly as an unbatched solve.
+    check reads values).  The decision trace then comes out exactly as
+    an unbatched solve.
     """
 
     selection: SolverSelection
     plan: ReconfigurationPlan
-    first_attempt: SolveResult | None = None
 
 
 FaultHook = Callable[[str, int, SolveResult], "SolveResult | None"]
@@ -199,28 +192,17 @@ class Acamar:
         Solver Modifier's preference order until one converges (Table II's
         Acamar column) or all configurations are exhausted.
 
-        ``batch_context`` supplies pre-computed host analysis (and
-        optionally the first attempt's result) for fingerprint-batched
-        execution; see :class:`BatchContext` for the contract.
+        ``batch_context`` supplies pre-computed host analysis for
+        fingerprint-batched execution; see :class:`BatchContext` for the
+        contract.
         """
         if batch_context is not None:
             selection = batch_context.selection
             plan = batch_context.plan
-            first_attempt = batch_context.first_attempt
-            if (
-                first_attempt is not None
-                and first_attempt.solver != selection.solver
-            ):
-                raise ConfigurationError(
-                    f"batch context carries a first attempt from "
-                    f"{first_attempt.solver!r} but the selection chose "
-                    f"{selection.solver!r}"
-                )
         else:
             with tm.span("matrix_structure.select"):
                 selection = self.matrix_structure.select_solver(matrix)
             plan = self.fine_grained.plan(matrix)
-            first_attempt = None
         modifier = SolverModifierUnit(self.config.solver_fallback_order)
         attempts: list[SolverAttempt] = []
         solver_name: str | None = selection.solver
@@ -235,14 +217,9 @@ class Acamar:
         else:
             compute_matrix = matrix
         while solver_name is not None:
-            if not attempts and first_attempt is not None:
-                # The lockstep batch already ran this attempt; reuse its
-                # bit-identical result instead of re-entering the solver.
-                result = first_attempt
-            else:
-                with tm.span("reconfigurable_solver.attempt"):
-                    solver = self._make_solver(solver_name, matrix.shape[0])
-                    result = solver.solve(compute_matrix, b, x0)
+            with tm.span("reconfigurable_solver.attempt"):
+                solver = self._make_solver(solver_name, matrix.shape[0])
+                result = solver.solve(compute_matrix, b, x0)
             if self.fault_hook is not None:
                 injected = self.fault_hook(solver_name, len(attempts), result)
                 if injected is not None:

@@ -73,7 +73,7 @@ class WorkItem:
 
     ``group`` is an optional batching key (the campaign uses the matrix
     structure fingerprint): items sharing a group are kept in one chunk
-    by :func:`shard_by_cost` so the worker can solve them in lockstep.
+    by :func:`shard_by_cost` so the worker can share their analysis.
     ``None`` (the default) means the item schedules independently.
     """
 
@@ -222,7 +222,7 @@ def solve_items_batched(
     """Worker entry point for fingerprint-batched campaigns.
 
     Partitions the chunk by :attr:`WorkItem.group` (preserving first-seen
-    order) and hands each group to the campaign's lockstep group solver;
+    order) and hands each group to the campaign's group solver;
     ungrouped items run as singleton groups.  Results come back in
     campaign (index) order, exactly like :func:`solve_items` — the
     batched path is a scheduling optimization, never a semantic one.

@@ -37,12 +37,7 @@ from repro.serve.api import (
     SolveResponse,
     parse_priority,
 )
-from repro.serve.cache import (
-    CacheEntry,
-    PlanCache,
-    plan_signature,
-    structure_fingerprint,
-)
+from repro.serve.cache import CacheEntry, PlanCache, plan_signature
 from repro.serve.cluster import (
     AutoscalerPolicy,
     ClusterConfig,
@@ -111,6 +106,5 @@ __all__ = [
     "run_cluster_loadtest",
     "run_loadtest",
     "run_service",
-    "structure_fingerprint",
     "write_request_log",
 ]

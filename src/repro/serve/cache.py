@@ -6,21 +6,20 @@ a pure function of the CSR *sparsity pattern*.  Serving traffic repeats
 patterns heavily (the same discretized operator solved against many
 right-hand sides), so the service keys a cache on a pattern hash:
 
-``structure_fingerprint(matrix)``
+``matrix.structure_fingerprint()``
     SHA-256 over the shape plus the canonical ``indptr``/``indices``
-    arrays (as little-endian int64 bytes).  The hash itself lives on the
-    sparse substrate (:func:`repro.sparse.structure_fingerprint`, cached
-    on :class:`~repro.sparse.csr.CSRMatrix` alongside the other lazy
-    structure views) because the batched campaign grouper keys on it
-    from *below* the serving layer; this module re-exports it for
-    serving callers.  Values are deliberately excluded: two matrices
-    with equal structure and different data share the analysis verdict
-    and the unroll plan, which depend only on row lengths and symmetry
-    of the pattern.  Note the symmetry check the hardware performs
-    compares *values* too; like the paper's own symmetric-proxy
-    shortcut, a pattern-keyed hit accepts that a numerically asymmetric
-    matrix with a symmetric pattern reuses the symmetric verdict and
-    lets the Solver Modifier recover from any misprediction.
+    arrays (as little-endian int64 bytes).  The hash lives on
+    :class:`~repro.sparse.csr.CSRMatrix`, cached alongside the other
+    lazy structure views, because the batched campaign grouper keys on
+    it from *below* the serving layer.  Values are deliberately
+    excluded: two matrices with equal structure and different data
+    share the analysis verdict and the unroll plan, which depend only
+    on row lengths and symmetry of the pattern.  Note the symmetry
+    check the hardware performs compares *values* too; like the paper's
+    own symmetric-proxy shortcut, a pattern-keyed hit accepts that a
+    numerically asymmetric matrix with a symmetric pattern reuses the
+    symmetric verdict and lets the Solver Modifier recover from any
+    misprediction.
 
 ``plan_signature(plan)``
     SHA-256 over the per-set ``(start_row, stop_row, unroll)`` schedule.
@@ -41,14 +40,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.sparse.csr import structure_fingerprint
 
 __all__ = [
     "CacheEntry",
     "CacheStats",
     "PlanCache",
     "plan_signature",
-    "structure_fingerprint",  # re-exported from repro.sparse
 ]
 
 

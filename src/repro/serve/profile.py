@@ -30,7 +30,7 @@ from repro.placement import (
     estimate_gpu_service,
     structural_class_of,
 )
-from repro.serve.cache import CacheEntry, plan_signature, structure_fingerprint
+from repro.serve.cache import CacheEntry, plan_signature
 from repro.telemetry import Telemetry
 
 ANALYSIS_SECONDS_PER_NNZ = 25e-9
@@ -178,7 +178,7 @@ def build_profile(problem: Any, config: AcamarConfig) -> SolveProfile:
     )
     return SolveProfile(
         label=problem.name,
-        fingerprint=structure_fingerprint(matrix),
+        fingerprint=matrix.structure_fingerprint(),
         plan_signature=plan_signature(result.plan),
         n=int(matrix.n_rows),
         nnz=int(matrix.nnz),

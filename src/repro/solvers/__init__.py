@@ -16,7 +16,6 @@ from repro.solvers.base import (
     SolveResult,
     SolveStatus,
 )
-from repro.solvers.batched import BATCHED_SOLVERS, solve_batched
 from repro.solvers.bicg import BiCGSolver
 from repro.solvers.bicgstab import BiCGStabSolver
 from repro.solvers.cg import ConjugateGradientSolver
@@ -67,7 +66,6 @@ def make_solver(name: str, **kwargs) -> IterativeSolver:
 
 
 __all__ = [
-    "BATCHED_SOLVERS",
     "BiCGSolver",
     "BiCGStabSolver",
     "ChebyshevSolver",
@@ -90,5 +88,4 @@ __all__ = [
     "criteria_table",
     "criterion_for",
     "make_solver",
-    "solve_batched",
 ]

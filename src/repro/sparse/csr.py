@@ -25,7 +25,6 @@ import hashlib
 import numpy as np
 
 from repro.errors import ShapeMismatchError, SparseFormatError
-from repro.sparse.substrate import active_substrate
 
 _DIA_MAX_DIAGONALS = 24
 """Upper bound on distinct diagonals for the banded SpMV fast path."""
@@ -287,93 +286,24 @@ class CSRMatrix:
             )
         out_dtype = np.result_type(self.data, x)
         plan = self._spmv_plan()
-        substrate = active_substrate()
         if plan[0] == "empty":
             return np.zeros(self.n_rows, dtype=out_dtype)
         if plan[0] == "dia":
             result = np.zeros(self.n_rows, dtype=out_dtype)
             scratch = self._workspace("dia", self.n_rows, out_dtype)
             for offset, lo, hi, weights in plan[1]:
-                substrate.dia_update(
-                    result, x, offset, lo, hi, weights, scratch
-                )
+                seg = scratch[: hi - lo]
+                np.multiply(weights, x[lo + offset : hi + offset], out=seg)
+                np.add(result[lo:hi], seg, out=result[lo:hi])
             return result
         _, starts, nonempty = plan
         products = self._workspace("products", self.nnz, out_dtype)
-        substrate.csr_products(self.data, x, self.indices, products)
+        np.multiply(self.data, x[self.indices], out=products)
         if nonempty is None:
             return np.add.reduceat(products, starts)
         result = np.zeros(self.n_rows, dtype=out_dtype)
         result[nonempty] = np.add.reduceat(products, starts)
         return result
-
-    def _workspace_2d(
-        self, tag: str, rows: int, cols: int, dtype: np.dtype
-    ) -> np.ndarray:
-        """2-D view of a reusable scratch buffer (batched kernels).
-
-        Tags are disjoint from the single-vector kernels' tags, so an
-        interleaved sequence of batched and single ``matvec`` calls on
-        the same matrix never clobbers the other path's scratch.
-        """
-        return self._workspace(tag, rows * cols, dtype).reshape(rows, cols)
-
-    def matvec_batch(self, x_block: np.ndarray) -> np.ndarray:
-        """Batched SpMV: ``A @ x_k`` for K stacked RHS columns at once.
-
-        ``x_block`` has shape ``(K, n_cols)`` (row ``k`` is the k-th
-        vector); the result has shape ``(K, n_rows)``.  One index
-        gather serves all K columns, the per-entry products land in a
-        2-D stacked workspace, and the segmented reduction runs once
-        per column via ``np.add.reduceat(..., axis=1)``; the banded
-        fast path generalizes the same way with row-wise diagonal
-        sweeps.  Row ``k`` of the result is **bit-identical** to
-        ``self.matvec(x_block[k])`` — every stage is either elementwise
-        per row or a per-row ``reduceat`` over the same segments, so
-        the accumulation order per problem is unchanged.
-        """
-        x_block = np.asarray(x_block)
-        if x_block.ndim != 2 or x_block.shape[1] != self.n_cols:
-            raise ShapeMismatchError(
-                "matvec_batch expects a (K, "
-                f"{self.n_cols}) block, got {x_block.shape}"
-            )
-        k = x_block.shape[0]
-        out_dtype = np.result_type(self.data, x_block)
-        plan = self._spmv_plan()
-        substrate = active_substrate()
-        if plan[0] == "empty" or k == 0:
-            return np.zeros((k, self.n_rows), dtype=out_dtype)
-        if plan[0] == "dia":
-            result = np.zeros((k, self.n_rows), dtype=out_dtype)
-            scratch = self._workspace_2d("dia_batch", k, self.n_rows, out_dtype)
-            for offset, lo, hi, weights in plan[1]:
-                substrate.dia_update_batch(
-                    result, x_block, offset, lo, hi, weights, scratch
-                )
-            return result
-        _, starts, nonempty = plan
-        products = self._workspace_2d("products_batch", k, self.nnz, out_dtype)
-        substrate.csr_products_batch(self.data, x_block, self.indices, products)
-        if nonempty is None:
-            return np.add.reduceat(products, starts, axis=1)
-        result = np.zeros((k, self.n_rows), dtype=out_dtype)
-        result[:, nonempty] = np.add.reduceat(products, starts, axis=1)
-        return result
-
-    def rmatvec_batch(self, x_block: np.ndarray) -> np.ndarray:
-        """Batched transposed product ``A.T @ x_k`` for K stacked columns.
-
-        Same cached-transpose delegation as :meth:`rmatvec`; row ``k``
-        is bit-identical to ``self.rmatvec(x_block[k])``.
-        """
-        x_block = np.asarray(x_block)
-        if x_block.ndim != 2 or x_block.shape[1] != self.n_rows:
-            raise ShapeMismatchError(
-                "rmatvec_batch expects a (K, "
-                f"{self.n_rows}) block, got {x_block.shape}"
-            )
-        return self.transpose().matvec_batch(x_block)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Transposed product ``A.T @ x`` via the cached transpose.
@@ -512,13 +442,6 @@ class CSRMatrix:
             self.data.copy(),
         )
 
-    def to_csc(self) -> "CSCMatrix":
-        """Convert to CSC — the Matrix Structure unit's comparison format."""
-        from repro.sparse.csc import CSCMatrix
-
-        t = self.transpose()
-        return CSCMatrix(self.shape, t.indptr, t.indices, t.data)
-
     def structurally_equal(self, other: "CSRMatrix") -> bool:
         """True when both matrices store exactly the same coordinates."""
         return (
@@ -546,12 +469,3 @@ class CSRMatrix:
         indices = np.arange(n, dtype=np.int64)
         return CSRMatrix((n, n), indptr, indices, np.ones(n, dtype=dtype))
 
-
-def structure_fingerprint(matrix: CSRMatrix) -> str:
-    """Hex SHA-256 of the CSR sparsity pattern (shape, indptr, indices).
-
-    Functional form of :meth:`CSRMatrix.structure_fingerprint`, kept for
-    callers that key caches on matrices they do not own (the serving
-    plan cache re-exports it from :mod:`repro.serve`).
-    """
-    return matrix.structure_fingerprint()

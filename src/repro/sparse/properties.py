@@ -68,12 +68,23 @@ def gershgorin_upper_bound(matrix: CSRMatrix) -> float:
 def is_symmetric(matrix: CSRMatrix, rtol: float = 1e-6) -> bool:
     """Check Eq. 2 the way the Matrix Structure unit does: CSR vs CSC.
 
-    The CSC encoding of ``A`` equals the CSR encoding of ``A.T``; comparing
-    it array-wise against the CSR input decides ``A == A.T``.
+    The CSC encoding of ``A`` is the CSR encoding of ``A.T`` (the cached
+    :meth:`~repro.sparse.csr.CSRMatrix.transpose`); comparing it
+    array-wise against the CSR input decides ``A == A.T``.  Values must
+    agree to ``rtol`` with an absolute floor of ``rtol * max|A|``, so the
+    verdict does not depend on the matrix's scale.
     """
     if matrix.shape[0] != matrix.shape[1]:
         return False
-    return matrix.to_csc().matches_csr(matrix, rtol=rtol)
+    transpose = matrix.transpose()
+    if not transpose.structurally_equal(matrix):
+        return False
+    scale = float(np.abs(matrix.data).max(initial=0.0))
+    # A non-finite entry would make the floor infinite; compare relatively.
+    atol = rtol * scale if np.isfinite(scale) else 0.0
+    return bool(
+        np.allclose(transpose.data, matrix.data, rtol=rtol, atol=atol)
+    )
 
 
 def positive_definite_probe(

@@ -62,7 +62,6 @@ KNOWN_SPANS = frozenset({
     "fine_grained.plan",
     # kernels and cost model
     "kernel.spmv",
-    "kernel.spmv_batched",
     "kernel.rmatvec",
     "cost_model.acamar_latency",
     # serving profiler (wall-clock side only; the serving report itself
@@ -85,7 +84,7 @@ KNOWN_COUNTERS = frozenset({
     # campaign engine
     "campaign.failures",
     "campaign.workers_lost",
-    # batched execution (fingerprint-grouped lockstep solves)
+    # batched execution (fingerprint-grouped campaign solves)
     "batch.groups",
     "batch.items",
     "batch.fallback_sequential",

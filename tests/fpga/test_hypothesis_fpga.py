@@ -11,7 +11,18 @@ from repro.fpga.utilization import (
     occupancy_underutilization,
     row_underutilization,
 )
-from repro.sparse.ell import padded_slots_for_unroll
+
+
+def padded_slots_for_unroll(row_lengths: np.ndarray, unroll: int) -> int:
+    """Slots a fixed-unroll unit streams: rows padded to unroll multiples.
+
+    The storage of a blocked ELL layout with block width ``unroll``;
+    the cost model's provisioned MAC-cycles must equal it.
+    """
+    lengths = np.asarray(row_lengths, dtype=np.int64)
+    chunks = np.maximum(1, -(-lengths // unroll))
+    return int((chunks * unroll).sum())
+
 
 row_length_arrays = arrays(
     np.int64,

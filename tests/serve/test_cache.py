@@ -6,12 +6,7 @@ import pytest
 from repro import Acamar
 from repro.datasets import poisson_2d
 from repro.errors import ConfigurationError
-from repro.serve.cache import (
-    CacheEntry,
-    PlanCache,
-    plan_signature,
-    structure_fingerprint,
-)
+from repro.serve.cache import CacheEntry, PlanCache, plan_signature
 from repro.sparse.csr import CSRMatrix
 
 
@@ -36,12 +31,13 @@ class TestStructureFingerprint:
             matrix.indices.copy(),
             matrix.data * 3.0,  # same pattern, different values
         )
-        assert structure_fingerprint(matrix) == structure_fingerprint(shifted)
+        assert matrix.structure_fingerprint() == shifted.structure_fingerprint()
 
     def test_different_patterns_differ(self):
-        assert structure_fingerprint(
-            poisson_2d(10).matrix
-        ) != structure_fingerprint(poisson_2d(11).matrix)
+        assert (
+            poisson_2d(10).matrix.structure_fingerprint()
+            != poisson_2d(11).matrix.structure_fingerprint()
+        )
 
     def test_stable_across_index_dtypes(self):
         matrix = poisson_2d(8).matrix
@@ -51,7 +47,7 @@ class TestStructureFingerprint:
             matrix.indices.astype(np.int32),
             matrix.data,
         )
-        assert structure_fingerprint(matrix) == structure_fingerprint(widened)
+        assert matrix.structure_fingerprint() == widened.structure_fingerprint()
 
 
 class TestPlanSignature:

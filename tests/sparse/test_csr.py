@@ -152,11 +152,6 @@ class TestConversionsAndComparisons:
         matrix = CSRMatrix.from_dense(dense)
         np.testing.assert_allclose(matrix.to_coo().to_csr().to_dense(), dense)
 
-    def test_to_csc_matches_dense(self, rng):
-        dense = random_dense(rng, 7, 7, density=0.3)
-        csc = CSRMatrix.from_dense(dense).to_csc()
-        np.testing.assert_allclose(csc.to_dense(), dense)
-
     def test_structural_equality(self, small_csr):
         other = CSRMatrix(
             small_csr.shape,

@@ -102,6 +102,57 @@ class TestRead:
             read_matrix_market(io.StringIO(bad))
 
 
+BANNER = b"%%MatrixMarket matrix coordinate real general\n"
+
+
+def _truncated_gzip() -> bytes:
+    data = gzip.compress(GENERAL.encode())
+    return data[: len(data) // 2]
+
+
+MALFORMED = [
+    pytest.param("v.mtx", BANNER + b"1 1 1\n1 1 abc\n", "line 3", id="value"),
+    pytest.param(
+        "i.mtx", BANNER + b"2 2 1\n1.5 1 2.0\n", "line 3", id="float-index"
+    ),
+    pytest.param("n.mtx", BANNER + b"3 3 -1\n", "line 2", id="negative-size"),
+    pytest.param(
+        "h.mtx", BANNER + b"3 3 999999999999\n1 1 2.0\n", "line 2",
+        id="huge-declared-count",
+    ),
+    pytest.param(
+        "u.mtx", BANNER + b"% caf\xe9\n1 1 1\n1 1 2.0\n", "line 2",
+        id="not-utf8",
+    ),
+    pytest.param(
+        "g.mtx.gz", GENERAL.encode(), r"line \d+: corrupt or truncated gzip",
+        id="not-gzip",
+    ),
+    pytest.param(
+        "t.mtx.gz", _truncated_gzip(), r"line \d+: corrupt or truncated gzip",
+        id="truncated-gzip",
+    ),
+    pytest.param("nan.mtx", BANNER + b"1 1 1\n1 1 nan\n", "line 3", id="nan"),
+    pytest.param(
+        "inf.mtx", BANNER + b"2 2 1\n2 2 -inf\n", "line 3", id="inf"
+    ),
+    pytest.param(
+        "r.mtx", BANNER + b"2 2 1\n3 1 1.0\n", "line 3", id="index-range"
+    ),
+]
+
+
+class TestMalformedFiles:
+    """Every malformed file ends in a SparseFormatError naming its line."""
+
+    @pytest.mark.parametrize("name, content, where", MALFORMED)
+    def test_raises_sparse_format_error(self, tmp_path, name, content, where):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(SparseFormatError, match=where):
+            read_matrix_market(path)
+
+
 class TestRoundtrip:
     def test_write_read_roundtrip(self, tmp_path, rng):
         from tests.conftest import random_dense

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets.pde import convection_diffusion_2d_matrix
 from repro.sparse import CSRMatrix
 from repro.sparse.properties import (
     analyze_properties,
@@ -41,21 +42,40 @@ class TestDiagonalDominance:
         np.testing.assert_allclose(margin, [3.0, 2.0, 2.0, 3.0])
 
 
+SYMMETRY_SCALES = (1e-9, 1.0, 1e9)
+
+
+def symmetry_verdicts(dense) -> list[bool]:
+    """``is_symmetric`` on ``dense`` at each scale; it must not move."""
+    return [
+        is_symmetric(CSRMatrix.from_dense(np.asarray(dense) * scale))
+        for scale in SYMMETRY_SCALES
+    ]
+
+
 class TestSymmetry:
-    def test_symmetric(self, small_csr):
-        assert is_symmetric(small_csr)
+    def test_symmetric(self, small_dense):
+        assert symmetry_verdicts(small_dense) == [True] * 3
 
     def test_nonsymmetric_values(self):
         dense = np.array([[1.0, 2.0], [3.0, 1.0]])
-        assert not is_symmetric(CSRMatrix.from_dense(dense))
+        assert symmetry_verdicts(dense) == [False] * 3
 
     def test_nonsymmetric_pattern(self):
         dense = np.array([[1.0, 2.0], [0.0, 1.0]])
-        assert not is_symmetric(CSRMatrix.from_dense(dense))
+        assert symmetry_verdicts(dense) == [False] * 3
 
     def test_rectangular_rejected(self):
-        dense = np.ones((2, 3))
-        assert not is_symmetric(CSRMatrix.from_dense(dense))
+        for dense in (np.ones((2, 3)), np.eye(3, 4)):
+            assert symmetry_verdicts(dense) == [False] * 3
+
+    def test_tiny_asymmetry_within_tolerance(self):
+        dense = np.array([[1.0, 2.0], [2.0 * (1 + 1e-9), 1.0]])
+        assert symmetry_verdicts(dense) == [True] * 3
+
+    def test_convection_diffusion_is_nonsymmetric(self):
+        dense = convection_diffusion_2d_matrix(16).to_dense()
+        assert symmetry_verdicts(dense) == [False] * 3
 
 
 class TestDefinitenessProbe:

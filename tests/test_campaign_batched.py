@@ -1,17 +1,20 @@
-"""Campaign-level parity harness for the batched backend.
+"""Campaign-level parity harness for batched campaigns.
 
 The acceptance bar for batching is *byte-identity of the campaign CSV*:
-turning ``batch=True`` on, changing the worker count, or switching the
-kernel substrate may change wall-clock time and telemetry, but never a
-single byte of the scientific output.  These tests run a
-fingerprint-sharing population (duplicated dataset keys resolve to
-identical matrices) through every combination and diff the CSVs.
+turning ``batch=True`` on or changing the worker count may change
+wall-clock time and telemetry, but never a single byte of the scientific
+output.  These tests run a fingerprint-sharing population (duplicated
+dataset keys resolve to identical matrices) through every combination
+and diff the CSVs, and pin what batching shares: one host analysis per
+group of identical operators.
 """
 
 import numpy as np
+import pytest
 
 from repro.campaign import run_campaign, solve_group
 from repro.config import AcamarConfig
+from repro.core import FineGrainedReconfigurationUnit, MatrixStructureUnit
 from repro.datasets import poisson_2d
 from repro.parallel import WorkItem
 from repro.telemetry import Telemetry
@@ -37,13 +40,29 @@ class TestCsvByteIdentity:
         sharded = campaign_csv(tmp_path, "sharded.csv", batch=True, workers=2)
         assert sharded == serial
 
-    def test_batch_identical_under_numpy_substrate(self, tmp_path):
-        from repro.sparse.substrate import use_substrate
 
-        baseline = campaign_csv(tmp_path, "base.csv", batch=False)
-        with use_substrate("numpy"):
-            routed = campaign_csv(tmp_path, "numpy.csv", batch=True)
-        assert routed == baseline
+@pytest.fixture
+def analysis_calls(monkeypatch):
+    """Count host-analysis calls: solver selection and unroll planning."""
+    calls = {"select_solver": 0, "plan": 0}
+    for owner, name in (
+        (MatrixStructureUnit, "select_solver"),
+        (FineGrainedReconfigurationUnit, "plan"),
+    ):
+        def counted(self, *args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def merged_counters(results) -> dict[str, int]:
+    merged: dict[str, int] = {}
+    for r in results:
+        for name, value in r.telemetry.get("counters", {}).items():
+            merged[name] = merged.get(name, 0) + value
+    return merged
 
 
 class TestSolveGroup:
@@ -65,6 +84,20 @@ class TestSolveGroup:
             assert g.error is None and s.error is None
             assert g.entry == s.entry
 
+    def test_identical_operators_share_one_analysis(self, analysis_calls):
+        problems = [poisson_2d(12), poisson_2d(12), poisson_2d(12)]
+        results = solve_group(self._items(problems), AcamarConfig())
+        assert all(r.error is None for r in results)
+        assert analysis_calls == {"select_solver": 1, "plan": 1}
+        # Every member still runs its own first attempt (CG converges
+        # on it, so there is exactly one attempt per member).
+        assert [r.entry.solver_sequence for r in results] == [("cg",)] * 3
+        counters = merged_counters(results)
+        assert counters["solver_attempts.cg"] == 3
+        assert counters["batch.groups"] == 1
+        assert counters["batch.items"] == 3
+        assert "batch.fallback_sequential" not in counters
+
     def test_group_counters_recorded(self):
         config = AcamarConfig()
         problems = [poisson_2d(12), poisson_2d(12)]
@@ -79,7 +112,7 @@ class TestSolveGroup:
         assert merged.get("batch.groups", 0) >= 1
         assert merged.get("batch.items", 0) >= 2
 
-    def test_value_mismatch_same_pattern_not_shared(self):
+    def test_value_mismatch_same_pattern_not_shared(self, analysis_calls):
         """Same fingerprint but different values must not share analysis
         (the symmetry verdict reads values) — and must still be right."""
         config = AcamarConfig()
@@ -94,6 +127,7 @@ class TestSolveGroup:
         )
         results = solve_group(self._items([a, b]), config)
         assert all(r.error is None for r in results)
+        assert analysis_calls == {"select_solver": 2, "plan": 2}
         solo = [
             solve_group(self._items([p]), config)[0] for p in [a, b]
         ]

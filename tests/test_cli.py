@@ -172,6 +172,43 @@ class TestCampaign:
         assert document["campaign"]["problems"] == 1
         assert "stages" in document
 
+    def test_malformed_mtx_is_a_failed_entry(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate real general\n"
+            b"1 1 1\n1 1 nan\n"
+        )
+        result = run_cli("campaign", str(path))
+        assert result.returncode == 1, result.stderr
+        assert "FAILED bad: SparseFormatError: line 3" in result.stdout
+        assert "Traceback" not in result.stderr
+
+
+class TestUnwritableOutput:
+    """An output path into a missing directory exits 2 before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ("campaign", "Wa", "--csv"),
+        ("campaign", "Wa", "--telemetry"),
+        ("dse", "--out"),
+        ("loadtest", "--out"),
+        ("loadtest", "--cluster", "--out"),
+        ("serve", "--out"),
+        ("chaos", "--out"),
+        ("lint", "--format", "sarif", "--out"),
+    ])
+    def test_missing_directory_exits_two(self, tmp_path, argv, capsys):
+        target = tmp_path / "missing" / "report.out"
+        assert main([*argv, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{argv[0]}: cannot write ")
+        assert "does not exist" in captured.err
+        assert captured.out == ""
+
+    def test_directory_as_output_exits_two(self, tmp_path, capsys):
+        assert main(["chaos", "--out", str(tmp_path)]) == 2
+        assert "it is a directory" in capsys.readouterr().err
+
 
 class TestSolveExitContract:
     """Pins the documented exit codes: 0 converged, 1 not, 2 unresolvable."""
