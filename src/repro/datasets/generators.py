@@ -36,11 +36,23 @@ All generators take an integer seed and are fully deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
+
+
+def _require_rows(n: int, minimum: int = 1) -> None:
+    if not n >= minimum:
+        raise ConfigurationError(f"n must be >= {minimum}, got {n}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
 def sample_row_lengths(
@@ -62,6 +74,8 @@ def sample_row_lengths(
     the given ``correlation``; ``correlation=0`` recovers an i.i.d.
     lognormal profile.
     """
+    _require_rows(n)
+    _require_positive("mean_nnz", mean_nnz)
     if mean_nnz < min_nnz:
         raise ConfigurationError(
             f"mean_nnz ({mean_nnz}) must be >= min_nnz ({min_nnz})"
@@ -86,19 +100,18 @@ def _random_offdiag_pattern(
     n: int, row_lengths: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random off-diagonal coordinates with the requested row lengths."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for i, k in enumerate(row_lengths):
-        k = int(min(k, n - 1))
-        if k <= 0:
-            continue
-        choices = rng.choice(n - 1, size=k, replace=False)
-        choices = np.where(choices >= i, choices + 1, choices)  # skip diagonal
-        rows.append(np.full(k, i, dtype=np.int64))
-        cols.append(choices.astype(np.int64))
-    if not rows:
+    counts = np.clip(np.asarray(row_lengths, dtype=np.int64), 0, max(n - 1, 0))
+    # One draw per non-empty row, in row order: these calls are the
+    # random stream, so the loop does nothing else.
+    picks = [
+        rng.choice(n - 1, size=k, replace=False) for k in counts.tolist() if k
+    ]
+    if not picks:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    return np.concatenate(rows), np.concatenate(cols)
+    rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    cols = np.concatenate(picks).astype(np.int64, copy=False)
+    cols += cols >= rows  # skip the diagonal
+    return rows, cols
 
 
 def _assemble(
@@ -118,7 +131,7 @@ def _assemble(
         perm = rng.permutation(n)
         all_rows = perm[all_rows]
         all_cols = perm[all_cols]
-    return COOMatrix((n, n), all_rows, all_cols, all_vals).canonical().to_csr()
+    return COOMatrix((n, n), all_rows, all_cols, all_vals).to_csr()
 
 
 def sdd_matrix(
@@ -166,28 +179,38 @@ def _clique_pattern(
     clique_max: int = 24,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partition rows into cliques; return the off-diagonal clique pairs."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
+    _require_rows(n)
+    _require_positive("clique_mean", clique_mean)
+    log_mean = np.log(clique_mean)
+    starts: list[int] = []
+    sizes: list[int] = []
     start = 0
     while start < n:
-        size = int(
-            np.clip(
-                round(rng.lognormal(np.log(clique_mean), 0.4)),
-                clique_min,
-                clique_max,
-            )
-        )
+        size = min(max(round(rng.lognormal(log_mean, 0.4)), clique_min), clique_max)
         size = min(size, n - start)
         if size >= 2:
-            members = np.arange(start, start + size)
-            grid_r, grid_c = np.meshgrid(members, members, indexing="ij")
-            off = grid_r != grid_c
-            rows.append(grid_r[off].ravel())
-            cols.append(grid_c[off].ravel())
+            starts.append(start)
+            sizes.append(size)
         start += max(size, 1)
-    if not rows:
+    if not sizes:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    return np.concatenate(rows), np.concatenate(cols)
+    # Every clique's off-diagonal pairs in row-major order: member ``a``
+    # of a size-m clique pairs with the m - 1 local columns ``t``, which
+    # skip ``a`` itself.
+    size_of = np.array(sizes, dtype=np.int64)
+    member_start = np.repeat(np.array(starts, dtype=np.int64), size_of)
+    member_size = np.repeat(size_of, size_of)
+    local = _local_index(size_of)
+    pair_start = np.repeat(member_start, member_size - 1)
+    pair_local = np.repeat(local, member_size - 1)
+    t = _local_index(member_size - 1)
+    return pair_start + pair_local, pair_start + t + (t >= pair_local)
+
+
+def _local_index(group_sizes: np.ndarray) -> np.ndarray:
+    """Position of each element within its group, groups laid end to end."""
+    firsts = np.cumsum(group_sizes) - group_sizes
+    return np.arange(int(group_sizes.sum())) - np.repeat(firsts, group_sizes)
 
 
 def spd_clique_matrix(
@@ -310,6 +333,8 @@ def balanced_indefinite_matrix(
     diagonal dominance, so Jacobi diverges.  The regime is narrow — the
     suite pins a verified seed per dataset.
     """
+    _require_rows(n, 2)
+    _require_positive("mean_nnz", mean_nnz)
     rng = np.random.default_rng(seed)
     half = n // 2
     rows_list: list[np.ndarray] = []
@@ -334,7 +359,7 @@ def balanced_indefinite_matrix(
     rows = np.concatenate([r_sym, half + r_sym, diag_idx, half + diag_idx])
     cols = np.concatenate([half + c_sym, c_sym, diag_idx, half + diag_idx])
     vals = np.concatenate([v_sym, v_sym, diag_mag, -diag_mag])
-    return COOMatrix((n, n), rows, cols, vals).canonical().to_csr()
+    return COOMatrix((n, n), rows, cols, vals).to_csr()
 
 
 def ill_conditioned_spd_matrix(

@@ -51,7 +51,7 @@ def laplacian_matrix(
     rows = np.concatenate([u, v, u, v])
     cols = np.concatenate([v, u, u, v])
     degree_w = np.concatenate([-w, -w, w, w])
-    return COOMatrix((n, n), rows, cols, degree_w).canonical().to_csr()
+    return COOMatrix((n, n), rows, cols, degree_w).to_csr()
 
 
 def grounded_laplacian_system(
@@ -86,7 +86,7 @@ def regularized_laplacian_system(
     rows = np.concatenate([coo.rows, np.arange(n)])
     cols = np.concatenate([coo.cols, np.arange(n)])
     vals = np.concatenate([coo.data, np.full(n, epsilon)])
-    matrix = COOMatrix((n, n), rows, cols, vals).canonical().to_csr()
+    matrix = COOMatrix((n, n), rows, cols, vals).to_csr()
     return manufacture_problem(
         f"regularized_laplacian_{n}",
         matrix,

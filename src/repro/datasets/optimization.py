@@ -81,7 +81,7 @@ def normal_equations_system(
         np.concatenate(rows_acc),
         np.concatenate(cols_acc),
         np.concatenate(vals_acc),
-    ).canonical().to_csr()
+    ).to_csr()
 
     b = design.rmatvec(y) + ridge * x_true  # so x_true solves exactly
     problem = Problem(

@@ -25,6 +25,7 @@ import hashlib
 import numpy as np
 
 from repro.errors import ShapeMismatchError, SparseFormatError
+from repro.sparse.coo import stable_order
 
 _DIA_MAX_DIAGONALS = 24
 """Upper bound on distinct diagonals for the banded SpMV fast path."""
@@ -247,7 +248,10 @@ class CSRMatrix:
             return ("empty",)
         n_rows, n_cols = self.shape
         offsets = self.indices - self.row_ids()
-        distinct = np.unique(offsets)
+        # Diagonal census: ascending distinct offsets, as np.unique gives,
+        # from one O(nnz + n_rows + n_cols) bincount.
+        census = np.bincount(offsets + n_rows - 1, minlength=n_rows + n_cols - 1)
+        distinct = np.flatnonzero(census) - (n_rows - 1)
         if len(distinct) <= _DIA_MAX_DIAGONALS:
             bounds = [
                 (max(0, -int(d)), min(n_rows, n_cols - int(d)))
@@ -309,7 +313,7 @@ class CSRMatrix:
         """Transposed product ``A.T @ x`` via the cached transpose.
 
         Delegating to ``A.T.matvec`` turns the per-call ``np.add.at``
-        scatter into a one-time transposition (argsort) plus the same
+        scatter into a one-time transposition (a radix pass) plus the same
         gather + ``reduceat`` kernel as :meth:`matvec`, which is what
         makes BiCG's shadow recurrence affordable.
         """
@@ -373,9 +377,8 @@ class CSRMatrix:
             counts = np.bincount(self.indices, minlength=n_cols)
             indptr = np.zeros(n_cols + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            # Stable sort by column produces rows in increasing order per
-            # column.
-            order = np.argsort(self.indices, kind="stable")
+            # Stable order by column keeps rows increasing per column.
+            order = stable_order(self.indices, n_cols)
             t = CSRMatrix._from_canonical_parts(
                 (n_cols, n_rows), indptr, self.row_ids()[order],
                 self.data[order],

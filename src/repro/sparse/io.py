@@ -195,9 +195,7 @@ def read_matrix_market(source: str | Path | IO[str]) -> CSRMatrix:
             row_ids = np.concatenate([row_ids, mirrored_rows])
             col_ids = np.concatenate([col_ids, mirrored_cols])
             values = np.concatenate([values, mirrored_vals])
-        return COOMatrix(
-            (n_rows, n_cols), row_ids, col_ids, values
-        ).canonical().to_csr()
+        return COOMatrix((n_rows, n_cols), row_ids, col_ids, values).to_csr()
     finally:
         if close:
             stream.close()

@@ -23,16 +23,27 @@ import numpy as np
 from repro.sparse.csr import CSRMatrix
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+"""Unit roundoff ``u`` of float64."""
+
+
 def is_strictly_diagonally_dominant(matrix: CSRMatrix) -> bool:
     """Check Eq. 1: for every row, ``sum_{j != i} |A_ij| < |A_ii|``.
 
     Rows with a zero (unstored) diagonal fail the test, as do empty rows.
+    The float64 sum of a row's ``k`` magnitudes carries a relative
+    rounding error of at most ``gamma_k = k u / (1 - k u)``, so a row is
+    accepted only when ``|A_ii| > off_i (1 + gamma_k)``, ``k`` being the
+    row length: rounding can then never make a weakly dominant row look
+    strict, whatever the matrix's scale.
     """
     if matrix.shape[0] != matrix.shape[1]:
         return False
     diag = np.abs(matrix.diagonal())
     off_sums = _off_diagonal_abs_sums(matrix)
-    return bool(np.all(off_sums < diag.astype(np.float64)))
+    ku = matrix.row_lengths() * _UNIT_ROUNDOFF
+    bound = off_sums * (1.0 + ku / (1.0 - ku))
+    return bool(np.all(bound < diag.astype(np.float64)))
 
 
 def _off_diagonal_abs_sums(matrix: CSRMatrix) -> np.ndarray:

@@ -28,13 +28,12 @@ def _symmetrized_adjacency(matrix: CSRMatrix) -> CSRMatrix:
     rows = np.concatenate([matrix.row_ids(), transpose.row_ids()])
     cols = np.concatenate([matrix.indices, transpose.indices])
     keep = rows != cols
-    pattern = COOMatrix(
+    return COOMatrix(
         (matrix.n_rows, matrix.n_rows),
         rows[keep],
         cols[keep],
         np.ones(int(keep.sum())),
-    ).canonical()
-    return pattern.to_csr()
+    ).to_csr()
 
 
 def rcm_permutation(matrix: CSRMatrix) -> np.ndarray:
@@ -94,7 +93,7 @@ def permute_symmetric(matrix: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
         inverse[row_of],
         inverse[matrix.indices],
         matrix.data.copy(),
-    ).canonical().to_csr()
+    ).to_csr()
 
 
 def bandwidth(matrix: CSRMatrix) -> int:

@@ -10,6 +10,7 @@ from repro.datasets.generators import (
     spd_clique_matrix,
     spd_clique_skew_matrix,
 )
+from repro.datasets.pde import convection_diffusion_2d_matrix
 from repro.sparse import CSRMatrix
 
 
@@ -47,6 +48,13 @@ class TestSelection:
         assert selection.solver == "bicgstab"
         assert not selection.properties.symmetric
         assert not selection.properties.strictly_diagonally_dominant
+
+    @pytest.mark.parametrize("scale", [1e-7, 0.3, 0.7, 1.0])
+    def test_weakly_dominant_nonsymmetric_selects_bicgstab(self, unit, scale):
+        # Upwinded convection-diffusion is weakly dominant: rounding in
+        # the row sums must not make it look strict at any scale.
+        dense = convection_diffusion_2d_matrix(16).to_dense() * scale
+        assert unit.select_solver(CSRMatrix.from_dense(dense)).solver == "bicgstab"
 
     def test_reason_is_informative(self, unit):
         matrix = sdd_matrix(64, 4.0, seed=6, symmetric=True)

@@ -153,3 +153,39 @@ class TestIndefiniteFamilies:
         eigenvalues = np.linalg.eigvalsh(matrix.to_dense())
         assert 0 < eigenvalues.min() < 0.05
         assert eigenvalues.max() / eigenvalues.min() > 1e3
+
+
+DEGENERATE_ARGUMENTS = {
+    "sdd-empty": (lambda: sdd_matrix(0, 6.0, seed=1), "n"),
+    "sdd-negative": (lambda: sdd_matrix(-3, 6.0, seed=1), "n"),
+    "sdd-nan-mean": (lambda: sdd_matrix(5, float("nan"), 1), "mean_nnz"),
+    "sdd-inf-mean": (lambda: sdd_matrix(5, float("inf"), 1), "mean_nnz"),
+    "sdd-indefinite-empty": (lambda: sdd_indefinite_matrix(0, 6.0, seed=1), "n"),
+    "row-lengths-empty": (
+        lambda: sample_row_lengths(0, 6.0, np.random.default_rng(0)),
+        "n",
+    ),
+    "clique-negative": (lambda: spd_clique_matrix(-2, 6.0, seed=1), "n"),
+    "clique-zero-mean": (lambda: spd_clique_matrix(10, 0.0, 1), "clique_mean"),
+    "clique-skew-nan-mean": (
+        lambda: spd_clique_skew_matrix(10, float("nan"), 1),
+        "clique_mean",
+    ),
+    "ill-conditioned-empty": (lambda: ill_conditioned_spd_matrix(0, 6.0, 1), "n"),
+    "balanced-empty": (lambda: balanced_indefinite_matrix(0, seed=1), "n"),
+    "balanced-one-row": (lambda: balanced_indefinite_matrix(1, seed=1), "n"),
+    "balanced-negative-mean": (
+        lambda: balanced_indefinite_matrix(8, seed=1, mean_nnz=-1.0),
+        "mean_nnz",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, parameter",
+    DEGENERATE_ARGUMENTS.values(),
+    ids=DEGENERATE_ARGUMENTS.keys(),
+)
+def test_degenerate_arguments_raise_configuration_error(build, parameter):
+    with pytest.raises(ConfigurationError, match=f"^{parameter} must"):
+        build()

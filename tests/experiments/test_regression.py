@@ -1,7 +1,5 @@
 """Tests for the golden-band regression harness."""
 
-import json
-
 from repro.experiments.regression import (
     BENCH_GUARDED_PREFIXES,
     check_regression,
@@ -29,6 +27,7 @@ class TestBandsFile:
         bands = load_bands()
         assert "hotpath_bicgstab_speedup" in bands
         assert "hotpath_bicg_speedup" in bands
+        assert "hotpath_build_floor_share" in bands
 
     def test_serving_bands_are_present(self):
         bands = load_bands()

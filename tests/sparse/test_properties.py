@@ -16,26 +16,47 @@ from repro.sparse.properties import (
 )
 
 
+DOMINANCE_SCALES = (1e-7, 0.3, 0.7, 1.0, 1e9)
+"""At 1e-7, 0.3 and 0.7 the float64 off-diagonal row sums of the weakly
+dominant convection-diffusion operator round below its diagonal."""
+
+
+def dominance_verdicts(dense) -> list[bool]:
+    """Strict dominance of ``dense`` at each scale; it must not move."""
+    return [
+        is_strictly_diagonally_dominant(
+            CSRMatrix.from_dense(np.asarray(dense) * scale)
+        )
+        for scale in DOMINANCE_SCALES
+    ]
+
+
 class TestDiagonalDominance:
-    def test_strictly_dominant(self, small_csr):
-        assert is_strictly_diagonally_dominant(small_csr)
+    def test_strictly_dominant(self, small_dense):
+        assert dominance_verdicts(small_dense) == [True] * 5
 
     def test_weakly_dominant_is_rejected(self):
         # Row sums equal the diagonal: weak, not strict.
         dense = np.array([[2.0, -2.0], [-2.0, 2.0]])
-        assert not is_strictly_diagonally_dominant(CSRMatrix.from_dense(dense))
+        assert dominance_verdicts(dense) == [False] * 5
 
     def test_zero_diagonal_rejected(self):
         dense = np.array([[0.0, 1.0], [1.0, 3.0]])
-        assert not is_strictly_diagonally_dominant(CSRMatrix.from_dense(dense))
+        assert dominance_verdicts(dense) == [False] * 5
 
     def test_negative_diagonal_can_dominate(self):
         dense = np.array([[-3.0, 1.0], [1.0, -3.0]])
-        assert is_strictly_diagonally_dominant(CSRMatrix.from_dense(dense))
+        assert dominance_verdicts(dense) == [True] * 5
 
     def test_rectangular_is_rejected(self):
         dense = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0]])
-        assert not is_strictly_diagonally_dominant(CSRMatrix.from_dense(dense))
+        assert dominance_verdicts(dense) == [False] * 5
+
+    def test_convection_diffusion_is_weakly_dominant(self):
+        # Interior rows are weakly dominant (off-diagonal sum equal to
+        # the diagonal before scaling): no scale may make them strict.
+        dense = convection_diffusion_2d_matrix(16).to_dense()
+        assert dominance_verdicts(dense) == [False] * 5
 
     def test_margin_values(self, small_csr):
         margin = diagonal_dominance_margin(small_csr)
