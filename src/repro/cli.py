@@ -618,7 +618,7 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
     """Shared implementation of ``serve`` and ``loadtest``."""
     if command == "loadtest" and getattr(args, "cluster", False):
         return _cmd_cluster(args)
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, ValidationError
     from repro.fpga import FleetSpec
     from repro.serve import (
         LoadSpec,
@@ -659,7 +659,10 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
     except ConfigurationError as exc:
         return _usage_error(command, exc)
     if spec is None:
-        requests = read_request_log(requests_path)
+        try:
+            requests = read_request_log(requests_path)
+        except ValidationError as exc:
+            return _usage_error(command, exc)
         meta = {"request_log": str(requests_path)}
     else:
         requests = generate_requests(spec)

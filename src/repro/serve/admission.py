@@ -16,19 +16,18 @@ The controller enforces:
 - queued requests whose deadline lapses before dispatch are **expired**
   by the scheduler sweep, again with an explicit response.
 
-Cost hints come from :func:`repro.parallel.cost.estimate_cost` — the
-same heuristic the campaign engine balances chunks with — so admission
-needs no pool machinery imports.
+The queue is kept sorted on :func:`_queue_key`, so an admission is one
+binary-search insert and the preemption victim is always the last entry.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
 
 from repro import telemetry as tm
 from repro.errors import ConfigurationError
-from repro.parallel import estimate_cost
 from repro.serve.api import SolveRequest
 
 
@@ -72,15 +71,21 @@ def deadline_unmeetable(
 
 @dataclass
 class QueuedRequest:
-    """A request waiting for dispatch, with its admission-time cost hint."""
+    """A request waiting for dispatch since ``admitted_s``."""
 
     request: SolveRequest
     admitted_s: float
-    cost: float
 
     @property
     def priority(self) -> int:
         return int(self.request.priority)
+
+
+def _queue_key(queued: QueuedRequest) -> tuple[int, float, int]:
+    """Dispatch order: priority class first, then FIFO within a class;
+    ``request_id`` breaks exact-arrival ties deterministically."""
+    request = queued.request
+    return int(request.priority), request.arrival_s, request.request_id
 
 
 @dataclass
@@ -108,17 +113,6 @@ class AdmissionController:
     def depth(self) -> int:
         return len(self.queue)
 
-    def _sort(self) -> None:
-        # Priority class first, then FIFO within a class; request_id
-        # breaks exact-arrival ties deterministically.
-        self.queue.sort(
-            key=lambda q: (
-                q.priority,
-                q.request.arrival_s,
-                q.request.request_id,
-            )
-        )
-
     def offer(
         self, request: SolveRequest, now: float
     ) -> tuple[AdmissionVerdict, QueuedRequest | None]:
@@ -136,35 +130,28 @@ class AdmissionController:
             return AdmissionVerdict.SHED_DEADLINE, None
         victim: QueuedRequest | None = None
         if len(self.queue) >= self.capacity:
-            candidate = max(
-                self.queue,
-                key=lambda q: (
-                    q.priority,
-                    q.request.arrival_s,
-                    q.request.request_id,
-                ),
-            )
+            # The queue is sorted and its keys are unique (request ids
+            # are), so the last entry is the lowest-priority, youngest.
+            candidate = self.queue[-1]
             if candidate.priority <= int(request.priority):
                 self.shed_full += 1
                 tm.count("serve.shed.queue_full")
                 return AdmissionVerdict.SHED_QUEUE_FULL, None
-            self.queue.remove(candidate)
-            victim = candidate
+            victim = self.queue.pop()
             self.preemptions += 1
             tm.count("serve.preemptions")
-        self.queue.append(
-            QueuedRequest(
-                request=request,
-                admitted_s=now,
-                cost=estimate_cost(request.source),
-            )
+        bisect.insort_right(
+            self.queue,
+            QueuedRequest(request=request, admitted_s=now),
+            key=_queue_key,
         )
-        self._sort()
         tm.count("serve.admitted")
         return AdmissionVerdict.ADMITTED, victim
 
     def expire(self, now: float) -> list[QueuedRequest]:
         """Remove and return queued requests whose deadline has passed."""
+        if not self.queue:
+            return []
         lapsed = [
             q for q in self.queue if deadline_lapsed(q.request.deadline_s, now)
         ]

@@ -17,6 +17,7 @@ fixed request log always yields a byte-identical response log.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -43,11 +44,11 @@ def parse_priority(value: "str | int | Priority") -> Priority:
     """Coerce a CLI/JSON value to a :class:`Priority`."""
     if isinstance(value, Priority):
         return value
-    if isinstance(value, int):
-        return Priority(value)
     try:
+        if isinstance(value, int):
+            return Priority(value)
         return Priority[str(value).strip().upper()]
-    except KeyError:
+    except (KeyError, ValueError):
         raise ValidationError(
             f"unknown priority {value!r}; expected one of "
             f"{sorted(PRIORITY_NAMES.values())}"
@@ -103,19 +104,53 @@ class SolveRequest:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "SolveRequest":
+    def from_dict(cls, payload: Any) -> "SolveRequest":
+        """Parse one request-log record.
+
+        Raises :class:`~repro.errors.ValidationError` for a payload that
+        is not an object, a missing or mistyped field, a time that is
+        not a finite number, or an unknown priority.
+        """
+        if not isinstance(payload, dict):
+            raise ValidationError(
+                f"a request must be a JSON object, got {payload!r}"
+            )
+        for name in ("request_id", "source", "arrival_s"):
+            if name not in payload:
+                raise ValidationError(f"missing key {name!r}")
+        request_id = payload["request_id"]
+        if isinstance(request_id, bool) or not isinstance(request_id, int):
+            raise ValidationError(
+                f"request_id must be an integer, got {request_id!r}"
+            )
+        for name in ("source", "tenant"):
+            if not isinstance(payload.get(name, ""), str):
+                raise ValidationError(
+                    f"{name} must be a string, got {payload[name]!r}"
+                )
+        deadline = payload.get("deadline_s")
         return cls(
-            request_id=int(payload["request_id"]),
-            source=str(payload["source"]),
-            arrival_s=float(payload["arrival_s"]),
+            request_id=request_id,
+            source=payload["source"],
+            arrival_s=_finite_seconds("arrival_s", payload["arrival_s"]),
             priority=parse_priority(payload.get("priority", Priority.BATCH)),
             deadline_s=(
                 None
-                if payload.get("deadline_s") is None
-                else float(payload["deadline_s"])
+                if deadline is None
+                else _finite_seconds("deadline_s", deadline)
             ),
-            tenant=str(payload.get("tenant", "default")),
+            tenant=payload.get("tenant", "default"),
         )
+
+
+def _finite_seconds(name: str, value: Any) -> float:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,27 @@ class MicroBatchScheduler:
         eldest = min(q.admitted_s for q in members)
         return now - eldest >= self.batch_window_s
 
+    def _may_ripen(self, queue: list[QueuedRequest], now: float) -> bool:
+        """Could any group formed from the (priority-sorted) queue be ripe?
+
+        Each test bounds every group at once: a group is never larger
+        than the queue, its head is interactive only if the queue's head
+        is, and its eldest member is no older than the queue's.  When
+        this is false, :meth:`_ripe` is false for every group.
+        """
+        return (
+            len(queue) >= self.max_batch
+            or queue[0].request.priority is Priority.INTERACTIVE
+            or now - min(q.admitted_s for q in queue) >= self.batch_window_s
+        )
+
     # -- modeled device faults ----------------------------------------
+
+    def next_fault_s(self) -> float | None:
+        """Time of the first fault not yet applied, or ``None``."""
+        if self._faults_applied < len(self.device_faults):
+            return self.device_faults[self._faults_applied].at_s
+        return None
 
     def apply_device_faults(self, now: float) -> None:
         """Apply every scheduled fault whose time has come (idempotent).
@@ -362,7 +382,10 @@ class MicroBatchScheduler:
                     iterations=profile.iterations,
                 )
             )
-            tm.count("serve.cache_hits" if batch_warm else "serve.cache_misses")
+        tm.count(
+            "serve.cache_hits" if batch_warm else "serve.cache_misses",
+            len(members),
+        )
         slot.resident_signature = signature
         slot.busy_seconds += cursor - now
         slot.busy_until_s = cursor
@@ -445,8 +468,17 @@ class MicroBatchScheduler:
 
         Returns (responses, remaining queue, next batch id).  The queue
         comes in admission (priority) order and leaves the same way.
+        A tick that cannot dispatch (empty queue, no free slot, no group
+        that can be ripe) returns the queue unchanged without forming
+        groups.
         """
         self.apply_device_faults(now)
+        if (
+            not queue
+            or not self.has_free_slot(now)
+            or not self._may_ripen(queue, now)
+        ):
+            return [], queue, next_batch_id
         remaining = list(queue)
         responses: list[SolveResponse] = []
         while remaining and self.has_free_slot(now):

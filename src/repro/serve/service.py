@@ -6,7 +6,9 @@ virtual clock.
 simulation is **discrete-event over scheduling ticks**: virtual time
 advances in fixed quanta (``tick_ms``); each tick admits the arrivals it
 covers, expires lapsed deadlines, and lets the scheduler place ripe
-micro-batches on free fleet slots.  All latencies are simulated —
+micro-batches on free fleet slots.  Ticks on which the queue is empty
+and nothing arrives or faults are skipped in one step: nothing could
+happen on them.  All latencies are simulated —
 device compute from the FPGA cost model, analysis/configuration charges
 from the profile constants — so a fixed request log yields a
 byte-identical JSON report on every run, on every machine.
@@ -21,13 +23,14 @@ separate telemetry export, never in the deterministic report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro import telemetry as tm
 from repro.config import AcamarConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ValidationError
 from repro.fpga.multitenancy import FleetSpec
 from repro.parallel import WorkItem, estimate_cost, run_sharded
 from repro.serve.admission import AdmissionController, AdmissionVerdict
@@ -75,9 +78,23 @@ class ServiceConfig:
                 "admission queue capacity must be >= 1, got "
                 f"{self.queue_capacity}"
             )
-        if self.tick_ms <= 0:
+        if self.max_batch < 1:
             raise ConfigurationError(
-                f"tick must be > 0 ms, got {self.tick_ms}"
+                f"max_batch must be >= 1, got {self.max_batch}"
+            )
+        if self.cache_capacity < 1:
+            raise ConfigurationError(
+                f"cache_capacity must be >= 1, got {self.cache_capacity}"
+            )
+        if not (math.isfinite(self.batch_window_ms)
+                and self.batch_window_ms >= 0):
+            raise ConfigurationError(
+                "batch_window_ms must be a finite number >= 0, got "
+                f"{self.batch_window_ms}"
+            )
+        if not (math.isfinite(self.tick_ms) and self.tick_ms > 0):
+            raise ConfigurationError(
+                f"tick_ms must be a finite number > 0, got {self.tick_ms}"
             )
         if self.workers < 1:
             raise ConfigurationError(
@@ -381,13 +398,54 @@ def run_loadtest(
     )
 
 
+def _check_requests(requests: Sequence[SolveRequest]) -> None:
+    """Reject a log the tick loop cannot serve, in one pass.
+
+    A NaN arrival is never admitted (and makes the drain limit NaN, so
+    the loop never ends); an infinite arrival or deadline never comes.
+    Duplicate ids would break the one-response-per-request accounting.
+    """
+    seen: set[int] = set()
+    for request in requests:
+        deadline = request.deadline_s
+        if not math.isfinite(request.arrival_s) or (
+            deadline is not None and not math.isfinite(deadline)
+        ):
+            raise ValidationError(
+                f"request {request.request_id}: arrival_s and deadline_s "
+                f"must be finite, got {request.arrival_s!r} and {deadline!r}"
+            )
+        if request.request_id in seen:
+            raise ValidationError(f"duplicate request_id {request.request_id}")
+        seen.add(request.request_id)
+
+
+def _first_tick(t: float, step: int, tick: float) -> int:
+    """The first step ``k >= step`` whose clock ``k * tick`` reaches ``t``.
+
+    ``ceil(t / tick)`` lands on it or next to it; the corrections use the
+    loop's own test, ``t <= k * tick``, so float rounding of the product
+    cannot move an event to another tick.
+    """
+    k = max(step, math.ceil(t / tick))
+    while k > step and t <= (k - 1) * tick:
+        k -= 1
+    while t > k * tick:
+        k += 1
+    return k
+
+
 def run_service(
     requests: Sequence[SolveRequest],
     service_config: ServiceConfig | None = None,
     acamar_config: AcamarConfig | None = None,
     meta: dict[str, Any] | None = None,
 ) -> ServingReport:
-    """Simulate serving ``requests``; every request gets one response."""
+    """Simulate serving ``requests``; every request gets one response.
+
+    Raises :class:`~repro.errors.ValidationError` before any profiling
+    when a time is not finite or a request id repeats.
+    """
     service_config = (
         service_config if service_config is not None else ServiceConfig()
     )
@@ -395,6 +453,7 @@ def run_service(
         acamar_config if acamar_config is not None else AcamarConfig()
     )
     requests = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    _check_requests(requests)
     collector = Telemetry()
     with collector.activate():
         profiles = build_profiles(
@@ -503,6 +562,17 @@ def run_service(
                     tm.count("serve.shed.drain_limit")
                 admission.queue = []
                 break
+            # 4. On an empty queue nothing happens before the next arrival
+            #    or device fault: jump to its tick, sampling zero depth
+            #    for the ticks skipped.
+            if not admission.queue and pointer < len(requests):
+                until = requests[pointer].arrival_s
+                fault_s = scheduler.next_fault_s()
+                if fault_s is not None and fault_s < until:
+                    until = fault_s
+                idle = _first_tick(until, step, tick) - step
+                queue_depth_samples.extend([0] * idle)
+                step += idle
         for response in responses:
             if response.outcome is Outcome.COMPLETED:
                 tm.observe("serve.latency_ms", response.latency_s * 1e3)

@@ -28,6 +28,7 @@ class TestBandsFile:
         assert "hotpath_bicgstab_speedup" in bands
         assert "hotpath_bicg_speedup" in bands
         assert "hotpath_build_floor_share" in bands
+        assert "hotpath_loadgen_floor_share" in bands
 
     def test_serving_bands_are_present(self):
         bands = load_bands()

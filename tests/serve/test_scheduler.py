@@ -50,7 +50,6 @@ def queued(rid, source, priority=Priority.BATCH, arrival=0.0, admitted=0.0):
             priority=priority,
         ),
         admitted_s=admitted,
-        cost=1.0,
     )
 
 

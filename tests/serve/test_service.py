@@ -1,8 +1,10 @@
 """End-to-end tests of the serving simulator and its report."""
 
+import math
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ValidationError
 from repro.fpga.multitenancy import FleetSpec
 from repro.serve.api import Outcome, Priority, SolveRequest
 from repro.serve.loadgen import LoadSpec, generate_requests
@@ -39,6 +41,21 @@ class TestServiceConfig:
             ServiceConfig(tick_ms=0.0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(workers=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_batch", 0),
+        ("cache_capacity", 0),
+        ("batch_window_ms", -1.0),
+        ("batch_window_ms", math.nan),
+        ("batch_window_ms", math.inf),
+        ("tick_ms", 0.0),
+        ("tick_ms", -0.5),
+        ("tick_ms", math.nan),
+        ("tick_ms", math.inf),
+    ])
+    def test_field_checked_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            ServiceConfig(**{field: value})
 
     def test_workers_excluded_from_report_dict(self):
         assert "workers" not in ServiceConfig(workers=4).as_dict()
@@ -137,6 +154,15 @@ class TestCacheEffect:
         assert warm["batches"]["config_loads"] < warm["batches"]["count"]
 
 
+    def test_cache_counters_count_every_member(self, baseline_report):
+        done = baseline_report.completed
+        hits = sum(r.cache_hit for r in done)
+        assert hits and hits < len(done)
+        counters = baseline_report.counters
+        assert counters["serve.cache_hits"] == hits
+        assert counters["serve.cache_misses"] == len(done) - hits
+
+
 class TestFailedSources:
     def test_unprofileable_source_yields_failed_responses(self):
         requests = [
@@ -148,6 +174,34 @@ class TestFailedSources:
         assert by_id[0].outcome is Outcome.COMPLETED
         assert by_id[1].outcome is Outcome.FAILED
         assert report.unaccounted == 0
+
+
+class TestRequestLogChecks:
+    """``run_service`` refuses, before profiling, a log its tick loop
+    cannot serve: a NaN arrival never ends the loop."""
+
+    @pytest.mark.parametrize("arrival, deadline", [
+        (math.nan, None),
+        (math.inf, None),
+        (0.001, math.nan),
+        (0.001, math.inf),
+    ])
+    def test_non_finite_time_rejected(self, arrival, deadline):
+        requests = [
+            SolveRequest(request_id=0, source="Wa", arrival_s=0.0),
+            SolveRequest(request_id=1, source="Wa", arrival_s=arrival,
+                         deadline_s=deadline),
+        ]
+        with pytest.raises(ValidationError, match="request 1: .* finite"):
+            run_service(requests, small_config())
+
+    def test_duplicate_id_rejected(self):
+        requests = [
+            SolveRequest(request_id=3, source="Wa", arrival_s=0.0),
+            SolveRequest(request_id=3, source="Li", arrival_s=0.001),
+        ]
+        with pytest.raises(ValidationError, match="duplicate request_id 3"):
+            run_service(requests, small_config())
 
 
 class TestDeadlines:

@@ -303,6 +303,50 @@ class TestServingExitContract:
         assert capsys.readouterr().err.startswith(f"{command}: ")
 
 
+class TestMalformedRequestLog:
+    """``serve --requests`` rejects a log the simulator cannot serve; at
+    the parent a NaN arrival looped forever, hence the child's time cap."""
+
+    GOOD = '{"request_id": 0, "source": "Wa", "arrival_s": 0.0}'
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"request_id": 1, "source": "Wa", "arrival_s": NaN}',
+         "req.jsonl:2: arrival_s must be a finite number"),
+        ('{"request_id": 1, "source": "Wa", "arrival_s": Infinity}',
+         "req.jsonl:2: arrival_s must be a finite number"),
+        ('{"request_id": 1, "source": "Wa"}',
+         "req.jsonl:2: missing key 'arrival_s'"),
+        ("not json", "req.jsonl:2: not valid JSON"),
+        ('{"request_id": 0, "source": "Li", "arrival_s": 0.1}',
+         "req.jsonl:2: request_id 0 repeats line 1"),
+    ])
+    def test_exits_two(self, tmp_path, line, message):
+        path = tmp_path / "req.jsonl"
+        path.write_text(f"{self.GOOD}\n{line}\n")
+        result = run_cli("serve", "--requests", str(path))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("serve: ")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+class TestServiceConfigFlags:
+    """Bad serving knobs exit 2 before any profiling solve runs."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-batch", "0", "max_batch must be >= 1"),
+        ("--cache-capacity", "0", "cache_capacity must be >= 1"),
+        ("--batch-window-ms", "-1", "batch_window_ms must be a finite"),
+        ("--batch-window-ms", "nan", "batch_window_ms must be a finite"),
+    ])
+    def test_loadtest_exits_two(self, flag, value, message):
+        result = run_cli("loadtest", "--duration", "2", flag, value)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("loadtest: ")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestNonFiniteTraffic:
     @pytest.mark.parametrize("argv", [
         ("loadtest", "--rate", "nan", "--duration", "1"),
