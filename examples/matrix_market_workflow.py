@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import Acamar
-from repro.analysis import render_residual_history
+from repro.analysis.convergence import render_residual_history
 from repro.datasets.generators import sdd_matrix
 from repro.fpga import collect_counters, mean_underutilization
 from repro.sparse import (

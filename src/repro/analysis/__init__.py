@@ -4,9 +4,7 @@ Two halves share this package:
 
 - :mod:`repro.analysis.convergence` — the "why did my solver diverge"
   utilities (residual-trajectory summaries, rate extrapolation, ASCII
-  trajectory plots, failure diagnosis), re-exported here so the
-  long-standing ``from repro.analysis import summarize_residuals``
-  imports keep working;
+  trajectory plots, failure diagnosis); import them from that module;
 - :mod:`repro.analysis.engine` + :mod:`repro.analysis.checkers` — the
   AST-based lint engine that machine-checks the repo's file-scoped
   contracts (determinism, layering, numeric safety, exceptions,
@@ -35,13 +33,6 @@ from repro.analysis.checkers import (
     RULE_IDS,
     checkers_for_rules,
     partition_checkers,
-)
-from repro.analysis.convergence import (
-    ResidualSummary,
-    diagnose_failure,
-    iterations_to_tolerance,
-    render_residual_history,
-    summarize_residuals,
 )
 from repro.analysis.engine import (
     FORMATS,
@@ -74,20 +65,15 @@ __all__ = [
     "ProjectChecker",
     "ProjectIndex",
     "RULE_IDS",
-    "ResidualSummary",
     "SourceFile",
     "apply_baseline",
     "changed_files",
     "checkers_for_rules",
-    "diagnose_failure",
     "format_findings",
-    "iterations_to_tolerance",
     "load_baseline",
     "partition_checkers",
     "prune_baseline",
-    "render_residual_history",
     "run_lint",
     "run_project_lint",
-    "summarize_residuals",
     "write_baseline",
 ]

@@ -7,9 +7,10 @@ to a *static* unit: because it runs exactly once, Acamar does not pay a
 reconfiguration to optimize it and instead executes an unoptimized SpMV
 variant at a fixed default unroll factor.
 
-The numerical work happens inside the solver implementations; this module
-describes the *kernel composition* of the Initialize unit so the FPGA cost
-model can price it at the static (non-reconfigured) unroll factor.
+The numerical work happens inside the solver implementations, whose
+kernel calls tally every pass; this module says how many of the tallied
+SpMV passes belong to the Initialize unit, so the FPGA cost model can
+price them at the static (non-reconfigured) unroll factor.
 """
 
 from __future__ import annotations
@@ -30,22 +31,6 @@ INITIALIZE_SPMV_COUNT: dict[str, int] = {
 }
 """SpMV passes the Initialize unit executes, per solver."""
 
-INITIALIZE_DENSE_PASSES: dict[str, int] = {
-    "jacobi": 3,  # 1/D, row-scale of (L+U), c = D^-1 b
-    "cg": 2,  # vector subtract + copy p_0 = r_0
-    "bicgstab": 3,  # subtract + r0* copy + p_0 copy
-    "gauss_seidel": 1,
-    "sor": 1,
-    "gmres": 2,
-    "bicg": 3,
-    "conjugate_residual": 3,
-    "pcg": 4,  # includes 1/D and the first preconditioner apply
-    "srj": 2,
-    "chebyshev": 3,  # interval estimate + r_0 + first direction
-    "multicolor_gs": 2,  # coloring pass + 1/D
-}
-"""Dense vector passes (length-n streams) in the Initialize unit."""
-
 STATIC_INITIALIZE_UNROLL = 8
 """Default unroll factor of the Initialize unit's unoptimized SpMV."""
 
@@ -53,8 +38,3 @@ STATIC_INITIALIZE_UNROLL = 8
 def initialize_spmv_count(solver: str) -> int:
     """SpMV passes run by the Initialize unit for ``solver``."""
     return INITIALIZE_SPMV_COUNT.get(solver, 1)
-
-
-def initialize_dense_passes(solver: str) -> int:
-    """Dense passes run by the Initialize unit for ``solver``."""
-    return INITIALIZE_DENSE_PASSES.get(solver, 2)

@@ -1,7 +1,7 @@
 """Figure 1: SpMV's share of solver latency.
 
 For each dataset and each of its *converging* solvers, costs the recorded
-kernel schedule on the FPGA model and reports the fraction of compute
+kernel tally on the FPGA model and reports the fraction of compute
 latency spent in the SpMV kernel.  The paper's point: SpMV dominates all
 three solvers, so it is the kernel worth reconfiguring.
 """

@@ -1,10 +1,11 @@
 """Shared solver infrastructure: results, statuses, operation counting.
 
 The accelerator's cost models do not time Python code — they replay the
-*kernel schedule* a solver executed (how many SpMV passes, dot products,
-AXPYs, …) through a cycle-level device model.  Every solver therefore
-records its kernel invocations in an :class:`OpCounter` while it iterates,
-and returns them inside :class:`SolveResult`.
+kernels a solver executed (how many SpMV passes, dot products, AXPYs, …)
+through a cycle-level device model.  Every solver runs its arithmetic on
+the counting kernels of :mod:`repro.solvers.kernels`, which fill an
+:class:`OpCounter` as it iterates, and returns the tally inside
+:class:`SolveResult`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,16 @@ import functools
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
 from repro.errors import ShapeMismatchError
 from repro.sparse.csr import CSRMatrix
+
+if TYPE_CHECKING:
+    from repro.solvers.kernels import Kernels
+    from repro.solvers.monitor import ConvergenceMonitor
 
 
 _F = TypeVar("_F", bound=Callable)
@@ -140,10 +145,10 @@ class SolveResult:
 class IterativeSolver(ABC):
     """Base class for the Reconfigurable Solver unit's configurations.
 
-    Subclasses implement :meth:`solve` with the numerical recurrence, and
-    declare ``name`` (registry key) plus ``kernel_schedule`` — the per-
-    iteration kernel mix the hardware executes, used for documentation and
-    cross-checked against the recorded :class:`OpCounter` in tests.
+    Subclasses declare ``name`` (registry key) and implement :meth:`solve`
+    with the numerical recurrence on a per-solve
+    :class:`~repro.solvers.kernels.Kernels`; the helpers below build the
+    residual monitor and the :class:`SolveResult` every solver shares.
     """
 
     name: str = "base"
@@ -184,6 +189,45 @@ class IterativeSolver(ABC):
             matrix = matrix.astype(self.dtype)
         return matrix, b, x0
 
+    def _monitor(self, b: np.ndarray) -> ConvergenceMonitor:
+        """Residual monitor normalized by ``‖b‖`` (float64, not tallied)."""
+        # Imported here: the monitor module imports SolveStatus from this one.
+        from repro.solvers.monitor import ConvergenceMonitor
+
+        return ConvergenceMonitor(
+            b_norm=float(np.linalg.norm(b.astype(np.float64))),
+            tolerance=self.tolerance,
+            max_iterations=self.max_iterations,
+            setup_iterations=self.setup_iterations,
+        )
+
+    def _result(
+        self,
+        status: SolveStatus,
+        x: np.ndarray,
+        monitor: ConvergenceMonitor,
+        kernels: Kernels,
+    ) -> SolveResult:
+        """Package a finished run: the monitor's history and the tally."""
+        return SolveResult(
+            solver=self.name,
+            status=status,
+            x=x,
+            iterations=monitor.iterations,
+            residual_history=monitor.history_array(),
+            ops=kernels.ops,
+        )
+
+    def _breakdown(self, x: np.ndarray) -> SolveResult:
+        """Breakdown before the first iteration (e.g. a zero diagonal)."""
+        return SolveResult(
+            solver=self.name,
+            status=SolveStatus.BREAKDOWN,
+            x=x,
+            iterations=0,
+            residual_history=np.array([], dtype=np.float64),
+        )
+
     @abstractmethod
     def solve(
         self,
@@ -192,8 +236,3 @@ class IterativeSolver(ABC):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         """Run the iteration until convergence, divergence or the cap."""
-
-    @classmethod
-    @abstractmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        """Per-iteration kernel mix, e.g. ``{"spmv": 2, "dot": 4, ...}``."""

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import telemetry as tm
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
     SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.csr import CSRMatrix
 
 _BREAKDOWN_EPS = 1e-30
@@ -44,70 +42,38 @@ class BiCGSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
+        k = Kernels(matrix)
+        cast = self.dtype.type
 
-        r = b - matrix.matvec(x)
-        ops.record("spmv", matrix.nnz)
-        ops.record("vadd", n)
-        r_shadow = r.astype(np.float64).copy()
+        r = k.vsub(b, k.spmv(x))
+        r_shadow = r.astype(np.float64)
         p = r.copy()
         p_shadow = r_shadow.copy()
 
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
+        monitor = self._monitor(b)
+        # ||r_0|| and the p_shadow update below are not tallied.
         status = monitor.update(float(np.linalg.norm(r.astype(np.float64))))
-        rho = float(r.astype(np.float64) @ r_shadow)
-        ops.record("dot", n)
+        rho = k.dot(r, r_shadow)
         while status is None:
             if abs(rho) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN
                 break
-            with tm.span("kernel.spmv"):
-                ap = matrix.matvec(p)
-            ops.record("spmv", matrix.nnz)
-            with tm.span("kernel.rmatvec"):
-                atp = matrix.rmatvec(
-                    p_shadow.astype(self.dtype)
-                ).astype(np.float64)
-            ops.record("spmv", matrix.nnz)
-            denom = float(p_shadow @ ap.astype(np.float64))
-            ops.record("dot", n)
+            ap = k.spmv(p)
+            atp = k.rmatvec(p_shadow)
+            denom = k.dot(p_shadow, ap)
             if abs(denom) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN
                 break
             alpha = rho / denom
-            x = x + self.dtype.type(alpha) * p
-            ops.record("axpy", n)
-            r = r - self.dtype.type(alpha) * ap
-            ops.record("axpy", n)
-            r_shadow = r_shadow - alpha * atp
-            ops.record("axpy", n)
-            residual = float(np.linalg.norm(r.astype(np.float64)))
-            ops.record("norm", n)
-            status = monitor.update(residual)
+            x = k.axpy(x, cast(alpha), p)
+            r = k.axmy(r, cast(alpha), ap)
+            r_shadow = k.axmy(r_shadow, alpha, atp)
+            status = monitor.update(k.norm(r))
             if status is not None:
                 break
-            rho_next = float(r.astype(np.float64) @ r_shadow)
-            ops.record("dot", n)
+            rho_next = k.dot(r, r_shadow)
             beta = rho_next / rho
-            p = r + self.dtype.type(beta) * p
-            ops.record("axpy", n)
+            p = k.axpy(r, cast(beta), p)
             p_shadow = r_shadow + beta * p_shadow
             rho = rho_next
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x,
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        return {"spmv": 2, "dot": 2, "axpy": 4, "norm": 1}
+        return self._result(status, x, monitor, k)

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import telemetry as tm
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
     SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.csr import CSRMatrix
 
 _BREAKDOWN_EPS = 1e-30
@@ -44,92 +42,55 @@ class BiCGStabSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
+        k = Kernels(matrix)
+        cast = self.dtype.type
 
         # Initialize unit: r_0 = b - A x_0 (static SpMV), r0* = r_0, p_0 = r_0.
-        with tm.span("kernel.spmv"):
-            ax = matrix.matvec(x)
-        r = b - ax
-        ops.record("spmv", matrix.nnz)
-        ops.record("vadd", n)
-        r_shadow = r.astype(np.float64).copy()
+        r = k.vsub(b, k.spmv(x))
+        r_shadow = r.astype(np.float64)
         p = r.copy()
 
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
+        monitor = self._monitor(b)
+        # ||r_0|| and the per-iteration ||s|| below are not tallied.
         status = monitor.update(float(np.linalg.norm(r.astype(np.float64))))
-        rho = float(r.astype(np.float64) @ r_shadow)
-        ops.record("dot", n)
+        rho = k.dot(r, r_shadow)
         while status is None:
             if abs(rho) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN  # rho-breakdown
                 break
-            with tm.span("kernel.spmv"):
-                ap = matrix.matvec(p)
-            ops.record("spmv", matrix.nnz)
-            ap_rs = float(ap.astype(np.float64) @ r_shadow)
-            ops.record("dot", n)
+            ap = k.spmv(p)
+            ap_rs = k.dot(ap, r_shadow)
             if abs(ap_rs) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN  # alpha denominator vanished
                 break
             alpha = rho / ap_rs
-            s = r - self.dtype.type(alpha) * ap
-            ops.record("axpy", n)
+            s = k.axmy(r, cast(alpha), ap)
             s_norm = float(np.linalg.norm(s.astype(np.float64)))
             if monitor.relative(s_norm) <= self.tolerance:
                 # Lucky convergence: the alpha step alone solved the system
                 # (s = r - alpha A p vanished), so skip the smoothing step.
-                x = x + self.dtype.type(alpha) * p
-                ops.record("axpy", n)
+                x = k.axpy(x, cast(alpha), p)
                 status = monitor.update(s_norm)
                 break
-            with tm.span("kernel.spmv"):
-                a_s = matrix.matvec(s)
-            ops.record("spmv", matrix.nnz)
-            as_s = float(a_s.astype(np.float64) @ s.astype(np.float64))
-            as_as = float(a_s.astype(np.float64) @ a_s.astype(np.float64))
-            ops.record("dot", n)
-            ops.record("dot", n)
+            a_s = k.spmv(s)
+            as_s = k.dot(a_s, s)
+            as_as = k.dot(a_s, a_s)
             if as_as < _BREAKDOWN_EPS:
                 # A s = 0 with s != 0 only for singular A; treat as breakdown.
                 status = SolveStatus.BREAKDOWN
                 break
             omega = as_s / as_as
-            x = x + self.dtype.type(alpha) * p + self.dtype.type(omega) * s
-            ops.record("axpy", n)
-            ops.record("axpy", n)
-            r = s - self.dtype.type(omega) * a_s
-            ops.record("axpy", n)
-            residual = float(np.linalg.norm(r.astype(np.float64)))
-            ops.record("norm", n)
-            status = monitor.update(residual)
+            x = k.axpy(k.axpy(x, cast(alpha), p), cast(omega), s)
+            r = k.axmy(s, cast(omega), a_s)
+            status = monitor.update(k.norm(r))
             if status is not None:
                 break
-            rho_next = float(r.astype(np.float64) @ r_shadow)
-            ops.record("dot", n)
+            rho_next = k.dot(r, r_shadow)
             if abs(omega) < _BREAKDOWN_EPS:
                 # omega-breakdown: the GMRES(1) step stalled (skew operators).
                 status = SolveStatus.BREAKDOWN
                 break
             beta = (rho_next / rho) * (alpha / omega)
-            p = r + self.dtype.type(beta) * (p - self.dtype.type(omega) * ap)
-            ops.record("axpy", n)
-            ops.record("axpy", n)
+            p = k.axpy(r, cast(beta), k.axmy(p, cast(omega), ap))
             rho = rho_next
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x,
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        return {"spmv": 2, "dot": 4, "axpy": 6, "norm": 1}
+        return self._result(status, x, monitor, k)

@@ -14,12 +14,11 @@ import numpy as np
 
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
     SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.csr import CSRMatrix
 
 _BREAKDOWN_EPS = 1e-30
@@ -44,56 +43,30 @@ class ConjugateGradientSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
+        k = Kernels(matrix)
 
         # Initialize unit: r_0 = b - A x_0, p_0 = r_0 (one static SpMV).
-        r = b - matrix.matvec(x)
-        ops.record("spmv", matrix.nnz)
-        ops.record("vadd", n)
+        r = k.vsub(b, k.spmv(x))
         p = r.copy()
-        rs = float(r.astype(np.float64) @ r.astype(np.float64))
-        ops.record("dot", n)
+        rs = k.dot(r, r)
 
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
+        monitor = self._monitor(b)
         status = monitor.update(np.sqrt(rs))
         while status is None:
-            ap = matrix.matvec(p)
-            ops.record("spmv", matrix.nnz)
-            p_ap = float(p.astype(np.float64) @ ap.astype(np.float64))
-            ops.record("dot", n)
+            ap = k.spmv(p)
+            p_ap = k.dot(p, ap)
             if abs(p_ap) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN
                 break
             alpha = self.dtype.type(rs / p_ap)
-            x = x + alpha * p
-            ops.record("axpy", n)
-            r = r - alpha * ap
-            ops.record("axpy", n)
-            rs_next = float(r.astype(np.float64) @ r.astype(np.float64))
-            ops.record("dot", n)
+            x = k.axpy(x, alpha, p)
+            r = k.axmy(r, alpha, ap)
+            rs_next = k.dot(r, r)
             if rs < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN
                 break
             beta = self.dtype.type(rs_next / rs)
-            p = r + beta * p
-            ops.record("axpy", n)
+            p = k.axpy(r, beta, p)
             rs = rs_next
             status = monitor.update(np.sqrt(max(rs, 0.0)))
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x,
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        return {"spmv": 1, "dot": 2, "axpy": 3}
+        return self._result(status, x, monitor, k)

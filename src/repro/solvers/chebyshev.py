@@ -17,11 +17,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.properties import (
     diagonal_dominance_margin,
@@ -87,24 +86,18 @@ class ChebyshevSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
+        # The interval estimate's power iteration is not tallied.
         lam_min, lam_max = self._estimate_interval(matrix)
         theta = 0.5 * (lam_max + lam_min)  # interval center
         delta = 0.5 * (lam_max - lam_min)  # interval half-width
+        k = Kernels(matrix)
 
         x64 = x.astype(np.float64)
         b64 = b.astype(np.float64)
-        r = b64 - matrix.matvec(x64.astype(self.dtype)).astype(np.float64)
-        ops.record("spmv", matrix.nnz)
-        ops.record("vadd", n)
+        r = k.vsub(b64, k.spmv(x64))
 
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b64)),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
+        monitor = self._monitor(b)
+        # The initial ||r_0|| is not tallied.
         status = monitor.update(float(np.linalg.norm(r)))
         # Saad's Chebyshev recurrence: sigma = theta/delta, rho_k tracks
         # the ratio of consecutive scaled Chebyshev polynomials.
@@ -112,29 +105,12 @@ class ChebyshevSolver(IterativeSolver):
         rho = 1.0 / sigma
         d = r / theta
         while status is None:
-            x64 = x64 + d
-            ops.record("axpy", n)
-            r = b64 - matrix.matvec(x64.astype(self.dtype)).astype(np.float64)
-            ops.record("spmv", matrix.nnz)
-            ops.record("vadd", n)
-            residual = float(np.linalg.norm(r))
-            ops.record("norm", n)
-            status = monitor.update(residual)
+            x64 = k.axpy(x64, 1.0, d)
+            r = k.vsub(b64, k.spmv(x64))
+            status = monitor.update(k.norm(r))
             if status is not None:
                 break
             rho_next = 1.0 / (2.0 * sigma - rho)
-            d = (rho_next * rho) * d + (2.0 * rho_next / delta) * r
-            ops.record("axpy", n)
+            d = k.axpy((rho_next * rho) * d, 2.0 * rho_next / delta, r)
             rho = rho_next
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x64.astype(self.dtype),
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        return {"spmv": 1, "axpy": 1, "vadd": 1, "norm": 1}
+        return self._result(status, x64.astype(self.dtype), monitor, k)

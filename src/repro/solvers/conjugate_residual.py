@@ -13,12 +13,11 @@ import numpy as np
 
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
     SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.csr import CSRMatrix
 
 _BREAKDOWN_EPS = 1e-30
@@ -37,61 +36,32 @@ class ConjugateResidualSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
+        k = Kernels(matrix)
 
-        r = (b - matrix.matvec(x)).astype(np.float64)
-        ops.record("spmv", matrix.nnz)
-        ops.record("vadd", n)
+        r = k.vsub(b, k.spmv(x)).astype(np.float64)
         p = r.copy()
-        ar = matrix.matvec(r.astype(self.dtype)).astype(np.float64)
-        ops.record("spmv", matrix.nnz)
+        ar = k.spmv(r)
         ap = ar.copy()
-        r_ar = float(r @ ar)
-        ops.record("dot", n)
+        r_ar = k.dot(r, ar)
 
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
+        monitor = self._monitor(b)
+        # The initial ||r_0|| is not tallied.
         status = monitor.update(float(np.linalg.norm(r)))
         while status is None:
-            ap_ap = float(ap @ ap)
-            ops.record("dot", n)
+            ap_ap = k.dot(ap, ap)
             if ap_ap < _BREAKDOWN_EPS or abs(r_ar) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN
                 break
             alpha = r_ar / ap_ap
-            x = x + self.dtype.type(alpha) * p.astype(self.dtype)
-            ops.record("axpy", n)
-            r = r - alpha * ap
-            ops.record("axpy", n)
-            residual = float(np.linalg.norm(r))
-            ops.record("norm", n)
-            status = monitor.update(residual)
+            x = k.axpy(x, self.dtype.type(alpha), p.astype(self.dtype))
+            r = k.axmy(r, alpha, ap)
+            status = monitor.update(k.norm(r))
             if status is not None:
                 break
-            ar = matrix.matvec(r.astype(self.dtype)).astype(np.float64)
-            ops.record("spmv", matrix.nnz)
-            r_ar_next = float(r @ ar)
-            ops.record("dot", n)
+            ar = k.spmv(r)
+            r_ar_next = k.dot(r, ar)
             beta = r_ar_next / r_ar
-            p = r + beta * p
-            ops.record("axpy", n)
-            ap = ar + beta * ap
-            ops.record("axpy", n)
+            p = k.axpy(r, beta, p)
+            ap = k.axpy(ar, beta, ap)
             r_ar = r_ar_next
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x,
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        return {"spmv": 1, "dot": 2, "axpy": 4, "norm": 1}
+        return self._result(status, x, monitor, k)

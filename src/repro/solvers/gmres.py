@@ -15,12 +15,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
     SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.csr import CSRMatrix
 
 _BREAKDOWN_EPS = 1e-30
@@ -49,23 +48,15 @@ class GMRESSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
+        kernels = Kernels(matrix)
         n = matrix.shape[0]
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
+        monitor = self._monitor(b)
         x = x.astype(np.float64)
         b64 = b.astype(np.float64)
         status: SolveStatus | None = None
         while status is None:
-            r = b64 - matrix.matvec(x.astype(self.dtype)).astype(np.float64)
-            ops.record("spmv", matrix.nnz)
-            ops.record("vadd", n)
-            beta = float(np.linalg.norm(r))
-            ops.record("norm", n)
+            r = kernels.vsub(b64, kernels.spmv(x))
+            beta = kernels.norm(r)
             status = monitor.update(beta)
             if status is not None:
                 break
@@ -82,15 +73,11 @@ class GMRESSolver(IterativeSolver):
             basis[0] = r / beta
             k_used = 0
             for k in range(m):
-                w = matrix.matvec(basis[k].astype(self.dtype)).astype(np.float64)
-                ops.record("spmv", matrix.nnz)
+                w = kernels.spmv(basis[k])
                 for i in range(k + 1):
-                    hessenberg[i, k] = float(w @ basis[i])
-                    w -= hessenberg[i, k] * basis[i]
-                    ops.record("dot", n)
-                    ops.record("axpy", n)
-                hessenberg[k + 1, k] = float(np.linalg.norm(w))
-                ops.record("norm", n)
+                    hessenberg[i, k] = kernels.dot(w, basis[i])
+                    w = kernels.axmy(w, hessenberg[i, k], basis[i])
+                hessenberg[k + 1, k] = kernels.norm(w)
                 lucky = hessenberg[k + 1, k] < _BREAKDOWN_EPS
                 if not lucky:
                     basis[k + 1] = w / hessenberg[k + 1, k]
@@ -122,21 +109,7 @@ class GMRESSolver(IterativeSolver):
                     y[i] = (
                         g[i] - hessenberg[i, i + 1 : k_used] @ y[i + 1 : k_used]
                     ) / hessenberg[i, i]
-                x = x + basis[:k_used].T @ y
-                ops.record("axpy", n)
+                x = kernels.axpy(x, 1.0, basis[:k_used].T @ y)
             if status is SolveStatus.CONVERGED:
                 break
-        return SolveResult(
-            solver=self.name,
-            status=status if status is not None else SolveStatus.MAX_ITERATIONS,
-            x=x.astype(self.dtype),
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        # Per inner Arnoldi step (orthogonalization cost grows with k; this
-        # is the leading-order mix at k ~ restart/2).
-        return {"spmv": 1, "dot": 16, "axpy": 16, "norm": 1}
+        return self._result(status, x.astype(self.dtype), monitor, kernels)

@@ -18,12 +18,10 @@ import numpy as np
 
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
-    SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.csr import CSRMatrix
 
 
@@ -45,19 +43,10 @@ class JacobiSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
         diag = matrix.diagonal().astype(self.dtype)
         if np.any(diag == 0):
             # A zero diagonal makes D^-1 undefined: immediate breakdown.
-            return SolveResult(
-                solver=self.name,
-                status=SolveStatus.BREAKDOWN,
-                x=x,
-                iterations=0,
-                residual_history=np.array([], dtype=np.float64),
-                ops=ops,
-            )
+            return self._breakdown(x)
         inv_diag = (1.0 / diag).astype(self.dtype)
         off_diag = matrix.without_diagonal()
         # T = D^-1 (L + U): scale each stored row of (L+U) by 1/d_i.
@@ -68,41 +57,14 @@ class JacobiSolver(IterativeSolver):
             (off_diag.data * inv_diag[row_of]).astype(self.dtype)
         )
         c = (inv_diag * b).astype(self.dtype)
+        k = Kernels(matrix)
 
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
-        status = SolveStatus.MAX_ITERATIONS
-        while True:
-            tx = t_matrix.matvec(x)
-            ops.record("spmv", t_matrix.nnz)
-            x_next = c - tx
-            ops.record("vadd", n)
+        monitor = self._monitor(b)
+        status = None
+        while status is None:
+            x_next = k.vsub(c, k.spmv(x, t_matrix))
             # Residual b - A x_j = D (x_{j+1} - x_j); diagonal scale + norm.
-            delta = x_next - x
-            ops.record("vadd", n)
-            residual = float(
-                np.linalg.norm((diag * delta).astype(np.float64))
-            )
-            ops.record("scale", n)
-            ops.record("norm", n)
+            residual = k.norm(k.scale(diag, k.vsub(x_next, x)))
             x = x_next
-            verdict = monitor.update(residual)
-            if verdict is not None:
-                status = verdict
-                break
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x,
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        return {"spmv": 1, "vadd": 2, "scale": 1, "norm": 1}
+            status = monitor.update(residual)
+        return self._result(status, x, monitor, k)

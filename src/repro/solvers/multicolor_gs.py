@@ -16,12 +16,10 @@ import numpy as np
 
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
-    SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.coloring import color_classes, greedy_coloring
 from repro.sparse.csr import CSRMatrix
 
@@ -39,65 +37,24 @@ class MulticolorGaussSeidelSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
         diag = matrix.diagonal().astype(np.float64)
         if np.any(diag == 0):
-            return SolveResult(
-                solver=self.name,
-                status=SolveStatus.BREAKDOWN,
-                x=x,
-                iterations=0,
-                residual_history=np.array([], dtype=np.float64),
-                ops=ops,
-            )
+            return self._breakdown(x)
         colors = greedy_coloring(matrix)
         classes = color_classes(colors)
         # Per-color off-diagonal row slices, pre-extracted for vector steps.
         off_diag = matrix.without_diagonal()
+        k = Kernels(matrix)
 
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
+        monitor = self._monitor(b)
         x64 = x.astype(np.float64)
         b64 = b.astype(np.float64)
-        status = SolveStatus.MAX_ITERATIONS
-        while True:
+        status = None
+        while status is None:
             for rows in classes:
                 # One vectorized step: rows of this color read only other
                 # colors' (already updated) values.
-                coupled = off_diag.matvec(x64.astype(self.dtype)).astype(
-                    np.float64
-                )
-                ops.record("spmv", off_diag.nnz)
-                x64[rows] = (b64[rows] - coupled[rows]) / diag[rows]
-                ops.record("scale", len(rows))
-            residual = float(
-                np.linalg.norm(
-                    b64 - matrix.matvec(x64.astype(self.dtype)).astype(np.float64)
-                )
-            )
-            ops.record("spmv", matrix.nnz)
-            ops.record("vadd", n)
-            ops.record("norm", n)
-            verdict = monitor.update(residual)
-            if verdict is not None:
-                status = verdict
-                break
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x64.astype(self.dtype),
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        # One SpMV per color class plus the residual check; the paper's
-        # matrices color in a handful of classes.
-        return {"spmv": 4, "scale": 3, "vadd": 1, "norm": 1}
+                coupled = k.spmv(x64, off_diag)
+                x64[rows] = k.divide(b64[rows] - coupled[rows], diag[rows])
+            status = monitor.update(k.norm(k.vsub(b64, k.spmv(x64))))
+        return self._result(status, x64.astype(self.dtype), monitor, k)

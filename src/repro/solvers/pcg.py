@@ -18,12 +18,11 @@ import numpy as np
 from repro.errors import SolverBreakdownError
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
     SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.solvers.preconditioners import make_preconditioner
 from repro.sparse.csr import CSRMatrix
 
@@ -39,16 +38,6 @@ class PreconditionedCGSolver(IterativeSolver):
         super().__init__(**kwargs)
         self.preconditioner_name = preconditioner
 
-    def _breakdown(self, x: np.ndarray, ops: OpCounter) -> SolveResult:
-        return SolveResult(
-            solver=self.name,
-            status=SolveStatus.BREAKDOWN,
-            x=x,
-            iterations=0,
-            residual_history=np.array([], dtype=np.float64),
-            ops=ops,
-        )
-
     @tolerate_float_excursions
     def solve(
         self,
@@ -57,74 +46,44 @@ class PreconditionedCGSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
         try:
             preconditioner = make_preconditioner(
                 self.preconditioner_name, matrix
             )
         except SolverBreakdownError:
             # Setup failure (zero diagonal / zero pivot): clean breakdown.
-            return self._breakdown(x, ops)
+            return self._breakdown(x)
         if self.preconditioner_name == "jacobi" and np.any(
             matrix.diagonal() < 0
         ):
             # A negative diagonal means A is not SPD; the preconditioned
             # operator would be indefinite by construction.
-            return self._breakdown(x, ops)
-        apply_cost = max(1, preconditioner.apply_cost_elements())
+            return self._breakdown(x)
+        k = Kernels(matrix)
 
-        r = (b - matrix.matvec(x)).astype(np.float64)
-        ops.record("spmv", matrix.nnz)
-        ops.record("vadd", n)
-        z = preconditioner.apply(r)
-        ops.record("scale", apply_cost)
+        r = k.vsub(b, k.spmv(x)).astype(np.float64)
+        z = k.precondition(preconditioner, r)
         p = z.copy()
-        rz = float(r @ z)
-        ops.record("dot", n)
+        rz = k.dot(r, z)
 
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
+        monitor = self._monitor(b)
+        # The initial ||r_0|| is not tallied.
         status = monitor.update(float(np.linalg.norm(r)))
         while status is None:
-            ap = matrix.matvec(p.astype(self.dtype)).astype(np.float64)
-            ops.record("spmv", matrix.nnz)
-            p_ap = float(p @ ap)
-            ops.record("dot", n)
+            ap = k.spmv(p)
+            p_ap = k.dot(p, ap)
             if abs(p_ap) < _BREAKDOWN_EPS or abs(rz) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN
                 break
             alpha = rz / p_ap
-            x = x + self.dtype.type(alpha) * p.astype(self.dtype)
-            ops.record("axpy", n)
-            r = r - alpha * ap
-            ops.record("axpy", n)
-            residual = float(np.linalg.norm(r))
-            ops.record("norm", n)
-            status = monitor.update(residual)
+            x = k.axpy(x, self.dtype.type(alpha), p.astype(self.dtype))
+            r = k.axmy(r, alpha, ap)
+            status = monitor.update(k.norm(r))
             if status is not None:
                 break
-            z = preconditioner.apply(r)
-            ops.record("scale", apply_cost)
-            rz_next = float(r @ z)
-            ops.record("dot", n)
+            z = k.precondition(preconditioner, r)
+            rz_next = k.dot(r, z)
             beta = rz_next / rz
-            p = z + beta * p
-            ops.record("axpy", n)
+            p = k.axpy(z, beta, p)
             rz = rz_next
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x,
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        return {"spmv": 1, "dot": 2, "axpy": 3, "scale": 1, "norm": 1}
+        return self._result(status, x, monitor, k)

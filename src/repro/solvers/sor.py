@@ -14,12 +14,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
-    SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.csr import CSRMatrix
 
 
@@ -44,59 +42,15 @@ class SORSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
         diag = matrix.diagonal().astype(np.float64)
         if np.any(diag == 0):
-            return SolveResult(
-                solver=self.name,
-                status=SolveStatus.BREAKDOWN,
-                x=x,
-                iterations=0,
-                residual_history=np.array([], dtype=np.float64),
-                ops=ops,
-            )
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
-        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+            return self._breakdown(x)
+        k = Kernels(matrix)
+        monitor = self._monitor(b)
         x = x.astype(np.float64)
         b64 = b.astype(np.float64)
-        status = SolveStatus.MAX_ITERATIONS
-        while True:
-            for i in range(n):
-                lo, hi = indptr[i], indptr[i + 1]
-                cols = indices[lo:hi]
-                vals = data[lo:hi].astype(np.float64)
-                off = cols != i
-                acc = float(vals[off] @ x[cols[off]])
-                gs_value = (b64[i] - acc) / diag[i]
-                x[i] = (1.0 - self.omega) * x[i] + self.omega * gs_value
-            ops.record("spmv", matrix.nnz)
-            residual = float(
-                np.linalg.norm(
-                    b64 - matrix.matvec(x.astype(self.dtype)).astype(np.float64)
-                )
-            )
-            ops.record("spmv", matrix.nnz)
-            ops.record("vadd", n)
-            ops.record("norm", n)
-            verdict = monitor.update(residual)
-            if verdict is not None:
-                status = verdict
-                break
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x.astype(self.dtype),
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        return {"spmv": 2, "vadd": 1, "norm": 1}
+        status = None
+        while status is None:
+            k.sweep(x, b64, diag, self.omega)
+            status = monitor.update(k.norm(k.vsub(b64, k.spmv(x))))
+        return self._result(status, x.astype(self.dtype), monitor, k)

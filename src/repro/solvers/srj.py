@@ -20,12 +20,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.solvers.base import (
     IterativeSolver,
-    OpCounter,
     SolveResult,
-    SolveStatus,
     tolerate_float_excursions,
 )
-from repro.solvers.monitor import ConvergenceMonitor
+from repro.solvers.kernels import Kernels
 from repro.sparse.csr import CSRMatrix
 
 SRJ_SCHEDULES: dict[int, tuple[float, ...]] = {
@@ -81,25 +79,17 @@ class ScheduledRelaxationJacobiSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        ops = OpCounter()
-        n = matrix.shape[0]
         diag = matrix.diagonal().astype(np.float64)
         if np.any(diag == 0):
-            return SolveResult(
-                solver=self.name,
-                status=SolveStatus.BREAKDOWN,
-                x=x,
-                iterations=0,
-                residual_history=np.array([], dtype=np.float64),
-                ops=ops,
-            )
+            return self._breakdown(x)
         inv_diag = 1.0 / diag
         # Published schedules are derived for Jacobi-preconditioned
         # spectra spanning (0, 2) (Laplacian-type).  Rescale the factors
         # so the actual spectrum of D^-1 A — whose upper edge is
         # 1 + rho(D^-1 (L+U)) — maps onto the design interval; without
         # this, strongly dominant matrices (narrow spectra) would see the
-        # large factors amplify instead of over-relax.
+        # large factors amplify instead of over-relax.  The estimate's
+        # power iteration is not tallied.
         from repro.sparse.properties import jacobi_iteration_spectral_radius
 
         rho_t = jacobi_iteration_spectral_radius(matrix, n_iters=60)
@@ -122,42 +112,16 @@ class ScheduledRelaxationJacobiSolver(IterativeSolver):
             gain *= 1.0 - omega * samples
         if float(np.abs(gain).max()) >= 1.0 - 1e-9:
             schedule = (1.0,)
-        monitor = ConvergenceMonitor(
-            b_norm=float(np.linalg.norm(b.astype(np.float64))),
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            setup_iterations=self.setup_iterations,
-        )
+        k = Kernels(matrix)
+        monitor = self._monitor(b)
         x64 = x.astype(np.float64)
         b64 = b.astype(np.float64)
-        status = SolveStatus.MAX_ITERATIONS
+        status = None
         step = 0
-        while True:
+        while status is None:
             omega = schedule[step % len(schedule)]
             step += 1
-            residual_vec = b64 - matrix.matvec(x64.astype(self.dtype)).astype(
-                np.float64
-            )
-            ops.record("spmv", matrix.nnz)
-            ops.record("vadd", n)
-            x64 = x64 + omega * (inv_diag * residual_vec)
-            ops.record("scale", n)
-            ops.record("axpy", n)
-            residual = float(np.linalg.norm(residual_vec))
-            ops.record("norm", n)
-            verdict = monitor.update(residual)
-            if verdict is not None:
-                status = verdict
-                break
-        return SolveResult(
-            solver=self.name,
-            status=status,
-            x=x64.astype(self.dtype),
-            iterations=monitor.iterations,
-            residual_history=monitor.history_array(),
-            ops=ops,
-        )
-
-    @classmethod
-    def kernel_schedule(cls) -> dict[str, int]:
-        return {"spmv": 1, "vadd": 1, "scale": 1, "axpy": 1, "norm": 1}
+            residual_vec = k.vsub(b64, k.spmv(x64))
+            x64 = k.axpy(x64, omega, k.scale(inv_diag, residual_vec))
+            status = monitor.update(k.norm(residual_vec))
+        return self._result(status, x64.astype(self.dtype), monitor, k)

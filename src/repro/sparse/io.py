@@ -115,10 +115,11 @@ def read_matrix_market(source: str | Path | IO[str]) -> CSRMatrix:
     diagonal must be absent or zero per the standard).
 
     Every malformed input raises :class:`SparseFormatError` naming the
-    offending line: bad or negative sizes, unparsable or out-of-range
-    entries, non-finite values, a wrong entry count, text that is not
-    UTF-8, and corrupt or truncated gzip data.  Storage grows with the
-    entries actually present, never with the declared count.
+    offending line: bad or negative sizes, a declared size too large to
+    allocate, unparsable or out-of-range entries, non-finite values, a
+    wrong entry count, text that is not UTF-8, and corrupt or truncated
+    gzip data.  Entry storage grows with the entries actually present,
+    never with the declared count.
     """
     stream: IO
     close = False
@@ -195,7 +196,14 @@ def read_matrix_market(source: str | Path | IO[str]) -> CSRMatrix:
             row_ids = np.concatenate([row_ids, mirrored_rows])
             col_ids = np.concatenate([col_ids, mirrored_cols])
             values = np.concatenate([values, mirrored_vals])
-        return COOMatrix((n_rows, n_cols), row_ids, col_ids, values).to_csr()
+        try:
+            return COOMatrix((n_rows, n_cols), row_ids, col_ids, values).to_csr()
+        except MemoryError:
+            # The row pointer grows with the declared row count.
+            raise SparseFormatError(
+                f"line {size_lineno}: cannot allocate the {n_rows}x{n_cols} "
+                "matrix the size line declares"
+            ) from None
     finally:
         if close:
             stream.close()

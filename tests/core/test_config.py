@@ -6,7 +6,6 @@ import pytest
 from repro.config import AcamarConfig
 from repro.core.initialize import (
     STATIC_INITIALIZE_UNROLL,
-    initialize_dense_passes,
     initialize_spmv_count,
 )
 from repro.errors import ConfigurationError
@@ -65,14 +64,9 @@ class TestInitializeUnit:
 
     def test_unknown_solver_gets_conservative_default(self):
         assert initialize_spmv_count("mystery") == 1
-        assert initialize_dense_passes("mystery") == 2
 
     def test_static_unroll_positive(self):
         assert STATIC_INITIALIZE_UNROLL >= 1
-
-    def test_dense_passes_positive(self):
-        for solver in ("jacobi", "cg", "bicgstab", "gauss_seidel", "sor"):
-            assert initialize_dense_passes(solver) >= 1
 
 
 class TestSerialization:

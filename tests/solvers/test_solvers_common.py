@@ -1,19 +1,15 @@
-"""Behaviour every solver must share: contracts, shapes, op accounting."""
+"""Behaviour every solver must share: contracts and shapes.
+
+Exact per-solver op tallies live in ``test_kernel_spans.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ShapeMismatchError
-from repro.solvers import (
-    SOLVER_REGISTRY,
-    BiCGStabSolver,
-    ConjugateGradientSolver,
-    JacobiSolver,
-    make_solver,
-)
+from repro.solvers import SOLVER_REGISTRY, JacobiSolver, make_solver
 from repro.sparse import CSRMatrix
 
-PAPER_SOLVERS = [JacobiSolver, ConjugateGradientSolver, BiCGStabSolver]
 ALL_SOLVER_NAMES = sorted(SOLVER_REGISTRY)
 
 
@@ -102,25 +98,7 @@ class TestContracts:
 
 
 class TestOpAccounting:
-    @pytest.mark.parametrize("solver_cls", PAPER_SOLVERS)
-    def test_loop_spmv_count_matches_schedule(self, solver_cls, spd_system):
-        matrix, b, _ = spd_system
-        result = solver_cls().solve(matrix, b)
-        schedule = solver_cls.kernel_schedule()
-        from repro.core.initialize import initialize_spmv_count
-
-        init = initialize_spmv_count(solver_cls.name)
-        expected_loop = schedule["spmv"] * result.iterations
-        recorded_loop = result.ops.spmv_count() - init
-        # The last (partial) iteration may cut the schedule short.
-        assert abs(recorded_loop - expected_loop) <= schedule["spmv"] + 1
-
     def test_ops_empty_before_any_iteration(self, small_csr):
         result = JacobiSolver().solve(small_csr, np.zeros(4))
         # zero rhs: converges after the first residual check
         assert result.ops.spmv_count() <= 1
-
-    def test_kernel_schedule_declared_for_all(self):
-        for cls in SOLVER_REGISTRY.values():
-            schedule = cls.kernel_schedule()
-            assert schedule.get("spmv", 0) >= 1

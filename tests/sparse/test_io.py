@@ -121,6 +121,10 @@ MALFORMED = [
         id="huge-declared-count",
     ),
     pytest.param(
+        "rows.mtx", BANNER + b"999999999999 1 1\n1 1 2.0\n",
+        "line 2: cannot allocate", id="huge-declared-rows",
+    ),
+    pytest.param(
         "u.mtx", BANNER + b"% caf\xe9\n1 1 1\n1 1 2.0\n", "line 2",
         id="not-utf8",
     ),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.analysis.convergence import (
     ResidualSummary,
     diagnose_failure,
     iterations_to_tolerance,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.analysis import render_residual_history
+from repro.analysis.convergence import render_residual_history
 from repro.datasets import poisson_2d
 from repro.solvers import ConjugateGradientSolver
 from repro.solvers.base import OpCounter, SolveResult, SolveStatus

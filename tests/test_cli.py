@@ -183,6 +183,18 @@ class TestCampaign:
         assert "FAILED bad: SparseFormatError: line 3" in result.stdout
         assert "Traceback" not in result.stderr
 
+    def test_mtx_declaring_huge_size_is_a_failed_entry(self, tmp_path):
+        path = tmp_path / "huge.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate real general\n"
+            b"999999999999 1 1\n1 1 2.0\n"
+        )
+        result = run_cli("campaign", str(path))
+        assert result.returncode == 1, result.stderr
+        assert "FAILED huge: SparseFormatError: line 2" in result.stdout
+        assert "MemoryError" not in result.stdout + result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestUnwritableOutput:
     """An output path into a missing directory exits 2 before any work."""
