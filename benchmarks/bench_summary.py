@@ -3,12 +3,11 @@
 Alongside the paper-claim summary, this module renders the repo's own
 *performance trajectory* — the headline ratio of each committed
 optimization record (``BENCH_hotpath.json``, ``BENCH_serving.json``,
-``BENCH_cluster.json``, ``BENCH_batched.json``, ``BENCH_dse.json``,
-``BENCH_placement.json``) in
-one table, each checked against the acceptance floor its own benchmark
-enforces.  The
-table reads committed records only; regenerate a record with its
-benchmark's ``main()`` before expecting the row to move.
+``BENCH_cluster.json``, ``BENCH_dse.json``, ``BENCH_placement.json``)
+in one table, each checked against the acceptance floor its own
+benchmark enforces.  The table reads committed records only; regenerate
+a record with its benchmark's ``main()`` before expecting the row to
+move.
 """
 
 import json
@@ -30,7 +29,6 @@ def perf_trajectory() -> ExperimentTable:
     hotpath = _load("BENCH_hotpath.json")
     serving = _load("BENCH_serving.json")
     cluster = _load("BENCH_cluster.json")
-    batched = _load("BENCH_batched.json")
     dse = _load("BENCH_dse.json")
     placement = _load("BENCH_placement.json")
     table = ExperimentTable(
@@ -58,12 +56,6 @@ def perf_trajectory() -> ExperimentTable:
             0.5,
         ),
         (
-            "batched",
-            "campaign --batch end-to-end CPU ratio",
-            float(batched["campaign"]["ratio"]),
-            1.0,
-        ),
-        (
             "dse",
             "frontier best GFLOPS/W",
             float(dse["best_gflops_per_watt"]),
@@ -89,7 +81,7 @@ def perf_trajectory() -> ExperimentTable:
     table.add_note(
         "each floor is the acceptance bound the stage's own benchmark "
         "guards; see bench_hot_path / bench_serving / bench_cluster / "
-        "bench_batched / bench_dse / bench_placement"
+        "bench_dse / bench_placement"
     )
     return table
 

@@ -13,18 +13,9 @@ Two halves share this package:
   cross-module rules (telemetry liveness, worker-boundary purity, CLI
   exit contract, determinism escapes — REP007–REP010), an incremental
   content-hash cache and ``run_sharded`` fan-out; fronted by the
-  ``repro lint`` CLI with baseline suppression in
-  :mod:`repro.analysis.baseline` and SARIF output in
-  :mod:`repro.analysis.sarif`.
+  ``repro lint`` CLI with SARIF output in :mod:`repro.analysis.sarif`.
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    prune_baseline,
-    write_baseline,
-)
 from repro.analysis.checkers import (
     ALL_CHECKERS,
     ALL_PROJECT_CHECKERS,
@@ -47,7 +38,6 @@ from repro.analysis.project import (
     DEFAULT_CACHE_NAME,
     ProjectChecker,
     ProjectIndex,
-    changed_files,
     run_project_lint,
 )
 
@@ -55,7 +45,6 @@ __all__ = [
     "ALL_CHECKERS",
     "ALL_PROJECT_CHECKERS",
     "ALL_RULES",
-    "DEFAULT_BASELINE",
     "DEFAULT_CACHE_NAME",
     "FORMATS",
     "Checker",
@@ -66,14 +55,9 @@ __all__ = [
     "ProjectIndex",
     "RULE_IDS",
     "SourceFile",
-    "apply_baseline",
-    "changed_files",
     "checkers_for_rules",
     "format_findings",
-    "load_baseline",
     "partition_checkers",
-    "prune_baseline",
     "run_lint",
     "run_project_lint",
-    "write_baseline",
 ]

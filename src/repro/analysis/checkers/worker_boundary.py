@@ -11,15 +11,14 @@ rather than a clean error.
 
 The facts layer (:mod:`repro.analysis.project`) records every
 ``run_sharded`` call with the shape of its ``work_fn`` argument,
-resolving local variables through enclosing-function assignments (the
-campaign's ``work_fn = solve_items_batched if batch else solve_items``
-idiom).  This checker then proves each candidate against the
-whole-program index:
+resolving local variables through enclosing-function assignments
+(``work_fn = a if flag else b`` yields both arms).  This checker then
+proves each candidate against the whole-program index:
 
 - a name must resolve — through module-level assignments and import
   re-export chains (``from repro.serve.profile import profile_items``,
   the ``repro.parallel`` facade) — to a **top-level def** such as
-  ``solve_items`` / ``solve_items_batched`` / ``evaluate_items``,
+  ``solve_items`` / ``evaluate_items``,
 - nested defs, module-level lambda assignments, and missing symbols are
   violations; chains that leave the linted tree are trusted,
 - any lambda or ``open()`` handle flowing through the remaining

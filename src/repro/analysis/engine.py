@@ -8,8 +8,7 @@ cannot express.  This module provides the machinery to machine-check
 them:
 
 - :class:`SourceFile` — one parsed file (text, AST, dotted module name),
-- :class:`Finding` — one rule violation with a line-independent
-  fingerprint so baselines survive unrelated edits,
+- :class:`Finding` — one rule violation at a specific site,
 - :class:`Checker` — the protocol every rule implements,
 - :func:`run_lint` — walk paths, parse each file once, dispatch every
   checker over the shared AST, return sorted findings,
@@ -18,21 +17,21 @@ them:
   land on PR diffs; ``sarif`` emits a SARIF 2.1.0 log for code-scanning
   upload, rendered by :mod:`repro.analysis.sarif`).
 
-Checkers live in :mod:`repro.analysis.checkers`; baseline suppression in
-:mod:`repro.analysis.baseline`; the CLI front-end is ``repro lint``.
+Checkers live in :mod:`repro.analysis.checkers`; the CLI front-end is
+``repro lint``.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from repro.errors import ConfigurationError
 
-ANALYSIS_SCHEMA_VERSION = 1
+ANALYSIS_SCHEMA_VERSION = 2
 
 FORMATS = ("text", "json", "github", "sarif")
 
@@ -46,14 +45,6 @@ class Finding:
     line: int
     message: str
     severity: str = "error"
-
-    def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching.
-
-        Deliberately excludes the line number so a grandfathered finding
-        stays suppressed when unrelated edits shift it around the file.
-        """
-        return f"{self.rule}|{self.path}|{self.message}"
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -75,7 +66,7 @@ class SourceFile:
     path: Path
     """Absolute filesystem path."""
     display_path: str
-    """Repo-relative POSIX path used in findings and baselines."""
+    """Repo-relative POSIX path used in findings."""
     module: str | None
     """Dotted module name (``repro.serve.service``) when the file lives
     under the ``repro`` package, else ``None`` — package-scoped checkers
@@ -108,8 +99,6 @@ class LintReport:
     """Everything one lint run produced."""
 
     findings: list[Finding]
-    suppressed: int = 0
-    stale_baseline: list[str] = field(default_factory=list)
     files_checked: int = 0
     cache_hits: int = 0
     """Files whose per-file results were reused from the incremental
@@ -221,15 +210,10 @@ def _render_text(report: LintReport) -> str:
     lines = [
         f"{f.path}:{f.line}: {f.rule} {f.message}" for f in report.findings
     ]
-    summary = (
+    lines.append(
         f"{len(report.findings)} finding(s) in {report.files_checked} "
         f"file(s)"
     )
-    if report.suppressed:
-        summary += f", {report.suppressed} baseline-suppressed"
-    lines.append(summary)
-    for stale in report.stale_baseline:
-        lines.append(f"note: stale baseline entry (no longer fires): {stale}")
     return "\n".join(lines)
 
 
@@ -237,8 +221,6 @@ def _render_json(report: LintReport) -> str:
     document = {
         "schema_version": ANALYSIS_SCHEMA_VERSION,
         "files_checked": report.files_checked,
-        "suppressed": report.suppressed,
-        "stale_baseline": list(report.stale_baseline),
         "findings": [f.as_dict() for f in report.findings],
     }
     return json.dumps(document, indent=2)

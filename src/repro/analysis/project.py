@@ -33,7 +33,6 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -803,44 +802,6 @@ def _write_cache(
         pass  # a read-only tree still lints, just never warms up
 
 
-# -- diff mode ----------------------------------------------------------
-
-
-def changed_files(root: Path, ref: str) -> set[str]:
-    """Display paths (relative to ``root``) changed since ``ref``.
-
-    Union of ``git diff --name-only <ref>`` and untracked files, so a
-    ``--diff`` lint covers work in progress too.  Any git failure (not
-    a repository, unknown ref) raises
-    :class:`~repro.errors.ConfigurationError` → CLI exit 2.
-    """
-    root = root.resolve()
-
-    def run_git(*args: str) -> list[str]:
-        proc = subprocess.run(
-            ["git", "-C", str(root), *args],
-            capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            detail = proc.stderr.strip() or proc.stdout.strip()
-            raise ConfigurationError(
-                f"git {' '.join(args)} failed: {detail}"
-            )
-        return [line for line in proc.stdout.splitlines() if line]
-
-    toplevel = Path(run_git("rev-parse", "--show-toplevel")[0]).resolve()
-    names = run_git("diff", "--name-only", ref, "--")
-    names += run_git("ls-files", "--others", "--exclude-standard")
-    changed: set[str] = set()
-    for name in names:
-        try:
-            rel = (toplevel / name).resolve().relative_to(root)
-        except ValueError:
-            continue  # changed outside the lint root
-        changed.add(rel.as_posix())
-    return changed
-
-
 # -- the whole-program entry point --------------------------------------
 
 
@@ -860,16 +821,9 @@ def run_project_lint(
     workers: int = 1,
     cache_path: Path | None = None,
     use_cache: bool = True,
-    changed_only: set[str] | None = None,
 ) -> LintReport:
-    """Run the full two-phase lint; findings come back sorted.
-
-    ``changed_only`` (the ``--diff`` mode) filters *file-scoped*
-    findings to the given display paths, while project-scoped findings
-    (REP007–REP010) are always reported — an edit anywhere can break a
-    cross-module contract whose finding lands in an unchanged file.
-    """
-    from repro.analysis.checkers import PROJECT_RULE_IDS, partition_checkers
+    """Run the full two-phase lint; findings come back sorted."""
+    from repro.analysis.checkers import partition_checkers
 
     base = (root or Path.cwd()).resolve()
     file_checkers, project_checkers = partition_checkers(rules)
@@ -943,11 +897,6 @@ def run_project_lint(
     for project_checker in project_checkers:
         findings.extend(project_checker.check_project(index))
 
-    if changed_only is not None:
-        findings = [
-            f for f in findings
-            if f.rule in PROJECT_RULE_IDS or f.path in changed_only
-        ]
     findings.sort(key=Finding.sort_key)
 
     if use_cache and misses:
@@ -970,7 +919,6 @@ __all__ = [
     "LINT_CACHE_VERSION",
     "ProjectChecker",
     "ProjectIndex",
-    "changed_files",
     "extract_facts",
     "lint_items",
     "run_project_lint",

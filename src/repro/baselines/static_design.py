@@ -18,7 +18,7 @@ import numpy as np
 from repro.config import AcamarConfig
 from repro.errors import ConfigurationError
 from repro.fpga.cost_model import LatencyReport, PerformanceModel
-from repro.solvers import make_solver
+from repro.solvers import make_solver, solver_class
 from repro.solvers.base import SolveResult
 from repro.solvers.monitor import scaled_setup_iterations
 from repro.sparse.csr import CSRMatrix
@@ -45,6 +45,7 @@ class StaticDesign:
     config: AcamarConfig | None = None
 
     def __post_init__(self) -> None:
+        solver_class(self.solver)  # an unknown name fails here, not mid-solve
         if self.spmv_urb < 1:
             raise ConfigurationError(f"spmv_urb must be >= 1, got {self.spmv_urb}")
         if self.config is None:

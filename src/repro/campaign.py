@@ -31,20 +31,19 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Union
 
 import numpy as np
 
 from repro import telemetry as tm
 from repro.config import AcamarConfig
-from repro.core import Acamar, BatchContext
+from repro.core import Acamar
 from repro.datasets import load_problem, manufacture_problem
 from repro.datasets.problem import Problem
 from repro.datasets.suite import dataset_keys
 from repro.errors import DatasetError, ValidationError
 from repro.fpga import PerformanceModel, mean_underutilization
 from repro.metrics import achieved_throughput_fraction
-from repro.sparse.csr import CSRMatrix
 from repro.telemetry import TELEMETRY_SCHEMA_VERSION, Telemetry
 
 ProblemSource = Union[str, Path, Problem]
@@ -234,41 +233,17 @@ def resolve_source(source: ProblemSource, seed: int) -> Problem:
     return load_problem(text)
 
 
-def _source_fingerprint(
-    source: ProblemSource, seed: int, cache: dict[str, str]
-) -> str:
-    """Structure fingerprint of a source's matrix, resolving at most once
-    per distinct source string (in-memory problems hash directly)."""
-    if isinstance(source, Problem):
-        return source.matrix.structure_fingerprint()
-    text = str(source)
-    if text not in cache:
-        cache[text] = resolve_source(
-            source, seed
-        ).matrix.structure_fingerprint()
-    return cache[text]
-
-
 def build_entry(
     problem: Problem,
     config: AcamarConfig,
     acamar: Acamar | None = None,
     model: PerformanceModel | None = None,
-    batch_context: BatchContext | None = None,
 ) -> CampaignEntry:
-    """Solve one problem and cost it on the FPGA model.
-
-    ``batch_context`` carries pre-computed host analysis when this
-    problem is part of a batch that shares one operator; the entry comes
-    out identical either way because the analysis is a pure function of
-    the operator.
-    """
+    """Solve one problem and cost it on the FPGA model."""
     acamar = acamar if acamar is not None else Acamar(config)
     model = model if model is not None else PerformanceModel()
     with tm.span("campaign.solve"):
-        result = acamar.solve(
-            problem.matrix, problem.b, batch_context=batch_context
-        )
+        result = acamar.solve(problem.matrix, problem.b)
     with tm.span("campaign.cost_model"):
         latency = model.acamar_latency(problem.matrix, result)
         lengths = problem.matrix.row_lengths()
@@ -292,103 +267,6 @@ def build_entry(
         underutilization=underutilization,
         throughput=throughput,
     )
-
-
-def _shared_batch_context(
-    config: AcamarConfig, matrix: CSRMatrix
-) -> BatchContext:
-    """Host analysis once for a group that shares one operator.
-
-    The caller has verified that every member carries the same values,
-    so the Matrix Structure verdict and the unroll plan computed here
-    hold for each of them; only the solver numerics run per member.
-    """
-    acamar = Acamar(config)
-    with tm.span("matrix_structure.select"):
-        selection = acamar.matrix_structure.select_solver(matrix)
-    return BatchContext(
-        selection=selection, plan=acamar.fine_grained.plan(matrix)
-    )
-
-
-def solve_group(items: "Sequence[Any]", config: AcamarConfig) -> list:
-    """Solve one fingerprint group of work items, batching when possible.
-
-    The group's matrices are expected to share a structure fingerprint
-    (the scheduler grouped them); this function additionally verifies
-    they share *values* — the symmetry check and solver selection read
-    values, so only a genuinely shared operator may share its analysis.
-    Groups that fail verification (or have fewer than two members) take
-    the sequential per-item path and are counted on
-    ``batch.fallback_sequential``.  Either way every item yields the
-    same :class:`~repro.parallel.engine.ItemResult` the unbatched worker
-    would produce, so campaign CSVs are byte-identical with batching on
-    or off.
-    """
-    from repro.parallel.cost import source_label
-    from repro.parallel.engine import ItemResult
-
-    results: dict[int, ItemResult] = {}
-    resolved: list[tuple[Any, Problem, Telemetry]] = []
-    for item in items:
-        collector = Telemetry()
-        with collector.activate():
-            try:
-                with tm.span("campaign.resolve"):
-                    problem = resolve_source(item.source, item.seed)
-            except Exception as exc:  # noqa: BLE001 — fault isolation
-                tm.count("campaign.failures")
-                results[item.index] = ItemResult(
-                    index=item.index,
-                    entry=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                    label=source_label(item.source),
-                    telemetry=collector.as_dict(),
-                )
-                continue
-        resolved.append((item, problem, collector))
-
-    contexts: list[BatchContext | None] = [None] * len(resolved)
-    if len(resolved) >= 2:
-        base = resolved[0][1].matrix
-        shareable = all(
-            base.structurally_equal(problem.matrix)
-            and np.array_equal(base.data, problem.matrix.data)
-            for _, problem, _ in resolved[1:]
-        )
-        # Shared work is charged to the group's first member: the whole
-        # point of batching is that the remaining members pay nothing.
-        lead_collector = resolved[0][2]
-        with lead_collector.activate():
-            tm.count("batch.groups")
-            tm.count("batch.items", len(resolved))
-            if shareable:
-                context = _shared_batch_context(config, base)
-                contexts = [context] * len(resolved)
-            else:
-                tm.count("batch.fallback_sequential", len(resolved))
-
-    for (item, problem, collector), context in zip(resolved, contexts):
-        with collector.activate():
-            try:
-                entry = build_entry(problem, config, batch_context=context)
-                results[item.index] = ItemResult(
-                    index=item.index,
-                    entry=entry,
-                    error=None,
-                    label=entry.name,
-                    telemetry=collector.as_dict(),
-                )
-            except Exception as exc:  # noqa: BLE001 — fault isolation
-                tm.count("campaign.failures")
-                results[item.index] = ItemResult(
-                    index=item.index,
-                    entry=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                    label=source_label(item.source),
-                    telemetry=collector.as_dict(),
-                )
-    return [results[index] for index in sorted(results)]
 
 
 def _campaign_telemetry(
@@ -438,7 +316,6 @@ def run_campaign(
     chunk_size: int | None = None,
     max_pool_restarts: int = 2,
     executor_factory: Callable[[int], Any] | None = None,
-    batch: bool = False,
 ) -> CampaignReport:
     """Solve every source with Acamar and aggregate the results.
 
@@ -448,47 +325,23 @@ def run_campaign(
     report is entry-for-entry identical to the serial one.  Unresolvable
     sources raise :class:`DatasetError` immediately; solve-time faults
     become failure-annotated entries.
-
-    ``batch=True`` groups the population by matrix structure fingerprint
-    before sharding: fingerprint-sharing items land on one worker, which
-    runs their host analysis once when they share one operator
-    (:func:`solve_group`).  Every member still runs its own solves, so
-    the report — and its CSV — is byte-identical with batching on or
-    off.
     """
     from repro.parallel.cost import estimate_cost
-    from repro.parallel.engine import (
-        WorkItem,
-        run_sharded,
-        solve_items,
-        solve_items_batched,
-    )
+    from repro.parallel.engine import WorkItem, run_sharded, solve_items
 
     config = config if config is not None else AcamarConfig()
     source_list = list(sources)
     for source in source_list:
         validate_source(source)
-    groups: list[str | None] = [None] * len(source_list)
-    if batch:
-        fingerprint_cache: dict[str, str] = {}
-        for index, source in enumerate(source_list):
-            try:
-                groups[index] = _source_fingerprint(
-                    source, seed + index, fingerprint_cache
-                )
-            except Exception:  # noqa: BLE001 — worker records the failure
-                groups[index] = None
     items = [
         WorkItem(
             index=index,
             source=source,
             seed=seed + index,
             cost=estimate_cost(source),
-            group=groups[index],
         )
         for index, source in enumerate(source_list)
     ]
-    work_fn = solve_items_batched if batch else solve_items
 
     collector = Telemetry()
     start = time.perf_counter()
@@ -503,7 +356,6 @@ def run_campaign(
             chunk_size=chunk_size,
             max_pool_restarts=max_pool_restarts,
             executor_factory=executor_factory,
-            work_fn=work_fn,
         )
         collector.merge(outcome.telemetry)
         for result in outcome.results:
@@ -519,7 +371,7 @@ def run_campaign(
         }
         effective_workers = workers
     else:
-        for result in work_fn(items, config):
+        for result in solve_items(items, config):
             collector.merge(result.telemetry)
             if result.entry is not None:
                 entries.append(result.entry)

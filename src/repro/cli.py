@@ -24,9 +24,8 @@ Commands
     exception-policy, telemetry-naming and virtual-clock rules
     (REP001–REP006) plus the cross-module telemetry-liveness,
     worker-boundary, exit-contract and determinism-escape rules
-    (REP007–REP010), with an incremental cache, ``--workers`` fan-out,
-    ``--diff`` changed-files mode, SARIF output and baseline
-    suppression.
+    (REP007–REP010), with an incremental cache, ``--workers`` fan-out
+    and SARIF output.
 ``chaos``
     Run the deterministic fault-injection harness (``repro.faults``)
     against the pool / serve / solver recovery surfaces and audit the
@@ -104,11 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap scheduling chunks at K problems each",
     )
     campaign.add_argument("--seed", type=int, default=1)
-    campaign.add_argument(
-        "--batch", action="store_true",
-        help="group problems that share one operator and run their host "
-        "analysis once (identical results)",
-    )
     campaign.add_argument(
         "--telemetry", metavar="FILE",
         help="write the telemetry aggregate as JSON (docs/operations.md)",
@@ -269,27 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "SARIF 2.1.0 log for code-scanning upload)",
     )
     lint.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline file of grandfathered findings "
-        "(default: the committed repro/analysis/baseline.json)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    lint.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline file dropping entries that no longer "
-        "fire, then report as usual",
-    )
-    lint.add_argument(
         "--rules", metavar="IDS",
         help="comma-separated rule subset, e.g. REP001,REP008",
-    )
-    lint.add_argument(
-        "--diff", metavar="REF",
-        help="only report file-scoped findings for files changed since "
-        "REF (cross-module REP007–REP010 findings always report)",
     )
     lint.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -446,46 +421,60 @@ def _cmd_list_datasets() -> int:
     return 0
 
 
+def _read_config(path: str) -> AcamarConfig:
+    """Load ``solve --config``: a JSON object of AcamarConfig fields.
+
+    A file that cannot be read, is not JSON or does not hold an object
+    raises :class:`~repro.errors.ConfigurationError`, a usage error.
+    """
+    import json
+
+    from repro.errors import ConfigurationError
+
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigurationError(
+            f"config {path} must hold a JSON object, "
+            f"got {type(payload).__name__}"
+        )
+    return AcamarConfig.from_dict(payload)
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     """Solve one problem.
 
     Exit-code contract (pinned in ``tests/test_cli.py``): 0 when the
     final attempt converges, 1 when it does not (fixed solver or the
-    Acamar fallback chain alike), 2 for an unresolvable source.
+    Acamar fallback chain alike), 2 for a usage error — an unresolvable
+    source, a bad flag or ``--config`` value, an unknown solver — which
+    is rejected before the problem line prints.
     """
+    overrides = {
+        "sampling_rate": args.sampling_rate,
+        "r_opt": args.r_opt,
+        "msid_tolerance": args.msid_tolerance,
+        "max_iterations": args.max_iterations,
+    }
     if args.config:
-        import json
-
-        with open(args.config) as fh:
-            config = AcamarConfig.from_dict(json.load(fh))
-        config = config.with_overrides(
-            sampling_rate=args.sampling_rate,
-            r_opt=args.r_opt,
-            msid_tolerance=args.msid_tolerance,
-            max_iterations=args.max_iterations,
-        )
+        config = _read_config(args.config).with_overrides(**overrides)
     else:
-        config = AcamarConfig(
-            sampling_rate=args.sampling_rate,
-            r_opt=args.r_opt,
-            msid_tolerance=args.msid_tolerance,
-            max_iterations=args.max_iterations,
-        )
-    from repro.errors import DatasetError
-
-    try:
-        if args.dataset:
-            problem = load_problem(args.dataset)
-        else:
-            problem = poisson_2d(args.poisson)
-    except DatasetError as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return 2
+        config = AcamarConfig(**overrides)
+    design = (
+        StaticDesign(args.solver, spmv_urb=8, config=config)
+        if args.solver else None
+    )
+    if args.dataset:
+        problem = load_problem(args.dataset)
+    else:
+        problem = poisson_2d(args.poisson)
     print(f"problem: {problem.name}  n={problem.n}  nnz={problem.nnz}")
 
     model = PerformanceModel()
-    if args.solver:
-        design = StaticDesign(args.solver, spmv_urb=8, config=config)
+    if design is not None:
         result = design.solve(problem.matrix, problem.b)
         latency = design.latency(problem.matrix, result, model)
         print(f"fixed solver {args.solver!r}: {result.status.value} "
@@ -528,19 +517,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.errors import ConfigurationError, DatasetError
-
-    try:
-        _check_outputs(args.csv, args.telemetry)
-        report = run_campaign(
-            sources,
-            seed=args.seed,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            batch=args.batch,
-        )
-    except (ConfigurationError, DatasetError) as exc:
-        return _usage_error("campaign", exc)
+    _check_outputs(args.csv, args.telemetry)
+    report = run_campaign(
+        sources,
+        seed=args.seed,
+        workers=args.workers,
+        chunk_size=args.chunk_size,
+    )
     for line in report.summary_lines():
         print(line)
     for entry in report.failures:
@@ -555,43 +538,39 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """``repro loadtest --cluster``: the multi-fleet simulator."""
-    from repro.errors import ConfigurationError
     from repro.serve import (
         ClusterConfig,
         ClusterLoadSpec,
         run_cluster_loadtest,
     )
 
-    try:
-        _check_outputs(args.out, args.telemetry)
-        spec = ClusterLoadSpec(
-            seed=args.seed,
-            duration_s=args.duration,
-            rate_rps=args.rate,
-            mix=args.mix,
-            deadline_ms=args.deadline_ms,
-        )
-        config = ClusterConfig(
-            initial_fleets=args.fleets,
-            min_fleets=args.min_fleets,
-            max_fleets=args.max_fleets,
-            slots_per_fleet=args.slots_per_fleet,
-            gpu_tenants_per_fleet=args.gpu_tenants,
-            cpu_assist=args.cpu_assist,
-            max_gpu_tenants=args.max_gpu_tenants,
-            max_batch=args.cluster_max_batch,
-            batch_fill_ms=args.batch_fill_ms,
-            queue_capacity=args.cluster_queue_capacity,
-            cache_capacity=args.cache_capacity,
-            remote_fetch_ms=args.remote_fetch_ms,
-            interval_s=args.interval,
-            vnodes=args.vnodes,
-            affinity_routing=not args.no_affinity,
-            autoscale=not args.no_autoscale,
-            workers=args.workers,
-        )
-    except ConfigurationError as exc:
-        return _usage_error("loadtest", exc)
+    _check_outputs(args.out, args.telemetry)
+    spec = ClusterLoadSpec(
+        seed=args.seed,
+        duration_s=args.duration,
+        rate_rps=args.rate,
+        mix=args.mix,
+        deadline_ms=args.deadline_ms,
+    )
+    config = ClusterConfig(
+        initial_fleets=args.fleets,
+        min_fleets=args.min_fleets,
+        max_fleets=args.max_fleets,
+        slots_per_fleet=args.slots_per_fleet,
+        gpu_tenants_per_fleet=args.gpu_tenants,
+        cpu_assist=args.cpu_assist,
+        max_gpu_tenants=args.max_gpu_tenants,
+        max_batch=args.cluster_max_batch,
+        batch_fill_ms=args.batch_fill_ms,
+        queue_capacity=args.cluster_queue_capacity,
+        cache_capacity=args.cache_capacity,
+        remote_fetch_ms=args.remote_fetch_ms,
+        interval_s=args.interval,
+        vnodes=args.vnodes,
+        affinity_routing=not args.no_affinity,
+        autoscale=not args.no_autoscale,
+        workers=args.workers,
+    )
     report = run_cluster_loadtest(spec, config)
     print(
         f"loadtest --cluster: served {report.generated} requests over "
@@ -618,7 +597,6 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
     """Shared implementation of ``serve`` and ``loadtest``."""
     if command == "loadtest" and getattr(args, "cluster", False):
         return _cmd_cluster(args)
-    from repro.errors import ConfigurationError, ValidationError
     from repro.fpga import FleetSpec
     from repro.serve import (
         LoadSpec,
@@ -630,39 +608,33 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
     )
 
     requests_path = getattr(args, "requests", None)
-    try:
-        _check_outputs(
-            args.out, args.responses, args.telemetry,
-            getattr(args, "save_requests", None),
-        )
-        service_config = ServiceConfig(
-            queue_capacity=args.queue_capacity,
-            max_batch=args.max_batch,
-            batch_window_ms=args.batch_window_ms,
-            cache_enabled=not args.no_cache,
-            cache_capacity=args.cache_capacity,
-            fleet=FleetSpec(
-                devices=args.devices,
-                slots_per_device=args.slots_per_device,
-                gpu_tenants=args.gpu_tenants,
-                cpu_assist=args.cpu_assist,
-            ),
-            workers=args.workers,
-        )
-        spec = None if requests_path else LoadSpec(
-            seed=args.seed,
-            duration_s=args.duration,
-            rate_rps=args.rate,
-            mix=args.mix,
-            deadline_ms=args.deadline_ms,
-        )
-    except ConfigurationError as exc:
-        return _usage_error(command, exc)
+    _check_outputs(
+        args.out, args.responses, args.telemetry,
+        getattr(args, "save_requests", None),
+    )
+    service_config = ServiceConfig(
+        queue_capacity=args.queue_capacity,
+        max_batch=args.max_batch,
+        batch_window_ms=args.batch_window_ms,
+        cache_enabled=not args.no_cache,
+        cache_capacity=args.cache_capacity,
+        fleet=FleetSpec(
+            devices=args.devices,
+            slots_per_device=args.slots_per_device,
+            gpu_tenants=args.gpu_tenants,
+            cpu_assist=args.cpu_assist,
+        ),
+        workers=args.workers,
+    )
+    spec = None if requests_path else LoadSpec(
+        seed=args.seed,
+        duration_s=args.duration,
+        rate_rps=args.rate,
+        mix=args.mix,
+        deadline_ms=args.deadline_ms,
+    )
     if spec is None:
-        try:
-            requests = read_request_log(requests_path)
-        except ValidationError as exc:
-            return _usage_error(command, exc)
+        requests = read_request_log(requests_path)
         meta = {"request_log": str(requests_path)}
     else:
         requests = generate_requests(spec)
@@ -704,24 +676,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the whole-program invariant linter.
 
     Exit-code contract (pinned in ``tests/analysis/test_lint_cli.py``,
-    matching the ``repro solve`` style): 0 when the tree is clean (or a
-    baseline was written), 1 when findings remain, 2 for a usage error
-    (bad path, bad baseline, unknown rule, bad diff ref).
+    matching the ``repro solve`` style): 0 when the tree is clean, 1 when
+    findings remain, 2 for a usage error (bad path, unknown rule).
     """
     from pathlib import Path
 
     import repro
-    from repro.analysis import (
-        DEFAULT_BASELINE,
-        apply_baseline,
-        changed_files,
-        format_findings,
-        load_baseline,
-        prune_baseline,
-        run_project_lint,
-        write_baseline,
-    )
-    from repro.errors import ConfigurationError, UnknownNameError
+    from repro.analysis import format_findings, run_project_lint
 
     paths = [Path(p) for p in args.paths]
     if not paths:
@@ -729,41 +690,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     rules = None
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    baseline_path = Path(args.baseline) if args.baseline else DEFAULT_BASELINE
-    try:
-        _check_outputs(args.out)
-        if args.write_baseline and args.prune_baseline:
-            raise ConfigurationError(
-                "--write-baseline and --prune-baseline are mutually "
-                "exclusive"
-            )
-        changed = None
-        if args.diff:
-            changed = changed_files(Path.cwd(), args.diff)
-        report = run_project_lint(
-            paths,
-            rules=rules,
-            workers=max(1, args.workers),
-            cache_path=Path(args.cache) if args.cache else None,
-            use_cache=not args.no_cache,
-            changed_only=changed,
-        )
-        if args.write_baseline:
-            print(f"wrote baseline to {write_baseline(report, baseline_path)}")
-            return 0
-        if args.prune_baseline:
-            kept, dropped = prune_baseline(
-                report, load_baseline(baseline_path), baseline_path
-            )
-            print(
-                f"pruned baseline {baseline_path}: kept {kept} "
-                f"entr(y/ies), dropped {dropped} stale",
-                file=sys.stderr,
-            )
-        if baseline_path.exists() or args.baseline:
-            report = apply_baseline(report, load_baseline(baseline_path))
-    except (ConfigurationError, UnknownNameError) as exc:
-        return _usage_error("lint", exc)
+    _check_outputs(args.out)
+    report = run_project_lint(
+        paths,
+        rules=rules,
+        workers=max(1, args.workers),
+        cache_path=Path(args.cache) if args.cache else None,
+        use_cache=not args.no_cache,
+    )
     rendered = format_findings(report, args.format)
     if args.out:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")
@@ -781,17 +715,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """
     from pathlib import Path
 
-    from repro.errors import ConfigurationError, UnknownNameError
     from repro.faults import CHAOS_PROFILES, run_chaos
 
     profiles = (
         CHAOS_PROFILES if args.profile == "all" else (args.profile,)
     )
-    try:
-        _check_outputs(args.out)
-        report = run_chaos(args.chaos_seed, profiles)
-    except (ConfigurationError, UnknownNameError) as exc:
-        return _usage_error("chaos", exc)
+    _check_outputs(args.out)
+    report = run_chaos(args.chaos_seed, profiles)
     if args.out:
         Path(args.out).write_text(report.to_json())
     if args.format == "json":
@@ -812,32 +742,28 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.dse import CapacityQuery, load_space, run_dse
-    from repro.errors import ConfigurationError, UnknownNameError
     from repro.telemetry import Telemetry
 
     collector = Telemetry()
-    try:
-        _check_outputs(args.out, args.csv, args.telemetry)
-        space = load_space(args.space) if args.space else None
-        query_overrides = {
-            key: value
-            for key, value in (
-                ("slo_p99_ms", args.slo_ms),
-                ("rate_rps", args.rate),
-                ("max_shed_rate", args.max_shed),
-            )
-            if value is not None
-        }
-        query = CapacityQuery(**query_overrides)
-        report = run_dse(
-            space=space,
-            seed=args.seed,
-            workers=args.workers,
-            query=query,
-            collector=collector,
+    _check_outputs(args.out, args.csv, args.telemetry)
+    space = load_space(args.space) if args.space else None
+    query_overrides = {
+        key: value
+        for key, value in (
+            ("slo_p99_ms", args.slo_ms),
+            ("rate_rps", args.rate),
+            ("max_shed_rate", args.max_shed),
         )
-    except (ConfigurationError, UnknownNameError) as exc:
-        return _usage_error("dse", exc)
+        if value is not None
+    }
+    query = CapacityQuery(**query_overrides)
+    report = run_dse(
+        space=space,
+        seed=args.seed,
+        workers=args.workers,
+        query=query,
+        collector=collector,
+    )
     if args.out:
         print(f"wrote report to {report.write_json(args.out)}",
               file=sys.stderr)
@@ -881,9 +807,7 @@ def _cmd_experiments() -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list-datasets":
         return _cmd_list_datasets()
     if args.command == "solve":
@@ -915,6 +839,30 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wrote {len(files)} files to {args.directory}")
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point; returns the process exit code.
+
+    The one usage-error boundary: a bad flag value, an unknown name or
+    source, or an unreadable input raises one of the errors caught here,
+    wherever in the command it is detected, and exits 2 with one line on
+    stderr instead of a traceback.
+    """
+    from repro.errors import (
+        ConfigurationError,
+        DatasetError,
+        UnknownNameError,
+        ValidationError,
+    )
+
+    args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (
+        ConfigurationError, DatasetError, UnknownNameError, ValidationError
+    ) as exc:
+        return _usage_error(args.command, exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

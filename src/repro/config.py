@@ -7,6 +7,8 @@ defaults: convergence threshold ``1e-5`` in fp32, 4096×4096 chunking,
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -73,6 +75,12 @@ class AcamarConfig:
     )
 
     def __post_init__(self) -> None:
+        for name in ("tolerance", "msid_tolerance"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
         if self.tolerance <= 0:
             raise ConfigurationError(f"tolerance must be > 0, got {self.tolerance}")
         if self.chunk_size < 1:
@@ -98,7 +106,13 @@ class AcamarConfig:
                 f"unroll_rounding must be 'nearest', 'ceil' or 'floor', "
                 f"got {self.unroll_rounding!r}"
             )
-        object.__setattr__(self, "dtype", np.dtype(self.dtype))
+        try:
+            dtype = np.dtype(self.dtype)
+        except TypeError:
+            raise ConfigurationError(
+                f"dtype must name a numpy data type, got {self.dtype!r}"
+            ) from None
+        object.__setattr__(self, "dtype", dtype)
 
     def with_overrides(self, **kwargs) -> "AcamarConfig":
         """Return a copy with the given fields replaced."""
@@ -143,8 +157,6 @@ class AcamarConfig:
                 f"unknown config keys: {sorted(unknown)}"
             )
         kwargs: dict[str, Any] = dict(payload)
-        if "dtype" in kwargs:
-            kwargs["dtype"] = np.dtype(kwargs["dtype"])
         if "solver_fallback_order" in kwargs:
             kwargs["solver_fallback_order"] = tuple(
                 kwargs["solver_fallback_order"]

@@ -14,18 +14,7 @@ Maps Figure 3's blocks to modules:
   orchestration tying both decision loops together.
 """
 
-from repro.core.accelerator import (
-    Acamar,
-    AcamarResult,
-    BatchContext,
-    SolverAttempt,
-)
-from repro.core.chunking import (
-    ChunkStream,
-    MatrixChunk,
-    chunk_count,
-    chunked_matvec,
-)
+from repro.core.accelerator import Acamar, AcamarResult, SolverAttempt
 from repro.core.design_space import (
     DesignPoint,
     evaluate_point,
@@ -56,11 +45,6 @@ from repro.core.solver_modifier import SolverModifierUnit
 __all__ = [
     "Acamar",
     "AcamarResult",
-    "BatchContext",
-    "ChunkStream",
-    "MatrixChunk",
-    "chunk_count",
-    "chunked_matvec",
     "DesignPoint",
     "evaluate_point",
     "explore",

@@ -97,25 +97,6 @@ class AcamarResult:
         return merged
 
 
-@dataclass(frozen=True)
-class BatchContext:
-    """Pre-computed host work shared across a fingerprint-sharing batch.
-
-    The Matrix Structure verdict and the Fine-Grained unit's unroll plan
-    are pure functions of the operator, so a batch of solves against the
-    same operator can run them once and amortize the host-analysis cost
-    across every member.
-
-    Correctness contract: the context must have been computed for *this
-    operator* (same values, not merely the same pattern — the symmetry
-    check reads values).  The decision trace then comes out exactly as
-    an unbatched solve.
-    """
-
-    selection: SolverSelection
-    plan: ReconfigurationPlan
-
-
 FaultHook = Callable[[str, int, SolveResult], "SolveResult | None"]
 """Fault-injection seam of the attempt loop.
 
@@ -183,26 +164,16 @@ class Acamar:
         matrix: CSRMatrix,
         b: np.ndarray,
         x0: np.ndarray | None = None,
-        *,
-        batch_context: BatchContext | None = None,
     ) -> AcamarResult:
         """Solve ``Ax = b`` with robust convergence.
 
         Runs the structure-selected solver first and falls back through the
         Solver Modifier's preference order until one converges (Table II's
         Acamar column) or all configurations are exhausted.
-
-        ``batch_context`` supplies pre-computed host analysis for
-        fingerprint-batched execution; see :class:`BatchContext` for the
-        contract.
         """
-        if batch_context is not None:
-            selection = batch_context.selection
-            plan = batch_context.plan
-        else:
-            with tm.span("matrix_structure.select"):
-                selection = self.matrix_structure.select_solver(matrix)
-            plan = self.fine_grained.plan(matrix)
+        with tm.span("matrix_structure.select"):
+            selection = self.matrix_structure.select_solver(matrix)
+        plan = self.fine_grained.plan(matrix)
         modifier = SolverModifierUnit(self.config.solver_fallback_order)
         attempts: list[SolverAttempt] = []
         solver_name: str | None = selection.solver

@@ -13,6 +13,7 @@ a deterministic tie-break.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -38,6 +39,11 @@ class CapacityQuery:
     max_shed_rate: float = DEFAULT_MAX_SHED_RATE
 
     def __post_init__(self) -> None:
+        for name, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value}"
+                )
         if self.slo_p99_ms <= 0:
             raise ConfigurationError(
                 f"SLO must be > 0 ms, got {self.slo_p99_ms}"

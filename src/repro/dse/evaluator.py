@@ -62,8 +62,7 @@ from repro.telemetry import Telemetry
 
 SLOT_AREA_HEADROOM = 2.0
 """A deployed slot is floorplanned at twice its maximum SpMV region —
-the same 2x partial-region budget the fleet designer
-(``FleetSpec.sized_for``) reserves for in-flight reconfiguration."""
+a 2x partial-region budget reserved for in-flight reconfiguration."""
 
 _PROFILE_MEMO: dict[str, dict[str, "SolveProfile | str"]] = {}
 """Per-process cold-profile cache keyed by the profiling-relevant

@@ -31,15 +31,14 @@ BENCH_GUARDED_PREFIXES = (
     "hotpath_",
     "serving_",
     "cluster_",
-    "batched_",
     "dse_",
     "lint_",
     "placement_",
 )
 """Band-name prefixes owned by dedicated benchmark guards
 (``bench_hot_path.py``, ``bench_serving.py``, ``bench_cluster.py``,
-``bench_batched.py``, ``bench_dse.py``), not derivable from the
-modeled headline metrics this module measures."""
+``bench_dse.py``, ``bench_lint.py``, ``bench_placement.py``), not
+derivable from the modeled headline metrics this module measures."""
 
 
 @dataclass(frozen=True)

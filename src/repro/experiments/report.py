@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.errors import UnknownNameError
+
 
 def format_cell(value: Any) -> str:
     """Render one cell: floats get 4 significant digits, bools ✓/✗."""
@@ -67,9 +69,16 @@ class ExperimentTable:
             parts.append(f"note: {note}")
         return "\n".join(parts)
 
+    def _index(self, name: str) -> int:
+        if name not in self.headers:
+            raise UnknownNameError(
+                f"unknown column {name!r}; columns: {', '.join(self.headers)}"
+            )
+        return self.headers.index(name)
+
     def column(self, name: str) -> list:
         """Extract one column by header name."""
-        index = self.headers.index(name)
+        index = self._index(name)
         return [row[index] for row in self.rows]
 
     def render_series(
@@ -81,8 +90,8 @@ class ExperimentTable:
         skipped.  Complements :meth:`to_text` when a series' *shape*
         (monotone decay, flattening) is the point.
         """
-        label_index = self.headers.index(label_column)
-        value_index = self.headers.index(value_column)
+        label_index = self._index(label_column)
+        value_index = self._index(value_column)
         pairs = [
             (str(row[label_index]), float(row[value_index]))
             for row in self.rows

@@ -60,13 +60,6 @@ def gpu_model() -> CuSparseSpMVModel:
     return CuSparseSpMVModel()
 
 
-def clear_caches() -> None:
-    """Drop all cached solves (tests that tweak configs call this)."""
-    problem.cache_clear()
-    acamar_result.cache_clear()
-    portfolio.cache_clear()
-
-
 def resolve_keys(keys: tuple[str, ...] | None) -> tuple[str, ...]:
     """``None`` → every Table II key, else the given subset (validated)."""
     from repro.datasets import dataset_keys, dataset_spec

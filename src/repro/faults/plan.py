@@ -184,6 +184,12 @@ class FaultPlan:
 
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"chaos seed must be >= 0, got {self.seed}"
+            )
+
     def pool_schedule(
         self,
         n_items: int,

@@ -18,31 +18,8 @@ from repro.fpga.cost_model import (
 from repro.fpga.counters import PerfCounters, collect_counters
 from repro.fpga.device import ALVEO_U55C, FPGADevice
 from repro.fpga.energy import EnergyModel, EnergyReport
-from repro.fpga.host import (
-    EndToEndReport,
-    batched_transfer_seconds,
-    end_to_end,
-    matrix_transfer_bytes,
-    transfer_seconds,
-    vector_transfer_bytes,
-)
 from repro.fpga.kernels import SweepReport, dense_kernel, spmv_sweep
-from repro.fpga.memory import (
-    HBM_BANDWIDTH_BPS,
-    StreamBuffer,
-    max_streaming_unroll,
-    prbuffer_for,
-    streaming_bytes_per_second,
-    tbuffer_for,
-    validate_plan_bandwidth,
-)
-from repro.fpga.multitenancy import (
-    DENSE_GEMM_TILE,
-    CoTenancyReport,
-    FleetSpec,
-    TenantSpec,
-    co_tenancy,
-)
+from repro.fpga.multitenancy import FleetSpec
 from repro.fpga.pipeline import (
     PipelineTrace,
     SetTrace,
@@ -51,12 +28,6 @@ from repro.fpga.pipeline import (
 from repro.fpga.reconfiguration import (
     ReconfigurationModel,
     spmv_bitstream_bytes,
-)
-from repro.fpga.roofline import (
-    RooflinePoint,
-    fpga_roofline,
-    gpu_roofline,
-    spmv_arithmetic_intensity,
 )
 from repro.fpga.utilization import (
     mean_underutilization,
@@ -67,35 +38,14 @@ from repro.fpga.utilization import (
 
 __all__ = [
     "ALVEO_U55C",
-    "EndToEndReport",
     "EnergyModel",
     "EnergyReport",
     "PerfCounters",
-    "RooflinePoint",
-    "CoTenancyReport",
-    "DENSE_GEMM_TILE",
     "FleetSpec",
-    "TenantSpec",
-    "co_tenancy",
     "collect_counters",
-    "fpga_roofline",
-    "gpu_roofline",
-    "spmv_arithmetic_intensity",
-    "HBM_BANDWIDTH_BPS",
-    "batched_transfer_seconds",
-    "end_to_end",
-    "matrix_transfer_bytes",
-    "transfer_seconds",
-    "vector_transfer_bytes",
     "PipelineTrace",
     "SetTrace",
     "SpMVPipelineSimulator",
-    "StreamBuffer",
-    "max_streaming_unroll",
-    "prbuffer_for",
-    "streaming_bytes_per_second",
-    "tbuffer_for",
-    "validate_plan_bandwidth",
     "AcamarLatencyReport",
     "FPGADevice",
     "LatencyReport",

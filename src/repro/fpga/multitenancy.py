@@ -1,16 +1,7 @@
-"""Co-tenancy: what the freed fabric can actually host.
+"""The fleet a serving deployment schedules against.
 
-Figure 10's closing argument is that Acamar's smaller (time-weighted)
-SpMV region "gives more area for the deployment and production of a
-co-running application on the same FPGA".  This module turns that from a
-remark into a number: given a device, a reconfiguration plan and a
-co-tenant's resource footprint, how many tenant instances fit in the
-fabric the static design would have wasted — and what compute throughput
-that capacity represents.
-
-It also models the *fleet* view the serving subsystem schedules against
-(:class:`FleetSpec`): a deployment runs several devices, each hosting a
-bounded number of co-resident Reconfigurable Solver instances.  The
+A deployment runs several devices, each hosting a bounded number of
+co-resident Reconfigurable Solver instances (:class:`FleetSpec`).  The
 serving scheduler (:mod:`repro.serve`) charges simulated device time
 against these slots, so tenancy limits bound in-flight batches exactly
 the way fabric area bounds co-running kernels.
@@ -20,44 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.finegrained import ReconfigurationPlan
 from repro.errors import ConfigurationError
-from repro.fpga.cost_model import PerformanceModel
 from repro.fpga.device import ALVEO_U55C, FPGADevice
-from repro.sparse.csr import CSRMatrix
-
-
-@dataclass(frozen=True)
-class TenantSpec:
-    """Resource footprint of one co-tenant kernel instance."""
-
-    name: str
-    area_mm2: float
-    macs: int
-
-    def __post_init__(self) -> None:
-        if self.area_mm2 <= 0 or self.macs < 0:
-            raise ConfigurationError(
-                f"tenant {self.name!r} needs positive area and >= 0 MACs"
-            )
-
-
-DENSE_GEMM_TILE = TenantSpec("dense-gemm-tile", area_mm2=0.0048, macs=8)
-"""A small dense-GEMM tile (8 MACs) — the co-running kernel archetype."""
-
-
-@dataclass(frozen=True)
-class CoTenancyReport:
-    """How much co-tenant capacity each design leaves free."""
-
-    tenant: TenantSpec
-    budget_area_mm2: float
-    acamar_free_mm2: float
-    static_free_mm2: float
-    acamar_instances: int
-    static_instances: int
-    extra_instances: int
-    extra_peak_flops: float
 
 
 @dataclass(frozen=True)
@@ -110,75 +65,8 @@ class FleetSpec:
     def total_slots(self) -> int:
         """Concurrent FPGA solver instances across the fleet.
 
-        GPU tenants are counted separately (:attr:`dispatch_slots`), so
-        fleets with ``gpu_tenants=0`` keep byte-identical accounting
-        with pre-placement reports.
+        GPU tenants are counted separately, so fleets with
+        ``gpu_tenants=0`` keep byte-identical accounting with
+        pre-placement reports.
         """
         return self.devices * self.slots_per_device
-
-    @property
-    def dispatch_slots(self) -> int:
-        """All dispatchable slots: FPGA instances plus GPU tenants."""
-        return self.total_slots + self.gpu_tenants
-
-    @classmethod
-    def sized_for(
-        cls,
-        max_unroll: int,
-        devices: int = 1,
-        device: FPGADevice = ALVEO_U55C,
-        max_slots_per_device: int = 16,
-    ) -> "FleetSpec":
-        """Derive slots per device from the DSP budget.
-
-        Each solver instance reserves ``max_unroll`` MACs for its SpMV
-        region plus an equal budget for its static dense units, so a
-        device fits ``max_macs // (2 * max_unroll)`` instances (capped at
-        ``max_slots_per_device`` to keep control overheads plausible).
-        """
-        if max_unroll < 1:
-            raise ConfigurationError(
-                f"max_unroll must be >= 1, got {max_unroll}"
-            )
-        budget = device.max_macs // (2 * max_unroll)
-        slots = max(1, min(int(budget), int(max_slots_per_device)))
-        return cls(devices=devices, slots_per_device=slots, device=device)
-
-
-def co_tenancy(
-    matrix: CSRMatrix,
-    plan: ReconfigurationPlan,
-    static_urb: int,
-    tenant: TenantSpec = DENSE_GEMM_TILE,
-    budget_area_mm2: float | None = None,
-    device: FPGADevice = ALVEO_U55C,
-) -> CoTenancyReport:
-    """Compare co-tenant capacity under Acamar vs a static design.
-
-    ``budget_area_mm2`` is the fabric partition reserved for the SpMV
-    region plus co-tenants (defaults to the static design's region —
-    i.e. "keep the same floorplan, fill the slack").  Acamar's occupied
-    area is the plan's time-weighted region.
-    """
-    model = PerformanceModel(device)
-    static_area = model.static_spmv_area_mm2(static_urb)
-    if budget_area_mm2 is None:
-        budget_area_mm2 = static_area
-    if budget_area_mm2 <= 0:
-        raise ConfigurationError("budget area must be positive")
-    acamar_area = model.acamar_spmv_area_mm2(matrix, plan)
-    acamar_free = max(0.0, budget_area_mm2 - acamar_area)
-    static_free = max(0.0, budget_area_mm2 - static_area)
-    acamar_instances = int(acamar_free // tenant.area_mm2)
-    static_instances = int(static_free // tenant.area_mm2)
-    extra = acamar_instances - static_instances
-    return CoTenancyReport(
-        tenant=tenant,
-        budget_area_mm2=budget_area_mm2,
-        acamar_free_mm2=acamar_free,
-        static_free_mm2=static_free,
-        acamar_instances=acamar_instances,
-        static_instances=static_instances,
-        extra_instances=extra,
-        extra_peak_flops=device.mac_peak_flops(max(0, extra) * tenant.macs),
-    )

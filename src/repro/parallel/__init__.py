@@ -11,7 +11,6 @@ from repro.parallel.engine import (
     ItemResult,
     ParallelOutcome,
     WorkItem,
-    default_worker_count,
     run_sharded,
     shard_by_cost,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "ItemResult",
     "ParallelOutcome",
     "WorkItem",
-    "default_worker_count",
     "estimate_cost",
     "run_sharded",
     "shard_by_cost",

@@ -29,14 +29,12 @@ function so the module itself stays cheap to import in the parent.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.config import AcamarConfig
-from repro.errors import ConfigurationError
 from repro.parallel.cost import estimate_cost, source_label
 from repro.telemetry import Telemetry
 
@@ -46,12 +44,10 @@ __all__ = [
     "ItemResult",
     "ParallelOutcome",
     "WorkItem",
-    "default_worker_count",
     "estimate_cost",  # re-exported from repro.parallel.cost
     "run_sharded",
     "shard_by_cost",
     "solve_items",
-    "solve_items_batched",
     "source_label",  # re-exported from repro.parallel.cost
 ]
 
@@ -69,19 +65,12 @@ MAX_ITEM_ATTEMPTS = 2
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One schedulable campaign solve.
-
-    ``group`` is an optional batching key (the campaign uses the matrix
-    structure fingerprint): items sharing a group are kept in one chunk
-    by :func:`shard_by_cost` so the worker can share their analysis.
-    ``None`` (the default) means the item schedules independently.
-    """
+    """One schedulable campaign solve."""
 
     index: int
     source: Any  # str | Path | Problem — kept loose to avoid heavy imports
     seed: int
     cost: float
-    group: str | None = None
 
 
 @dataclass(frozen=True)
@@ -108,31 +97,6 @@ class ParallelOutcome:
     chunks: int = 0
 
 
-WORKER_COUNT_ENV = "REPRO_WORKERS"
-"""Environment variable that pins the default pool size."""
-
-
-def default_worker_count() -> int:
-    """Worker-pool size when the caller does not pass one.
-
-    Defaults to the host CPU count; a ``REPRO_WORKERS`` environment
-    variable overrides it so serve/campaign deployments can pin pool
-    size without code changes.  The override must be a positive integer.
-    """
-    raw = os.environ.get(WORKER_COUNT_ENV)
-    if raw is not None:
-        try:
-            workers = int(raw.strip())
-        except ValueError:
-            workers = -1
-        if workers < 1:
-            raise ConfigurationError(
-                f"{WORKER_COUNT_ENV} must be a positive integer, got {raw!r}"
-            )
-        return workers
-    return max(1, os.cpu_count() or 1)
-
-
 def shard_by_cost(
     items: Sequence[WorkItem], n_chunks: int
 ) -> list[list[WorkItem]]:
@@ -141,33 +105,14 @@ def shard_by_cost(
     Items are assigned heaviest-first to the currently lightest chunk,
     then each chunk is restored to campaign (index) order.  Empty chunks
     are dropped, so the result has at most ``n_chunks`` entries.
-
-    Items sharing a non-``None`` ``group`` are scheduled as one
-    indivisible unit (summed cost), so a fingerprint-sharing batch is
-    never split across workers.  Ungrouped items behave exactly as
-    before.
     """
-    units: list[list[WorkItem]] = []
-    by_group: dict[str, list[WorkItem]] = {}
-    for item in items:
-        if item.group is None:
-            units.append([item])
-        elif item.group in by_group:
-            by_group[item.group].append(item)
-        else:
-            unit = [item]
-            by_group[item.group] = unit
-            units.append(unit)
-    n_chunks = max(1, min(int(n_chunks), len(units)))
+    n_chunks = max(1, min(int(n_chunks), len(items)))
     chunks: list[list[WorkItem]] = [[] for _ in range(n_chunks)]
     loads = [0.0] * n_chunks
-    for unit in sorted(
-        units,
-        key=lambda u: (-sum(it.cost for it in u), min(it.index for it in u)),
-    ):
+    for item in sorted(items, key=lambda it: (-it.cost, it.index)):
         target = loads.index(min(loads))
-        chunks[target].extend(unit)
-        loads[target] += sum(it.cost for it in unit)
+        chunks[target].append(item)
+        loads[target] += item.cost
     packed = [sorted(chunk, key=lambda it: it.index) for chunk in chunks]
     return [chunk for chunk in packed if chunk]
 
@@ -214,36 +159,6 @@ def solve_items(
                     )
                 )
     return results
-
-
-def solve_items_batched(
-    items: Sequence[WorkItem], config: AcamarConfig
-) -> list[ItemResult]:
-    """Worker entry point for fingerprint-batched campaigns.
-
-    Partitions the chunk by :attr:`WorkItem.group` (preserving first-seen
-    order) and hands each group to the campaign's group solver;
-    ungrouped items run as singleton groups.  Results come back in
-    campaign (index) order, exactly like :func:`solve_items` — the
-    batched path is a scheduling optimization, never a semantic one.
-    """
-    from repro.campaign import solve_group
-
-    order: list[list[WorkItem]] = []
-    by_group: dict[str, list[WorkItem]] = {}
-    for item in items:
-        if item.group is None:
-            order.append([item])
-        elif item.group in by_group:
-            by_group[item.group].append(item)
-        else:
-            members = [item]
-            by_group[item.group] = members
-            order.append(members)
-    results: list[ItemResult] = []
-    for members in order:
-        results.extend(solve_group(members, config))
-    return sorted(results, key=lambda r: r.index)
 
 
 def _lost_worker_result(item: WorkItem, attempts: int) -> ItemResult:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -182,19 +183,21 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
             )
-        if self.batch_fill_ms < 0:
+        if not (math.isfinite(self.interval_s) and self.interval_s > 0):
             raise ConfigurationError(
-                f"batch fill must be >= 0 ms, got {self.batch_fill_ms}"
+                f"interval_s must be a finite number > 0, got {self.interval_s}"
             )
+        for name in ("batch_fill_ms", "remote_fetch_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be a finite number >= 0, got {value}"
+                )
         if self.batch_fill_ms * 1e-3 >= self.interval_s:
             raise ConfigurationError(
                 "batch fill window must be shorter than the epoch "
                 f"interval, got {self.batch_fill_ms} ms vs "
                 f"{self.interval_s} s"
-            )
-        if self.interval_s <= 0:
-            raise ConfigurationError(
-                f"interval must be > 0 s, got {self.interval_s}"
             )
         if self.workers < 1:
             raise ConfigurationError(

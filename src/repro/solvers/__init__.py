@@ -53,16 +53,20 @@ SOLVER_REGISTRY: dict[str, type[IterativeSolver]] = {
 configurations; the rest are Table I methods provided as extensions."""
 
 
-def make_solver(name: str, **kwargs) -> IterativeSolver:
-    """Instantiate a solver by registry name (e.g. ``"cg"``)."""
+def solver_class(name: str) -> type[IterativeSolver]:
+    """Look a solver up by registry name (e.g. ``"cg"``)."""
     try:
-        cls = SOLVER_REGISTRY[name]
+        return SOLVER_REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(SOLVER_REGISTRY))
         raise UnknownNameError(
             f"unknown solver {name!r}; known solvers: {known}"
         ) from None
-    return cls(**kwargs)
+
+
+def make_solver(name: str, **kwargs) -> IterativeSolver:
+    """Instantiate a solver by registry name (e.g. ``"cg"``)."""
+    return solver_class(name)(**kwargs)
 
 
 __all__ = [
@@ -88,4 +92,5 @@ __all__ = [
     "criteria_table",
     "criterion_for",
     "make_solver",
+    "solver_class",
 ]

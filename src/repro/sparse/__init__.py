@@ -11,7 +11,7 @@ cost models, without depending on ``scipy.sparse``:
 - :mod:`~repro.sparse.properties` — structural-property analysis (strict
   diagonal dominance, symmetry as CSR vs cached transpose, definiteness
   probes, spectral radius),
-- :mod:`~repro.sparse.stats` — row-length statistics feeding the
+- :mod:`~repro.sparse.stats` — row-set partitioning feeding the
   Fine-Grained Reconfiguration unit.
 """
 
@@ -34,14 +34,12 @@ from repro.sparse.reorder import (
     rcm_reorder,
     unpermute_vector,
 )
-from repro.sparse.stats import RowLengthStats, row_length_stats, row_lengths
 
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "bandwidth",
     "MatrixProperties",
-    "RowLengthStats",
     "analyze_properties",
     "is_strictly_diagonally_dominant",
     "is_symmetric",
@@ -52,8 +50,6 @@ __all__ = [
     "rcm_permutation",
     "rcm_reorder",
     "read_matrix_market",
-    "row_lengths",
-    "row_length_stats",
     "unpermute_vector",
     "write_matrix_market",
 ]

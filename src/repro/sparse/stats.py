@@ -1,56 +1,14 @@
-"""Row-length statistics feeding the Fine-Grained Reconfiguration unit.
+"""Row-set partitioning feeding the Fine-Grained Reconfiguration unit.
 
 The Row Length Trace unit partitions the rows of ``A`` into ``SamplingRate``
 sets (Eq. 8/9) and computes the average NNZ/row of each set, which becomes
 the set's optimal unroll factor (Eq. 7).  This module provides that
-partitioning plus general row-length summary statistics used by the cost
-models and the dataset generators.
+partitioning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.sparse.csr import CSRMatrix
-
-
-def row_lengths(matrix: CSRMatrix) -> np.ndarray:
-    """NNZ per row of ``matrix``."""
-    return matrix.row_lengths()
-
-
-@dataclass(frozen=True)
-class RowLengthStats:
-    """Summary statistics of a matrix's NNZ/row distribution."""
-
-    n_rows: int
-    nnz: int
-    mean: float
-    std: float
-    minimum: int
-    maximum: int
-    cv: float
-    """Coefficient of variation (std / mean) — the irregularity that drives
-    resource underutilization in a fixed-unroll SpMV unit."""
-
-
-def row_length_stats(matrix: CSRMatrix) -> RowLengthStats:
-    """Compute :class:`RowLengthStats` for ``matrix``."""
-    lengths = matrix.row_lengths().astype(np.float64)
-    mean = float(lengths.mean()) if len(lengths) else 0.0
-    std = float(lengths.std()) if len(lengths) else 0.0
-    return RowLengthStats(
-        n_rows=matrix.n_rows,
-        nnz=matrix.nnz,
-        mean=mean,
-        std=std,
-        minimum=int(lengths.min()) if len(lengths) else 0,
-        maximum=int(lengths.max()) if len(lengths) else 0,
-        cv=std / mean if mean else 0.0,
-    )
 
 
 def partition_row_sets(n_rows: int, sampling_rate: int) -> list[tuple[int, int]]:
@@ -74,15 +32,3 @@ def partition_row_sets(n_rows: int, sampling_rate: int) -> list[tuple[int, int]]
         bounds.append((start, start + size))
         start += size
     return bounds
-
-
-def set_average_row_lengths(
-    matrix: CSRMatrix, sampling_rate: int
-) -> np.ndarray:
-    """Average NNZ/row for each row set (Eq. 7's numerator / set size).
-
-    Returns a float array of length ``min(sampling_rate, n_rows)``.
-    """
-    lengths = matrix.row_lengths().astype(np.float64)
-    bounds = partition_row_sets(matrix.n_rows, sampling_rate)
-    return np.array([lengths[lo:hi].mean() for lo, hi in bounds])

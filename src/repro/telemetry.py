@@ -84,10 +84,6 @@ KNOWN_COUNTERS = frozenset({
     # campaign engine
     "campaign.failures",
     "campaign.workers_lost",
-    # batched execution (fingerprint-grouped campaign solves)
-    "batch.groups",
-    "batch.items",
-    "batch.fallback_sequential",
     # serving pipeline
     "serve.requests",
     "serve.admitted",
@@ -169,16 +165,6 @@ KNOWN_COUNTER_PREFIXES = frozenset({
 runtime only when it starts with one of these prefixes (e.g. the
 per-solver ``solver_attempts.<name>`` family the campaign report
 aggregates).  Everything else must be a registered literal."""
-
-
-def telemetry_registry() -> dict[str, frozenset[str]]:
-    """The full name registry, keyed by instrument kind."""
-    return {
-        "spans": KNOWN_SPANS,
-        "counters": KNOWN_COUNTERS,
-        "counter_prefixes": KNOWN_COUNTER_PREFIXES,
-        "distributions": KNOWN_DISTRIBUTIONS,
-    }
 
 
 _ACTIVE: ContextVar["Telemetry | None"] = ContextVar(

@@ -1,20 +1,11 @@
-"""Engine mechanics: file discovery, module naming, rendering, and the
-baseline round-trip."""
+"""Engine mechanics: file discovery, module naming and rendering."""
 
 import ast
 import json
 
 import pytest
 
-from repro.analysis import (
-    Finding,
-    LintReport,
-    apply_baseline,
-    format_findings,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.analysis import Finding, LintReport, format_findings, run_lint
 from repro.analysis.checkers import DeterminismChecker
 from repro.analysis.engine import (
     SourceFile,
@@ -94,7 +85,8 @@ class TestRendering:
 
     def test_json_schema(self):
         doc = json.loads(format_findings(self.make_report(), "json"))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+        assert set(doc) == {"schema_version", "files_checked", "findings"}
         assert doc["files_checked"] == 7
         assert doc["findings"][0]["rule"] == "REP001"
 
@@ -109,92 +101,6 @@ class TestRendering:
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown lint format"):
             format_findings(self.make_report(), "xml")
-
-
-class TestBaseline:
-    def test_round_trip_suppresses_everything(self, tmp_path):
-        report = LintReport(
-            findings=[
-                make_finding(line=3),
-                make_finding(line=9),  # same fingerprint, second instance
-                make_finding(rule="REP004", msg="other"),
-            ],
-            files_checked=2,
-        )
-        path = write_baseline(report, tmp_path / "baseline.json")
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
-        # Two fingerprints, one carrying count=2.
-        counts = {e.get("count", 1) for e in payload["findings"]}
-        assert counts == {1, 2}
-
-        cleaned = apply_baseline(report, load_baseline(path))
-        assert cleaned.clean
-        assert cleaned.suppressed == 3
-        assert cleaned.stale_baseline == []
-
-    def test_allowance_is_counted_not_blanket(self, tmp_path):
-        one = LintReport(findings=[make_finding(line=3)], files_checked=1)
-        path = write_baseline(one, tmp_path / "baseline.json")
-        # A second occurrence of the same fingerprint is NOT grandfathered.
-        two = LintReport(
-            findings=[make_finding(line=3), make_finding(line=9)],
-            files_checked=1,
-        )
-        cleaned = apply_baseline(two, load_baseline(path))
-        assert cleaned.suppressed == 1
-        assert len(cleaned.findings) == 1
-
-    def test_stale_entries_surface(self, tmp_path):
-        report = LintReport(findings=[make_finding()], files_checked=1)
-        path = write_baseline(report, tmp_path / "baseline.json")
-        cleaned = apply_baseline(
-            LintReport(findings=[], files_checked=1), load_baseline(path)
-        )
-        assert cleaned.clean
-        assert len(cleaned.stale_baseline) == 1
-        assert "REP001" in cleaned.stale_baseline[0]
-        assert "stale baseline entry" in format_findings(cleaned, "text")
-
-    def test_prune_trims_counts_and_drops_stale(self, tmp_path):
-        # Grandfather fingerprint A twice and B once ...
-        path = write_baseline(
-            LintReport(
-                findings=[
-                    make_finding(line=3), make_finding(line=9),
-                    make_finding(rule="REP004", msg="other"),
-                ],
-                files_checked=1,
-            ),
-            tmp_path / "baseline.json",
-        )
-        # ... then only one A still fires: prune trims A to 1, drops B.
-        from repro.analysis import prune_baseline
-
-        now = LintReport(findings=[make_finding(line=3)], files_checked=1)
-        kept, dropped = prune_baseline(now, load_baseline(path), path)
-        assert (kept, dropped) == (1, 2)
-        assert load_baseline(path) == {make_finding().fingerprint(): 1}
-        cleaned = apply_baseline(now, load_baseline(path))
-        assert cleaned.clean and cleaned.stale_baseline == []
-
-    def test_missing_baseline_is_usage_error(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="not found"):
-            load_baseline(tmp_path / "nope.json")
-
-    def test_malformed_baseline_is_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="not valid JSON"):
-            load_baseline(bad)
-        bad.write_text('{"version": 1}')
-        with pytest.raises(ConfigurationError, match="findings"):
-            load_baseline(bad)
-
-    def test_fingerprint_is_line_free(self):
-        a = make_finding(line=3)
-        b = make_finding(line=400)
-        assert a.fingerprint() == b.fingerprint()
 
 
 class TestSourceFileHelpers:

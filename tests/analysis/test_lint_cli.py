@@ -1,11 +1,10 @@
-"""``repro lint`` CLI contract: exit codes, formats, baseline flags.
+"""``repro lint`` CLI contract: exit codes, formats, cache flags.
 
 Exit-code contract (matching the pinned ``repro solve`` style):
 0 = clean tree, 1 = findings remain, 2 = usage error.
 """
 
 import json
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,11 +57,6 @@ class TestExitCodes:
         assert run([str(tree), "--rules", "REP999"]) == 2
         assert "REP999" in capsys.readouterr().err
 
-    def test_missing_baseline_exits_two(self, tree, tmp_path, capsys):
-        missing = tmp_path / "no-such-baseline.json"
-        assert run([str(tree), "--baseline", str(missing)]) == 2
-        assert "baseline" in capsys.readouterr().err
-
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert run([str(tmp_path / "ghost")]) == 2
         assert "does not exist" in capsys.readouterr().err
@@ -72,39 +66,11 @@ class TestExitCodes:
         assert run([str(tree), "--rules", "REP002"]) == 0
 
 
-class TestBaselineFlow:
-    def test_write_baseline_then_clean_run(self, tree, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert run([str(tree), "--write-baseline", "--baseline",
-                    str(baseline)]) == 0
-        assert "wrote baseline" in capsys.readouterr().out
-
-        payload = json.loads(baseline.read_text())
-        assert payload["findings"], "baseline should record the violation"
-
-        # Grandfathered finding is suppressed; the run is clean.
-        assert run([str(tree), "--baseline", str(baseline)]) == 0
-        assert "baseline-suppressed" in capsys.readouterr().out
-
-    def test_new_violation_still_fails_with_baseline(
-        self, tree, tmp_path, capsys
-    ):
-        baseline = tmp_path / "baseline.json"
-        assert run([str(tree), "--write-baseline", "--baseline",
-                    str(baseline)]) == 0
-        capsys.readouterr()
-        (tree / "repro" / "sparse" / "fresh.py").write_text(
-            "import os\n\nTOKEN = os.urandom(8)\n"
-        )
-        assert run([str(tree), "--baseline", str(baseline)]) == 1
-        assert "fresh.py" in capsys.readouterr().out
-
-
 class TestFormats:
     def test_json_format_parses(self, tree, capsys):
         assert run([str(tree), "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["findings"][0]["rule"] == "REP001"
 
     def test_github_format_emits_annotations(self, tree, capsys):
@@ -154,85 +120,6 @@ class TestIncrementalFlags:
         assert not (Path.cwd() / ".repro-lint-cache.json").exists()
 
 
-def git(root, *args):
-    subprocess.run(
-        ["git", "-C", str(root), "-c", "user.email=t@example.com",
-         "-c", "user.name=t", *args],
-        check=True, capture_output=True,
-    )
-
-
-class TestDiffMode:
-    def test_diff_outside_a_repository_exits_two(self, tree, capsys):
-        # The autouse fixture chdirs to a scratch (non-git) directory.
-        assert run([str(tree), "--diff", "HEAD"]) == 2
-        assert "git" in capsys.readouterr().err
-
-    def test_diff_filters_unchanged_findings(
-        self, tree, monkeypatch, capsys
-    ):
-        git(tree, "init", "-q")
-        git(tree, "add", "-A")
-        git(tree, "commit", "-q", "-m", "seed")
-        monkeypatch.chdir(tree)
-        # The full lint is red, but nothing changed since HEAD.
-        assert run([str(tree), "--no-cache"]) == 1
-        assert run([str(tree), "--no-cache", "--diff", "HEAD"]) == 0
-        capsys.readouterr()
-        # A fresh (untracked) violation surfaces; the committed one
-        # stays filtered.
-        (tree / "repro" / "sparse" / "fresh.py").write_text(DIRTY_SNIPPET)
-        assert run([str(tree), "--no-cache", "--diff", "HEAD"]) == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out and "dirty.py" not in out
-
-    def test_bad_ref_exits_two(self, tree, monkeypatch, capsys):
-        git(tree, "init", "-q")
-        git(tree, "add", "-A")
-        git(tree, "commit", "-q", "-m", "seed")
-        monkeypatch.chdir(tree)
-        assert run([str(tree), "--diff", "no-such-ref"]) == 2
-        assert "git" in capsys.readouterr().err
-
-
-class TestPruneBaseline:
-    def test_prune_round_trip(self, tree, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        # Grandfather two violations across two files.
-        (tree / "repro" / "sparse" / "also.py").write_text(DIRTY_SNIPPET)
-        assert run([str(tree), "--write-baseline", "--baseline",
-                    str(baseline)]) == 0
-        assert len(json.loads(baseline.read_text())["findings"]) == 2
-
-        # Fix one of them; pruning drops its (now stale) entry and the
-        # suppressed run stays clean with no stale-baseline noise.
-        (tree / "repro" / "sparse" / "also.py").write_text(CLEAN_SNIPPET)
-        assert run([str(tree), "--prune-baseline", "--baseline",
-                    str(baseline)]) == 0
-        captured = capsys.readouterr()
-        assert "kept 1" in captured.err and "dropped 1" in captured.err
-        entries = json.loads(baseline.read_text())["findings"]
-        assert len(entries) == 1 and "dirty.py" in entries[0]["path"]
-        assert run([str(tree), "--baseline", str(baseline)]) == 0
-        assert "stale" not in capsys.readouterr().out
-
-    def test_prune_keeps_still_firing_entries_intact(
-        self, tree, tmp_path, capsys
-    ):
-        baseline = tmp_path / "baseline.json"
-        assert run([str(tree), "--write-baseline", "--baseline",
-                    str(baseline)]) == 0
-        before = baseline.read_text()
-        assert run([str(tree), "--prune-baseline", "--baseline",
-                    str(baseline)]) == 0
-        assert "dropped 0" in capsys.readouterr().err
-        assert baseline.read_text() == before
-
-    def test_write_and_prune_are_mutually_exclusive(self, tree, capsys):
-        assert run([str(tree), "--write-baseline", "--prune-baseline"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-
 class TestRealTree:
     def test_repo_is_clean_under_committed_baseline(self, capsys):
         """The headline guarantee: ``repro lint`` passes on the repo."""
@@ -240,9 +127,3 @@ class TestRealTree:
         assert run([str(src)]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
-
-    def test_committed_baseline_is_empty(self):
-        from repro.analysis import DEFAULT_BASELINE
-
-        payload = json.loads(DEFAULT_BASELINE.read_text())
-        assert payload["findings"] == []

@@ -3,12 +3,10 @@
 Covers the phase-1 facts records, the :class:`ProjectIndex` resolution
 helpers, the incremental content-hash cache (content change, rule-set
 change, version bump), byte-identity between the serial / warm-cache /
-parallel paths, the ``lint_items`` worker entry point, and the
-``--diff`` changed-files machinery.
+parallel paths, and the ``lint_items`` worker entry point.
 """
 
 import json
-import subprocess
 
 import pytest
 
@@ -17,7 +15,6 @@ from repro.analysis import format_findings, run_project_lint
 from repro.analysis.engine import load_source
 from repro.analysis.project import (
     ProjectIndex,
-    changed_files,
     extract_facts,
     lint_items,
 )
@@ -397,64 +394,3 @@ class TestLintItemsWorker:
         (result,) = lint_items([self.item(path, tmp_path)], AcamarConfig())
         assert result.entry is None
         assert "cannot lint" in result.error
-
-
-def git(root, *args):
-    subprocess.run(
-        ["git", "-C", str(root), "-c", "user.email=t@example.com",
-         "-c", "user.name=t", *args],
-        check=True, capture_output=True,
-    )
-
-
-class TestChangedFiles:
-    @pytest.fixture
-    def repo(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/sparse/clean.py": CLEAN,
-            "repro/sparse/dirty.py": DIRTY,
-        })
-        git(tmp_path, "init", "-q")
-        git(tmp_path, "add", "-A")
-        git(tmp_path, "commit", "-q", "-m", "seed")
-        return tmp_path
-
-    def test_clean_checkout_has_no_changes(self, repo):
-        assert changed_files(repo, "HEAD") == set()
-
-    def test_modified_and_untracked_files_surface(self, repo):
-        (repo / "repro" / "sparse" / "dirty.py").write_text(CLEAN)
-        (repo / "repro" / "sparse" / "fresh.py").write_text(CLEAN)
-        assert changed_files(repo, "HEAD") == {
-            "repro/sparse/dirty.py", "repro/sparse/fresh.py",
-        }
-
-    def test_bad_ref_is_usage_error(self, repo):
-        with pytest.raises(ConfigurationError, match="git"):
-            changed_files(repo, "no-such-ref")
-
-    def test_outside_a_repository_is_usage_error(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="git"):
-            changed_files(tmp_path / "nowhere", "HEAD")
-
-    def test_changed_only_keeps_project_findings(self, tmp_path):
-        """--diff filters file-scoped findings but never cross-module
-
-        ones: an edit anywhere can break a contract whose finding lands
-        in an unchanged file."""
-        write_tree(tmp_path, {
-            "repro/telemetry.py": (
-                "KNOWN_SPANS = frozenset()\n"
-                "KNOWN_COUNTERS = frozenset({\"ghost\"})\n"
-                "KNOWN_DISTRIBUTIONS = frozenset()\n"
-                "KNOWN_COUNTER_PREFIXES = frozenset()\n"
-            ),
-            "repro/sparse/dirty.py": DIRTY,
-        })
-        full = run_project_lint([tmp_path], root=tmp_path, use_cache=False)
-        assert {f.rule for f in full.findings} == {"REP001", "REP007"}
-        diffed = run_project_lint(
-            [tmp_path], root=tmp_path, use_cache=False,
-            changed_only=set(),
-        )
-        assert {f.rule for f in diffed.findings} == {"REP007"}

@@ -39,6 +39,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             AcamarConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["tolerance", "msid_tolerance"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "abc"])
+    def test_non_finite_tolerances_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            AcamarConfig(**{field: value})
+
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(ConfigurationError, match="^dtype must"):
+            AcamarConfig.from_dict({"dtype": "foo"})
+
     def test_with_overrides(self):
         config = AcamarConfig().with_overrides(sampling_rate=64, r_opt=2)
         assert config.sampling_rate == 64

@@ -1,5 +1,7 @@
 """Tests for the capacity planner."""
 
+import math
+
 import pytest
 
 from repro.dse import CapacityQuery, is_feasible, plan_capacity
@@ -34,6 +36,14 @@ class TestCapacityQuery:
     def test_invalid_bounds_raise(self, fields):
         with pytest.raises(ConfigurationError):
             CapacityQuery(**fields)
+
+    @pytest.mark.parametrize("field", [
+        "slo_p99_ms", "rate_rps", "max_shed_rate",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_raise(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            CapacityQuery(**{field: value})
 
 
 class TestFeasibility:

@@ -1,17 +1,10 @@
-"""Tests for performance counters and roofline analysis."""
+"""Tests for the hardware performance-counter snapshot."""
 
 import pytest
 
 from repro import Acamar
 from repro.datasets import load_problem, poisson_2d
-from repro.fpga import (
-    ALVEO_U55C,
-    collect_counters,
-    fpga_roofline,
-    gpu_roofline,
-    spmv_arithmetic_intensity,
-)
-from repro.gpu import GTX_1650_SUPER
+from repro.fpga import collect_counters
 
 
 @pytest.fixture(scope="module")
@@ -51,43 +44,3 @@ class TestCounters:
         lines = collect_counters(problem.matrix, result).to_lines()
         assert len(lines) == 11
         assert any("occupancy" in line for line in lines)
-
-
-class TestRoofline:
-    def test_spmv_intensity_is_sub_flop_per_byte(self, solved):
-        problem, _ = solved
-        intensity = spmv_arithmetic_intensity(problem.matrix, 12.0, 16.0)
-        assert 0.05 < intensity < 0.25
-
-    def test_gpu_is_memory_bound(self, solved):
-        problem, _ = solved
-        point = gpu_roofline(problem.matrix)
-        assert point.memory_bound
-        assert point.attainable_fraction < 0.02
-        assert point.arithmetic_intensity < point.ridge_point
-
-    def test_fpga_small_config_is_compute_bound(self, solved):
-        """A right-sized unit sits left of its own ridge point? No — it
-        sits *compute*-bound: its configured peak is below what the HBM
-        could feed, so the unit is the bottleneck (which means the MACs
-        can stay busy)."""
-        problem, _ = solved
-        point = fpga_roofline(problem.matrix, provisioned_macs=8)
-        assert not point.memory_bound
-        assert point.attainable_fraction == pytest.approx(1.0)
-
-    def test_fpga_oversized_config_turns_memory_bound(self, solved):
-        problem, _ = solved
-        huge = fpga_roofline(problem.matrix, provisioned_macs=4096)
-        assert huge.memory_bound
-        assert huge.attainable_fraction < 1.0
-
-    def test_ridge_points_ordered(self, solved):
-        """The GPU's enormous peak pushes its ridge point far beyond
-        SpMV's intensity; a matched FPGA configuration's ridge point sits
-        below it."""
-        problem, _ = solved
-        gpu_point = gpu_roofline(problem.matrix, GTX_1650_SUPER)
-        fpga_point = fpga_roofline(problem.matrix, 8, ALVEO_U55C)
-        assert gpu_point.ridge_point > gpu_point.arithmetic_intensity
-        assert fpga_point.ridge_point < gpu_point.ridge_point

@@ -1,76 +1,8 @@
-"""Tests for the co-tenancy (freed fabric) model."""
+"""Tests for the serving fleet specification."""
 
 import pytest
 
-from repro import Acamar
-from repro.datasets import load_problem
 from repro.errors import ConfigurationError
-from repro.fpga import PerformanceModel
-from repro.fpga.multitenancy import (
-    DENSE_GEMM_TILE,
-    TenantSpec,
-    co_tenancy,
-)
-
-
-@pytest.fixture(scope="module")
-def planned():
-    problem = load_problem("G2")  # short rows: Acamar region far below URB=16
-    plan = Acamar().plan(problem.matrix)
-    return problem, plan
-
-
-class TestTenantSpec:
-    def test_invalid_spec(self):
-        with pytest.raises(ConfigurationError):
-            TenantSpec("bad", area_mm2=0.0, macs=4)
-        with pytest.raises(ConfigurationError):
-            TenantSpec("bad", area_mm2=0.001, macs=-1)
-
-
-class TestCoTenancy:
-    def test_acamar_hosts_more_tenants_when_smaller(self, planned):
-        problem, plan = planned
-        report = co_tenancy(problem.matrix, plan, static_urb=16)
-        model = PerformanceModel()
-        acamar_area = model.acamar_spmv_area_mm2(problem.matrix, plan)
-        if acamar_area < model.static_spmv_area_mm2(16):
-            assert report.extra_instances > 0
-            assert report.extra_peak_flops > 0
-        # The static design leaves zero slack in its own floorplan.
-        assert report.static_instances == 0
-
-    def test_budget_defaults_to_static_region(self, planned):
-        problem, plan = planned
-        report = co_tenancy(problem.matrix, plan, static_urb=16)
-        model = PerformanceModel()
-        assert report.budget_area_mm2 == pytest.approx(
-            model.static_spmv_area_mm2(16)
-        )
-
-    def test_larger_budget_hosts_more(self, planned):
-        problem, plan = planned
-        small = co_tenancy(problem.matrix, plan, 16)
-        large = co_tenancy(
-            problem.matrix, plan, 16,
-            budget_area_mm2=small.budget_area_mm2 * 2,
-        )
-        assert large.acamar_instances > small.acamar_instances
-
-    def test_custom_tenant(self, planned):
-        problem, plan = planned
-        chunky = TenantSpec("chunky", area_mm2=1.0, macs=1000)
-        report = co_tenancy(problem.matrix, plan, 16, tenant=chunky)
-        assert report.acamar_instances == 0  # too big to fit the slack
-
-    def test_invalid_budget(self, planned):
-        problem, plan = planned
-        with pytest.raises(ConfigurationError):
-            co_tenancy(problem.matrix, plan, 16, budget_area_mm2=0.0)
-
-    def test_default_tile_is_sane(self):
-        assert DENSE_GEMM_TILE.macs == 8
-        assert DENSE_GEMM_TILE.area_mm2 > 0
 
 
 class TestFleetSpec:
@@ -90,24 +22,6 @@ class TestFleetSpec:
             FleetSpec(devices=0)
         with pytest.raises(ConfigurationError):
             FleetSpec(slots_per_device=0)
-
-    def test_sized_for_divides_mac_budget(self):
-        from repro.fpga.multitenancy import ALVEO_U55C, FleetSpec
-
-        fleet = FleetSpec.sized_for(max_unroll=512, devices=2)
-        expected = min(16, ALVEO_U55C.max_macs // (2 * 512))
-        assert fleet.slots_per_device == expected
-        assert fleet.devices == 2
-
-    def test_sized_for_clamps_to_bounds(self):
-        from repro.fpga.multitenancy import FleetSpec
-
-        tiny = FleetSpec.sized_for(max_unroll=1)
-        assert tiny.slots_per_device == 16  # capped
-        huge = FleetSpec.sized_for(max_unroll=10**9)
-        assert huge.slots_per_device == 1  # floored
-        with pytest.raises(ConfigurationError):
-            FleetSpec.sized_for(max_unroll=0)
 
     def test_exported_from_package(self):
         from repro.fpga import FleetSpec as exported

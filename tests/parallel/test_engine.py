@@ -292,33 +292,6 @@ class TestCustomWorkFn:
         assert all(r.entry.startswith("echo:") for r in outcome.results)
 
 
-class TestDefaultWorkerCount:
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        import os
-
-        from repro.parallel.engine import WORKER_COUNT_ENV, default_worker_count
-
-        monkeypatch.delenv(WORKER_COUNT_ENV, raising=False)
-        assert default_worker_count() == max(1, os.cpu_count() or 1)
-
-    def test_env_override_honored(self, monkeypatch):
-        from repro.parallel.engine import WORKER_COUNT_ENV, default_worker_count
-
-        monkeypatch.setenv(WORKER_COUNT_ENV, " 3 ")
-        assert default_worker_count() == 3
-
-    def test_invalid_override_rejected(self, monkeypatch):
-        import pytest
-
-        from repro.errors import ConfigurationError
-        from repro.parallel.engine import WORKER_COUNT_ENV, default_worker_count
-
-        for bad in ("0", "-2", "many", ""):
-            monkeypatch.setenv(WORKER_COUNT_ENV, bad)
-            with pytest.raises(ConfigurationError, match=WORKER_COUNT_ENV):
-                default_worker_count()
-
-
 class TestWorkerLostAccounting:
     """WorkerLost records must count failures exactly like solve faults."""
 

@@ -1,5 +1,7 @@
 """End-to-end cluster simulator tests: determinism, accounting, chaos seams."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,21 @@ class TestValidation:
     def test_fill_window_must_fit_in_epoch(self):
         with pytest.raises(ConfigurationError):
             ClusterConfig(batch_fill_ms=1500.0, interval_s=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("interval_s", math.nan),
+        ("interval_s", math.inf),
+        ("interval_s", 0.0),
+        ("batch_fill_ms", math.nan),
+        ("batch_fill_ms", math.inf),
+        ("batch_fill_ms", -1.0),
+        ("remote_fetch_ms", math.nan),
+        ("remote_fetch_ms", math.inf),
+        ("remote_fetch_ms", -1.0),
+    ])
+    def test_time_knobs_must_be_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            ClusterConfig(**{field: value})
 
     def test_forced_scale_action_validated(self):
         with pytest.raises(ConfigurationError):

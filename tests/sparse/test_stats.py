@@ -1,36 +1,9 @@
-"""Tests for row-length statistics and set partitioning (Eq. 7-9)."""
+"""Tests for row-set partitioning (Eq. 8-9)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sparse import CSRMatrix
-from repro.sparse.stats import (
-    partition_row_sets,
-    row_length_stats,
-    row_lengths,
-    set_average_row_lengths,
-)
-
-
-class TestRowLengthStats:
-    def test_basic(self, small_csr):
-        stats = row_length_stats(small_csr)
-        assert stats.n_rows == 4
-        assert stats.nnz == 10
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.minimum == 2
-        assert stats.maximum == 3
-        assert stats.cv == pytest.approx(stats.std / stats.mean)
-
-    def test_empty_matrix(self):
-        matrix = CSRMatrix((0, 0), [0], [], [])
-        stats = row_length_stats(matrix)
-        assert stats.mean == 0.0
-        assert stats.cv == 0.0
-
-    def test_row_lengths_helper(self, small_csr):
-        np.testing.assert_array_equal(row_lengths(small_csr), [2, 3, 3, 2])
+from repro.sparse.stats import partition_row_sets
 
 
 class TestPartitioning:
@@ -62,23 +35,3 @@ class TestPartitioning:
     def test_invalid_sampling_rate(self):
         with pytest.raises(ConfigurationError):
             partition_row_sets(10, 0)
-
-
-class TestSetAverages:
-    def test_averages_match_manual(self, small_csr):
-        averages = set_average_row_lengths(small_csr, 2)
-        np.testing.assert_allclose(averages, [2.5, 2.5])
-
-    def test_per_row_sets(self, small_csr):
-        averages = set_average_row_lengths(small_csr, 4)
-        np.testing.assert_allclose(averages, [2, 3, 3, 2])
-
-    def test_global_average_preserved(self, rng):
-        from tests.conftest import random_dense
-
-        matrix = CSRMatrix.from_dense(random_dense(rng, 64, 64, 0.2))
-        averages = set_average_row_lengths(matrix, 8)
-        # Equal set sizes: the mean of set averages is the global mean.
-        assert averages.mean() == pytest.approx(
-            matrix.row_lengths().mean()
-        )

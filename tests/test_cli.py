@@ -395,6 +395,94 @@ class TestNonFiniteTraffic:
         assert "Traceback" not in result.stderr
 
 
+def assert_usage_error(result, command, message):
+    """Exit 2 with exactly one stderr line naming the command."""
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"{command}: ")
+    assert message in line
+
+
+class TestUsageErrorBoundary:
+    """Rejected input exits 2 with one stderr line through ``main``'s
+    one usage-error boundary, never with a traceback."""
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"tolerance": "abc"}', "tolerance must be a finite number"),
+        ('{"dtype": "foo"}', "dtype must name a numpy data type"),
+        ("not json", "cannot read config"),
+        ("[1, 2]", "must hold a JSON object, got list"),
+        (None, "cannot read config"),
+    ], ids=["tolerance-str", "dtype", "not-json", "array", "missing"])
+    def test_bad_config_file(self, tmp_path, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        result = run_cli("solve", "--poisson", "4", "--config", str(path))
+        assert_usage_error(result, "solve", message)
+        assert "problem:" not in result.stdout
+
+    @pytest.mark.parametrize("argv, message", [
+        (("solve", "--poisson", "0"), "grid must be at least 1x1"),
+        (("solve", "--poisson", "-3"), "grid must be at least 1x1"),
+        (("solve", "--poisson", "4", "--max-iterations", "0"),
+         "max_iterations must be >= 1"),
+        (("solve", "--poisson", "4", "--sampling-rate", "0"),
+         "sampling_rate must be >= 1"),
+        (("solve", "--poisson", "4", "--solver", "nope"),
+         "unknown solver 'nope'"),
+        (("chaos", "--chaos-seed", "-1"), "chaos seed must be >= 0"),
+        (("experiment", "table2", "--keys", "XX"), "unknown dataset 'XX'"),
+        (("experiment", "fig6", "--keys", "2C", "--chart", "nope"),
+         "unknown column 'nope'"),
+    ])
+    def test_bad_argument(self, argv, message):
+        result = run_cli(*argv)
+        assert_usage_error(result, argv[0], message)
+        assert "problem:" not in result.stdout
+
+    def test_export_unknown_key(self, tmp_path):
+        result = run_cli("export", str(tmp_path / "out"), "--keys", "XX")
+        assert_usage_error(result, "export", "unknown dataset 'XX'")
+
+
+class TestNonFiniteKnobs:
+    """Non-finite knobs exit 2 before any work: a NaN interval would
+    never end, a NaN fill window would serve nothing and exit 0, and an
+    infinite tolerance would report convergence after one iteration."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("loadtest", "--cluster", "--interval", "nan"),
+         "interval_s must be a finite number > 0"),
+        (("loadtest", "--cluster", "--batch-fill-ms", "nan"),
+         "batch_fill_ms must be a finite number >= 0"),
+        (("loadtest", "--cluster", "--remote-fetch-ms", "nan"),
+         "remote_fetch_ms must be a finite number >= 0"),
+        (("loadtest", "--cluster", "--remote-fetch-ms", "-1"),
+         "remote_fetch_ms must be a finite number >= 0"),
+        (("solve", "--poisson", "4", "--msid-tolerance", "nan"),
+         "msid_tolerance must be a finite number"),
+        (("solve", "--poisson", "4", "--msid-tolerance", "inf"),
+         "msid_tolerance must be a finite number"),
+        (("dse", "--rate", "nan"), "rate_rps must be a finite number"),
+        (("dse", "--rate", "inf"), "rate_rps must be a finite number"),
+        (("dse", "--slo-ms", "nan"), "slo_p99_ms must be a finite number"),
+    ])
+    def test_flag_exits_two(self, argv, message):
+        assert_usage_error(run_cli(*argv), argv[0], message)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_config_tolerance_exits_two(self, tmp_path, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"tolerance": value}))
+        result = run_cli("solve", "--poisson", "4", "--config", str(path))
+        assert_usage_error(
+            result, "solve", "tolerance must be a finite number"
+        )
+        assert "converged" not in result.stdout
+
+
 class TestClusterLoadtest:
     def test_cluster_summary_and_report(self, tmp_path, capsys):
         import json
