@@ -20,6 +20,16 @@ DEFAULT_SOLVER_FALLBACK_ORDER: tuple[str, ...] = ("bicgstab", "cg", "jacobi")
 """Solver Modifier preference when the selected solver fails: most general
 method first."""
 
+_INTEGER_FIELDS: tuple[tuple[str, int], ...] = (
+    ("chunk_size", 1),
+    ("sampling_rate", 1),
+    ("r_opt", 0),
+    ("max_unroll", 1),
+    ("setup_iterations", 0),
+    ("max_iterations", 1),
+)
+"""Integer fields of :class:`AcamarConfig` and their lower bounds."""
+
 
 @dataclass(frozen=True)
 class AcamarConfig:
@@ -83,24 +93,20 @@ class AcamarConfig:
                 )
         if self.tolerance <= 0:
             raise ConfigurationError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.sampling_rate < 1:
-            raise ConfigurationError(
-                f"sampling_rate must be >= 1, got {self.sampling_rate}"
-            )
-        if self.r_opt < 0:
-            raise ConfigurationError(f"r_opt must be >= 0, got {self.r_opt}")
         if self.msid_tolerance < 0:
             raise ConfigurationError(
                 f"msid_tolerance must be >= 0, got {self.msid_tolerance}"
             )
-        if self.max_unroll < 1:
-            raise ConfigurationError(f"max_unroll must be >= 1, got {self.max_unroll}")
-        if self.max_iterations < 1:
-            raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
+        for name, minimum in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            if value < minimum:
+                raise ConfigurationError(
+                    f"{name} must be >= {minimum}, got {value}"
+                )
         if self.unroll_rounding not in ("nearest", "ceil", "floor"):
             raise ConfigurationError(
                 f"unroll_rounding must be 'nearest', 'ceil' or 'floor', "

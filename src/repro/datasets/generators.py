@@ -55,6 +55,18 @@ def _require_positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
+def _require_dominance(dominance: float) -> None:
+    if not (math.isfinite(dominance) and dominance > 1.0):
+        raise ConfigurationError(
+            f"dominance must be finite and > 1, got {dominance}"
+        )
+
+
 def sample_row_lengths(
     n: int,
     mean_nnz: float,
@@ -84,16 +96,111 @@ def sample_row_lengths(
         raise ConfigurationError(
             f"correlation must be in [0, 1), got {correlation}"
         )
+    _require_finite("spread", spread)
     noise = rng.standard_normal(n)
-    z = np.empty(n)
-    z[0] = noise[0]
-    scale = np.sqrt(1.0 - correlation**2)
+    # The AR(1) recurrence on Python floats: the same IEEE double
+    # operations in the same order as on numpy scalars, without one
+    # scalar object per element.
+    rho = float(correlation)
+    scale = float(np.sqrt(1.0 - correlation**2))
+    z = noise.tolist()
     for i in range(1, n):
-        z[i] = correlation * z[i - 1] + scale * noise[i]
+        z[i] = rho * z[i - 1] + scale * z[i]
     mu = np.log(mean_nnz) - 0.5 * spread**2
-    lengths = np.round(np.exp(mu + spread * z)).astype(np.int64)
+    lengths = np.round(np.exp(mu + spread * np.array(z))).astype(np.int64)
     cap = max_nnz if max_nnz is not None else max(min_nnz, n - 1)
     return np.clip(lengths, min_nnz, cap)
+
+
+def _choice_rows(
+    pop: int, counts: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``np.concatenate([rng.choice(pop, k, replace=False) for k in counts])``.
+
+    Returns the same values and leaves ``rng`` in the same state.
+    Without replacement, numpy's ``choice`` shuffles the tail of
+    ``arange(pop)`` when ``pop > 10000 and k > pop // 50``, and otherwise
+    runs Floyd's algorithm and a Fisher-Yates shuffle, which
+    :func:`_floyd_rows` replays for a run of consecutive Floyd rows from
+    one ``rng.integers`` call.  A tail-branch row calls ``choice``
+    itself, at its place in row order.  Every ``k`` must lie in
+    ``[0, pop]``.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    counts = counts[counts > 0]  # an empty choice draws nothing
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    out = np.empty(int(counts.sum()), dtype=np.int64)
+    tail = np.flatnonzero(counts > pop // 50).tolist() if pop > 10000 else []
+    # At most this many rows per call keeps _floyd_rows' int64 keys
+    # ``row * pop + value`` from overflowing.
+    max_rows = (2**63 - 1) // max(pop, 1)
+    lo = 0
+    for row in [*tail, len(counts)]:
+        for first in range(lo, row, max_rows):
+            stop = min(first + max_rows, row)
+            out[starts[first]:ends[stop - 1]] = _floyd_rows(
+                pop, counts[first:stop], rng
+            )
+        if row < len(counts):
+            out[starts[row]:ends[row]] = rng.choice(
+                pop, size=int(counts[row]), replace=False
+            )
+        lo = row + 1
+    return out
+
+
+def _floyd_rows(
+    pop: int, counts: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Floyd-branch ``choice(pop, k)`` rows, every ``k >= 1``, in one call.
+
+    A row makes ``2k - 1`` bounded draws.  For ``t = 0 .. k-1`` it draws
+    ``v_t`` in ``[0, pop - k + t]`` and picks ``v_t``, unless the row
+    already holds it, in which case it picks ``pop - k + t``.  Then, for
+    ``i = k-1`` down to 1, it draws ``d`` in ``[0, i]`` and swaps
+    positions ``i`` and ``d``.  The bounds are known before drawing, so
+    ``rng.integers`` makes every row's draws in one call.
+    """
+    per_row = 2 * counts - 1
+    k = np.repeat(counts, per_row)
+    t = _local_index(per_row)
+    is_pick = t < k
+    bounds = np.where(is_pick, pop - k + t, 2 * k - 1 - t).astype(np.uint64)
+    # With uint64 bounds and dtype, ``integers`` makes one bounded draw
+    # per bound, in order, through the routine ``choice`` uses (and other
+    # bound dtypes cost a slow conversion pass).
+    draws = rng.integers(0, bounds, endpoint=True, dtype=np.uint64)
+    picks = draws[is_pick].view(np.int64)
+    swaps = draws[~is_pick].view(np.int64)
+    starts = np.cumsum(counts) - counts
+    # A row whose k draws are distinct picks them all; only a row with a
+    # repeated draw redoes Floyd's rule.
+    m = len(counts)
+    keys = np.repeat(np.arange(m, dtype=np.int64), counts) * pop + picks
+    keys.sort()
+    repeated = np.unique(keys[1:][keys[1:] == keys[:-1]] // pop)
+    for row in repeated.tolist():
+        size, lo = int(counts[row]), int(starts[row])
+        held: set[int] = set()
+        for step, value in enumerate(picks[lo:lo + size].tolist()):
+            if value in held:
+                value = pop - size + step
+            held.add(value)
+            picks[lo + step] = value
+    # Shuffle step s swaps position k-1-s with the step's draw in every
+    # row with k-1 > s; longest rows first, those rows are a prefix.  Row
+    # r's k-1 swap draws start at starts[r] - r in ``swaps``.
+    order = np.argsort(-counts, kind="stable")
+    first = starts[order]
+    last = first + counts[order] - 1
+    swap_first = (starts - np.arange(m))[order]
+    at_least = np.cumsum(np.bincount(counts)[::-1])[::-1]  # rows with k >= c
+    for step, active in enumerate(at_least[2:].tolist()):
+        i = last[:active] - step
+        d = first[:active] + swaps[swap_first[:active] + step]
+        picks[i], picks[d] = picks[d], picks[i]
+    return picks
 
 
 def _random_offdiag_pattern(
@@ -101,15 +208,8 @@ def _random_offdiag_pattern(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random off-diagonal coordinates with the requested row lengths."""
     counts = np.clip(np.asarray(row_lengths, dtype=np.int64), 0, max(n - 1, 0))
-    # One draw per non-empty row, in row order: these calls are the
-    # random stream, so the loop does nothing else.
-    picks = [
-        rng.choice(n - 1, size=k, replace=False) for k in counts.tolist() if k
-    ]
-    if not picks:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
     rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    cols = np.concatenate(picks).astype(np.int64, copy=False)
+    cols = _choice_rows(n - 1, counts, rng)
     cols += cols >= rows  # skip the diagonal
     return rows, cols
 
@@ -148,8 +248,7 @@ def sdd_matrix(
     converge); otherwise it is doubly dominant but non-symmetric (Jacobi
     and BiCG-STAB converge, CG fails).
     """
-    if dominance <= 1.0:
-        raise ConfigurationError(f"dominance must be > 1, got {dominance}")
+    _require_dominance(dominance)
     rng = np.random.default_rng(seed)
     lengths = sample_row_lengths(n, mean_nnz, rng, spread)
     rows, cols = _random_offdiag_pattern(n, lengths, rng)
@@ -231,6 +330,8 @@ def spd_clique_matrix(
     spectral radius ``coupling*(m-1)/(1+margin) > 1`` for cliques of three
     or more rows.
     """
+    _require_finite("margin", margin)
+    _require_finite("coupling", coupling)
     if margin <= coupling - 1.0:
         raise ConfigurationError(
             f"need margin > coupling - 1 for positive definiteness, got "
@@ -260,6 +361,12 @@ def spd_clique_skew_matrix(
     steps make progress) but symmetry is broken (CG fails) and the Jacobi
     spectral radius stays above one.
     """
+    _require_finite("gamma", gamma)
+    _require_finite("margin", margin)
+    if not (math.isfinite(pairs_per_row) and pairs_per_row >= 0):
+        raise ConfigurationError(
+            f"pairs_per_row must be finite and >= 0, got {pairs_per_row}"
+        )
     rng = np.random.default_rng(seed)
     base_rows, base_cols = _clique_pattern(n, clique_mean, rng)
     base_vals = np.full(len(base_rows), 1.0)
@@ -298,6 +405,12 @@ def sdd_indefinite_matrix(
     spectrum the method stagnates or trips the divergence monitor
     (verified empirically per fixed seed in the dataset tests).
     """
+    if not 0.0 <= neg_fraction <= 1.0:
+        raise ConfigurationError(
+            f"neg_fraction must be in [0, 1], got {neg_fraction}"
+        )
+    _require_dominance(dominance)
+    _require_finite("magnitude_spread", magnitude_spread)
     rng = np.random.default_rng(seed)
     lengths = sample_row_lengths(n, mean_nnz, rng, spread)
     rows, cols = _random_offdiag_pattern(n, lengths, rng)
@@ -335,6 +448,8 @@ def balanced_indefinite_matrix(
     """
     _require_rows(n, 2)
     _require_positive("mean_nnz", mean_nnz)
+    _require_finite("coupling", coupling)
+    _require_finite("magnitude_spread", magnitude_spread)
     rng = np.random.default_rng(seed)
     half = n // 2
     rows_list: list[np.ndarray] = []
@@ -380,6 +495,8 @@ def ill_conditioned_spd_matrix(
     the divergence monitor; CG's globally optimal polynomial still grinds
     through.
     """
+    _require_finite("margin", margin)
+    _require_finite("coupling", coupling)
     rng = np.random.default_rng(seed)
     rows, cols = _clique_pattern(n, clique_mean, rng, clique_min=3, clique_max=40)
     vals = np.full(len(rows), coupling)

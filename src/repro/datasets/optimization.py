@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.datasets.generators import _choice_rows
 from repro.datasets.graph import grounded_laplacian_system
 from repro.datasets.problem import Problem
 from repro.errors import ConfigurationError
@@ -30,10 +31,7 @@ def sparse_design_matrix(
         )
     rng = np.random.default_rng(seed)
     rows = np.repeat(np.arange(n_samples), nnz_per_row)
-    cols = np.concatenate(
-        [rng.choice(n_features, size=nnz_per_row, replace=False)
-         for _ in range(n_samples)]
-    )
+    cols = _choice_rows(n_features, np.full(n_samples, nnz_per_row), rng)
     vals = rng.standard_normal(len(rows))
     return COOMatrix((n_samples, n_features), rows, cols, vals).to_csr()
 

@@ -45,6 +45,61 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             AcamarConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "chunk_size",
+            "sampling_rate",
+            "r_opt",
+            "max_unroll",
+            "setup_iterations",
+            "max_iterations",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value", ["x", "7", 2.5, 8.0, True, False, None, np.float64(3.0)]
+    )
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(
+            ConfigurationError, match=f"^{field} must be an integer"
+        ):
+            AcamarConfig(**{field: value})
+
+    def test_negative_setup_iterations_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match="^setup_iterations must be >= 0"
+        ):
+            AcamarConfig(setup_iterations=-5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chunk_size", np.int64(1024)),
+            ("sampling_rate", np.int32(16)),
+            ("r_opt", 0),
+            ("setup_iterations", 0),
+            ("max_unroll", 1),
+            ("max_iterations", 1),
+        ],
+    )
+    def test_integer_fields_accept_integers_at_their_bounds(self, field, value):
+        assert getattr(AcamarConfig(**{field: value}), field) == value
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"chunk_size": "x"}, "chunk_size"),
+            ({"sampling_rate": "7"}, "sampling_rate"),
+            ({"max_iterations": 2.5}, "max_iterations"),
+            ({"r_opt": 2.5}, "r_opt"),
+            ({"max_unroll": True}, "max_unroll"),
+            ({"setup_iterations": -5}, "setup_iterations"),
+        ],
+    )
+    def test_from_dict_names_the_bad_integer_field(self, payload, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            AcamarConfig.from_dict(payload)
+
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ConfigurationError, match="^dtype must"):
             AcamarConfig.from_dict({"dtype": "foo"})

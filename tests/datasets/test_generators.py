@@ -155,6 +155,9 @@ class TestIndefiniteFamilies:
         assert eigenvalues.max() / eigenvalues.min() > 1e3
 
 
+NAN = float("nan")
+INF = float("inf")
+
 DEGENERATE_ARGUMENTS = {
     "sdd-empty": (lambda: sdd_matrix(0, 6.0, seed=1), "n"),
     "sdd-negative": (lambda: sdd_matrix(-3, 6.0, seed=1), "n"),
@@ -177,6 +180,83 @@ DEGENERATE_ARGUMENTS = {
     "balanced-negative-mean": (
         lambda: balanced_indefinite_matrix(8, seed=1, mean_nnz=-1.0),
         "mean_nnz",
+    ),
+    "sdd-nan-dominance": (
+        lambda: sdd_matrix(5, 2.0, 1, dominance=NAN), "dominance",
+    ),
+    "sdd-inf-dominance": (
+        lambda: sdd_matrix(5, 2.0, 1, dominance=INF), "dominance",
+    ),
+    "sdd-indefinite-nan-dominance": (
+        lambda: sdd_indefinite_matrix(5, 2.0, 1, dominance=NAN), "dominance",
+    ),
+    "sdd-indefinite-low-dominance": (
+        lambda: sdd_indefinite_matrix(5, 2.0, 1, dominance=0.9), "dominance",
+    ),
+    "sdd-indefinite-inf-magnitude-spread": (
+        lambda: sdd_indefinite_matrix(5, 2.0, 1, magnitude_spread=INF),
+        "magnitude_spread",
+    ),
+    "sdd-indefinite-nan-neg-fraction": (
+        lambda: sdd_indefinite_matrix(5, 2.0, 1, neg_fraction=NAN),
+        "neg_fraction",
+    ),
+    "sdd-indefinite-negative-neg-fraction": (
+        lambda: sdd_indefinite_matrix(5, 2.0, 1, neg_fraction=-0.1),
+        "neg_fraction",
+    ),
+    "sdd-indefinite-large-neg-fraction": (
+        lambda: sdd_indefinite_matrix(5, 2.0, 1, neg_fraction=1.5),
+        "neg_fraction",
+    ),
+    "clique-nan-margin": (
+        lambda: spd_clique_matrix(10, 4.0, 1, margin=NAN), "margin",
+    ),
+    "clique-inf-coupling": (
+        lambda: spd_clique_matrix(10, 4.0, 1, coupling=INF), "coupling",
+    ),
+    "ill-conditioned-nan-margin": (
+        lambda: ill_conditioned_spd_matrix(10, 4.0, 1, margin=NAN), "margin",
+    ),
+    "ill-conditioned-nan-coupling": (
+        lambda: ill_conditioned_spd_matrix(10, 4.0, 1, coupling=NAN),
+        "coupling",
+    ),
+    "clique-skew-nan-gamma": (
+        lambda: spd_clique_skew_matrix(10, 4.0, 1, gamma=NAN), "gamma",
+    ),
+    "clique-skew-inf-margin": (
+        lambda: spd_clique_skew_matrix(10, 4.0, 1, margin=INF), "margin",
+    ),
+    "clique-skew-nan-pairs": (
+        lambda: spd_clique_skew_matrix(10, 4.0, 1, pairs_per_row=NAN),
+        "pairs_per_row",
+    ),
+    "clique-skew-negative-pairs": (
+        lambda: spd_clique_skew_matrix(10, 4.0, 1, pairs_per_row=-1.0),
+        "pairs_per_row",
+    ),
+    "balanced-nan-coupling": (
+        lambda: balanced_indefinite_matrix(8, seed=1, coupling=NAN),
+        "coupling",
+    ),
+    "balanced-inf-magnitude-spread": (
+        lambda: balanced_indefinite_matrix(8, seed=1, magnitude_spread=INF),
+        "magnitude_spread",
+    ),
+    "row-lengths-nan-spread": (
+        lambda: sample_row_lengths(8, 2.0, np.random.default_rng(0), NAN),
+        "spread",
+    ),
+    "row-lengths-inf-spread": (
+        lambda: sample_row_lengths(8, 2.0, np.random.default_rng(0), INF),
+        "spread",
+    ),
+    "row-lengths-nan-correlation": (
+        lambda: sample_row_lengths(
+            8, 2.0, np.random.default_rng(0), correlation=NAN
+        ),
+        "correlation",
     ),
 }
 

@@ -27,7 +27,7 @@ class TestBandsFile:
         bands = load_bands()
         assert "hotpath_bicgstab_speedup" in bands
         assert "hotpath_bicg_speedup" in bands
-        assert "hotpath_build_floor_share" in bands
+        assert "hotpath_build_speedup" in bands
         assert "hotpath_loadgen_floor_share" in bands
 
     def test_serving_bands_are_present(self):

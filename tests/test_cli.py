@@ -472,6 +472,22 @@ class TestNonFiniteKnobs:
     def test_flag_exits_two(self, argv, message):
         assert_usage_error(run_cli(*argv), argv[0], message)
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"chunk_size": "x"}, "chunk_size must be an integer"),
+        ({"sampling_rate": "7"}, "sampling_rate must be an integer"),
+        ({"max_iterations": 2.5}, "max_iterations must be an integer"),
+        ({"r_opt": 2.5}, "r_opt must be an integer"),
+        ({"max_unroll": True}, "max_unroll must be an integer"),
+        ({"setup_iterations": -5}, "setup_iterations must be >= 0"),
+    ], ids=["chunk-str", "sampling-str", "iterations-float", "r-opt-float",
+            "unroll-bool", "setup-negative"])
+    def test_config_integer_field_exits_two(self, tmp_path, payload, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        result = run_cli("solve", "--poisson", "8", "--config", str(path))
+        assert_usage_error(result, "solve", message)
+        assert "problem:" not in result.stdout
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_config_tolerance_exits_two(self, tmp_path, value):
         path = tmp_path / "config.json"
