@@ -29,6 +29,7 @@ from repro.config import AcamarConfig
 from repro.core.finegrained import FineGrainedReconfigurationUnit, ReconfigurationPlan
 from repro.core.matrix_structure import MatrixStructureUnit, SolverSelection
 from repro.core.solver_modifier import SolverModifierUnit
+from repro.errors import ShapeMismatchError, ValidationError
 from repro.solvers import make_solver
 from repro.solvers.base import OpCounter, SolveResult
 from repro.solvers.monitor import scaled_setup_iterations
@@ -95,6 +96,30 @@ class AcamarResult:
         for attempt in self.attempts:
             merged = merged.merged_with(attempt.result.ops)
         return merged
+
+
+def _check_operands(
+    matrix: CSRMatrix, b: np.ndarray, x0: np.ndarray | None
+) -> None:
+    """Reject a right-hand side, start or value stream no solver can use."""
+    n = matrix.shape[0]
+    vectors = {"b": np.asarray(b)}
+    if x0 is not None:
+        vectors["x0"] = np.asarray(x0)
+    for name, vector in vectors.items():
+        if vector.shape != (n,):
+            raise ShapeMismatchError(
+                f"{name} must have shape ({n},), got {vector.shape}"
+            )
+    vectors["matrix.data"] = matrix.data
+    for name, values in vectors.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            index = int(np.argmin(finite))
+            raise ValidationError(
+                f"{name}[{index}] is {values[index]}; Acamar.solve needs "
+                "finite values"
+            )
 
 
 FaultHook = Callable[[str, int, SolveResult], "SolveResult | None"]
@@ -170,7 +195,14 @@ class Acamar:
         Runs the structure-selected solver first and falls back through the
         Solver Modifier's preference order until one converges (Table II's
         Acamar column) or all configurations are exhausted.
+
+        Raises :class:`ShapeMismatchError` when ``b`` or ``x0`` is not a
+        vector of the matrix's row count, and :class:`ValidationError`
+        when ``b``, ``x0`` or the stored values hold a NaN or an infinity,
+        both before either decision loop runs: no solver can converge on
+        such input, and the fallback chain would run every one of them.
         """
+        _check_operands(matrix, b, x0)
         with tm.span("matrix_structure.select"):
             selection = self.matrix_structure.select_solver(matrix)
         plan = self.fine_grained.plan(matrix)

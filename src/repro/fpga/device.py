@@ -73,10 +73,6 @@ class FPGADevice:
         """Convert kernel cycles to wall-clock seconds."""
         return float(cycles) / self.clock_hz
 
-    def mac_peak_flops(self, n_macs: int) -> float:
-        """Peak FLOP/s of ``n_macs`` fully-pipelined MACs (2 FLOPs/cycle)."""
-        return 2.0 * n_macs * self.clock_hz
-
     def spmv_region_area_mm2(self, unroll: int) -> float:
         """Fabric area of a Dynamic-SpMV region provisioned for ``unroll``."""
         return unroll * self.mac_area_mm2

@@ -3,9 +3,9 @@
 The paper's hardware streams the coefficient matrix in CSR: an ``indptr``
 array of row offsets, a column-index stream, and a value stream.  This class
 mirrors that layout and provides the operations the rest of the library is
-built on: a vectorized SpMV, row slicing for the 4096-row chunking, diagonal
-extraction for Jacobi, and transposition (which doubles as CSR→CSC
-conversion in the Matrix Structure unit).
+built on: a vectorized SpMV, diagonal extraction for Jacobi, and
+transposition (which doubles as CSR→CSC conversion in the Matrix Structure
+unit).
 
 Immutability contract
 ---------------------
@@ -98,8 +98,8 @@ class CSRMatrix:
         """Build a matrix from arrays already known to be canonical CSR.
 
         Skips the O(nnz) constructor validation; only for internal callers
-        whose outputs are canonical by construction (transpose, slicing,
-        casts, diagonal removal).  ``indptr``/``indices`` must be int64.
+        whose outputs are canonical by construction (transpose, casts,
+        diagonal removal).  ``indptr``/``indices`` must be int64.
         """
         self = object.__new__(cls)
         self.shape = (int(shape[0]), int(shape[1]))
@@ -246,34 +246,45 @@ class CSRMatrix:
     def _build_spmv_plan(self) -> tuple:
         if self.nnz == 0:
             return ("empty",)
-        n_rows, n_cols = self.shape
-        offsets = self.indices - self.row_ids()
-        # Diagonal census: ascending distinct offsets, as np.unique gives,
-        # from one O(nnz + n_rows + n_cols) bincount.
-        census = np.bincount(offsets + n_rows - 1, minlength=n_rows + n_cols - 1)
-        distinct = np.flatnonzero(census) - (n_rows - 1)
-        if len(distinct) <= _DIA_MAX_DIAGONALS:
-            bounds = [
-                (max(0, -int(d)), min(n_rows, n_cols - int(d)))
-                for d in distinct
-            ]
-            footprint = sum(hi - lo for lo, hi in bounds)
-            if footprint and self.nnz >= _DIA_MIN_FILL * footprint:
-                terms = []
-                row_ids = self.row_ids()
-                for d, (lo, hi) in zip(distinct, bounds):
-                    mask = offsets == d
-                    weights = np.zeros(hi - lo, dtype=self.data.dtype)
-                    weights[row_ids[mask] - lo] = self.data[mask]
-                    weights.flags.writeable = False
-                    terms.append((int(d), lo, hi, weights))
-                return ("dia", tuple(terms))
+        # A canonical row of L entries sits on L distinct diagonals, so a
+        # row longer than the cap rules the banded plan out without the
+        # diagonal census.
+        if self.row_lengths().max() <= _DIA_MAX_DIAGONALS:
+            terms = self._diagonal_terms()
+            if terms is not None:
+                return ("dia", terms)
         nonempty = self.indptr[:-1] != self.indptr[1:]
         if nonempty.all():
             return ("csr", self.indptr[:-1], None)
         nonempty.flags.writeable = False
         starts = self.indptr[:-1][nonempty]
         return ("csr", starts, nonempty)
+
+    def _diagonal_terms(self) -> tuple | None:
+        """The ``dia`` plan's terms, or ``None`` if the matrix is not banded."""
+        n_rows, n_cols = self.shape
+        offsets = self.indices - self.row_ids()
+        # Diagonal census: ascending distinct offsets, as np.unique gives,
+        # from one O(nnz + n_rows + n_cols) bincount.
+        census = np.bincount(offsets + n_rows - 1, minlength=n_rows + n_cols - 1)
+        distinct = np.flatnonzero(census) - (n_rows - 1)
+        if len(distinct) > _DIA_MAX_DIAGONALS:
+            return None
+        bounds = [
+            (max(0, -int(d)), min(n_rows, n_cols - int(d))) for d in distinct
+        ]
+        footprint = sum(hi - lo for lo, hi in bounds)
+        if not footprint or self.nnz < _DIA_MIN_FILL * footprint:
+            return None
+        terms = []
+        row_ids = self.row_ids()
+        for d, (lo, hi) in zip(distinct, bounds):
+            mask = offsets == d
+            weights = np.zeros(hi - lo, dtype=self.data.dtype)
+            weights[row_ids[mask] - lo] = self.data[mask]
+            weights.flags.writeable = False
+            terms.append((int(d), lo, hi, weights))
+        return tuple(terms)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Sparse matrix–vector product ``A @ x``.
@@ -302,7 +313,14 @@ class CSRMatrix:
             return result
         _, starts, nonempty = plan
         products = self._workspace("products", self.nnz, out_dtype)
-        np.multiply(self.data, x[self.indices], out=products)
+        # The products of ``data * x[indices]``, gathered without numpy's
+        # buffered bounds-checked path: the constructor has validated every
+        # index, so ``wrap`` never wraps.  ``take`` wants ``out``'s dtype,
+        # and widening ``x`` first is the cast the multiply would make.
+        if x.dtype != out_dtype:
+            x = x.astype(out_dtype)
+        x.take(self.indices, out=products, mode="wrap")
+        np.multiply(self.data, products, out=products)
         if nonempty is None:
             return np.add.reduceat(products, starts)
         result = np.zeros(self.n_rows, dtype=out_dtype)
@@ -386,23 +404,6 @@ class CSRMatrix:
             t._cache["transpose"] = self
             self._cache["transpose"] = t
         return t
-
-    def row_slice(self, start: int, stop: int) -> "CSRMatrix":
-        """Rows ``start:stop`` as a new CSR matrix (used for 4096-row chunks).
-
-        The slice owns copies of its arrays and starts with a fresh, empty
-        structure cache — nothing is shared with this matrix's cache.
-        """
-        start = max(0, min(start, self.n_rows))
-        stop = max(start, min(stop, self.n_rows))
-        lo, hi = self.indptr[start], self.indptr[stop]
-        indptr = self.indptr[start : stop + 1] - lo
-        return CSRMatrix._from_canonical_parts(
-            (stop - start, self.n_cols),
-            indptr,
-            self.indices[lo:hi].copy(),
-            self.data[lo:hi].copy(),
-        )
 
     def astype(self, dtype: np.dtype | type) -> "CSRMatrix":
         """Copy with values cast to ``dtype`` (e.g. ``np.float32``)."""

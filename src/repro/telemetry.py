@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
@@ -227,6 +227,32 @@ def percentile(values: list[float], q: float) -> float:
     return float(data[low] * (1.0 - frac) + data[high] * frac)
 
 
+class _Span:
+    """Times one ``with`` block into its collector's :class:`SpanStats`.
+
+    A slotted object, not a ``@contextmanager`` generator: a solve opens
+    one per SpMV, and a generator frame costs several times as much.
+    """
+
+    __slots__ = ("collector", "name", "start")
+
+    def __init__(self, collector: "Telemetry", name: str) -> None:
+        self.collector = collector
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.collector.record_span(
+            self.name, (time.perf_counter() - self.start) * 1e3
+        )
+
+
+_NO_SPAN = nullcontext()
+"""The span returned when no collector is active: it times nothing."""
+
+
 class Telemetry:
     """One collector of spans, counters and distributions.
 
@@ -242,16 +268,15 @@ class Telemetry:
 
     # -- recording -----------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_span(name, (time.perf_counter() - start) * 1e3)
+    def span(self, name: str) -> _Span:
+        """Time a ``with`` block under ``name``."""
+        return _Span(self, name)
 
     def record_span(self, name: str, elapsed_ms: float) -> None:
-        self.spans.setdefault(name, SpanStats()).record(elapsed_ms)
+        stats = self.spans.get(name)
+        if stats is None:
+            stats = self.spans[name] = SpanStats()
+        stats.record(elapsed_ms)
 
     def count(self, name: str, increment: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + int(increment)
@@ -360,15 +385,12 @@ def active() -> Telemetry | None:
     return _ACTIVE.get()
 
 
-@contextmanager
-def span(name: str) -> Iterator[None]:
+def span(name: str) -> _Span | nullcontext[None]:
     """Time a block under ``name`` on the active collector (no-op if none)."""
     collector = _ACTIVE.get()
     if collector is None:
-        yield
-        return
-    with collector.span(name):
-        yield
+        return _NO_SPAN
+    return _Span(collector, name)
 
 
 def count(name: str, increment: int = 1) -> None:

@@ -1,10 +1,14 @@
 """Tests for the Acamar accelerator orchestration (both decision loops)."""
 
 import numpy as np
+import pytest
 
 from repro import Acamar, AcamarConfig
 from repro.datasets import load_problem, poisson_2d
 from repro.datasets.generators import spd_clique_skew_matrix
+from repro.errors import ShapeMismatchError, ValidationError
+from repro.solvers.base import SolveStatus
+from repro.sparse import CSRMatrix
 
 
 class TestSolverDecisionLoop:
@@ -194,3 +198,95 @@ class TestFaultHookExhaustion:
         assert result.converged
         assert result.solver_sequence == ("cg",)
         assert calls == ["cg"]
+
+
+class TestOperandValidation:
+    """Input no solver can use is refused before either decision loop."""
+
+    @staticmethod
+    def _with(vector, index, value):
+        out = np.array(vector, dtype=np.float64)
+        out[index] = value
+        return out
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_b(self, value):
+        problem = poisson_2d(8)
+        b = self._with(problem.b, 5, value)
+        with pytest.raises(ValidationError, match=r"^b\[5\] is "):
+            Acamar().solve(problem.matrix, b)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0(self, value):
+        problem = poisson_2d(8)
+        x0 = self._with(np.zeros(problem.n), 11, value)
+        with pytest.raises(ValidationError, match=r"^x0\[11\] is "):
+            Acamar().solve(problem.matrix, problem.b, x0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stored_value(self, value):
+        problem = poisson_2d(8)
+        data = self._with(problem.matrix.data, 30, value)
+        matrix = problem.matrix.with_data(data)
+        with pytest.raises(ValidationError, match=r"^matrix\.data\[30\] is "):
+            Acamar().solve(matrix, problem.b)
+
+    def test_first_bad_index_is_named(self):
+        problem = poisson_2d(8)
+        b = self._with(self._with(problem.b, 9, np.inf), 40, np.nan)
+        with pytest.raises(ValidationError, match=r"^b\[9\] is inf"):
+            Acamar().solve(problem.matrix, b)
+
+    @pytest.mark.parametrize(
+        "b", [np.ones(63), np.ones((64, 1)), np.ones((8, 8))],
+        ids=["short", "column", "square"],
+    )
+    def test_misshapen_b(self, b):
+        problem = poisson_2d(8)
+        with pytest.raises(ShapeMismatchError, match=r"^b must have shape"):
+            Acamar().solve(problem.matrix, b)
+
+    def test_misshapen_x0(self):
+        problem = poisson_2d(8)
+        with pytest.raises(ShapeMismatchError, match=r"^x0 must have shape"):
+            Acamar().solve(problem.matrix, problem.b, np.zeros(65))
+
+    def test_refused_before_the_decision_loops(self):
+        from repro.telemetry import Telemetry
+
+        problem = poisson_2d(8)
+        b = self._with(problem.b, 0, np.nan)
+        collector = Telemetry()
+        with collector.activate(), pytest.raises(ValidationError):
+            Acamar().solve(problem.matrix, b)
+        assert collector.spans == {}
+        assert collector.counters == {}
+
+    @pytest.mark.parametrize("dense", [
+        [[0.0, 1.0], [-1.0, 0.0]],
+        [[0.0, 2.0, 0.0], [1.0, 0.0, 1.0], [0.0, 3.0, 0.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+    ], ids=["skew", "nonsymmetric", "symmetric"])
+    def test_zero_diagonal_ends_in_a_clean_result(self, dense):
+        matrix = CSRMatrix.from_dense(np.array(dense))
+        result = Acamar().solve(matrix, np.ones(matrix.n_rows))
+        assert result.attempts
+        for attempt in result.attempts:
+            assert isinstance(attempt.result.status, SolveStatus)
+        if result.converged:
+            assert np.all(np.isfinite(result.x))
+
+    def test_campaign_records_a_failure_row(self):
+        from repro.campaign import run_campaign
+        from repro.datasets.problem import Problem
+
+        good = poisson_2d(8)
+        bad = Problem(
+            name="nan_rhs", matrix=good.matrix,
+            b=self._with(good.b, 3, np.nan),
+        )
+        report = run_campaign([bad, good])
+        first, second = report.entries
+        assert first.failed
+        assert first.failure.startswith("ValidationError: b[3] is nan")
+        assert second.converged

