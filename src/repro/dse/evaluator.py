@@ -16,7 +16,7 @@ byte-deterministic for any worker count: the virtual clock inside each
 point never observes the pool, and results are reassembled in point
 order.
 
-Two memos keep the sweep from repeating work its points share:
+Three memos keep the sweep from repeating work its points share:
 
 - **Traces.** :func:`evaluate_items` generates each distinct
   ``ClusterLoadSpec`` (traffic regime, seed, sources) once per call and
@@ -24,6 +24,13 @@ Two memos keep the sweep from repeating work its points share:
   to every point that uses it.  The memo lives only for that call, so
   nothing outlives the sweep: a module-level memo would keep an
   hour-long 10k-rps trace (~680 MB) for the life of the process.
+- **Simulations.** :func:`evaluate_items` also runs the cluster
+  simulator once per distinct deployment (:func:`_deployment_key`) and
+  prices every point of that deployment from the shared run.  Points
+  that differ only in axes the run provably never reads — a solver mix
+  that leaves every profile equal, a cache capacity no smaller than
+  the number of structures — share one simulation.  This memo is per
+  call too, so every sweep pays for its own simulations.
 - **Profiles.** :data:`_PROFILE_MEMO` keeps cold profiles per
   (sources, solver-plan) key for the life of the worker process, so a
   sweep pays each real solve once per worker, not once per point.
@@ -32,7 +39,9 @@ Two memos keep the sweep from repeating work its points share:
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+import numbers
+from dataclasses import replace
+from typing import Any, Hashable, Mapping, Sequence
 
 from repro import telemetry as tm
 from repro.config import AcamarConfig
@@ -43,6 +52,7 @@ from repro.dse.space import (
     TrafficSpec,
     point_id,
 )
+from repro.errors import ConfigurationError
 from repro.fpga.cost_model import PerformanceModel
 from repro.fpga.device import ALVEO_U55C, FPGADevice
 from repro.fpga.energy import EnergyModel
@@ -57,7 +67,7 @@ from repro.serve import (
     run_cluster,
 )
 from repro.serve.cluster import RequestTrace
-from repro.serve.loadgen import source_weights
+from repro.serve.loadgen import source_weights, validate_seed
 from repro.telemetry import Telemetry
 
 SLOT_AREA_HEADROOM = 2.0
@@ -159,6 +169,57 @@ def _modeled_flops_per_request(
     return expected
 
 
+_OUTCOME_SECTIONS = ("requests", "latency_ms", "fleets", "batches",
+                     "placement")
+"""The cluster report sections :func:`evaluate_point` prices from.  A
+shared run keeps only these: the ``cluster`` and ``cache`` sections
+echo the config, whose ``cache_capacity`` the deployment key clamps."""
+
+
+def _deployment_key(
+    spec: ClusterLoadSpec,
+    trace: RequestTrace,
+    config: ClusterConfig,
+    profiles: Mapping[str, "SolveProfile | str"],
+) -> Hashable:
+    """Everything one cluster run reads, minus what cannot change it.
+
+    ``run_cluster(trace, config, acamar, profiles=profiles)`` reads the
+    trace, the config and the profiles of ``trace.sources``; it reads
+    the Acamar config only to build profiles when none are passed, so
+    that config stays out and solver mixes that profile alike share a
+    run.  The trace enters as the spec it was generated from, and the
+    profiles by value (a failed source is its error string).
+
+    ``cache_capacity`` enters as ``min(cache_capacity, k)``, ``k`` the
+    number of distinct fingerprints among the profiled sources (at
+    least 1).  A local tier only ever holds entries with those
+    fingerprints, so any capacity >= ``k`` never evicts and every such
+    capacity gives the same run; nothing else in the simulation reads
+    the capacity.
+    """
+    profiled = tuple(profiles.get(source) for source in trace.sources)
+    structures = len({
+        profile.fingerprint
+        for profile in profiled
+        if isinstance(profile, SolveProfile)
+    })
+    clamped = min(config.cache_capacity, max(1, structures))
+    return spec, profiled, replace(config, cache_capacity=clamped)
+
+
+def _simulate(
+    trace: RequestTrace,
+    config: ClusterConfig,
+    acamar: AcamarConfig,
+    profiles: dict[str, "SolveProfile | str"],
+) -> dict[str, Any]:
+    """Run one deployment; keep the :data:`_OUTCOME_SECTIONS` only."""
+    tm.count("dse.simulations")
+    doc = run_cluster(trace, config, acamar, profiles=profiles).as_dict()
+    return {name: doc[name] for name in _OUTCOME_SECTIONS if name in doc}
+
+
 def evaluate_point(
     shape: FleetShape,
     traffic: TrafficSpec,
@@ -167,6 +228,7 @@ def evaluate_point(
     base_config: AcamarConfig | None = None,
     device: FPGADevice = ALVEO_U55C,
     trace: RequestTrace | None = None,
+    runs: dict[Hashable, dict[str, Any]] | None = None,
 ) -> dict[str, Any]:
     """Deploy one design point through the cluster simulator and price it.
 
@@ -174,15 +236,28 @@ def evaluate_point(
     already (:func:`evaluate_items` shares one per regime).  It must be
     ``generate_trace(load_spec_for(traffic, sources, seed))``, which is
     what runs here when it is omitted.
+
+    ``runs`` is a simulation memo shared by the points of one sweep,
+    keyed by :func:`_deployment_key`.  A point whose deployment is in
+    it is priced from that run; otherwise it simulates and adds its
+    run.  Without ``runs`` every call simulates on its own.  Either
+    way the record is the same: pricing (area, energy, FLOPs, ids)
+    is per point, and no two records share a mutable object.
     """
     with tm.span("dse.point_eval"):
         acamar = acamar_config_for(shape, base_config)
         config = cluster_config_for(shape)
         profiles = _profiles_for(sources, config.profile_seed, acamar)
+        spec = load_spec_for(traffic, sources, seed)
         if trace is None:
-            trace = generate_trace(load_spec_for(traffic, sources, seed))
-        report = run_cluster(trace, config, acamar, profiles=profiles)
-        doc = report.as_dict()
+            trace = generate_trace(spec)
+        if runs is None:
+            doc = _simulate(trace, config, acamar, profiles)
+        else:
+            key = _deployment_key(spec, trace, config, profiles)
+            if key not in runs:
+                runs[key] = _simulate(trace, config, acamar, profiles)
+            doc = runs[key]
 
         fleets = doc["fleets"]
         requests = doc["requests"]
@@ -253,7 +328,9 @@ def evaluate_point(
             metrics["gpu_batches"] = doc["batches"]["gpu_batches"]
             metrics["gpu_transfers"] = doc["batches"]["gpu_transfers"]
             metrics["provisioned_gpu_tenant_seconds"] = gpu_tenant_s
-            metrics["placement_by_class"] = doc["placement"]["by_class"]
+            metrics["placement_by_class"] = dict(
+                doc["placement"]["by_class"]
+            )
         return {
             "id": point_id(shape, traffic),
             "shape": shape.as_dict(),
@@ -272,11 +349,12 @@ def evaluate_items(
     collector and any exception becomes a structured error record.
     ``item.source`` is the point payload built by :func:`run_sweep`.
     The chunk's points generate each distinct traffic trace once and
-    share it; a regime whose trace cannot be generated fails only its
-    own points.
+    run each distinct deployment once, sharing both; a regime whose
+    trace cannot be generated fails only its own points.
     """
     results: list[ItemResult] = []
     traces: dict[ClusterLoadSpec, RequestTrace] = {}
+    runs: dict[Hashable, dict[str, Any]] = {}
     for item in items:
         payload = item.source
         collector = Telemetry()
@@ -294,6 +372,7 @@ def evaluate_items(
                     seed=item.seed,
                     base_config=config,
                     trace=traces[spec],
+                    runs=runs,
                 )
                 tm.count("dse.points_evaluated")
                 results.append(
@@ -330,8 +409,19 @@ def run_sweep(
 
     Returns one :class:`ItemResult` per point in declaration order
     regardless of ``workers`` — the pool only changes wall-clock time,
-    never the records, so reports stay byte-identical per seed.
+    never the records, so reports stay byte-identical per seed.  A
+    negative or non-integer ``seed`` and a ``workers`` below 1 raise
+    :class:`~repro.errors.ConfigurationError` before any point runs.
     """
+    validate_seed(seed)
+    if (
+        isinstance(workers, bool)
+        or not isinstance(workers, numbers.Integral)
+        or workers < 1
+    ):
+        raise ConfigurationError(
+            f"workers must be an integer >= 1, got {workers!r}"
+        )
     base = base_config if base_config is not None else AcamarConfig()
     items = []
     for index, (shape, traffic) in enumerate(space.points()):

@@ -17,6 +17,7 @@ in :mod:`repro.dse.evaluator`, dominance in :mod:`repro.dse.frontier`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -51,10 +52,27 @@ OPTIONAL_SHAPE_AXES: Mapping[str, tuple[Any, ...]] = {
     "cpu_assist": (False,),
 }
 
+#: Integer fields of :class:`FleetShape`; ``bool`` is not one.
+_INTEGER_FIELDS = (
+    "slots_per_fleet", "max_unroll", "cache_capacity", "queue_capacity",
+    "min_fleets", "max_fleets", "gpu_tenants",
+)
+
+#: Fields of a space document's traffic entry; ``deadline_ms`` may be
+#: left out.
+_REQUIRED_TRAFFIC_KEYS = ("name", "mix", "rate_rps", "duration_s")
+_TRAFFIC_KEYS = (*_REQUIRED_TRAFFIC_KEYS, "deadline_ms")
+
 DEMO_SOURCES = ("2C", "Wi", "Li", "Fe")
 """Registry keys of the committed demo space (small, structurally
 diverse: SPD cliques, non-symmetric SDD, symmetric SDD, mixed-sign
 SDD)."""
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(
+        value, bool
+    )
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,16 @@ class FleetShape:
     cpu_assist: bool = False
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        if not isinstance(self.cpu_assist, bool):
+            raise ConfigurationError(
+                f"cpu_assist must be true or false, got {self.cpu_assist!r}"
+            )
         if self.slots_per_fleet < 0:
             raise ConfigurationError(
                 f"slots_per_fleet must be >= 0, got {self.slots_per_fleet}"
@@ -89,7 +117,9 @@ class FleetShape:
             raise ConfigurationError(
                 f"max_unroll must be >= 1, got {self.max_unroll}"
             )
-        if self.solver_mix not in SOLVER_MIXES:
+        if not isinstance(self.solver_mix, str) or (
+            self.solver_mix not in SOLVER_MIXES
+        ):
             raise ConfigurationError(
                 f"unknown solver mix {self.solver_mix!r}; expected one of "
                 f"{tuple(sorted(SOLVER_MIXES))}"
@@ -154,8 +184,11 @@ class TrafficSpec:
     deadline_ms: float = 100.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("traffic spec needs a non-empty name")
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigurationError(
+                f"traffic spec name must be a non-empty string, "
+                f"got {self.name!r}"
+            )
         validate_traffic(
             self.mix, self.duration_s, self.rate_rps,
             deadline_ms=self.deadline_ms,
@@ -232,8 +265,10 @@ def cross_shapes(axes: Mapping[str, Sequence[Any]]) -> tuple[FleetShape, ...]:
 
     ``axes`` must provide exactly the :data:`SHAPE_AXES` keys and may
     add any of :data:`OPTIONAL_SHAPE_AXES` (``gpu_tenants``,
-    ``cpu_assist``); ``fleet_bounds`` entries are ``(min_fleets,
-    max_fleets)`` pairs.
+    ``cpu_assist``); each axis is a non-empty list, and
+    ``fleet_bounds`` entries are ``(min_fleets, max_fleets)`` integer
+    pairs.  Values are taken as given, never coerced: a float or a
+    ``bool`` on an integer axis, or a string on ``cpu_assist``, raises.
     """
     missing = [name for name in SHAPE_AXES if name not in axes]
     unknown = sorted(
@@ -246,7 +281,13 @@ def cross_shapes(axes: Mapping[str, Sequence[Any]]) -> tuple[FleetShape, ...]:
             f"missing {missing}, unknown {unknown}"
         )
     for name in (*SHAPE_AXES, *OPTIONAL_SHAPE_AXES):
-        if name in axes and not axes[name]:
+        if name not in axes:
+            continue
+        if not isinstance(axes[name], (list, tuple)):
+            raise ConfigurationError(
+                f"axis {name!r} must be a list, got {axes[name]!r}"
+            )
+        if not axes[name]:
             raise ConfigurationError(f"axis {name!r} must not be empty")
     optional = {
         name: tuple(axes.get(name, default))
@@ -260,22 +301,26 @@ def cross_shapes(axes: Mapping[str, Sequence[Any]]) -> tuple[FleetShape, ...]:
             optional["cpu_assist"],
         )
     ):
-        if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+        if (
+            not isinstance(bounds, (tuple, list))
+            or len(bounds) != 2
+            or not all(_is_integer(bound) for bound in bounds)
+        ):
             raise ConfigurationError(
-                f"fleet_bounds entries must be (min, max) pairs, "
+                f"fleet_bounds entries must be (min, max) integer pairs, "
                 f"got {bounds!r}"
             )
         shapes.append(
             FleetShape(
-                slots_per_fleet=int(slots),
-                max_unroll=int(unroll),
-                solver_mix=str(mix),
-                cache_capacity=int(cache),
-                queue_capacity=int(queue),
-                min_fleets=int(bounds[0]),
-                max_fleets=int(bounds[1]),
-                gpu_tenants=int(tenants),
-                cpu_assist=bool(assist),
+                slots_per_fleet=slots,
+                max_unroll=unroll,
+                solver_mix=mix,
+                cache_capacity=cache,
+                queue_capacity=queue,
+                min_fleets=bounds[0],
+                max_fleets=bounds[1],
+                gpu_tenants=tenants,
+                cpu_assist=assist,
             )
         )
     return tuple(shapes)
@@ -286,10 +331,14 @@ def demo_space() -> DesignSpace:
 
     Small enough to evaluate in seconds, wide enough that every
     frontier objective moves: slot count and unroll budget trade area
-    against latency, the solver mix trades robustness against compute,
-    cache sizing trades reconfiguration rate, and queue sizing decides
-    whether the bursty regime sheds — the axis the capacity query
-    turns on.
+    against latency, and queue sizing decides whether the bursty
+    regime sheds — the axis the capacity query turns on.  The solver
+    mix and cache sizing are swept too, but on the four demo sources
+    they move no metric: no source ever reaches the Solver Modifier,
+    so both mixes profile alike, and both cache capacities exceed the
+    four structures.  At seed 1 the 64 points have 12 distinct
+    outcomes (the sweep runs 16 simulations; see ``docs/dse.md``,
+    "Sweep cost").
     """
     shapes = cross_shapes({
         "slots_per_fleet": (2, 4),
@@ -319,8 +368,10 @@ def space_from_dict(payload: Mapping[str, Any]) -> DesignSpace:
 
     Expected keys: ``axes`` (the :data:`SHAPE_AXES` lists), ``traffic``
     (a list of :class:`TrafficSpec` field dicts) and optionally
-    ``sources`` (registry keys; default: the demo sources).  Unknown
-    keys raise, so typos fail loudly instead of sweeping the defaults.
+    ``sources`` (a list of registry keys; default: the demo sources).
+    Unknown keys raise, so typos fail loudly instead of sweeping the
+    defaults, and every malformed value raises
+    :class:`~repro.errors.ConfigurationError` naming its key.
     """
     known = {"axes", "traffic", "sources"}
     unknown = sorted(set(payload) - known)
@@ -334,19 +385,36 @@ def space_from_dict(payload: Mapping[str, Any]) -> DesignSpace:
     if not isinstance(axes, Mapping):
         raise ConfigurationError("'axes' must be an object of axis lists")
     shapes = cross_shapes(axes)
+    if not isinstance(payload["traffic"], list):
+        raise ConfigurationError(
+            f"'traffic' must be a list of traffic specs, "
+            f"got {payload['traffic']!r}"
+        )
     traffic: list[TrafficSpec] = []
     for entry in payload["traffic"]:
         if not isinstance(entry, Mapping):
             raise ConfigurationError(
                 f"traffic entries must be objects, got {entry!r}"
             )
-        traffic_known = {"name", "mix", "rate_rps", "duration_s",
-                         "deadline_ms"}
-        bad = sorted(set(entry) - traffic_known)
+        bad = sorted(set(entry) - set(_TRAFFIC_KEYS))
         if bad:
             raise ConfigurationError(f"unknown traffic keys: {bad}")
+        missing = [
+            key for key in _REQUIRED_TRAFFIC_KEYS if key not in entry
+        ]
+        if missing:
+            raise ConfigurationError(
+                f"traffic entry {entry!r} is missing keys {missing}"
+            )
         traffic.append(TrafficSpec(**entry))
-    sources = tuple(payload.get("sources", DEMO_SOURCES))
+    sources = payload.get("sources", list(DEMO_SOURCES))
+    if not isinstance(sources, list) or not all(
+        isinstance(source, str) for source in sources
+    ):
+        raise ConfigurationError(
+            f"'sources' must be a list of registry keys, got {sources!r}"
+        )
+    sources = tuple(sources)
     _validate_sources(sources)
     return DesignSpace(
         shapes=shapes, traffic=tuple(traffic), sources=sources

@@ -640,6 +640,9 @@ class _ClusterSimulation:
         self.route_map = np.full(self.n_sources, -1, dtype=np.int64)
         self.fleets: dict[int, FleetState] = {}
         self.next_fleet_id = 0
+        # The simulation's only read of ``cache_capacity``: the DSE
+        # shares one run across capacities at or above the number of
+        # distinct fingerprints, since a local tier then never evicts.
         self.cache = TieredPlanCache(
             local_capacity=config.cache_capacity,
             remote_fetch_s=config.remote_fetch_ms * 1e-3,
@@ -1331,6 +1334,12 @@ def run_cluster(
     built with the same ``acamar_config`` and ``profile_seed`` a fresh
     :func:`~repro.serve.service.build_profiles` call would use, or the
     byte-determinism contract across callers is void.
+
+    ``acamar_config`` is read only to build profiles when none are
+    passed.  With ``profiles`` given, the run is a function of the
+    trace, ``config`` and the profiles of ``trace.sources`` alone,
+    which is what lets the design-space explorer simulate each distinct
+    deployment once and share the run across its design points.
     """
     config = config if config is not None else ClusterConfig()
     acamar_config = (

@@ -33,6 +33,7 @@ from repro.serve.api import PRIORITY_NAMES, Priority
 from repro.serve.loadgen import (
     PRIORITY_SHARES,
     source_weights,
+    validate_seed,
     validate_traffic,
 )
 
@@ -59,6 +60,7 @@ class ClusterLoadSpec:
     sources: tuple[str, ...] = ()  # empty → the Table II registry
 
     def __post_init__(self) -> None:
+        validate_seed(self.seed)
         validate_traffic(
             self.mix,
             self.duration_s,

@@ -63,6 +63,7 @@ class LoadSpec:
     sources: tuple[str, ...] = ()  # empty → the Table II registry
 
     def __post_init__(self) -> None:
+        validate_seed(self.seed)
         validate_traffic(
             self.mix,
             self.duration_s,
@@ -74,20 +75,42 @@ class LoadSpec:
         )
 
 
+def validate_seed(seed: int) -> None:
+    """Reject a seed numpy's generators cannot take.
+
+    Shared by :class:`LoadSpec`, the cluster tier's ``ClusterLoadSpec``
+    and the DSE sweep, so a bad seed fails before any work instead of
+    in the first generator call.
+    """
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, numbers.Integral)
+        or seed < 0
+    ):
+        raise ConfigurationError(
+            f"seed must be a non-negative integer, got {seed!r}"
+        )
+
+
 def validate_traffic(
     mix: str, duration_s: float, rate_rps: float, **others: float
 ) -> None:
     """Reject a traffic regime the generators cannot run.
 
     Shared by :class:`LoadSpec`, the cluster tier's ``ClusterLoadSpec``
-    and the DSE ``TrafficSpec``.  Every value must be a finite number:
-    a NaN or infinite rate or duration never ends the arrival loop (or
-    allocates until memory runs out), and a NaN deadline never expires.
-    The duration and the rate must also be positive.
+    and the DSE ``TrafficSpec``.  Every value must be a finite number
+    and not a ``bool``: a NaN or infinite rate or duration never ends
+    the arrival loop (or allocates until memory runs out), and a NaN
+    deadline never expires.  The duration and the rate must also be
+    positive.
     """
     values = {"duration_s": duration_s, "rate_rps": rate_rps, **others}
     for name, value in values.items():
-        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
             raise ConfigurationError(
                 f"{name} must be a finite number, got {value!r}"
             )

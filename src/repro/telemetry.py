@@ -134,9 +134,11 @@ KNOWN_COUNTERS = frozenset({
     "faults.injected.device_outage",
     "faults.injected.fleet_outage",
     "faults.injected.forced_scale",
-    # design-space explorer (repro.dse): sweep progress accounting
+    # design-space explorer (repro.dse): sweep progress accounting, and
+    # the cluster runs that answered the evaluated points
     "dse.points_evaluated",
     "dse.points_failed",
+    "dse.simulations",
     # whole-program linter (repro.analysis.project): incremental-cache
     # effectiveness per run, so CI can watch warm-cache hit rates
     "lint.files_parsed",

@@ -14,6 +14,7 @@ from repro.dse import (
     evaluate_point,
     run_sweep,
 )
+from repro.errors import ConfigurationError
 from repro.parallel import WorkItem
 from repro.telemetry import Telemetry
 
@@ -179,6 +180,23 @@ class TestTraceSharing:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"seed": 0.5}, "seed must be a non-negative integer"),
+        ({"workers": 0}, "workers must be an integer >= 1"),
+        ({"workers": -3}, "workers must be an integer >= 1"),
+        ({"workers": 1.5}, "workers must be an integer >= 1"),
+    ])
+    def test_bad_seed_or_workers_raise_before_any_point(
+        self, monkeypatch, kwargs, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(evaluator, "evaluate_items", never)
+        with pytest.raises(ConfigurationError, match=message):
+            run_sweep(tiny_space(), **kwargs)
+
     def test_results_ordered_and_complete(self):
         space = tiny_space()
         results = run_sweep(space, seed=0)

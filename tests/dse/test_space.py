@@ -213,6 +213,61 @@ class TestLoadSpace:
         with pytest.raises(ConfigurationError):
             space_from_dict(doc)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(traffic=5),
+         "'traffic' must be a list of traffic specs, got 5"),
+        (lambda d: d["axes"].update(slots_per_fleet=2),
+         "axis 'slots_per_fleet' must be a list, got 2"),
+        (lambda d: d["axes"].update(solver_mix="paper-default"),
+         "axis 'solver_mix' must be a list"),
+        (lambda d: d["traffic"][0].pop("mix"), "is missing keys ['mix']"),
+        (lambda d: d["traffic"][0].pop("rate_rps"),
+         "is missing keys ['rate_rps']"),
+        (lambda d: d["traffic"][0].pop("duration_s"),
+         "is missing keys ['duration_s']"),
+        (lambda d: d["axes"].update(slots_per_fleet=["x"]),
+         "slots_per_fleet must be an integer, got 'x'"),
+        (lambda d: d["axes"].update(max_unroll=[16.5]),
+         "max_unroll must be an integer, got 16.5"),
+        (lambda d: d["axes"].update(fleet_bounds=[[1.9, 3]]),
+         "fleet_bounds entries must be (min, max) integer pairs, "
+         "got [1.9, 3]"),
+        (lambda d: d["axes"].update(cpu_assist=["false"]),
+         "cpu_assist must be true or false, got 'false'"),
+        (lambda d: d["axes"].update(gpu_tenants=[True]),
+         "gpu_tenants must be an integer, got True"),
+        (lambda d: d["axes"].update(queue_capacity=[True]),
+         "queue_capacity must be an integer, got True"),
+        (lambda d: d["traffic"][0].update(rate_rps=True),
+         "rate_rps must be a finite number, got True"),
+        (lambda d: d["traffic"][0].update(duration_s=True),
+         "duration_s must be a finite number, got True"),
+        (lambda d: d["traffic"][0].update(name=5),
+         "traffic spec name must be a non-empty string, got 5"),
+        (lambda d: d.update(sources="2C"),
+         "'sources' must be a list of registry keys, got '2C'"),
+    ], ids=[
+        "traffic-int", "axis-int", "axis-str", "no-mix", "no-rate",
+        "no-duration", "slots-str", "unroll-float", "bounds-float",
+        "assist-str", "tenants-bool", "queue-bool", "rate-bool",
+        "duration-bool", "name-int", "sources-str",
+    ])
+    def test_malformed_values_raise_naming_the_key(self, edit, message):
+        doc = self.document()
+        edit(doc)
+        with pytest.raises(ConfigurationError) as info:
+            space_from_dict(doc)
+        assert message in str(info.value)
+
+    def test_integral_values_are_taken_as_given(self):
+        doc = self.document()
+        doc["axes"]["gpu_tenants"] = [0, 1]
+        doc["axes"]["cpu_assist"] = [False, True]
+        space = space_from_dict(doc)
+        assert [
+            (shape.gpu_tenants, shape.cpu_assist) for shape in space.shapes
+        ] == [(0, False), (0, True), (1, False), (1, True)]
+
     def test_missing_file_and_bad_json_raise(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_space(tmp_path / "missing.json")

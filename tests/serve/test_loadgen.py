@@ -68,6 +68,30 @@ class TestNonFiniteTraffic:
         with pytest.raises(ConfigurationError, match="finite number"):
             traffic_spec(rate_rps="fast")
 
+    @pytest.mark.parametrize("build, field", TRAFFIC_SPEC_FIELDS)
+    def test_bool_rejected(self, build, field):
+        with pytest.raises(
+            ConfigurationError, match=f"{field} must be a finite number"
+        ):
+            build(**{field: True})
+
+
+class TestSeedValidation:
+    """A seed numpy cannot take fails at the spec, before any draw."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", True, None])
+    @pytest.mark.parametrize("build", [LoadSpec, ClusterLoadSpec])
+    def test_rejected(self, build, seed):
+        with pytest.raises(
+            ConfigurationError, match="seed must be a non-negative integer"
+        ):
+            build(seed=seed)
+
+    @pytest.mark.parametrize("build", [LoadSpec, ClusterLoadSpec])
+    def test_integral_seeds_accepted(self, build):
+        assert build(seed=np.int64(3)).seed == 3
+        assert build(seed=0).seed == 0
+
 
 class TestGenerateRequests:
     def test_same_seed_same_log(self):

@@ -436,11 +436,56 @@ class TestUsageErrorBoundary:
         (("experiment", "table2", "--keys", "XX"), "unknown dataset 'XX'"),
         (("experiment", "fig6", "--keys", "2C", "--chart", "nope"),
          "unknown column 'nope'"),
+        (("dse", "--seed", "-1"), "seed must be a non-negative integer"),
+        (("loadtest", "--seed", "-1", "--duration", "1"),
+         "seed must be a non-negative integer"),
+        (("loadtest", "--cluster", "--seed", "-1"),
+         "seed must be a non-negative integer"),
+        (("dse", "--workers", "0"), "workers must be an integer >= 1"),
+        (("dse", "--workers", "-3"), "workers must be an integer >= 1"),
     ])
     def test_bad_argument(self, argv, message):
         result = run_cli(*argv)
         assert_usage_error(result, argv[0], message)
         assert "problem:" not in result.stdout
+
+    SPACE = {
+        "axes": {
+            "slots_per_fleet": [2], "max_unroll": [16],
+            "solver_mix": ["paper-default"], "cache_capacity": [8],
+            "queue_capacity": [256], "fleet_bounds": [[1, 2]],
+        },
+        "traffic": [{
+            "name": "t", "mix": "uniform", "rate_rps": 10.0,
+            "duration_s": 1.0,
+        }],
+    }
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        (None, "traffic", 5, "'traffic' must be a list of traffic specs"),
+        ("axes", "slots_per_fleet", 2, "axis 'slots_per_fleet' must be a list"),
+        ("axes", "max_unroll", [16.5], "max_unroll must be an integer"),
+        ("axes", "cpu_assist", ["false"], "cpu_assist must be true or false"),
+        ("traffic", "rate_rps", True, "rate_rps must be a finite number"),
+        ("traffic", "mix", None, "is missing keys ['mix']"),
+    ], ids=["traffic-int", "axis-int", "unroll-float", "assist-str",
+            "rate-bool", "no-mix"])
+    def test_bad_space_document(self, tmp_path, section, key, value, message):
+        document = json.loads(json.dumps(self.SPACE))
+        target = {
+            None: document,
+            "axes": document["axes"],
+            "traffic": document["traffic"][0],
+        }[section]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(document))
+        result = run_cli("dse", "--space", str(path))
+        assert_usage_error(result, "dse", message)
+        assert result.stdout == ""
 
     def test_export_unknown_key(self, tmp_path):
         result = run_cli("export", str(tmp_path / "out"), "--keys", "XX")
