@@ -9,6 +9,7 @@ the way fabric area bounds co-running kernels.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -43,18 +44,20 @@ class FleetSpec:
     cpu_assist: bool = False
 
     def __post_init__(self) -> None:
-        if self.devices < 1:
-            raise ConfigurationError(
-                f"fleet needs >= 1 device, got {self.devices}"
-            )
-        if self.slots_per_device < 0:
-            raise ConfigurationError(
-                f"fleet needs >= 0 slots per device, got {self.slots_per_device}"
-            )
-        if self.gpu_tenants < 0:
-            raise ConfigurationError(
-                f"fleet needs >= 0 GPU tenants, got {self.gpu_tenants}"
-            )
+        for name, minimum in (
+            ("devices", 1), ("slots_per_device", 0), ("gpu_tenants", 0)
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            if value < minimum:
+                raise ConfigurationError(
+                    f"{name} must be >= {minimum}, got {value}"
+                )
         if self.devices * self.slots_per_device + self.gpu_tenants < 1:
             raise ConfigurationError(
                 "fleet needs at least one dispatchable slot "

@@ -18,12 +18,15 @@ The controller enforces:
 
 The queue is kept sorted on :func:`_queue_key`, so an admission is one
 binary-search insert and the preemption victim is always the last entry.
+The controller also keeps a lower bound on the queued deadlines, so the
+expiry sweep returns at once on the ticks where nothing can lapse.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro import telemetry as tm
@@ -95,6 +98,10 @@ class AdmissionController:
     ``min_service_estimate_s`` is the optimistic service floor used for
     the deadline-feasibility check (a deadline tighter than this can
     never be met, queue or no queue).
+
+    Requests enter the queue only through :meth:`offer` (or ``queue`` at
+    construction); callers may remove entries, which keeps the deadline
+    floor a lower bound.
     """
 
     capacity: int = 64
@@ -109,6 +116,8 @@ class AdmissionController:
             raise ConfigurationError(
                 f"admission queue capacity must be >= 1, got {self.capacity}"
             )
+        # No queued deadline is earlier than this (inf: none queued).
+        self._deadline_floor = _earliest_deadline(self.queue)
 
     def depth(self) -> int:
         return len(self.queue)
@@ -122,9 +131,8 @@ class AdmissionController:
         admission preempted one (the caller owes the victim a shed
         response).  On ``ADMITTED`` the request is in the queue.
         """
-        if deadline_unmeetable(
-            request.deadline_s, now, self.min_service_estimate_s
-        ):
+        deadline = request.deadline_s
+        if deadline_unmeetable(deadline, now, self.min_service_estimate_s):
             self.shed_deadline += 1
             tm.count("serve.shed.deadline")
             return AdmissionVerdict.SHED_DEADLINE, None
@@ -145,12 +153,18 @@ class AdmissionController:
             QueuedRequest(request=request, admitted_s=now),
             key=_queue_key,
         )
+        if deadline is not None and deadline < self._deadline_floor:
+            self._deadline_floor = deadline
         tm.count("serve.admitted")
         return AdmissionVerdict.ADMITTED, victim
 
     def expire(self, now: float) -> list[QueuedRequest]:
-        """Remove and return queued requests whose deadline has passed."""
-        if not self.queue:
+        """Remove and return queued requests whose deadline has passed.
+
+        Returns at once while the deadline floor lies after ``now``: no
+        queued deadline can have lapsed then.
+        """
+        if self._deadline_floor > now or not self.queue:
             return []
         lapsed = [
             q for q in self.queue if deadline_lapsed(q.request.deadline_s, now)
@@ -159,4 +173,16 @@ class AdmissionController:
             keep = {id(q) for q in lapsed}
             self.queue = [q for q in self.queue if id(q) not in keep]
             tm.count("serve.expired", len(lapsed))
+        self._deadline_floor = _earliest_deadline(self.queue)
         return lapsed
+
+
+def _earliest_deadline(queue: list[QueuedRequest]) -> float:
+    return min(
+        (
+            q.request.deadline_s
+            for q in queue
+            if q.request.deadline_s is not None
+        ),
+        default=math.inf,
+    )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -41,18 +42,25 @@ PRIORITY_NAMES = {p: p.name.lower() for p in Priority}
 
 
 def parse_priority(value: "str | int | Priority") -> Priority:
-    """Coerce a CLI/JSON value to a :class:`Priority`."""
+    """Coerce a CLI/JSON value to a :class:`Priority`.
+
+    Takes a member, its integer value or its name (any case).  A
+    ``bool`` is not an integer here, so ``True`` is refused rather than
+    read as ``BATCH``.
+    """
     if isinstance(value, Priority):
         return value
-    try:
-        if isinstance(value, int):
-            return Priority(value)
-        return Priority[str(value).strip().upper()]
-    except (KeyError, ValueError):
-        raise ValidationError(
-            f"unknown priority {value!r}; expected one of "
-            f"{sorted(PRIORITY_NAMES.values())}"
-        ) from None
+    if not isinstance(value, bool):
+        try:
+            if isinstance(value, numbers.Integral):
+                return Priority(int(value))
+            return Priority[str(value).strip().upper()]
+        except (KeyError, ValueError):
+            pass
+    raise ValidationError(
+        f"unknown priority {value!r}; expected one of "
+        f"{sorted(PRIORITY_NAMES.values())}"
+    )
 
 
 class Outcome(enum.Enum):
@@ -77,7 +85,9 @@ class SolveRequest:
     arrival_s:
         Virtual arrival time in seconds.
     priority:
-        Scheduling class.
+        Scheduling class: a :class:`Priority`, or anything
+        :func:`parse_priority` takes, coerced at construction (the
+        scheduler tests members by identity).
     deadline_s:
         Absolute virtual deadline, or ``None`` for no deadline.
     tenant:
@@ -90,6 +100,15 @@ class SolveRequest:
     priority: Priority = Priority.BATCH
     deadline_s: float | None = None
     tenant: str = "default"
+
+    def __post_init__(self) -> None:
+        # ``type(...) is`` rather than ``isinstance``: the load
+        # generator builds every request with a member, so this is the
+        # one check on its path.
+        if type(self.priority) is not Priority:
+            object.__setattr__(
+                self, "priority", parse_priority(self.priority)
+            )
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -179,6 +198,47 @@ class SolveResponse:
     solver_sequence: tuple[str, ...] = ()
     iterations: int = 0
     detail: str = ""
+
+    @classmethod
+    def completed(
+        cls,
+        request: SolveRequest,
+        finish_s: float,
+        queue_s: float,
+        service_s: float,
+        cache_hit: bool,
+        batch_id: int,
+        instance: int,
+        converged: bool,
+        solver_sequence: tuple[str, ...],
+        iterations: int,
+    ) -> "SolveResponse":
+        """The ``COMPLETED`` response to ``request``.
+
+        Equal to the keyword construction, field for field and in field
+        order.  It sets each field as the frozen ``__init__`` does, but
+        takes positional arguments and binds the setter once: the
+        scheduler builds one per served request, and matching fourteen
+        keywords cost more than the fields themselves.
+        """
+        response = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(response, "request_id", request.request_id)
+        set_field(response, "source", request.source)
+        set_field(response, "outcome", Outcome.COMPLETED)
+        set_field(response, "priority", request.priority)
+        set_field(response, "arrival_s", request.arrival_s)
+        set_field(response, "finish_s", finish_s)
+        set_field(response, "queue_s", queue_s)
+        set_field(response, "service_s", service_s)
+        set_field(response, "cache_hit", cache_hit)
+        set_field(response, "batch_id", batch_id)
+        set_field(response, "instance", instance)
+        set_field(response, "converged", converged)
+        set_field(response, "solver_sequence", solver_sequence)
+        set_field(response, "iterations", iterations)
+        set_field(response, "detail", "")
+        return response
 
     @property
     def latency_s(self) -> float:

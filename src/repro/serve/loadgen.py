@@ -75,12 +75,13 @@ class LoadSpec:
         )
 
 
-def validate_seed(seed: int) -> None:
+def validate_seed(seed: int, name: str = "seed") -> None:
     """Reject a seed numpy's generators cannot take.
 
-    Shared by :class:`LoadSpec`, the cluster tier's ``ClusterLoadSpec``
-    and the DSE sweep, so a bad seed fails before any work instead of
-    in the first generator call.
+    Shared by :class:`LoadSpec`, the cluster tier's ``ClusterLoadSpec``,
+    the DSE sweep and ``ServiceConfig.profile_seed`` (``name`` is the
+    field the message names), so a bad seed fails before any work
+    instead of in the first generator call.
     """
     if (
         isinstance(seed, bool)
@@ -88,7 +89,7 @@ def validate_seed(seed: int) -> None:
         or seed < 0
     ):
         raise ConfigurationError(
-            f"seed must be a non-negative integer, got {seed!r}"
+            f"{name} must be a non-negative integer, got {seed!r}"
         )
 
 

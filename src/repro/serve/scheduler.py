@@ -25,6 +25,8 @@ index.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from repro import telemetry as tm
@@ -58,12 +60,45 @@ class DeviceFaultEvent:
     class's slot pool only, so a fault aimed at a GPU tenant can never
     evict a resident FPGA plan (and vice versa).  A fault naming a
     class the fleet does not host is consumed without effect.
+
+    Construction raises :class:`~repro.errors.ConfigurationError` for a
+    time that is not finite, a negative outage, a slot that is not an
+    integer and a class other than ``fpga`` or ``gpu``, so a bad
+    schedule fails before any profiling.
     """
 
     at_s: float
     slot: int
     outage_s: float
     device_class: str = FPGA
+
+    def __post_init__(self) -> None:
+        for name in ("at_s", "outage_s"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(
+                    f"device-fault {name} must be a finite number, "
+                    f"got {value!r}"
+                )
+        if self.outage_s < 0:
+            raise ConfigurationError(
+                f"device-fault outage_s must be >= 0, got {self.outage_s}"
+            )
+        if isinstance(self.slot, bool) or not isinstance(
+            self.slot, numbers.Integral
+        ):
+            raise ConfigurationError(
+                f"device-fault slot must be an integer, got {self.slot!r}"
+            )
+        if self.device_class not in (FPGA, GPU):
+            raise ConfigurationError(
+                f"device-fault device_class must be {FPGA!r} or {GPU!r}, "
+                f"got {self.device_class!r}"
+            )
 
 
 @dataclass
@@ -83,9 +118,6 @@ class FleetSlot:
     batches: int = 0
     outages: int = 0
     device_class: str = FPGA
-
-    def free_at(self, now: float) -> bool:
-        return self.busy_until_s <= now
 
 
 @dataclass
@@ -110,7 +142,9 @@ class MicroBatchScheduler:
     error string when profiling failed); the service resolves it before
     the simulation loop.  ``cache`` is ``None`` when serving runs
     cache-less (``--no-cache``) — batching still amortizes within a
-    batch, but every batch re-runs the analysis.
+    batch, but every batch re-runs the analysis.  The scheduler must be
+    the cache's only writer during a run: it memoizes group keys and
+    drops them on its own ``put`` (see :meth:`group_key`).
     """
 
     fleet: FleetSpec
@@ -139,11 +173,6 @@ class MicroBatchScheduler:
                 key=lambda e: (e.at_s, e.device_class, e.slot),
             )
         )
-        for event in self.device_faults:
-            if event.outage_s < 0:
-                raise ConfigurationError(
-                    f"device-fault outage must be >= 0 s, got {event.outage_s}"
-                )
         if not self.slots:
             self.slots = [
                 FleetSlot(index=i) for i in range(self.fleet.total_slots)
@@ -160,6 +189,7 @@ class MicroBatchScheduler:
                 self.fleet.device
             ).reconfig.solver_swap_seconds()
         self._placements: dict[str, PlacementDecision] = {}
+        self._group_keys: dict[str, tuple[str, str, str]] = {}
 
     # -- placement decisions ------------------------------------------
 
@@ -203,6 +233,13 @@ class MicroBatchScheduler:
         The third element is the placement's device class: requests
         bound for different backends never share a micro-batch, so the
         batch's charge model is unambiguous.
+
+        A key depends only on the source's profile and placement (both
+        fixed for a run) and on whether the cache holds its fingerprint,
+        which only :meth:`_serve_batch`'s ``put`` changes (it is also the
+        only place an eviction happens).  :meth:`dispatch` therefore
+        memoizes keys per source and drops the memo on every ``put``;
+        without a cache, keys never change.
         """
         profile = self.profiles[queued.request.source]
         if isinstance(profile, str):
@@ -213,42 +250,25 @@ class MicroBatchScheduler:
             return ("plan", profile.plan_signature, device_class)
         return ("fp", profile.fingerprint, device_class)
 
-    def _form_groups(
-        self, queue: list[QueuedRequest]
-    ) -> list[tuple[tuple[str, str, str], list[QueuedRequest]]]:
-        """Partition the (priority-sorted) queue into compatible groups,
-        preserving the order of each group's head."""
-        groups: dict[tuple[str, str, str], list[QueuedRequest]] = {}
-        order: list[tuple[str, str, str]] = []
-        for queued in queue:
-            key = self.group_key(queued)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(queued)
-        return [(key, groups[key]) for key in order]
-
     def _ripe(self, members: list[QueuedRequest], now: float) -> bool:
-        if len(members) >= self.max_batch:
-            return True
-        if members[0].request.priority is Priority.INTERACTIVE:
-            return True
-        eldest = min(q.admitted_s for q in members)
-        return now - eldest >= self.batch_window_s
+        """Is the group full, interactive-headed, or older than the window?
 
-    def _may_ripen(self, queue: list[QueuedRequest], now: float) -> bool:
-        """Could any group formed from the (priority-sorted) queue be ripe?
-
-        Each test bounds every group at once: a group is never larger
-        than the queue, its head is interactive only if the queue's head
-        is, and its eldest member is no older than the queue's.  When
-        this is false, :meth:`_ripe` is false for every group.
+        Given the whole (priority-sorted) queue, the same tests bound
+        every group formed from it at once: a group is never larger than
+        the queue, its head is interactive only if the queue's head is,
+        and its eldest member is no older than the queue's.  When the
+        queue is not ripe, no group is.
         """
-        return (
-            len(queue) >= self.max_batch
-            or queue[0].request.priority is Priority.INTERACTIVE
-            or now - min(q.admitted_s for q in queue) >= self.batch_window_s
-        )
+        if (
+            len(members) >= self.max_batch
+            or members[0].request.priority is Priority.INTERACTIVE
+        ):
+            return True
+        eldest = members[0].admitted_s
+        for queued in members:  # ``min``'s scan, without building a list
+            if queued.admitted_s < eldest:
+                eldest = queued.admitted_s
+        return now - eldest >= self.batch_window_s
 
     # -- modeled device faults ----------------------------------------
 
@@ -293,24 +313,28 @@ class MicroBatchScheduler:
 
     # -- placement ----------------------------------------------------
 
-    def _pick_slot(
-        self, now: float, signature: str | None, device_class: str
-    ) -> FleetSlot | None:
-        free = [
-            slot
-            for slot in self.slots
-            if slot.device_class == device_class and slot.free_at(now)
-        ]
-        if not free:
-            return None
-        if signature is not None:
-            for slot in free:  # affinity: already-configured slot first
-                if slot.resident_signature == signature:
-                    return slot
-        return min(free, key=lambda slot: slot.index)
+    @staticmethod
+    def _choose_slot(
+        free: list[FleetSlot], signature: str | None, device_class: str
+    ) -> int:
+        """Position in ``free`` of the slot a batch goes to, or -1.
 
-    def has_free_slot(self, now: float) -> bool:
-        return any(slot.free_at(now) for slot in self.slots)
+        ``free`` is in slot-index order and holds the free slots of every
+        class.  Of those of ``device_class``, a slot already configured
+        for ``signature`` wins (affinity); otherwise the lowest index
+        does.
+        """
+        first = -1
+        for position, slot in enumerate(free):
+            if slot.device_class != device_class:
+                continue
+            if signature is not None and slot.resident_signature == signature:
+                return position
+            if first < 0:
+                first = position
+                if signature is None:
+                    break
+        return first
 
     def _serve_batch(
         self,
@@ -321,16 +345,16 @@ class MicroBatchScheduler:
         batch_id: int,
     ) -> list[SolveResponse]:
         signature = profile.plan_signature
+        cache = self.cache
+        device_class = slot.device_class
         # Residency matching needs the cache: without it the service
         # never learns a structure's plan signature ahead of dispatch, so
         # it cannot prove the slot's resident configuration matches and
         # must reload the region for every batch.  On an FPGA slot a
         # residency miss is an ICAP configuration load; on a GPU tenant
         # it is the PCIe structure upload.
-        config_load = (
-            self.cache is None or slot.resident_signature != signature
-        )
-        on_gpu = slot.device_class == GPU
+        config_load = cache is None or slot.resident_signature != signature
+        on_gpu = device_class == GPU
         swap_charge = profile.gpu_transfer_s if on_gpu else self.solver_swap_s
         cursor = now + (swap_charge if config_load else 0.0)
         if config_load:
@@ -339,49 +363,57 @@ class MicroBatchScheduler:
                 tm.count("gpu.transfers")
             else:
                 tm.count("serve.config_loads")
-        entry = self.cache.get(profile.fingerprint) if self.cache else None
+        # ``if cache`` is false for an empty cache too (``__len__``), so
+        # the very first lookup of a run counts no miss.
+        entry = cache.get(profile.fingerprint) if cache else None
         batch_warm = entry is not None
-        if self.cache is not None and not batch_warm:
-            self.cache.put(profile.cache_entry())
-        if not batch_warm and self.fleet.cpu_assist:
+        if cache is not None and not batch_warm:
+            cache.put(profile.cache_entry())
+            # The put may add this fingerprint and evict others: every
+            # memoized group key may be stale now.
+            self._group_keys.clear()
+        cpu_assist = self.fleet.cpu_assist
+        if not batch_warm and cpu_assist:
             tm.count("placement.cpu_assist_offloads")
+        # The first member of a cold batch pays the full analysis and
+        # fallback chain; later members share it (micro-batch
+        # amortization) but still count as cache misses — only a warm
+        # batch's members were truly served from the cache.  Only the
+        # batch head pays full dispatch; members on the same configured
+        # slot reuse its descriptor and lookup.
+        service = DISPATCH_OVERHEAD_SECONDS + profile.member_service_s(
+            device_class, not batch_warm, cpu_assist
+        )
+        member_service = service
+        if len(members) > 1:
+            member_service = (
+                BATCH_MEMBER_DISPATCH_SECONDS
+                + profile.member_service_s(device_class, False, cpu_assist)
+            )
+        instance = slot.index
+        converged = profile.converged
+        solver_sequence = profile.solver_sequence
+        iterations = profile.iterations
         responses: list[SolveResponse] = []
-        for position, queued in enumerate(members):
-            # The first member of a cold batch pays the full analysis and
-            # fallback chain; later members share it (micro-batch
-            # amortization) but still count as cache misses — only a
-            # warm batch's members were truly served from the cache.
-            cold_member = not batch_warm and position == 0
-            # Only the batch head pays full dispatch; members on the same
-            # configured slot reuse its descriptor and lookup.
-            dispatch = (
-                DISPATCH_OVERHEAD_SECONDS
-                if position == 0
-                else BATCH_MEMBER_DISPATCH_SECONDS
-            )
-            service = dispatch + profile.member_service_s(
-                slot.device_class, cold_member, self.fleet.cpu_assist
-            )
+        for queued in members:
+            request = queued.request
             start = cursor
             cursor += service
             responses.append(
-                SolveResponse(
-                    request_id=queued.request.request_id,
-                    source=queued.request.source,
-                    outcome=Outcome.COMPLETED,
-                    priority=queued.request.priority,
-                    arrival_s=queued.request.arrival_s,
-                    finish_s=cursor,
-                    queue_s=start - queued.request.arrival_s,
-                    service_s=service,
-                    cache_hit=batch_warm,
-                    batch_id=batch_id,
-                    instance=slot.index,
-                    converged=profile.converged,
-                    solver_sequence=profile.solver_sequence,
-                    iterations=profile.iterations,
+                SolveResponse.completed(
+                    request,
+                    cursor,  # finish_s
+                    start - request.arrival_s,  # queue_s
+                    service,
+                    batch_warm,  # cache_hit
+                    batch_id,
+                    instance,
+                    converged,
+                    solver_sequence,
+                    iterations,
                 )
             )
+            service = member_service
         tm.count(
             "serve.cache_hits" if batch_warm else "serve.cache_misses",
             len(members),
@@ -394,12 +426,12 @@ class MicroBatchScheduler:
             BatchRecord(
                 batch_id=batch_id,
                 size=len(members),
-                instance=slot.index,
+                instance=instance,
                 start_s=now,
                 end_s=cursor,
                 cold=not batch_warm,
                 config_load=config_load,
-                device_class=slot.device_class,
+                device_class=device_class,
             )
         )
         tm.count("serve.batches")
@@ -471,37 +503,56 @@ class MicroBatchScheduler:
         A tick that cannot dispatch (empty queue, no free slot, no group
         that can be ripe) returns the queue unchanged without forming
         groups.
+
+        Each placement re-forms the groups from the remaining queue,
+        because a cold batch's ``put`` can merge groups, and places the
+        first ripe group whose device class has a free slot: a class
+        with none skips the group rather than ending the tick.  The free
+        slots are found once per tick and a slot leaves the list when
+        its batch makes it busy.
         """
-        self.apply_device_faults(now)
-        if (
-            not queue
-            or not self.has_free_slot(now)
-            or not self._may_ripen(queue, now)
-        ):
+        if self._faults_applied < len(self.device_faults):
+            self.apply_device_faults(now)
+        if not queue or not self._ripe(queue, now):
             return [], queue, next_batch_id
-        remaining = list(queue)
+        free = [slot for slot in self.slots if slot.busy_until_s <= now]
+        if not free:
+            return [], queue, next_batch_id
+        profiles = self.profiles
+        keys = self._group_keys
+        max_batch = self.max_batch
+        with_cache = self.cache is not None
         responses: list[SolveResponse] = []
-        while remaining and self.has_free_slot(now):
-            dispatched = False
-            for key, members in self._form_groups(remaining):
+        remaining = queue
+        while remaining and free:
+            groups: dict[tuple[str, str, str], list[QueuedRequest]] = {}
+            for queued in remaining:
+                source = queued.request.source
+                key = keys.get(source)
+                if key is None:
+                    key = keys[source] = self.group_key(queued)
+                members = groups.get(key)
+                if members is None:
+                    groups[key] = [queued]
+                else:
+                    members.append(queued)
+            for key, members in groups.items():
                 if not self._ripe(members, now):
                     continue
-                take = members[: self.max_batch]
-                profile = self.profiles[take[0].request.source]
-                signature = (
+                take = members[:max_batch]
+                profile = profiles[take[0].request.source]
+                failed = isinstance(profile, str)
+                position = self._choose_slot(
+                    free,
                     profile.plan_signature
-                    if self.cache is not None
-                    and not isinstance(profile, str)
-                    else None
+                    if with_cache and not failed
+                    else None,
+                    key[2],
                 )
-                # The group's device class rode in on its key; a class
-                # with no free slot must not block groups placed on the
-                # other class, so exhaustion skips the group rather
-                # than ending the tick.
-                slot = self._pick_slot(now, signature, key[2])
-                if slot is None:
+                if position < 0:
                     continue
-                if isinstance(profile, str):
+                slot = free[position]
+                if failed:
                     responses.extend(
                         self._fail_batch(slot, take, profile, now, next_batch_id)
                     )
@@ -510,12 +561,14 @@ class MicroBatchScheduler:
                         self._serve_batch(slot, take, profile, now, next_batch_id)
                     )
                 next_batch_id += 1
-                taken = {q.request.request_id for q in take}
-                remaining = [
-                    q for q in remaining if q.request.request_id not in taken
-                ]
-                dispatched = True
+                if slot.busy_until_s > now:
+                    del free[position]
+                if len(take) == len(remaining):
+                    remaining = []
+                else:
+                    taken = {id(q) for q in take}
+                    remaining = [q for q in remaining if id(q) not in taken]
                 break
-            if not dispatched:
+            else:
                 break
         return responses, remaining, next_batch_id

@@ -22,11 +22,14 @@ separate telemetry export, never in the deterministic report.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from repro import telemetry as tm
 from repro.config import AcamarConfig
@@ -42,13 +45,11 @@ from repro.serve.api import (
     SolveResponse,
 )
 from repro.serve.cache import PlanCache
+from repro.serve.loadgen import LoadSpec, validate_seed
 from repro.serve.profile import SolveProfile, profile_items
 from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
 from repro.serve.stats import format_latency_ms, latency_summary_ms
 from repro.telemetry import Telemetry
-
-if TYPE_CHECKING:  # pragma: no cover — type name only, avoids eager import
-    from repro.serve.loadgen import LoadSpec
 
 SERVING_SCHEMA_VERSION = 1
 
@@ -73,19 +74,20 @@ class ServiceConfig:
     device_faults: tuple[DeviceFaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.queue_capacity < 1:
-            raise ConfigurationError(
-                "admission queue capacity must be >= 1, got "
-                f"{self.queue_capacity}"
-            )
-        if self.max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.cache_capacity < 1:
-            raise ConfigurationError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
+        for name in ("queue_capacity", "max_batch", "cache_capacity",
+                     "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            if value < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {value}"
+                )
+        validate_seed(self.profile_seed, "profile_seed")
         if not (math.isfinite(self.batch_window_ms)
                 and self.batch_window_ms >= 0):
             raise ConfigurationError(
@@ -95,10 +97,6 @@ class ServiceConfig:
         if not (math.isfinite(self.tick_ms) and self.tick_ms > 0):
             raise ConfigurationError(
                 f"tick_ms must be a finite number > 0, got {self.tick_ms}"
-            )
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
             )
 
     def as_dict(self) -> dict[str, Any]:
@@ -379,7 +377,7 @@ def build_profiles(
 
 
 def run_loadtest(
-    spec: "LoadSpec",
+    spec: LoadSpec,
     service_config: ServiceConfig | None = None,
     acamar_config: AcamarConfig | None = None,
 ) -> ServingReport:
@@ -452,7 +450,7 @@ def run_service(
     acamar_config = (
         acamar_config if acamar_config is not None else AcamarConfig()
     )
-    requests = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    requests = sorted(requests, key=attrgetter("arrival_s", "request_id"))
     _check_requests(requests)
     collector = Telemetry()
     with collector.activate():
@@ -482,48 +480,51 @@ def run_service(
         responses: list[SolveResponse] = []
         queue_depth_samples: list[int] = []
         tick = service_config.tick_ms * 1e-3
-        duration = requests[-1].arrival_s if requests else 0.0
+        total = len(requests)
+        arrivals = [request.arrival_s for request in requests]
+        duration = arrivals[-1] if requests else 0.0
         drain_limit = max(duration, tick) * DRAIN_LIMIT_FACTOR
+        offer = admission.offer
+        sample = queue_depth_samples.append
         pointer = 0
         batch_id = 0
         now = 0.0
         step = 0
-        while pointer < len(requests) or admission.queue:
+        while pointer < total or admission.queue:
             now = step * tick
             # 1. Admit (or shed) every arrival this tick covers, at its
             #    own arrival timestamp so deadline math stays exact.
-            while (
-                pointer < len(requests)
-                and requests[pointer].arrival_s <= now
-            ):
-                request = requests[pointer]
-                pointer += 1
-                tm.count("serve.requests")
-                verdict, victim = admission.offer(request, request.arrival_s)
-                if victim is not None:
-                    responses.append(
-                        SolveResponse(
-                            request_id=victim.request.request_id,
-                            source=victim.request.source,
-                            outcome=Outcome.SHED,
-                            priority=victim.request.priority,
-                            arrival_s=victim.request.arrival_s,
-                            finish_s=request.arrival_s,
-                            detail="preempted: displaced by higher priority",
+            if pointer < total and arrivals[pointer] <= now:
+                end = bisect.bisect_right(arrivals, now, pointer)
+                tm.count("serve.requests", end - pointer)
+                for request in requests[pointer:end]:
+                    verdict, victim = offer(request, request.arrival_s)
+                    if victim is not None:
+                        responses.append(
+                            SolveResponse(
+                                request_id=victim.request.request_id,
+                                source=victim.request.source,
+                                outcome=Outcome.SHED,
+                                priority=victim.request.priority,
+                                arrival_s=victim.request.arrival_s,
+                                finish_s=request.arrival_s,
+                                detail="preempted: displaced by higher "
+                                "priority",
+                            )
                         )
-                    )
-                if verdict is not AdmissionVerdict.ADMITTED:
-                    responses.append(
-                        SolveResponse(
-                            request_id=request.request_id,
-                            source=request.source,
-                            outcome=Outcome.SHED,
-                            priority=request.priority,
-                            arrival_s=request.arrival_s,
-                            finish_s=request.arrival_s,
-                            detail=verdict.value,
+                    if verdict is not AdmissionVerdict.ADMITTED:
+                        responses.append(
+                            SolveResponse(
+                                request_id=request.request_id,
+                                source=request.source,
+                                outcome=Outcome.SHED,
+                                priority=request.priority,
+                                arrival_s=request.arrival_s,
+                                finish_s=request.arrival_s,
+                                detail=verdict.value,
+                            )
                         )
-                    )
+                pointer = end
             # 2. Expire queued requests whose deadline lapsed.
             for lapsed in admission.expire(now):
                 responses.append(
@@ -540,14 +541,16 @@ def run_service(
                     )
                 )
             # 3. Dispatch ripe micro-batches onto free slots.
-            batch_responses, admission.queue, batch_id = scheduler.dispatch(
+            batch_responses, queue, batch_id = scheduler.dispatch(
                 admission.queue, now, batch_id
             )
-            responses.extend(batch_responses)
-            queue_depth_samples.append(admission.depth())
+            admission.queue = queue
+            if batch_responses:
+                responses.extend(batch_responses)
+            sample(len(queue))
             step += 1
-            if now > drain_limit and admission.queue:
-                for queued in admission.queue:
+            if now > drain_limit and queue:
+                for queued in queue:
                     responses.append(
                         SolveResponse(
                             request_id=queued.request.request_id,
@@ -565,8 +568,8 @@ def run_service(
             # 4. On an empty queue nothing happens before the next arrival
             #    or device fault: jump to its tick, sampling zero depth
             #    for the ticks skipped.
-            if not admission.queue and pointer < len(requests):
-                until = requests[pointer].arrival_s
+            if not queue and pointer < total:
+                until = arrivals[pointer]
                 fault_s = scheduler.next_fault_s()
                 if fault_s is not None and fault_s < until:
                     until = fault_s
@@ -576,7 +579,7 @@ def run_service(
         for response in responses:
             if response.outcome is Outcome.COMPLETED:
                 tm.observe("serve.latency_ms", response.latency_s * 1e3)
-    responses.sort(key=lambda r: (r.finish_s, r.request_id))
+    responses.sort(key=attrgetter("finish_s", "request_id"))
     horizon = max(
         [duration]
         + [slot.busy_until_s for slot in scheduler.slots]

@@ -23,6 +23,22 @@ class TestFleetSpec:
         with pytest.raises(ConfigurationError):
             FleetSpec(slots_per_device=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("devices", 1.5),
+        ("devices", True),
+        ("devices", 0),
+        ("slots_per_device", 2.0),
+        ("slots_per_device", -1),
+        ("gpu_tenants", 0.5),
+        ("gpu_tenants", False),
+        ("gpu_tenants", -1),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        from repro.fpga.multitenancy import FleetSpec
+
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            FleetSpec(**{field: value})
+
     def test_exported_from_package(self):
         from repro.fpga import FleetSpec as exported
         from repro.fpga.multitenancy import FleetSpec

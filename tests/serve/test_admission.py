@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.admission import AdmissionController, AdmissionVerdict
+from repro.serve.admission import (
+    AdmissionController,
+    AdmissionVerdict,
+    QueuedRequest,
+)
 from repro.serve.api import Priority, SolveRequest
 
 
@@ -93,6 +97,24 @@ class TestAdmission:
         assert [q.request.request_id for q in lapsed] == [0]
         assert [q.request.request_id for q in controller.queue] == [1]
         assert controller.expire(now=0.02) == []
+
+    def test_expire_after_dispatch_removed_the_earliest_deadline(self):
+        # Dispatch takes entries out of the queue behind the controller's
+        # back; the sweep must still find the next deadline to lapse.
+        controller = AdmissionController(capacity=8)
+        controller.offer(request(0, arrival=0.0, deadline=0.01), now=0.0)
+        controller.offer(request(1, arrival=0.0, deadline=0.05), now=0.0)
+        controller.queue = controller.queue[1:]
+        assert controller.expire(now=0.02) == []
+        lapsed = controller.expire(now=0.05)
+        assert [q.request.request_id for q in lapsed] == [1]
+        assert controller.queue == []
+
+    def test_expire_sees_a_queue_given_at_construction(self):
+        queued = QueuedRequest(request(0, arrival=0.0, deadline=0.01), 0.0)
+        controller = AdmissionController(capacity=8, queue=[queued])
+        assert controller.expire(now=0.01) == [queued]
+        assert controller.queue == []
 
 
 class TestDeadlineBoundary:

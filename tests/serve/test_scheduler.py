@@ -1,5 +1,7 @@
 """Tests for micro-batch formation, placement and cost charging."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -190,7 +192,71 @@ class TestCostCharging:
         # One slot: the incompatible second group must wait.
         assert len(responses) == 1
         assert len(remaining) == 1
-        assert not scheduler.has_free_slot(0.01)
+        # The slot is still busy at 0.01: the ripe group waits again.
+        again, still, _ = scheduler.dispatch(
+            remaining, now=0.01, next_batch_id=1
+        )
+        assert again == []
+        assert still == remaining
+
+
+class TestGroupKeyMemo:
+    """Memoized group keys must follow the cache, and slots the plan."""
+
+    def test_cached_fingerprints_merge_on_their_plan_signature(self):
+        # A and B share a plan signature under different fingerprints.
+        # Each first runs alone and cold, so its key is first computed
+        # uncached; once both are cached they form one batch, which a
+        # key memoized before the ``put`` would keep apart.
+        scheduler = make_scheduler(cache=PlanCache(capacity=8))
+        scheduler.dispatch([queued(0, "A")], now=0.01, next_batch_id=0)
+        scheduler.dispatch(
+            [queued(1, "B", arrival=0.1, admitted=0.1)],
+            now=0.11,
+            next_batch_id=1,
+        )
+        responses, remaining, _ = scheduler.dispatch(
+            [
+                queued(2, "A", arrival=0.2, admitted=0.2),
+                queued(3, "B", arrival=0.2, admitted=0.2),
+            ],
+            now=0.21,
+            next_batch_id=2,
+        )
+        assert remaining == []
+        assert {r.batch_id for r in responses} == {2}
+        assert all(r.cache_hit for r in responses)
+
+    def test_without_cache_fingerprints_never_merge(self):
+        scheduler = make_scheduler(cache=None)
+        scheduler.dispatch([queued(0, "A")], now=0.01, next_batch_id=0)
+        responses, _, _ = scheduler.dispatch(
+            [
+                queued(1, "A", arrival=0.2, admitted=0.2),
+                queued(2, "B", arrival=0.2, admitted=0.2),
+            ],
+            now=0.21,
+            next_batch_id=1,
+        )
+        assert sorted(r.batch_id for r in responses) == [1, 2]
+
+    def test_affinity_prefers_a_resident_slot_over_a_lower_index(self):
+        cache = PlanCache(capacity=8)
+        scheduler = make_scheduler(cache=cache, slots=2)
+        # A lands on slot 0 and C on slot 1 in the same tick.
+        first, _, _ = scheduler.dispatch(
+            [queued(0, "A"), queued(1, "C")], now=0.01, next_batch_id=0
+        )
+        assert {r.source: r.instance for r in first} == {"A": 0, "C": 1}
+        loads = [s.config_loads for s in scheduler.slots]
+        # Both slots are free again; C's plan is resident on slot 1.
+        again, _, _ = scheduler.dispatch(
+            [queued(2, "C", arrival=0.2, admitted=0.2)],
+            now=0.3,
+            next_batch_id=2,
+        )
+        assert again[0].instance == 1
+        assert [s.config_loads for s in scheduler.slots] == loads
 
 
 class TestDeviceFaults:
@@ -252,3 +318,26 @@ class TestDeviceFaults:
     def test_negative_outage_rejected(self):
         with pytest.raises(ConfigurationError):
             self.make_faulty([(0.0, 0, -1.0)])
+
+    @pytest.mark.parametrize("fault, field", [
+        ((0.0, 0.5, 0.1), "slot"),
+        ((0.0, True, 0.1), "slot"),
+        ((math.nan, 0, 0.1), "at_s"),
+        ((math.inf, 0, 0.1), "at_s"),
+        ((True, 0, 0.1), "at_s"),
+        ((0.0, 0, math.nan), "outage_s"),
+        ((0.0, 0, math.inf), "outage_s"),
+        ((0.0, 0, -1e-9), "outage_s"),
+        ((0.0, 0, 0.1, "tpu"), "device_class"),
+    ])
+    def test_bad_event_rejected_at_construction(self, fault, field):
+        from repro.serve.scheduler import DeviceFaultEvent
+
+        with pytest.raises(ConfigurationError, match=f"device-fault {field} "):
+            DeviceFaultEvent(*fault)
+
+    def test_valid_events_construct(self):
+        from repro.serve.scheduler import DeviceFaultEvent
+
+        DeviceFaultEvent(-1.0, -3, 0.0)
+        DeviceFaultEvent(0.5, 2, 0.25, "gpu")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ValidationError
@@ -56,6 +57,27 @@ class TestServiceConfig:
     def test_field_checked_at_construction(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             ServiceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("queue_capacity", True),
+        ("queue_capacity", 2.0),
+        ("queue_capacity", 0),
+        ("max_batch", 2.5),
+        ("max_batch", False),
+        ("cache_capacity", 1.5),
+        ("workers", 1.5),
+        ("workers", 0),
+        ("profile_seed", -1),
+        ("profile_seed", True),
+        ("profile_seed", 1.0),
+    ])
+    def test_integer_knobs_take_only_integers(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            ServiceConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = ServiceConfig(max_batch=np.int64(4), profile_seed=np.int32(3))
+        assert config.max_batch == 4
 
     def test_workers_excluded_from_report_dict(self):
         assert "workers" not in ServiceConfig(workers=4).as_dict()
@@ -254,3 +276,33 @@ class TestReport:
         assert len(distributions["serve.latency_ms"]) == len(
             baseline_report.completed
         )
+
+
+class TestIntegerPriorities:
+    """A log built with plain ints schedules and reports as one built
+    with ``Priority`` members (before coercion the ints never counted as
+    interactive: 5 batches and no interactive latencies here)."""
+
+    @staticmethod
+    def alternating(interactive, best_effort):
+        return [
+            SolveRequest(
+                request_id=i,
+                source="Wa",
+                arrival_s=i * 1e-4,
+                priority=interactive if i % 2 == 0 else best_effort,
+            )
+            for i in range(40)
+        ]
+
+    def test_int_and_member_logs_give_identical_reports(self):
+        config = ServiceConfig(batch_window_ms=5.0)
+        members = run_service(
+            self.alternating(Priority.INTERACTIVE, Priority.BEST_EFFORT),
+            config,
+        )
+        ints = run_service(self.alternating(0, 2), config)
+        assert ints.to_json() == members.to_json()
+        doc = members.as_dict(include_responses=False)
+        assert doc["batches"]["count"] == 7
+        assert doc["latency_ms"]["by_priority"]["interactive"]["count"] == 20

@@ -443,11 +443,30 @@ class TestUsageErrorBoundary:
          "seed must be a non-negative integer"),
         (("dse", "--workers", "0"), "workers must be an integer >= 1"),
         (("dse", "--workers", "-3"), "workers must be an integer >= 1"),
+        (("loadtest", "--queue-capacity", "0", "--duration", "1"),
+         "queue_capacity must be >= 1"),
+        (("loadtest", "--workers", "0", "--duration", "1"),
+         "workers must be >= 1"),
+        (("loadtest", "--devices", "0", "--duration", "1"),
+         "devices must be >= 1"),
+        (("serve", "--gpu-tenants", "-1", "--duration", "1"),
+         "gpu_tenants must be >= 0"),
     ])
     def test_bad_argument(self, argv, message):
         result = run_cli(*argv)
         assert_usage_error(result, argv[0], message)
         assert "problem:" not in result.stdout
+
+    @pytest.mark.parametrize("priority", ["true", "7"])
+    def test_bad_priority_in_request_log(self, tmp_path, priority):
+        log = tmp_path / "requests.jsonl"
+        log.write_text(
+            '{"request_id": 0, "source": "Wa", "arrival_s": 0.0, '
+            f'"priority": {priority}}}\n'
+        )
+        result = run_cli("serve", "--requests", str(log))
+        assert_usage_error(result, "serve", "unknown priority")
+        assert "served" not in result.stdout
 
     SPACE = {
         "axes": {
