@@ -9,11 +9,11 @@ Two halves share this package:
   AST-based lint engine that machine-checks the repo's file-scoped
   contracts (determinism, layering, numeric safety, exceptions,
   telemetry naming, virtual clock — REP001–REP006), extended by
-  :mod:`repro.analysis.project` into a whole-program pass with
-  cross-module rules (telemetry liveness, worker-boundary purity, CLI
-  exit contract, determinism escapes — REP007–REP010), an incremental
-  content-hash cache and ``run_sharded`` fan-out; fronted by the
-  ``repro lint`` CLI with SARIF output in :mod:`repro.analysis.sarif`.
+  :mod:`repro.analysis.project` into one serial whole-program pass
+  with cross-module rules (telemetry liveness, worker-boundary purity,
+  CLI exit contract, determinism escapes — REP007–REP010); fronted by
+  the ``repro lint`` CLI with SARIF output in
+  :mod:`repro.analysis.sarif`.
 """
 
 from repro.analysis.checkers import (
@@ -22,7 +22,6 @@ from repro.analysis.checkers import (
     ALL_RULES,
     PROJECT_RULE_IDS,
     RULE_IDS,
-    checkers_for_rules,
     partition_checkers,
 )
 from repro.analysis.engine import (
@@ -32,10 +31,8 @@ from repro.analysis.engine import (
     LintReport,
     SourceFile,
     format_findings,
-    run_lint,
 )
 from repro.analysis.project import (
-    DEFAULT_CACHE_NAME,
     ProjectChecker,
     ProjectIndex,
     run_project_lint,
@@ -45,7 +42,6 @@ __all__ = [
     "ALL_CHECKERS",
     "ALL_PROJECT_CHECKERS",
     "ALL_RULES",
-    "DEFAULT_CACHE_NAME",
     "FORMATS",
     "Checker",
     "Finding",
@@ -55,9 +51,7 @@ __all__ = [
     "ProjectIndex",
     "RULE_IDS",
     "SourceFile",
-    "checkers_for_rules",
     "format_findings",
     "partition_checkers",
-    "run_lint",
     "run_project_lint",
 ]

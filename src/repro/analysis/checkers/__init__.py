@@ -4,17 +4,14 @@ Two checker families share the registry:
 
 - **file-scoped** checkers (REP001–REP006) implement
   :class:`~repro.analysis.engine.Checker` and see one parsed file at a
-  time; they run in phase 1 of the whole-program pass (cacheable,
-  parallelizable) and under the legacy per-file
-  :func:`~repro.analysis.engine.run_lint`,
+  time; they run in phase 1 of
+  :func:`~repro.analysis.project.run_project_lint`,
 - **project-scoped** checkers (REP007–REP010) implement
   :class:`~repro.analysis.project.ProjectChecker` and see the assembled
-  :class:`~repro.analysis.project.ProjectIndex`; they run in phase 2
-  and only via :func:`~repro.analysis.project.run_project_lint`.
+  :class:`~repro.analysis.project.ProjectIndex`; they run in phase 2.
 
 :func:`partition_checkers` splits a rule selection into the two
-families; :func:`checkers_for_rules` keeps its historical contract of
-returning the file-scoped subset.
+families.
 """
 
 from __future__ import annotations
@@ -71,31 +68,6 @@ ALL_RULES: dict[str, str] = {
 """Rule id → one-line title, for ``--help`` text and SARIF metadata."""
 
 
-def _validate(rules: Sequence[str]) -> None:
-    unknown = sorted(set(rules) - set(ALL_RULES))
-    if unknown:
-        raise UnknownNameError(
-            f"unknown lint rule(s) {unknown}; known: {sorted(ALL_RULES)}"
-        )
-
-
-def checkers_for_rules(rules: Sequence[str] | None) -> tuple[Checker, ...]:
-    """File-scoped subset of the registry for the given rule ids.
-
-    ``None`` (or an empty selection) means every file-scoped checker;
-    an unknown rule id raises :class:`~repro.errors.UnknownNameError`.
-    Project-scoped ids are accepted but contribute nothing here — use
-    :func:`partition_checkers` to get both families.
-    """
-    if not rules:
-        return ALL_CHECKERS
-    _validate(rules)
-    by_id = {c.rule_id: c for c in ALL_CHECKERS}
-    return tuple(
-        by_id[rule] for rule in dict.fromkeys(rules) if rule in by_id
-    )
-
-
 def partition_checkers(
     rules: Sequence[str] | None,
 ) -> tuple[tuple[Checker, ...], tuple["ProjectChecker", ...]]:
@@ -107,7 +79,11 @@ def partition_checkers(
     """
     if not rules:
         return ALL_CHECKERS, ALL_PROJECT_CHECKERS
-    _validate(rules)
+    unknown = sorted(set(rules) - set(ALL_RULES))
+    if unknown:
+        raise UnknownNameError(
+            f"unknown lint rule(s) {unknown}; known: {sorted(ALL_RULES)}"
+        )
     file_by_id = {c.rule_id: c for c in ALL_CHECKERS}
     project_by_id = {c.rule_id: c for c in ALL_PROJECT_CHECKERS}
     selection = tuple(dict.fromkeys(rules))
@@ -133,6 +109,5 @@ __all__ = [
     "TelemetryNameChecker",
     "VirtualClockChecker",
     "WorkerBoundaryChecker",
-    "checkers_for_rules",
     "partition_checkers",
 ]

@@ -71,11 +71,7 @@ ALLOWED_DEPENDENCIES: Mapping[str, frozenset[str]] = {
     "baselines": frozenset(
         {"errors", "config", "sparse", "solvers", "fpga"}
     ),
-    # analysis → parallel covers the whole-program lint pass, which
-    # fans phase-1 file parsing out over the run_sharded pool.
-    "analysis": frozenset(
-        {"errors", "config", "telemetry", "sparse", "solvers", "parallel"}
-    ),
+    "analysis": frozenset({"errors", "telemetry", "sparse", "solvers"}),
     # -- orchestration ------------------------------------------------
     # campaign ↔ parallel is a sanctioned cycle: workers lazily import
     # campaign's entry builders.

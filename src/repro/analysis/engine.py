@@ -1,4 +1,4 @@
-"""The invariant lint engine: parse once, dispatch to checkers.
+"""The invariant lint engine: parsed files, findings, renderers.
 
 The repo's most valuable guarantees — byte-identical serving reports on
 a virtual clock, bit-identical seed-kernel SpMV parity, deterministic
@@ -9,15 +9,16 @@ them:
 
 - :class:`SourceFile` — one parsed file (text, AST, dotted module name),
 - :class:`Finding` — one rule violation at a specific site,
-- :class:`Checker` — the protocol every rule implements,
-- :func:`run_lint` — walk paths, parse each file once, dispatch every
-  checker over the shared AST, return sorted findings,
+- :class:`Checker` — the protocol every file-scoped rule implements,
+- :func:`iter_python_files` / :func:`load_source` — walk paths and
+  parse each file once,
 - :func:`format_findings` — ``text`` / ``json`` / ``github`` / ``sarif``
   renderers (``github`` emits workflow annotation commands so findings
   land on PR diffs; ``sarif`` emits a SARIF 2.1.0 log for code-scanning
   upload, rendered by :mod:`repro.analysis.sarif`).
 
-Checkers live in :mod:`repro.analysis.checkers`; the CLI front-end is
+Checkers live in :mod:`repro.analysis.checkers`; the one lint entry
+point is :func:`repro.analysis.project.run_project_lint`, fronted by
 ``repro lint``.
 """
 
@@ -100,13 +101,6 @@ class LintReport:
 
     findings: list[Finding]
     files_checked: int = 0
-    cache_hits: int = 0
-    """Files whose per-file results were reused from the incremental
-    cache (whole-program runs only).  Deliberately **not** rendered by
-    any formatter: cold-cache, warm-cache and ``--workers N`` runs must
-    stay byte-identical on stdout."""
-    cache_misses: int = 0
-    """Files that had to be (re)parsed this run.  Not rendered either."""
 
     @property
     def clean(self) -> bool:
@@ -153,17 +147,9 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
     return iter(collected)
 
 
-def load_source(
-    path: Path, root: Path | None = None, text: str | None = None
-) -> SourceFile:
-    """Parse one file into the :class:`SourceFile` all checkers share.
-
-    ``text`` short-circuits the disk read when the caller already holds
-    the file contents (the whole-program pass reads bytes once to
-    content-hash them for the incremental cache).
-    """
-    if text is None:
-        text = path.read_text(encoding="utf-8")
+def load_source(path: Path, root: Path | None = None) -> SourceFile:
+    """Parse one file into the :class:`SourceFile` all checkers share."""
+    text = path.read_text(encoding="utf-8")
     try:
         tree = ast.parse(text, filename=str(path))
     except SyntaxError as exc:
@@ -184,23 +170,6 @@ def load_source(
         text=text,
         tree=tree,
     )
-
-
-def run_lint(
-    paths: Sequence[Path],
-    checkers: Sequence[Checker],
-    root: Path | None = None,
-) -> LintReport:
-    """Run every checker over every file; findings come back sorted."""
-    findings: list[Finding] = []
-    files_checked = 0
-    for path in iter_python_files(paths):
-        source = load_source(path, root=root)
-        files_checked += 1
-        for checker in checkers:
-            findings.extend(checker.check(source))
-    findings.sort(key=Finding.sort_key)
-    return LintReport(findings=findings, files_checked=files_checked)
 
 
 # -- rendering ----------------------------------------------------------

@@ -1,44 +1,36 @@
 """The whole-program analysis layer behind ``repro lint``.
 
-The per-file engine (:mod:`repro.analysis.engine`) can only see one
-AST at a time, so cross-module contract violations — a registered
-telemetry counter nobody emits, an unpicklable object handed across the
-``run_sharded`` worker boundary, a wall-clock value laundered into the
-deterministic core through a helper re-export — are invisible to it.
-This module closes that gap with a classic two-phase design:
+The file-scoped checkers (REP001–REP006) see one AST at a time, so
+cross-module contract violations — a registered telemetry counter
+nobody emits, an unpicklable object handed across the ``run_sharded``
+worker boundary, a wall-clock value laundered into the deterministic
+core through a helper re-export — are invisible to them.  This module
+closes that gap with a two-phase design, run as one serial pass:
 
-**Phase 1 (per file, cacheable, parallelizable).**  Each file is parsed
-once; the file-scoped checkers (REP001–REP006) run over the tree, and a
-JSON-serializable *facts record* is extracted: emitted telemetry names,
-module-level definitions, import bindings, ``run_sharded`` boundary
-calls, CLI return/exit shapes, determinism-tainted exports, and — for
-``repro.telemetry`` itself — the literal name registry.  Phase-1 output
-is keyed by content hash in an incremental cache
-(``.repro-lint-cache.json``) and, for cold files, fanned out over the
-:mod:`repro.parallel` process pool.
+**Phase 1 (per file).**  Each file is parsed once; the file-scoped
+checkers run over the tree, and a *facts record* is extracted: emitted
+telemetry names, module-level definitions, import bindings,
+``run_sharded`` boundary calls, CLI return/exit shapes,
+determinism-tainted exports, and — for ``repro.telemetry`` itself — the
+literal name registry.
 
-**Phase 2 (whole program, cheap, serial).**  The facts are assembled
-into a :class:`ProjectIndex` — a module name → facts map with
-qualified-name resolution — and the project-scoped checkers
-(REP007–REP010 in :mod:`repro.analysis.checkers`) run over it.
+**Phase 2 (whole program).**  The facts are assembled into a
+:class:`ProjectIndex` — a module name → facts map with qualified-name
+resolution — and the project-scoped checkers (REP007–REP010 in
+:mod:`repro.analysis.checkers`) run over it.
 
-Output is **byte-identical** between cold-cache, warm-cache and
-``--workers N`` runs: facts and findings round-trip through JSON, the
-final report is fully sorted, and cache statistics are kept off every
-renderer.
+The final report is fully sorted, so its bytes depend only on the
+linted tree and the rule selection.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Protocol, Sequence
 
-from repro import telemetry as tm
 from repro.analysis.checkers.common import ImportMap, qualified_name
 from repro.analysis.engine import (
     Finding,
@@ -47,18 +39,6 @@ from repro.analysis.engine import (
     iter_python_files,
     load_source,
 )
-from repro.config import AcamarConfig
-from repro.errors import ConfigurationError
-from repro.parallel import ItemResult, WorkItem, run_sharded
-
-FACTS_VERSION = 1
-"""Schema version of the per-file facts record."""
-
-LINT_CACHE_VERSION = 1
-"""Bumped whenever phase-1 semantics change; invalidates every cache."""
-
-DEFAULT_CACHE_NAME = ".repro-lint-cache.json"
-"""Cache file name, created next to the lint root (gitignored)."""
 
 #: Qualified names that mark a call as crossing the worker boundary.
 BOUNDARY_FUNCTIONS = frozenset({
@@ -600,7 +580,7 @@ def _exit_facts(
 
 
 def extract_facts(source: SourceFile) -> dict[str, Any]:
-    """The JSON-serializable facts record phase 2 consumes."""
+    """The per-file facts record phase 2 consumes."""
     imports = ImportMap(source.tree)
     visitor = _BoundaryVisitor(imports)
     visitor.visit(source.tree)
@@ -697,120 +677,7 @@ class ProjectIndex:
         return False, f"{module} has no module-level binding named {name!r}"
 
 
-# -- phase 1 execution: worker entry point and cache --------------------
-
-
-def _process_file(
-    path: Path, root: Path, rules: Sequence[str] | None
-) -> dict[str, Any]:
-    """Parse one file; run file-scoped checkers; extract facts."""
-    from repro.analysis.checkers import partition_checkers
-
-    file_checkers, _ = partition_checkers(rules)
-    data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    source = load_source(path, root=root, text=data.decode("utf-8"))
-    findings = [
-        finding.as_dict()
-        for checker in file_checkers
-        for finding in checker.check(source)
-    ]
-    return {
-        "path": source.display_path,
-        "hash": digest,
-        "findings": findings,
-        "facts": extract_facts(source),
-    }
-
-
-def lint_items(
-    items: Sequence[WorkItem], config: AcamarConfig
-) -> list[ItemResult]:
-    """``run_sharded`` worker entry point: phase-1 one file per item.
-
-    ``item.source`` is ``(path, root, rules_csv)`` — plain strings so
-    the item pickles cheaply.  Syntax/read errors come back in
-    ``ItemResult.error`` and are re-raised parent-side to keep the
-    serial and parallel paths behaviorally identical.
-    """
-    del config  # the solver config is irrelevant to lint work
-    results: list[ItemResult] = []
-    for item in items:
-        path_str, root_str, rules_csv = item.source
-        rules = [r for r in rules_csv.split(",") if r] if rules_csv else None
-        try:
-            entry = _process_file(Path(path_str), Path(root_str), rules)
-        except ConfigurationError as exc:
-            message = str(exc.args[0]) if exc.args else str(exc)
-            results.append(ItemResult(
-                index=item.index, entry=None, error=message,
-                label=path_str, telemetry={},
-            ))
-        else:
-            results.append(ItemResult(
-                index=item.index, entry=entry, error=None,
-                label=str(entry["path"]), telemetry={},
-            ))
-    return results
-
-
-def _cache_signature(rule_ids: Sequence[str]) -> str:
-    """Content key for the whole cache: versions + rule set + python."""
-    payload = json.dumps({
-        "cache_version": LINT_CACHE_VERSION,
-        "facts_version": FACTS_VERSION,
-        "rules": sorted(rule_ids),
-        "python": f"{sys.version_info[0]}.{sys.version_info[1]}",
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _load_cache(path: Path, signature: str) -> dict[str, dict[str, Any]]:
-    """File-entry map from a cache file; empty on any mismatch.
-
-    A corrupt or stale cache never fails the run — it just degrades to
-    a cold start and is rewritten afterwards.
-    """
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if not isinstance(payload, dict):
-        return {}
-    if payload.get("version") != LINT_CACHE_VERSION:
-        return {}
-    if payload.get("signature") != signature:
-        return {}
-    files = payload.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _write_cache(
-    path: Path, signature: str, entries: dict[str, dict[str, Any]]
-) -> None:
-    document = {
-        "version": LINT_CACHE_VERSION,
-        "signature": signature,
-        "files": {key: entries[key] for key in sorted(entries)},
-    }
-    try:
-        path.write_text(
-            json.dumps(document, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    except OSError:
-        pass  # a read-only tree still lints, just never warms up
-
-
 # -- the whole-program entry point --------------------------------------
-
-
-def _display_path(path: Path, root: Path) -> str:
-    resolved = path.resolve()
-    try:
-        return resolved.relative_to(root).as_posix()
-    except ValueError:
-        return resolved.as_posix()
 
 
 def run_project_lint(
@@ -818,108 +685,33 @@ def run_project_lint(
     *,
     rules: Sequence[str] | None = None,
     root: Path | None = None,
-    workers: int = 1,
-    cache_path: Path | None = None,
-    use_cache: bool = True,
 ) -> LintReport:
     """Run the full two-phase lint; findings come back sorted."""
     from repro.analysis.checkers import partition_checkers
 
-    base = (root or Path.cwd()).resolve()
     file_checkers, project_checkers = partition_checkers(rules)
-    signature = _cache_signature([c.rule_id for c in file_checkers])
-    cache_file = cache_path or (base / DEFAULT_CACHE_NAME)
-
-    files = list(iter_python_files(paths))
-    cached = _load_cache(cache_file, signature) if use_cache else {}
-
-    entries: dict[str, dict[str, Any]] = {}
-    misses: list[tuple[int, Path, str]] = []
-    hits = 0
-    for i, path in enumerate(files):
-        display = _display_path(path, base)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        entry = cached.get(display)
-        if entry is not None and entry.get("hash") == digest:
-            entries[display] = entry
-            hits += 1
-        else:
-            misses.append((i, path, display))
-
-    rules_csv = ",".join(c.rule_id for c in file_checkers)
-    pool_workers = min(int(workers), len(misses))
-    if pool_workers > 1:
-        items = [
-            WorkItem(
-                index=i,
-                source=(str(path), str(base), rules_csv),
-                seed=0,
-                cost=float(max(1, path.stat().st_size)),
-            )
-            for i, path, _ in misses
-        ]
-        outcome = run_sharded(
-            items, AcamarConfig(), workers=pool_workers,
-            work_fn=lint_items,
-        )
-        by_index = {result.index: result for result in outcome.results}
-        for i, path, display in misses:
-            result = by_index.get(i)
-            if result is None or result.entry is None:
-                if result is not None and result.error is not None:
-                    raise ConfigurationError(result.error)
-                # Lost-worker fallback: finish the file in-process so a
-                # flaky pool never changes lint output.
-                entries[display] = _process_file(path, base, rules)
-            else:
-                entries[display] = dict(result.entry)
-    else:
-        for _, path, display in misses:
-            entries[display] = _process_file(path, base, rules)
-
-    tm.count("lint.files_parsed", len(misses))
-    tm.count("lint.cache_hits", hits)
-    tm.count("lint.cache_misses", len(misses))
-
     findings: list[Finding] = []
-    ordered_displays = [_display_path(path, base) for path in files]
-    for display in ordered_displays:
-        for raw in entries[display]["findings"]:
-            findings.append(Finding(
-                rule=str(raw["rule"]), path=str(raw["path"]),
-                line=int(raw["line"]), message=str(raw["message"]),
-                severity=str(raw.get("severity", "error")),
-            ))
+    facts: list[dict[str, Any]] = []
+    for path in iter_python_files(paths):
+        source = load_source(path, root=root)
+        for checker in file_checkers:
+            findings.extend(checker.check(source))
+        facts.append(extract_facts(source))
 
-    index = ProjectIndex.build(
-        [entries[display]["facts"] for display in ordered_displays]
-    )
+    index = ProjectIndex.build(facts)
     for project_checker in project_checkers:
         findings.extend(project_checker.check_project(index))
 
     findings.sort(key=Finding.sort_key)
-
-    if use_cache and misses:
-        _write_cache(cache_file, signature, entries)
-
-    return LintReport(
-        findings=findings,
-        files_checked=len(files),
-        cache_hits=hits,
-        cache_misses=len(misses),
-    )
+    return LintReport(findings=findings, files_checked=len(facts))
 
 
 __all__ = [
     "BOUNDARY_FUNCTIONS",
     "CLOCK_AND_ENTROPY_CALLS",
-    "DEFAULT_CACHE_NAME",
     "EXIT_CONTRACT_MODULES",
-    "FACTS_VERSION",
-    "LINT_CACHE_VERSION",
     "ProjectChecker",
     "ProjectIndex",
     "extract_facts",
-    "lint_items",
     "run_project_lint",
 ]

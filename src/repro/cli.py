@@ -24,8 +24,7 @@ Commands
     exception-policy, telemetry-naming and virtual-clock rules
     (REP001–REP006) plus the cross-module telemetry-liveness,
     worker-boundary, exit-contract and determinism-escape rules
-    (REP007–REP010), with an incremental cache, ``--workers`` fan-out
-    and SARIF output.
+    (REP007–REP010), with SARIF output.
 ``chaos``
     Run the deterministic fault-injection harness (``repro.faults``)
     against the pool / serve / solver recovery surfaces and audit the
@@ -265,19 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rules", metavar="IDS",
         help="comma-separated rule subset, e.g. REP001,REP008",
-    )
-    lint.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fan cold-file parsing out over N pool workers (default 1)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the incremental lint cache",
-    )
-    lint.add_argument(
-        "--cache", metavar="FILE",
-        help="incremental cache location (default: .repro-lint-cache.json "
-        "in the working directory)",
     )
     lint.add_argument(
         "--out", metavar="FILE",
@@ -691,13 +677,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     _check_outputs(args.out)
-    report = run_project_lint(
-        paths,
-        rules=rules,
-        workers=max(1, args.workers),
-        cache_path=Path(args.cache) if args.cache else None,
-        use_cache=not args.no_cache,
-    )
+    report = run_project_lint(paths, rules=rules)
     rendered = format_findings(report, args.format)
     if args.out:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")

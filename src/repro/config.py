@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -29,6 +29,29 @@ _INTEGER_FIELDS: tuple[tuple[str, int], ...] = (
     ("max_iterations", 1),
 )
 """Integer fields of :class:`AcamarConfig` and their lower bounds."""
+
+
+def check_integer_fields(
+    owner: object, fields: Iterable[tuple[str, int]]
+) -> None:
+    """Reject each named field of ``owner`` that is not an integer
+    (``bool`` included) or lies below its lower bound.
+
+    The one construction-time check of every integer knob:
+    :class:`AcamarConfig`, the serving layer's ``ServiceConfig``, the
+    fleet's ``FleetSpec`` and the cluster tier's ``ClusterConfig``
+    each pass their ``(name, minimum)`` pairs here.
+    """
+    for name, minimum in fields:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigurationError(
+                f"{name} must be an integer, got {value!r}"
+            )
+        if value < minimum:
+            raise ConfigurationError(
+                f"{name} must be >= {minimum}, got {value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -97,16 +120,7 @@ class AcamarConfig:
             raise ConfigurationError(
                 f"msid_tolerance must be >= 0, got {self.msid_tolerance}"
             )
-        for name, minimum in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-            if value < minimum:
-                raise ConfigurationError(
-                    f"{name} must be >= {minimum}, got {value}"
-                )
+        check_integer_fields(self, _INTEGER_FIELDS)
         if self.unroll_rounding not in ("nearest", "ceil", "floor"):
             raise ConfigurationError(
                 f"unroll_rounding must be 'nearest', 'ceil' or 'floor', "

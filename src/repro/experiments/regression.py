@@ -32,12 +32,11 @@ BENCH_GUARDED_PREFIXES = (
     "serving_",
     "cluster_",
     "dse_",
-    "lint_",
     "placement_",
 )
 """Band-name prefixes owned by dedicated benchmark guards
 (``bench_hot_path.py``, ``bench_serving.py``, ``bench_cluster.py``,
-``bench_dse.py``, ``bench_lint.py``, ``bench_placement.py``), not
+``bench_dse.py``, ``bench_placement.py``), not
 derivable from the modeled headline metrics this module measures."""
 
 

@@ -9,9 +9,9 @@ the way fabric area bounds co-running kernels.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
+from repro.config import check_integer_fields
 from repro.errors import ConfigurationError
 from repro.fpga.device import ALVEO_U55C, FPGADevice
 
@@ -44,20 +44,9 @@ class FleetSpec:
     cpu_assist: bool = False
 
     def __post_init__(self) -> None:
-        for name, minimum in (
+        check_integer_fields(self, (
             ("devices", 1), ("slots_per_device", 0), ("gpu_tenants", 0)
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral
-            ):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-            if value < minimum:
-                raise ConfigurationError(
-                    f"{name} must be >= {minimum}, got {value}"
-                )
+        ))
         if self.devices * self.slots_per_device + self.gpu_tenants < 1:
             raise ConfigurationError(
                 "fleet needs at least one dispatchable slot "

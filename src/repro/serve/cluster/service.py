@@ -53,7 +53,7 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry as tm
-from repro.config import AcamarConfig
+from repro.config import AcamarConfig, check_integer_fields
 from repro.errors import ConfigurationError
 from repro.placement import (
     CPU_ASSIST_ROUNDTRIP_SECONDS,
@@ -80,6 +80,7 @@ from repro.serve.cluster.events import (
 )
 from repro.serve.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.serve.cluster.trace import ClusterLoadSpec, RequestTrace
+from repro.serve.loadgen import validate_seed
 from repro.serve.profile import DISPATCH_OVERHEAD_SECONDS, SolveProfile
 from repro.serve.service import DRAIN_LIMIT_FACTOR, build_profiles
 from repro.serve.stats import format_latency_ms, latency_summary_ms_array
@@ -149,10 +150,15 @@ class ClusterConfig:
     forced_scale: tuple[ForcedScaleEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.min_fleets < 1:
-            raise ConfigurationError(
-                f"min_fleets must be >= 1, got {self.min_fleets}"
-            )
+        check_integer_fields(self, (
+            ("min_fleets", 1), ("initial_fleets", 1), ("max_fleets", 1),
+            ("slots_per_fleet", 0), ("gpu_tenants_per_fleet", 0),
+            ("max_batch", 1), ("queue_capacity", 1), ("cache_capacity", 1),
+            ("vnodes", 1), ("workers", 1),
+        ))
+        if self.max_gpu_tenants is not None:
+            check_integer_fields(self, (("max_gpu_tenants", 0),))
+        validate_seed(self.profile_seed, "profile_seed")
         if not (
             self.min_fleets <= self.initial_fleets <= self.max_fleets
         ):
@@ -161,27 +167,10 @@ class ClusterConfig:
                 f"{self.min_fleets} / {self.initial_fleets} / "
                 f"{self.max_fleets}"
             )
-        if self.slots_per_fleet < 0:
-            raise ConfigurationError(
-                f"slots_per_fleet must be >= 0, got {self.slots_per_fleet}"
-            )
-        if self.gpu_tenants_per_fleet < 0:
-            raise ConfigurationError(
-                "gpu_tenants_per_fleet must be >= 0, got "
-                f"{self.gpu_tenants_per_fleet}"
-            )
         if self.slots_per_fleet + self.gpu_tenants_per_fleet < 1:
             raise ConfigurationError(
                 "a fleet needs at least one dispatchable slot "
                 "(slots_per_fleet + gpu_tenants_per_fleet >= 1)"
-            )
-        if self.max_gpu_tenants is not None and self.max_gpu_tenants < 0:
-            raise ConfigurationError(
-                f"max_gpu_tenants must be >= 0, got {self.max_gpu_tenants}"
-            )
-        if self.queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
             )
         if not (math.isfinite(self.interval_s) and self.interval_s > 0):
             raise ConfigurationError(
@@ -198,10 +187,6 @@ class ClusterConfig:
                 "batch fill window must be shorter than the epoch "
                 f"interval, got {self.batch_fill_ms} ms vs "
                 f"{self.interval_s} s"
-            )
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
             )
 
     @property

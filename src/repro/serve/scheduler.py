@@ -163,9 +163,11 @@ class MicroBatchScheduler:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch}"
             )
-        if self.batch_window_s < 0:
+        if not (math.isfinite(self.batch_window_s)
+                and self.batch_window_s >= 0):
             raise ConfigurationError(
-                f"batch window must be >= 0, got {self.batch_window_s}"
+                "batch window must be a finite number >= 0, got "
+                f"{self.batch_window_s}"
             )
         self.device_faults = tuple(
             sorted(
@@ -363,9 +365,7 @@ class MicroBatchScheduler:
                 tm.count("gpu.transfers")
             else:
                 tm.count("serve.config_loads")
-        # ``if cache`` is false for an empty cache too (``__len__``), so
-        # the very first lookup of a run counts no miss.
-        entry = cache.get(profile.fingerprint) if cache else None
+        entry = cache.get(profile.fingerprint) if cache is not None else None
         batch_warm = entry is not None
         if cache is not None and not batch_warm:
             cache.put(profile.cache_entry())

@@ -25,14 +25,13 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro import telemetry as tm
-from repro.config import AcamarConfig
+from repro.config import AcamarConfig, check_integer_fields
 from repro.errors import ConfigurationError, ValidationError
 from repro.fpga.multitenancy import FleetSpec
 from repro.parallel import WorkItem, estimate_cost, run_sharded
@@ -74,19 +73,10 @@ class ServiceConfig:
     device_faults: tuple[DeviceFaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("queue_capacity", "max_batch", "cache_capacity",
-                     "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral
-            ):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-            if value < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1, got {value}"
-                )
+        check_integer_fields(self, (
+            ("queue_capacity", 1), ("max_batch", 1), ("cache_capacity", 1),
+            ("workers", 1),
+        ))
         validate_seed(self.profile_seed, "profile_seed")
         if not (math.isfinite(self.batch_window_ms)
                 and self.batch_window_ms >= 0):

@@ -139,11 +139,6 @@ KNOWN_COUNTERS = frozenset({
     "dse.points_evaluated",
     "dse.points_failed",
     "dse.simulations",
-    # whole-program linter (repro.analysis.project): incremental-cache
-    # effectiveness per run, so CI can watch warm-cache hit rates
-    "lint.files_parsed",
-    "lint.cache_hits",
-    "lint.cache_misses",
     # heterogeneous placement (repro.placement consumers): micro-batches
     # dispatched per device class, GPU structure uploads (the PCIe
     # analogue of serve.config_loads) and cold analyses offloaded to the

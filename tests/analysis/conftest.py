@@ -2,15 +2,15 @@
 
 ``lint_snippet`` materializes a code snippet at a chosen *virtual*
 module path (``repro/serve/mod.py``) inside a tmp dir, so the
-package-scoped checkers see the module name they key on, and runs one
-checker (or several) over it.
+package-scoped checkers see the module name they key on, and lints it
+with the given checkers' rules selected.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_lint
+from repro.analysis import run_project_lint
 
 
 @pytest.fixture
@@ -19,25 +19,10 @@ def lint_snippet(tmp_path):
         target = tmp_path / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(code)
-        # Package dirs need __init__.py for nothing — the engine walks
-        # files directly — but create the root marker for realism.
-        report = run_lint([target], list(checkers), root=tmp_path)
+        report = run_project_lint(
+            [target], rules=[c.rule_id for c in checkers], root=tmp_path
+        )
         return report.findings
-
-    return _lint
-
-
-@pytest.fixture
-def lint_tree(tmp_path):
-    """Write several files, then lint the whole tmp tree."""
-
-    def _lint(files: dict[str, str], *checkers):
-        for relpath, code in files.items():
-            target = tmp_path / relpath
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(code)
-        report = run_lint([tmp_path], list(checkers), root=tmp_path)
-        return report
 
     return _lint
 
@@ -47,20 +32,15 @@ def project_report(tmp_path):
     """Write a virtual repo tree, run the whole-program lint over it.
 
     Returns the full :class:`LintReport`; tests usually pass a rule
-    subset so only the project checker under test fires.  The cache is
-    disabled — these fixtures assert rule semantics, not cache
-    mechanics (those live in ``test_project.py``).
+    subset so only the project checker under test fires.
     """
-    from repro.analysis import run_project_lint
 
     def _run(files: dict[str, str], rules=None):
         for relpath, code in files.items():
             target = tmp_path / relpath
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(code)
-        return run_project_lint(
-            [tmp_path], rules=rules, root=tmp_path, use_cache=False
-        )
+        return run_project_lint([tmp_path], rules=rules, root=tmp_path)
 
     return _run
 

@@ -9,7 +9,13 @@ import textwrap
 
 import pytest
 
-from repro.analysis import ALL_CHECKERS, RULE_IDS, checkers_for_rules
+from repro.analysis import (
+    ALL_CHECKERS,
+    ALL_PROJECT_CHECKERS,
+    RULE_IDS,
+    partition_checkers,
+    run_project_lint,
+)
 from repro.analysis.checkers import (
     DeterminismChecker,
     ExceptionPolicyChecker,
@@ -114,9 +120,7 @@ class TestLayering:
         assert lint_snippet("repro/cli.py", code, self.CHECKER) == []
 
     def test_real_tree_is_clean(self, repo_src):
-        from repro.analysis import run_lint
-
-        report = run_lint([repo_src], [self.CHECKER])
+        report = run_project_lint([repo_src], rules=[self.CHECKER.rule_id])
         assert report.findings == []
 
     def test_cycle_closing_edge_names_the_loop(self, lint_snippet):
@@ -356,8 +360,6 @@ class TestCheckerRegistry:
         )
 
     def test_partition_splits_by_family(self):
-        from repro.analysis.checkers import partition_checkers
-
         file_checkers, project_checkers = partition_checkers(
             ["REP008", "REP002", "REP007"]
         )
@@ -367,22 +369,23 @@ class TestCheckerRegistry:
         )
 
     def test_partition_none_means_everything(self):
-        from repro.analysis.checkers import (
-            ALL_PROJECT_CHECKERS,
-            partition_checkers,
-        )
-
         assert partition_checkers(None) == (
             ALL_CHECKERS, ALL_PROJECT_CHECKERS,
         )
 
     def test_subset_selection_preserves_order_and_dedupes(self):
-        subset = checkers_for_rules(["REP004", "REP001", "REP004"])
-        assert tuple(c.rule_id for c in subset) == ("REP004", "REP001")
+        file_checkers, project_checkers = partition_checkers(
+            ["REP004", "REP009", "REP001", "REP004", "REP009"]
+        )
+        assert tuple(c.rule_id for c in file_checkers) == (
+            "REP004", "REP001",
+        )
+        assert tuple(c.rule_id for c in project_checkers) == ("REP009",)
 
     def test_unknown_rule_raises(self):
         with pytest.raises(UnknownNameError, match="REP999"):
-            checkers_for_rules(["REP999"])
+            partition_checkers(["REP001", "REP999"])
 
     def test_none_means_everything(self):
-        assert checkers_for_rules(None) == ALL_CHECKERS
+        # An empty selection (``--rules ,``) selects every rule too.
+        assert partition_checkers([]) == partition_checkers(None)

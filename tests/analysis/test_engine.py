@@ -5,8 +5,12 @@ import json
 
 import pytest
 
-from repro.analysis import Finding, LintReport, format_findings, run_lint
-from repro.analysis.checkers import DeterminismChecker
+from repro.analysis import (
+    Finding,
+    LintReport,
+    format_findings,
+    run_project_lint,
+)
 from repro.analysis.engine import (
     SourceFile,
     iter_python_files,
@@ -66,7 +70,7 @@ class TestDiscovery:
             "import time\nimport os\n"
             "b = os.urandom(4)\na = time.time()\n"
         )
-        report = run_lint([f], [DeterminismChecker()], root=tmp_path)
+        report = run_project_lint([f], rules=["REP001"], root=tmp_path)
         assert [x.line for x in report.findings] == [3, 4]
         assert report.files_checked == 1
 

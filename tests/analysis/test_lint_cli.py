@@ -1,4 +1,4 @@
-"""``repro lint`` CLI contract: exit codes, formats, cache flags.
+"""``repro lint`` CLI contract: exit codes, formats, no side files.
 
 Exit-code contract (matching the pinned ``repro solve`` style):
 0 = clean tree, 1 = findings remain, 2 = usage error.
@@ -27,17 +27,6 @@ def tree(tmp_path):
     return tmp_path
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cache_cwd(tmp_path_factory, monkeypatch):
-    """Run every CLI invocation from a scratch cwd.
-
-    The default incremental-cache location is ``.repro-lint-cache.json``
-    in the working directory; without this, CLI tests would write (and
-    cross-contaminate) a cache file inside the repo checkout.
-    """
-    monkeypatch.chdir(tmp_path_factory.mktemp("lint-cwd"))
-
-
 def run(args):
     return main(["lint", *args])
 
@@ -64,6 +53,14 @@ class TestExitCodes:
     def test_rule_selection_can_pass_dirty_tree(self, tree):
         # Only the layering rule runs; the wall-clock call is invisible.
         assert run([str(tree), "--rules", "REP002"]) == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--no-cache"], ["--workers", "2"], ["--cache", "lint.json"],
+    ], ids=["no-cache", "workers", "cache"])
+    def test_cache_and_pool_flags_exit_two(self, tree, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            run([str(tree), *flags])
+        assert excinfo.value.code == 2
 
 
 class TestFormats:
@@ -101,23 +98,14 @@ class TestFormats:
         assert target.read_text() == captured.out
 
 
-class TestIncrementalFlags:
-    def test_cache_and_workers_do_not_change_output(self, tree, capsys):
-        outputs = []
-        for extra in ([], [], ["--no-cache"], ["--workers", "2"]):
-            assert run([str(tree), "--format", "json", *extra]) == 1
-            outputs.append(capsys.readouterr().out)
-        # Cold cache, warm cache, no cache, parallel: byte-identical.
-        assert len(set(outputs)) == 1
-
-    def test_custom_cache_path(self, tree, tmp_path):
-        cache = tmp_path / "nested.json"
-        assert run([str(tree), "--cache", str(cache)]) == 1
-        assert json.loads(cache.read_text())["files"]
-
-    def test_no_cache_leaves_no_file_behind(self, tree):
-        assert run([str(tree), "--no-cache"]) == 1
-        assert not (Path.cwd() / ".repro-lint-cache.json").exists()
+class TestWorkingDirectory:
+    def test_lint_writes_nothing_but_out(
+        self, tree, tmp_path_factory, monkeypatch
+    ):
+        cwd = tmp_path_factory.mktemp("lint-cwd")
+        monkeypatch.chdir(cwd)
+        assert run([str(tree), "--out", "report.txt"]) == 1
+        assert [p.name for p in cwd.iterdir()] == ["report.txt"]
 
 
 class TestRealTree:

@@ -1,29 +1,17 @@
 """Whole-program layer mechanics (``repro.analysis.project``).
 
 Covers the phase-1 facts records, the :class:`ProjectIndex` resolution
-helpers, the incremental content-hash cache (content change, rule-set
-change, version bump), byte-identity between the serial / warm-cache /
-parallel paths, and the ``lint_items`` worker entry point.
+helpers and the serial two-phase pass.
 """
-
-import json
 
 import pytest
 
-import repro.analysis.project as project
-from repro.analysis import format_findings, run_project_lint
+from repro.analysis import run_project_lint
 from repro.analysis.engine import load_source
-from repro.analysis.project import (
-    ProjectIndex,
-    extract_facts,
-    lint_items,
-)
-from repro.config import AcamarConfig
+from repro.analysis.project import ProjectIndex, extract_facts
 from repro.errors import ConfigurationError
-from repro.parallel import WorkItem
 
 CLEAN = "VALUE = 1\n"
-DIRTY = "import time\n\nSTAMP = time.time()\n"
 
 
 def write_tree(root, files):
@@ -180,20 +168,6 @@ class TestFactsExtraction:
         other = facts_for(tmp_path, "repro/helpers.py", code)
         assert other["exits"] is None
 
-    def test_facts_round_trip_json(self, tmp_path):
-        """The cache stores facts as JSON; the record must be stable."""
-        facts = facts_for(
-            tmp_path, "repro/campaign/driver.py",
-            "from repro.parallel import run_sharded\n"
-            "from repro import telemetry as tm\n\n\n"
-            "def work(items, config):\n"
-            "    tm.count(\"hits\")\n"
-            "    return []\n\n\n"
-            "def go(items, cfg):\n"
-            "    return run_sharded(items, cfg, work_fn=work)\n",
-        )
-        assert json.loads(json.dumps(facts)) == facts
-
 
 class TestProjectIndex:
     def build(self, tmp_path, files):
@@ -251,146 +225,11 @@ class TestProjectIndex:
         assert index.modules["repro.helpers"]["defs"]["assigns"] == ["A"]
 
 
-class TestIncrementalCache:
-    FILES = {
-        "repro/sparse/clean.py": CLEAN,
-        "repro/sparse/dirty.py": DIRTY,
-    }
-
-    def run(self, tmp_path, **kwargs):
-        kwargs.setdefault("cache_path", tmp_path / "cache.json")
-        return run_project_lint([tmp_path], root=tmp_path, **kwargs)
-
-    def test_warm_run_hits_everything_and_matches(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        cold = self.run(tmp_path)
-        assert (cold.cache_hits, cold.cache_misses) == (0, 2)
-        warm = self.run(tmp_path)
-        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
-        # Byte-identity across every renderer: cache statistics are
-        # deliberately kept off the output.
-        for fmt in ("text", "json", "github", "sarif"):
-            assert format_findings(cold, fmt) == format_findings(warm, fmt)
-
-    def test_content_change_invalidates_only_that_file(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        assert len(self.run(tmp_path).findings) == 1
-        (tmp_path / "repro" / "sparse" / "dirty.py").write_text(CLEAN)
-        report = self.run(tmp_path)
-        assert (report.cache_hits, report.cache_misses) == (1, 1)
-        assert report.findings == []
-
-    def test_rule_set_change_invalidates_everything(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        self.run(tmp_path, rules=["REP001"])
-        report = self.run(tmp_path, rules=["REP002"])
-        assert (report.cache_hits, report.cache_misses) == (0, 2)
-
-    def test_version_bump_invalidates_everything(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, self.FILES)
-        self.run(tmp_path)
-        monkeypatch.setattr(project, "LINT_CACHE_VERSION", 999)
-        report = self.run(tmp_path)
-        assert (report.cache_hits, report.cache_misses) == (0, 2)
-
-    @pytest.mark.parametrize("garbage", [
-        "{not json", "[]", '{"version": 999, "files": {}}',
-    ])
-    def test_corrupt_cache_degrades_to_cold_start(self, tmp_path, garbage):
-        write_tree(tmp_path, self.FILES)
-        self.run(tmp_path)
-        (tmp_path / "cache.json").write_text(garbage)
-        report = self.run(tmp_path)
-        assert (report.cache_hits, report.cache_misses) == (0, 2)
-        assert len(report.findings) == 1
-
-    def test_use_cache_false_never_touches_disk(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        report = self.run(tmp_path, use_cache=False)
-        assert report.cache_misses == 2
-        assert not (tmp_path / "cache.json").exists()
-
-    def test_cache_document_shape(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        self.run(tmp_path)
-        payload = json.loads((tmp_path / "cache.json").read_text())
-        assert payload["version"] == project.LINT_CACHE_VERSION
-        assert isinstance(payload["signature"], str)
-        keys = list(payload["files"])
-        assert keys == sorted(keys)
-        for entry in payload["files"].values():
-            assert set(entry) == {"path", "hash", "findings", "facts"}
-
-    def test_unwritable_cache_path_still_lints(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        report = self.run(
-            tmp_path, cache_path=tmp_path / "no-such-dir" / "cache.json"
-        )
-        assert len(report.findings) == 1
-        assert not (tmp_path / "no-such-dir").exists()
-
-
-class TestParallelByteIdentity:
-    FILES = {
-        "repro/sparse/clean.py": CLEAN,
-        "repro/sparse/dirty.py": DIRTY,
-        "repro/sparse/more.py": "import os\n\nTOKEN = os.urandom(8)\n",
-        "repro/helpers.py": "def pure(x):\n    return x + 1\n",
-    }
-
-    def test_workers_output_identical_to_serial(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        serial = run_project_lint(
-            [tmp_path], root=tmp_path, use_cache=False
-        )
-        fanned = run_project_lint(
-            [tmp_path], root=tmp_path, use_cache=False, workers=2
-        )
-        assert serial.findings  # the fixture is deliberately dirty
-        for fmt in ("text", "json", "github", "sarif"):
-            assert format_findings(serial, fmt) == format_findings(
-                fanned, fmt
-            )
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_syntax_error_raises_in_both_modes(self, tmp_path, workers):
+class TestSerialPass:
+    def test_syntax_error_raises(self, tmp_path):
         write_tree(tmp_path, {
-            **self.FILES, "repro/sparse/broken.py": "def broken(:\n",
+            "repro/sparse/clean.py": CLEAN,
+            "repro/sparse/broken.py": "def broken(:\n",
         })
         with pytest.raises(ConfigurationError, match="cannot lint"):
-            run_project_lint(
-                [tmp_path], root=tmp_path, use_cache=False, workers=workers
-            )
-
-
-class TestLintItemsWorker:
-    def item(self, path, root, rules_csv=""):
-        return WorkItem(
-            index=0, source=(str(path), str(root), rules_csv),
-            seed=0, cost=1.0,
-        )
-
-    def test_worker_returns_findings_and_facts(self, tmp_path):
-        write_tree(tmp_path, {"repro/sparse/dirty.py": DIRTY})
-        path = tmp_path / "repro" / "sparse" / "dirty.py"
-        (result,) = lint_items([self.item(path, tmp_path)], AcamarConfig())
-        assert result.error is None
-        entry = result.entry
-        assert entry["path"] == "repro/sparse/dirty.py"
-        assert entry["findings"][0]["rule"] == "REP001"
-        assert entry["facts"]["module"] == "repro.sparse.dirty"
-
-    def test_worker_honours_rule_subset(self, tmp_path):
-        write_tree(tmp_path, {"repro/sparse/dirty.py": DIRTY})
-        path = tmp_path / "repro" / "sparse" / "dirty.py"
-        (result,) = lint_items(
-            [self.item(path, tmp_path, "REP002")], AcamarConfig()
-        )
-        assert result.entry["findings"] == []
-
-    def test_worker_reports_syntax_error_not_raises(self, tmp_path):
-        write_tree(tmp_path, {"repro/sparse/broken.py": "def broken(:\n"})
-        path = tmp_path / "repro" / "sparse" / "broken.py"
-        (result,) = lint_items([self.item(path, tmp_path)], AcamarConfig())
-        assert result.entry is None
-        assert "cannot lint" in result.error
+            run_project_lint([tmp_path], root=tmp_path)

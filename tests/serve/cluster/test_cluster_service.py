@@ -63,6 +63,33 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             ClusterConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_batch", 0),
+        ("max_batch", -1),
+        ("max_batch", 2.5),
+        ("max_batch", True),
+        ("slots_per_fleet", 2.5),
+        ("initial_fleets", 2.0),
+        ("min_fleets", True),
+        ("max_fleets", 0),
+        ("gpu_tenants_per_fleet", 1.5),
+        ("max_gpu_tenants", 1.5),
+        ("max_gpu_tenants", -1),
+        ("queue_capacity", True),
+        ("cache_capacity", 0),
+        ("cache_capacity", 8.0),
+        ("vnodes", 0),
+        ("workers", 1.5),
+    ])
+    def test_integer_knobs_checked_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            ClusterConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0])
+    def test_profile_seed_validated(self, seed):
+        with pytest.raises(ConfigurationError, match="^profile_seed must be"):
+            ClusterConfig(profile_seed=seed)
+
     def test_forced_scale_action_validated(self):
         with pytest.raises(ConfigurationError):
             ForcedScaleEvent(at_s=1.0, action="explode")

@@ -70,8 +70,11 @@ class TestValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ConfigurationError):
             make_scheduler(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            make_scheduler(window=-1.0)
+        # A NaN window never ripens: a lone batch request would wait
+        # forever.
+        for window in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="batch window"):
+                make_scheduler(window=window)
 
 
 class TestGrouping:
@@ -142,6 +145,15 @@ class TestCostCharging:
         # Amortized members of a cold batch are still cache *misses*.
         assert not by_id[0].cache_hit
         assert not by_id[1].cache_hit
+
+    def test_first_lookup_on_empty_cache_counts_a_miss(self):
+        cache = PlanCache(capacity=8)
+        scheduler = make_scheduler(cache=cache)
+        scheduler.dispatch(
+            [queued(0, "A"), queued(1, "A")], now=0.01, next_batch_id=0
+        )
+        # One cold batch makes one lookup, even on a still-empty cache.
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
 
     def test_warm_batch_members_are_cache_hits(self):
         cache = PlanCache(capacity=8)

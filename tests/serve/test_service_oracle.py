@@ -176,7 +176,7 @@ def serve_batch(scheduler, slot, members, profile, now, batch_id):
             tm.count("gpu.transfers")
         else:
             tm.count("serve.config_loads")
-    entry = cache.get(profile.fingerprint) if cache else None
+    entry = cache.get(profile.fingerprint) if cache is not None else None
     batch_warm = entry is not None
     if cache is not None and not batch_warm:
         cache.put(profile.cache_entry())

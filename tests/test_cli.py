@@ -451,11 +451,34 @@ class TestUsageErrorBoundary:
          "devices must be >= 1"),
         (("serve", "--gpu-tenants", "-1", "--duration", "1"),
          "gpu_tenants must be >= 0"),
+        (("loadtest", "--cluster", "--duration", "1", "--rate", "10",
+          "--cluster-max-batch", "0"), "max_batch must be >= 1"),
+        (("loadtest", "--cluster", "--duration", "1", "--rate", "10",
+          "--cluster-max-batch", "-1"), "max_batch must be >= 1"),
     ])
     def test_bad_argument(self, argv, message):
         result = run_cli(*argv)
         assert_usage_error(result, argv[0], message)
         assert "problem:" not in result.stdout
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--cluster-max-batch", "0"), "max_batch must be >= 1"),
+        (("--cluster-max-batch", "-1"), "max_batch must be >= 1"),
+        (("--cache-capacity", "0"), "cache_capacity must be >= 1"),
+    ])
+    def test_bad_cluster_knob_rejected_before_profiling(
+        self, monkeypatch, capsys, flags, message
+    ):
+        import repro.serve.cluster.service as cluster_service
+
+        def no_profiling(*args, **kwargs):
+            raise AssertionError("profiling ran before the config check")
+
+        monkeypatch.setattr(cluster_service, "build_profiles", no_profiling)
+        argv = ["loadtest", "--cluster", "--duration", "1", "--rate", "10"]
+        assert main([*argv, *flags]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("loadtest: ") and message in line
 
     @pytest.mark.parametrize("priority", ["true", "7"])
     def test_bad_priority_in_request_log(self, tmp_path, priority):
