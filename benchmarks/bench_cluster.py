@@ -30,20 +30,15 @@ from pathlib import Path
 
 from repro.config import AcamarConfig
 from repro.experiments.report import ExperimentTable
-from repro.serve import build_profiles
-from repro.serve.cluster import (
-    ClusterConfig,
-    ClusterLoadSpec,
-    generate_trace,
-    run_cluster,
-)
+from repro.serve import LoadSpec, build_profiles
+from repro.serve.cluster import ClusterConfig, generate_trace, run_cluster
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_cluster.json"
 BANDS_PATH = Path(__file__).resolve().parent / "reference_bands.json"
 
 GUARD_RELATIVE_TOLERANCE = 0.10
 
-CANONICAL_SPEC = ClusterLoadSpec(
+CANONICAL_SPEC = LoadSpec(
     seed=0, duration_s=60.0, rate_rps=2000.0, mix="repeat-heavy"
 )
 
@@ -82,9 +77,7 @@ def _mode_record(report, elapsed_s: float) -> dict:
 
 def measure() -> dict:
     trace = generate_trace(CANONICAL_SPEC)
-    profiles = build_profiles(
-        list(trace.sources), AcamarConfig(), seed=_config().profile_seed
-    )
+    profiles = build_profiles(list(trace.sources), AcamarConfig())
 
     def run_mode(config: ClusterConfig) -> dict:
         started = time.perf_counter()

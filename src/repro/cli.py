@@ -524,14 +524,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """``repro loadtest --cluster``: the multi-fleet simulator."""
-    from repro.serve import (
-        ClusterConfig,
-        ClusterLoadSpec,
-        run_cluster_loadtest,
-    )
+    from repro.serve import ClusterConfig, LoadSpec, run_cluster_loadtest
 
     _check_outputs(args.out, args.telemetry)
-    spec = ClusterLoadSpec(
+    spec = LoadSpec(
         seed=args.seed,
         duration_s=args.duration,
         rate_rps=args.rate,

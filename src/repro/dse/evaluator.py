@@ -19,7 +19,7 @@ order.
 Three memos keep the sweep from repeating work its points share:
 
 - **Traces.** :func:`evaluate_items` generates each distinct
-  ``ClusterLoadSpec`` (traffic regime, seed, sources) once per call and
+  ``LoadSpec`` (traffic regime, seed, sources) once per call and
   hands the read-only :class:`~repro.serve.cluster.trace.RequestTrace`
   to every point that uses it.  The memo lives only for that call, so
   nothing outlives the sweep: a module-level memo would keep an
@@ -60,7 +60,7 @@ from repro.parallel import ItemResult, WorkItem, run_sharded
 from repro.placement import GPU_TENANT_AREA_MM2
 from repro.serve import (
     ClusterConfig,
-    ClusterLoadSpec,
+    LoadSpec,
     SolveProfile,
     build_profiles,
     generate_trace,
@@ -76,32 +76,24 @@ a 2x partial-region budget reserved for in-flight reconfiguration."""
 
 _PROFILE_MEMO: dict[str, dict[str, "SolveProfile | str"]] = {}
 """Per-process cold-profile cache keyed by the profiling-relevant
-config: sources, seed, and the solver-plan fields of the Acamar
-config.  Shapes differing only in serving knobs (cache, queue, fleet
-bounds, slot count) share one entry."""
+config: sources and the solver-plan fields of the Acamar config.
+Shapes differing only in serving knobs (cache, queue, fleet bounds,
+slot count) share one entry."""
 
 
-def _profile_key(
-    sources: Sequence[str], seed: int, acamar: AcamarConfig
-) -> str:
+def _profile_key(sources: Sequence[str], acamar: AcamarConfig) -> str:
     return json.dumps(
-        {
-            "sources": list(sources),
-            "seed": seed,
-            "acamar": acamar.to_dict(),
-        },
+        {"sources": list(sources), "acamar": acamar.to_dict()},
         sort_keys=True,
     )
 
 
 def _profiles_for(
-    sources: Sequence[str], seed: int, acamar: AcamarConfig
+    sources: Sequence[str], acamar: AcamarConfig
 ) -> dict[str, "SolveProfile | str"]:
-    key = _profile_key(sources, seed, acamar)
+    key = _profile_key(sources, acamar)
     if key not in _PROFILE_MEMO:
-        _PROFILE_MEMO[key] = build_profiles(
-            list(sources), acamar, workers=1, seed=seed
-        )
+        _PROFILE_MEMO[key] = build_profiles(list(sources), acamar, workers=1)
     return _PROFILE_MEMO[key]
 
 
@@ -118,9 +110,9 @@ def acamar_config_for(
 
 def load_spec_for(
     traffic: TrafficSpec, sources: Sequence[str], seed: int
-) -> ClusterLoadSpec:
+) -> LoadSpec:
     """The cluster traffic one regime generates for a sweep seed."""
-    return ClusterLoadSpec(
+    return LoadSpec(
         seed=seed,
         duration_s=traffic.duration_s,
         rate_rps=traffic.rate_rps,
@@ -177,7 +169,7 @@ echo the config, whose ``cache_capacity`` the deployment key clamps."""
 
 
 def _deployment_key(
-    spec: ClusterLoadSpec,
+    spec: LoadSpec,
     trace: RequestTrace,
     config: ClusterConfig,
     profiles: Mapping[str, "SolveProfile | str"],
@@ -247,7 +239,7 @@ def evaluate_point(
     with tm.span("dse.point_eval"):
         acamar = acamar_config_for(shape, base_config)
         config = cluster_config_for(shape)
-        profiles = _profiles_for(sources, config.profile_seed, acamar)
+        profiles = _profiles_for(sources, acamar)
         spec = load_spec_for(traffic, sources, seed)
         if trace is None:
             trace = generate_trace(spec)
@@ -353,7 +345,7 @@ def evaluate_items(
     trace cannot be generated fails only its own points.
     """
     results: list[ItemResult] = []
-    traces: dict[ClusterLoadSpec, RequestTrace] = {}
+    traces: dict[LoadSpec, RequestTrace] = {}
     runs: dict[Hashable, dict[str, Any]] = {}
     for item in items:
         payload = item.source

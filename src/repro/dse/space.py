@@ -23,6 +23,7 @@ from itertools import product
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from repro.config import check_integer_fields
 from repro.errors import ConfigurationError
 from repro.serve.loadgen import validate_traffic
 
@@ -51,12 +52,6 @@ OPTIONAL_SHAPE_AXES: Mapping[str, tuple[Any, ...]] = {
     "gpu_tenants": (0,),
     "cpu_assist": (False,),
 }
-
-#: Integer fields of :class:`FleetShape`; ``bool`` is not one.
-_INTEGER_FIELDS = (
-    "slots_per_fleet", "max_unroll", "cache_capacity", "queue_capacity",
-    "min_fleets", "max_fleets", "gpu_tenants",
-)
 
 #: Fields of a space document's traffic entry; ``deadline_ms`` may be
 #: left out.
@@ -90,32 +85,19 @@ class FleetShape:
     cpu_assist: bool = False
 
     def __post_init__(self) -> None:
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
+        check_integer_fields(self, (
+            ("slots_per_fleet", 0), ("max_unroll", 1), ("cache_capacity", 1),
+            ("queue_capacity", 1), ("min_fleets", 1), ("max_fleets", 1),
+            ("gpu_tenants", 0),
+        ))
         if not isinstance(self.cpu_assist, bool):
             raise ConfigurationError(
                 f"cpu_assist must be true or false, got {self.cpu_assist!r}"
-            )
-        if self.slots_per_fleet < 0:
-            raise ConfigurationError(
-                f"slots_per_fleet must be >= 0, got {self.slots_per_fleet}"
-            )
-        if self.gpu_tenants < 0:
-            raise ConfigurationError(
-                f"gpu_tenants must be >= 0, got {self.gpu_tenants}"
             )
         if self.slots_per_fleet + self.gpu_tenants < 1:
             raise ConfigurationError(
                 "a fleet shape needs at least one dispatchable slot "
                 "(slots_per_fleet + gpu_tenants >= 1)"
-            )
-        if self.max_unroll < 1:
-            raise ConfigurationError(
-                f"max_unroll must be >= 1, got {self.max_unroll}"
             )
         if not isinstance(self.solver_mix, str) or (
             self.solver_mix not in SOLVER_MIXES
@@ -123,14 +105,6 @@ class FleetShape:
             raise ConfigurationError(
                 f"unknown solver mix {self.solver_mix!r}; expected one of "
                 f"{tuple(sorted(SOLVER_MIXES))}"
-            )
-        if self.cache_capacity < 1:
-            raise ConfigurationError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
-        if self.queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
             )
         if not 1 <= self.min_fleets <= self.max_fleets:
             raise ConfigurationError(

@@ -46,7 +46,6 @@ from repro.parallel.engine import MAX_ITEM_ATTEMPTS
 from repro.serve.api import Outcome
 from repro.serve.cluster.autoscale import ScaleAction
 from repro.serve.cluster.service import run_cluster_loadtest
-from repro.serve.cluster.trace import ClusterLoadSpec
 from repro.serve.loadgen import LoadSpec
 from repro.serve.service import run_loadtest, run_service
 from repro.telemetry import Telemetry
@@ -523,7 +522,7 @@ def run_cluster_profile(plan: FaultPlan) -> ProfileOutcome:
     """
     schedule = plan.cluster_schedule(duration_s=CLUSTER_DURATION_S)
     sources = dataset_keys()[:CLUSTER_SOURCE_COUNT]
-    spec = ClusterLoadSpec(
+    spec = LoadSpec(
         seed=plan.seed,
         duration_s=CLUSTER_DURATION_S,
         rate_rps=schedule.rate_rps,

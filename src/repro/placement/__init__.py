@@ -30,19 +30,13 @@ from repro.placement.decision import (
 )
 from repro.placement.device import (
     CPU_ASSIST,
-    CPU_ASSIST_CLASS,
     CPU_ASSIST_ROUNDTRIP_SECONDS,
-    DEVICE_CLASS_NAMES,
     FPGA,
-    FPGA_CLASS,
     GPU,
-    GPU_CLASS,
     GPU_KERNEL_LAUNCH_SECONDS,
     GPU_TENANT_AREA_MM2,
     GPU_TENANT_FRACTION,
     PCIE_BANDWIDTH_BPS,
-    DeviceClass,
-    device_class,
 )
 from repro.placement.gpu_cost import (
     GPUServiceEstimate,
@@ -52,14 +46,9 @@ from repro.placement.gpu_cost import (
 
 __all__ = [
     "CPU_ASSIST",
-    "CPU_ASSIST_CLASS",
     "CPU_ASSIST_ROUNDTRIP_SECONDS",
-    "DEVICE_CLASS_NAMES",
-    "DeviceClass",
     "FPGA",
-    "FPGA_CLASS",
     "GPU",
-    "GPU_CLASS",
     "GPU_KERNEL_LAUNCH_SECONDS",
     "GPU_TENANT_AREA_MM2",
     "GPU_TENANT_FRACTION",
@@ -69,7 +58,6 @@ __all__ = [
     "RESIDENCY_AMORTIZATION_BATCHES",
     "STRUCTURAL_CLASSES",
     "decide_placement",
-    "device_class",
     "estimate_gpu_service",
     "placement_counts",
     "placement_section",

@@ -1,8 +1,7 @@
 """Device classes a serving fleet can tenant, and their cost terms.
 
-A :class:`DeviceClass` names one kind of schedulable tenancy and the
-charge its scheduler pays when a batch lands on a slot whose resident
-structure differs:
+Each name below is one kind of tenancy, with the charge its scheduler
+pays when a batch lands on a slot whose resident structure differs:
 
 - ``fpga`` — a Reconfigurable Solver instance; residency misses pay an
   ICAP configuration load (:mod:`repro.fpga.cost_model`),
@@ -19,16 +18,9 @@ no analogue for; the FPGA terms live with the FPGA cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import UnknownNameError
-
 FPGA = "fpga"
 GPU = "gpu"
 CPU_ASSIST = "cpu-assist"
-
-DEVICE_CLASS_NAMES = (FPGA, GPU, CPU_ASSIST)
-"""Sanctioned device-class names, in scheduling-preference order."""
 
 GPU_KERNEL_LAUNCH_SECONDS = 5e-6
 """Host-side launch latency charged per solver iteration on the GPU
@@ -57,57 +49,3 @@ CPU_ASSIST_ROUNDTRIP_SECONDS = 20e-6
 absorbs the structure analysis: the slot hands the matrix off, the host
 runs the Eq. 1 sums concurrently with the transfer, and the slot pays
 only this fixed handoff instead of the NNZ-proportional analysis."""
-
-
-@dataclass(frozen=True)
-class DeviceClass:
-    """One schedulable tenancy kind and its residency-miss behavior."""
-
-    name: str
-    dispatchable: bool
-    reconfigurable: bool
-    description: str
-
-
-FPGA_CLASS = DeviceClass(
-    name=FPGA,
-    dispatchable=True,
-    reconfigurable=True,
-    description=(
-        "Reconfigurable Solver instance; residency miss pays an ICAP "
-        "configuration load"
-    ),
-)
-
-GPU_CLASS = DeviceClass(
-    name=GPU,
-    dispatchable=True,
-    reconfigurable=False,
-    description=(
-        "cuSPARSE SpMV tenant; residency miss pays a PCIe structure "
-        "upload, no reconfiguration"
-    ),
-)
-
-CPU_ASSIST_CLASS = DeviceClass(
-    name=CPU_ASSIST,
-    dispatchable=False,
-    reconfigurable=False,
-    description=(
-        "host analysis-offload tier; absorbs cold-batch structure "
-        "analysis for a fixed round-trip charge"
-    ),
-)
-
-_BY_NAME = {c.name: c for c in (FPGA_CLASS, GPU_CLASS, CPU_ASSIST_CLASS)}
-
-
-def device_class(name: str) -> DeviceClass:
-    """Look up a :class:`DeviceClass` by its sanctioned name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise UnknownNameError(
-            f"unknown device class {name!r}; expected one of "
-            f"{DEVICE_CLASS_NAMES}"
-        ) from None

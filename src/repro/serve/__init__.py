@@ -9,9 +9,10 @@ model.  A stream of :class:`SolveRequest` objects flows through
    requests (same CSR fingerprint, or same reconfiguration-plan
    signature once cached) and dispatches them onto the multi-tenant
    fleet model, charging simulated device time,
-3. the **fingerprint-keyed plan cache** — repeat traffic skips the
-   Matrix Structure unit and Fine-Grained Reconfiguration analysis,
-   the serving-side analogue of the per-instance structure caches.
+3. the **fingerprint-keyed plan cache** — an LRU of the structure
+   fingerprints already analyzed: repeat traffic skips the Matrix
+   Structure unit and Fine-Grained Reconfiguration analysis, whose
+   decisions the source's profile already holds.
 
 Everything runs on a virtual clock, so a fixed request log produces a
 byte-identical report (see ``docs/serving.md``).  Entry points:
@@ -28,7 +29,6 @@ from repro.serve.admission import (
     AdmissionController,
     AdmissionVerdict,
     deadline_lapsed,
-    deadline_unmeetable,
 )
 from repro.serve.api import (
     Outcome,
@@ -37,11 +37,10 @@ from repro.serve.api import (
     SolveResponse,
     parse_priority,
 )
-from repro.serve.cache import CacheEntry, PlanCache, plan_signature
+from repro.serve.cache import PlanCache, plan_signature
 from repro.serve.cluster import (
     AutoscalerPolicy,
     ClusterConfig,
-    ClusterLoadSpec,
     ClusterReport,
     FleetFaultEvent,
     ForcedScaleEvent,
@@ -73,9 +72,7 @@ __all__ = [
     "AdmissionController",
     "AdmissionVerdict",
     "AutoscalerPolicy",
-    "CacheEntry",
     "ClusterConfig",
-    "ClusterLoadSpec",
     "ClusterReport",
     "DeviceFaultEvent",
     "FleetFaultEvent",
@@ -95,7 +92,6 @@ __all__ = [
     "build_profile",
     "build_profiles",
     "deadline_lapsed",
-    "deadline_unmeetable",
     "generate_requests",
     "generate_trace",
     "parse_priority",

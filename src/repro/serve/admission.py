@@ -9,10 +9,9 @@ The controller enforces:
   refused (``queue_full``) or, if it outranks queued work, admitted by
   **preempting** the lowest-priority, youngest queued request (which
   then receives its own shed response: nothing is dropped silently),
-- **deadline feasibility** — a request whose deadline already passed, or
-  cannot possibly be met even on an idle fleet (service estimate alone
-  exceeds the remaining budget), is shed at admission rather than
-  occupying queue space it cannot use,
+- **deadline feasibility** — a request whose deadline already passed
+  (:func:`deadline_lapsed`) is shed at admission rather than occupying
+  queue space it cannot use,
 - queued requests whose deadline lapses before dispatch are **expired**
   by the scheduler sweep, again with an explicit response.
 
@@ -37,6 +36,7 @@ from repro.serve.api import SolveRequest
 class AdmissionVerdict(enum.Enum):
     ADMITTED = "admitted"
     SHED_QUEUE_FULL = "queue_full"
+    # A lapsed deadline; the value is the shed response's ``detail``.
     SHED_DEADLINE = "deadline_unmeetable"
 
 
@@ -51,25 +51,6 @@ def deadline_lapsed(deadline_s: float | None, now: float) -> bool:
     expired by the other under a different reading of the same instant.
     """
     return deadline_s is not None and deadline_s <= now
-
-
-def deadline_unmeetable(
-    deadline_s: float | None, now: float, min_service_estimate_s: float
-) -> bool:
-    """Can this deadline not possibly be met, even on an idle fleet?
-
-    True when the deadline has :func:`deadline_lapsed`, or when the
-    remaining budget is strictly below the optimistic service floor.
-    The floor boundary is **inclusive on the admissible side**: a
-    deadline exactly equal to ``now + min_service_estimate_s`` is
-    admissible — the optimistic estimate can just barely be met, and
-    shedding it would refuse work the fleet might still finish.
-    """
-    if deadline_s is None:
-        return False
-    return deadline_lapsed(deadline_s, now) or (
-        deadline_s - now < min_service_estimate_s
-    )
 
 
 @dataclass
@@ -95,17 +76,12 @@ def _queue_key(queued: QueuedRequest) -> tuple[int, float, int]:
 class AdmissionController:
     """Bounded priority queue with preemptive admission.
 
-    ``min_service_estimate_s`` is the optimistic service floor used for
-    the deadline-feasibility check (a deadline tighter than this can
-    never be met, queue or no queue).
-
     Requests enter the queue only through :meth:`offer` (or ``queue`` at
     construction); callers may remove entries, which keeps the deadline
     floor a lower bound.
     """
 
     capacity: int = 64
-    min_service_estimate_s: float = 0.0
     queue: list[QueuedRequest] = field(default_factory=list)
     shed_full: int = 0
     shed_deadline: int = 0
@@ -132,7 +108,7 @@ class AdmissionController:
         response).  On ``ADMITTED`` the request is in the queue.
         """
         deadline = request.deadline_s
-        if deadline_unmeetable(deadline, now, self.min_service_estimate_s):
+        if deadline_lapsed(deadline, now):
             self.shed_deadline += 1
             tm.count("serve.shed.deadline")
             return AdmissionVerdict.SHED_DEADLINE, None

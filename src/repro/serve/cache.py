@@ -27,9 +27,13 @@ right-hand sides), so the service keys a cache on a pattern hash:
     signature; the scheduler batches on it because equal signatures mean
     the fabric needs no reconfiguration between their sweeps.
 
-The cache itself is a bounded LRU: serving fleets run for weeks, so an
-unbounded dict keyed by hashes is a slow memory leak.  Eviction only
-costs a re-analysis on the next miss, never correctness.
+The cache itself is a bounded LRU of fingerprints: a hit only has to
+record that the structure was analyzed, because every decision it lets
+the service reuse — solver sequence, plan signature, the latency
+profile — is already in the source's
+:class:`~repro.serve.profile.SolveProfile`.  Serving fleets run for
+weeks, so an unbounded set of hashes is a slow memory leak.  Eviction
+only costs a re-analysis on the next miss, never correctness.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from typing import Any
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "CacheEntry",
     "CacheStats",
     "PlanCache",
     "plan_signature",
@@ -57,29 +60,6 @@ def plan_signature(plan: Any) -> str:
             f"{row_set.start_row}:{row_set.stop_row}:{row_set.unroll};".encode()
         )
     return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """What a fingerprint hit lets the service skip and reuse.
-
-    The entry holds the *decisions* (solver choice and sequence, plan
-    signature) plus the latency profile needed to charge device time —
-    not the plan object itself, so entries stay small and picklable.
-    """
-
-    fingerprint: str
-    plan_signature: str
-    solver_sequence: tuple[str, ...]
-    converged: bool
-    iterations: int
-    attempt_compute_s: tuple[float, ...]
-    analysis_s: float
-
-    @property
-    def final_compute_s(self) -> float:
-        """Device compute of the converging (final) attempt only."""
-        return self.attempt_compute_s[-1] if self.attempt_compute_s else 0.0
 
 
 @dataclass
@@ -104,7 +84,7 @@ class CacheStats:
 
 @dataclass
 class PlanCache:
-    """Bounded LRU of :class:`CacheEntry` keyed by structure fingerprint."""
+    """Bounded LRU of analyzed structure fingerprints."""
 
     capacity: int = 256
     stats: CacheStats = field(default_factory=CacheStats)
@@ -114,30 +94,28 @@ class PlanCache:
             raise ConfigurationError(
                 f"cache capacity must be >= 1, got {self.capacity}"
             )
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[str, None] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def peek(self, fingerprint: str) -> CacheEntry | None:
+    def peek(self, fingerprint: str) -> bool:
         """Look up without touching LRU order or hit/miss stats."""
-        return self._entries.get(fingerprint)
+        return fingerprint in self._entries
 
-    def get(self, fingerprint: str) -> CacheEntry | None:
-        entry = self._entries.get(fingerprint)
-        if entry is None:
+    def get(self, fingerprint: str) -> bool:
+        if fingerprint not in self._entries:
             self.stats.misses += 1
-            return None
+            return False
         self._entries.move_to_end(fingerprint)
         self.stats.hits += 1
-        return entry
+        return True
 
-    def put(self, entry: CacheEntry) -> None:
-        if entry.fingerprint in self._entries:
-            self._entries.move_to_end(entry.fingerprint)
-            self._entries[entry.fingerprint] = entry
+    def put(self, fingerprint: str) -> None:
+        if fingerprint in self._entries:
+            self._entries.move_to_end(fingerprint)
             return
-        self._entries[entry.fingerprint] = entry
+        self._entries[fingerprint] = None
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1

@@ -36,17 +36,12 @@ from repro.serve.cluster.service import (
     run_cluster,
     run_cluster_loadtest,
 )
-from repro.serve.cluster.trace import (
-    ClusterLoadSpec,
-    RequestTrace,
-    generate_trace,
-)
+from repro.serve.cluster.trace import RequestTrace, generate_trace
 
 __all__ = [
     "Autoscaler",
     "AutoscalerPolicy",
     "ClusterConfig",
-    "ClusterLoadSpec",
     "ClusterReport",
     "FleetFaultEvent",
     "ForcedScaleEvent",

@@ -5,35 +5,36 @@ cluster splits it into an explicit cost ladder, charged in *modeled*
 time against the virtual clock:
 
 ``local hit``
-    The owning fleet's bounded LRU holds the entry.  Free — the warm
-    path the router's fingerprint affinity is designed to keep hot.
+    The owning fleet's bounded LRU holds the fingerprint.  Free — the
+    warm path the router's fingerprint affinity is designed to keep hot.
 
 ``remote hit``
-    Some other fleet published the entry to the cluster directory.  The
-    batch pays one ``remote_fetch_s`` transfer (host-tier RPC + plan
-    blob copy, the CPU–FPGA division of labor keeps this off-device)
-    and the entry is installed into the local LRU so the next hit is
-    free.
+    Some other fleet published the fingerprint to the cluster
+    directory.  The batch pays one ``remote_fetch_s`` transfer
+    (host-tier RPC + plan blob copy, the CPU–FPGA division of labor
+    keeps this off-device) and the fingerprint is installed into the
+    local LRU so the next hit is free.
 
 ``miss``
     Nobody has analyzed this structure.  The first request in the batch
     pays the full cold solve (analysis + fallback attempts), then the
-    entry is published to the directory and installed locally.
+    fingerprint is published to the directory and installed locally.
 
-The directory is deliberately unbounded while local tiers are bounded
-LRUs: it models a replicated metadata service whose entries are tiny
-(hashes and a latency profile, no plan payload), while local tiers model
-finite on-host plan storage.  Eviction from a local tier never loses
-work — the directory still has the entry, so the penalty is one remote
-fetch, not a re-analysis.
+Both tiers hold fingerprints only: the decisions a hit reuses are in
+the source's :class:`~repro.serve.profile.SolveProfile`.  The directory
+is deliberately unbounded while local tiers are bounded LRUs: it models
+a replicated metadata service whose entries are tiny, while local tiers
+model finite on-host plan storage.  Eviction from a local tier never
+loses work — the directory still has the fingerprint, so the penalty is
+one remote fetch, not a re-analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.serve.cache import CacheEntry, PlanCache
+from repro.serve.cache import PlanCache
 
 LOCAL_HIT = "local"
 REMOTE_HIT = "remote"
@@ -57,11 +58,6 @@ class TierStats:
         total = self.lookups
         return self.local_hits / total if total else 0.0
 
-    def merge(self, other: "TierStats") -> None:
-        self.local_hits += other.local_hits
-        self.remote_hits += other.remote_hits
-        self.misses += other.misses
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "local_hits": self.local_hits,
@@ -79,7 +75,7 @@ class TieredPlanCache:
     ) -> None:
         self.local_capacity = local_capacity
         self.remote_fetch_s = remote_fetch_s
-        self.directory: dict[str, CacheEntry] = {}
+        self.directory: set[str] = set()
         self.publishes = 0
         self.stats = TierStats()
         self._local: dict[int, PlanCache] = {}
@@ -90,8 +86,8 @@ class TieredPlanCache:
             self._local[fleet_id] = PlanCache(capacity=self.local_capacity)
 
     def detach_fleet(self, fleet_id: int) -> None:
-        """Drop a drained fleet's local tier; the directory keeps all
-        published entries, so nothing re-pays analysis."""
+        """Drop a drained fleet's local tier; the directory keeps every
+        published fingerprint, so nothing re-pays analysis."""
         self._local.pop(fleet_id, None)
 
     def local_entries(self, fleet_id: int) -> int:
@@ -101,40 +97,36 @@ class TieredPlanCache:
     def local_evictions(self) -> int:
         return sum(c.stats.evictions for c in self._local.values())
 
-    def lookup(
-        self, fleet_id: int, fingerprint: str
-    ) -> tuple[str, CacheEntry | None, float]:
+    def lookup(self, fleet_id: int, fingerprint: str) -> tuple[str, float]:
         """Resolve one fingerprint at ``fleet_id``.
 
-        Returns ``(tier, entry, charge_s)`` where ``tier`` is one of
+        Returns ``(tier, charge_s)`` where ``tier`` is one of
         :data:`LOCAL_HIT` / :data:`REMOTE_HIT` / :data:`MISS` and
         ``charge_s`` is the modeled time the ladder adds to the batch.
-        Remote hits install the entry locally as a side effect.
+        Remote hits install the fingerprint locally as a side effect.
         """
         local = self._local.get(fleet_id)
         if local is None:  # inline attach_fleet: this path is per-batch
             local = self._local[fleet_id] = PlanCache(
                 capacity=self.local_capacity
             )
-        entry = local.get(fingerprint)
-        if entry is not None:
+        if local.get(fingerprint):
             self.stats.local_hits += 1
-            return LOCAL_HIT, entry, 0.0
-        entry = self.directory.get(fingerprint)
-        if entry is not None:
+            return LOCAL_HIT, 0.0
+        if fingerprint in self.directory:
             self.stats.remote_hits += 1
-            local.put(entry)
-            return REMOTE_HIT, entry, self.remote_fetch_s
+            local.put(fingerprint)
+            return REMOTE_HIT, self.remote_fetch_s
         self.stats.misses += 1
-        return MISS, None, 0.0
+        return MISS, 0.0
 
-    def publish(self, fleet_id: int, entry: CacheEntry) -> None:
+    def publish(self, fleet_id: int, fingerprint: str) -> None:
         """After a cold solve: directory insert + local install."""
         self.attach_fleet(fleet_id)
-        if entry.fingerprint not in self.directory:
-            self.directory[entry.fingerprint] = entry
+        if fingerprint not in self.directory:
+            self.directory.add(fingerprint)
             self.publishes += 1
-        self._local[fleet_id].put(entry)
+        self._local[fleet_id].put(fingerprint)
 
     def as_dict(self) -> dict[str, Any]:
         return {

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 EVENT_EPOCH = "epoch"
 """Periodic boundary: drain arrivals, dispatch, evaluate the autoscaler."""
@@ -76,14 +76,6 @@ class TimerWheel:
         self.pushed += 1
         heapq.heappush(self._heap, event)
 
-    def peek_time(self) -> float | None:
-        return self._heap[0].at_s if self._heap else None
-
     def pop(self) -> TimerEvent:
         self.popped += 1
         return heapq.heappop(self._heap)
-
-    def pop_until(self, at_s: float) -> Iterator[TimerEvent]:
-        """Pop every event with ``event.at_s <= at_s`` in order."""
-        while self._heap and self._heap[0].at_s <= at_s:
-            yield self.pop()

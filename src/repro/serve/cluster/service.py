@@ -79,8 +79,8 @@ from repro.serve.cluster.events import (
     TimerWheel,
 )
 from repro.serve.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.serve.cluster.trace import ClusterLoadSpec, RequestTrace
-from repro.serve.loadgen import validate_seed
+from repro.serve.cluster.trace import RequestTrace
+from repro.serve.loadgen import LoadSpec
 from repro.serve.profile import DISPATCH_OVERHEAD_SECONDS, SolveProfile
 from repro.serve.service import DRAIN_LIMIT_FACTOR, build_profiles
 from repro.serve.stats import format_latency_ms, latency_summary_ms_array
@@ -145,7 +145,6 @@ class ClusterConfig:
     autoscale: bool = True
     policy: AutoscalerPolicy = field(default_factory=AutoscalerPolicy)
     workers: int = 1
-    profile_seed: int = 1
     fleet_faults: tuple[FleetFaultEvent, ...] = ()
     forced_scale: tuple[ForcedScaleEvent, ...] = ()
 
@@ -158,7 +157,6 @@ class ClusterConfig:
         ))
         if self.max_gpu_tenants is not None:
             check_integer_fields(self, (("max_gpu_tenants", 0),))
-        validate_seed(self.profile_seed, "profile_seed")
         if not (
             self.min_fleets <= self.initial_fleets <= self.max_fleets
         ):
@@ -620,7 +618,6 @@ class _ClusterSimulation:
         self.placed_class = [
             d.device_class if d else FPGA for d in self.placements
         ]
-        self.entries = [p.cache_entry() if p else None for p in self.profiles]
         self.ring = HashRing(vnodes=config.vnodes)
         self.route_map = np.full(self.n_sources, -1, dtype=np.int64)
         self.fleets: dict[int, FleetState] = {}
@@ -1016,15 +1013,14 @@ class _ClusterSimulation:
                 continue
             ripe = int(arr_arr.searchsorted(start, side="right")) - ptr
             k = ripe if ripe < max_batch else max_batch
-            tier, _, tier_charge = lookup(
-                fleet_id, self.fingerprints[source]
-            )
+            fingerprint = self.fingerprints[source]
+            tier, tier_charge = lookup(fleet_id, fingerprint)
             if tier == MISS:
                 first_total = (
                     self.gpu_cold_total[source] if on_gpu
                     else self.cold_total[source]
                 )
-                self.cache.publish(fleet_id, self.entries[source])
+                self.cache.publish(fleet_id, fingerprint)
                 if assist:
                     counts["cpu_assist_offloads"] += 1
             else:
@@ -1316,7 +1312,7 @@ def run_cluster(
     ``profiles`` lets a caller inject pre-built source profiles (the
     design-space explorer memoizes them across points sharing an
     accelerator config); they must cover ``trace.sources`` and have been
-    built with the same ``acamar_config`` and ``profile_seed`` a fresh
+    built with the same ``acamar_config`` a fresh
     :func:`~repro.serve.service.build_profiles` call would use, or the
     byte-determinism contract across callers is void.
 
@@ -1337,7 +1333,6 @@ def run_cluster(
                 list(trace.sources),
                 acamar_config,
                 workers=config.workers,
-                seed=config.profile_seed,
                 collector=collector,
             )
         simulation = _ClusterSimulation(trace, config, profiles)
@@ -1374,7 +1369,7 @@ def run_cluster(
 
 
 def run_cluster_loadtest(
-    spec: ClusterLoadSpec,
+    spec: LoadSpec,
     config: ClusterConfig | None = None,
     acamar_config: AcamarConfig | None = None,
     profiles: "dict[str, SolveProfile | str] | None" = None,

@@ -13,13 +13,16 @@ struct-of-arrays :class:`RequestTrace`:
 - ``deadline_s`` — float64 absolute deadline, ``+inf`` meaning none.
 
 Generation is fully vectorized and reuses the *same* statistical model
-as the object generator — :func:`repro.serve.loadgen.source_weights`
-for the dataset mix, ``PRIORITY_SHARES`` for the class split, Poisson
-arrivals with square-wave bursts — so "repeat-heavy at 120 rps" means
-the same workload at either tier.  Bursty arrivals use exact thinning:
-draw a homogeneous Poisson process at the peak rate, then keep each
-arrival with probability ``rate(t) / peak``.  One seeded PCG64
-generator drives everything, so a seed fully determines the trace.
+as the object generator, from the same
+:class:`~repro.serve.loadgen.LoadSpec` —
+:func:`repro.serve.loadgen.source_weights` for the dataset mix,
+``PRIORITY_SHARES`` for the class split, Poisson arrivals with the
+square-wave bursts of ``BURST_FACTOR``, ``BURST_S`` and
+``BURST_PERIOD_S`` — so "repeat-heavy at 120 rps" means the same
+workload at either tier.  Bursty arrivals use exact thinning: draw a
+homogeneous Poisson process at the peak rate, then keep each arrival
+with probability ``rate(t) / peak``.  One seeded PCG64 generator drives
+everything, so a seed fully determines the trace.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ import numpy as np
 
 from repro.serve.api import PRIORITY_NAMES, Priority
 from repro.serve.loadgen import (
+    BURST_FACTOR,
+    BURST_PERIOD_S,
+    BURST_S,
     PRIORITY_SHARES,
+    LoadSpec,
     source_weights,
-    validate_seed,
-    validate_traffic,
 )
 
 NO_DEADLINE = np.inf
@@ -43,42 +48,6 @@ NO_DEADLINE = np.inf
 _GAP_BLOCK = 262_144
 """Exponential gaps are drawn in blocks of this size until the horizon
 is covered — a handful of vectorized draws even at 36M arrivals."""
-
-
-@dataclass(frozen=True)
-class ClusterLoadSpec:
-    """Parameters of one synthetic cluster traffic run."""
-
-    seed: int = 0
-    duration_s: float = 60.0
-    rate_rps: float = 1000.0
-    mix: str = "repeat-heavy"
-    deadline_ms: float = 100.0
-    burst_factor: float = 4.0
-    burst_s: float = 0.25
-    burst_period_s: float = 1.0
-    sources: tuple[str, ...] = ()  # empty → the Table II registry
-
-    def __post_init__(self) -> None:
-        validate_seed(self.seed)
-        validate_traffic(
-            self.mix,
-            self.duration_s,
-            self.rate_rps,
-            deadline_ms=self.deadline_ms,
-            burst_factor=self.burst_factor,
-            burst_s=self.burst_s,
-            burst_period_s=self.burst_period_s,
-        )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "rate_rps": self.rate_rps,
-            "mix": self.mix,
-            "deadline_ms": self.deadline_ms,
-        }
 
 
 @dataclass
@@ -113,10 +82,10 @@ class RequestTrace:
         }
 
 
-def _arrivals(spec: ClusterLoadSpec, rng: np.random.Generator) -> np.ndarray:
+def _arrivals(spec: LoadSpec, rng: np.random.Generator) -> np.ndarray:
     """Sorted arrival timestamps over ``[0, duration_s)``."""
     bursty = spec.mix == "bursty"
-    peak = spec.rate_rps * (spec.burst_factor if bursty else 1.0)
+    peak = spec.rate_rps * (BURST_FACTOR if bursty else 1.0)
     chunks: list[np.ndarray] = []
     t = 0.0
     while t < spec.duration_s:
@@ -129,16 +98,14 @@ def _arrivals(spec: ClusterLoadSpec, rng: np.random.Generator) -> np.ndarray:
     if bursty:
         # Exact thinning of the peak-rate process: accept with
         # probability rate(t)/peak.  In-burst phases accept everything;
-        # off-burst phases accept 1/burst_factor.
-        phase = arrivals % spec.burst_period_s
-        accept_p = np.where(
-            phase < spec.burst_s, 1.0, 1.0 / spec.burst_factor
-        )
+        # off-burst phases accept 1/BURST_FACTOR.
+        phase = arrivals % BURST_PERIOD_S
+        accept_p = np.where(phase < BURST_S, 1.0, 1.0 / BURST_FACTOR)
         arrivals = arrivals[rng.random(arrivals.shape[0]) < accept_p]
     return np.round(arrivals, 9)
 
 
-def generate_trace(spec: ClusterLoadSpec) -> RequestTrace:
+def generate_trace(spec: LoadSpec) -> RequestTrace:
     """Produce the full arrival-ordered trace for ``spec``."""
     if spec.sources:
         keys: tuple[str, ...] = tuple(spec.sources)

@@ -6,8 +6,8 @@ run — so the generator models each dimension explicitly:
 
 - **arrival process**: exponential inter-arrivals (Poisson traffic) at
   ``rate_rps``, optionally modulated by a square-wave burst pattern
-  (``burst_factor``× the base rate for ``burst_s`` out of every
-  ``burst_period_s``), the classic on/off overload model,
+  (:data:`BURST_FACTOR`× the base rate for :data:`BURST_S` out of every
+  :data:`BURST_PERIOD_S`), the classic on/off overload model,
 - **dataset mix**: named mixes over the Table II registry — ``uniform``
   spreads requests evenly (cache-hostile), ``repeat-heavy``
   concentrates 80% of traffic on a small hot set (cache-friendly, the
@@ -16,10 +16,13 @@ run — so the generator models each dimension explicitly:
 - **priority/deadline mix**: a fixed fraction of traffic is interactive
   with a relative deadline; the rest splits batch/best-effort.
 
-Everything derives from one ``numpy`` PCG64 generator seeded by the
-caller, so a seed fully determines the request log.  Logs round-trip
-through JSONL (:func:`write_request_log` / :func:`read_request_log`)
-for replay and offline analysis.
+One :class:`LoadSpec` drives both tiers: :func:`generate_requests`
+here and the cluster tier's vectorized
+:func:`~repro.serve.cluster.trace.generate_trace`.  Everything derives
+from one ``numpy`` PCG64 generator seeded by the caller, so a seed
+fully determines the request log.  Logs round-trip through JSONL
+(:func:`write_request_log` / :func:`read_request_log`) for replay and
+offline analysis.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -47,19 +50,22 @@ PRIORITY_SHARES = ((Priority.INTERACTIVE, 0.3), (Priority.BATCH, 0.5),
 
 TRAFFIC_MIXES = ("uniform", "repeat-heavy", "bursty")
 
+BURST_FACTOR = 4.0
+BURST_S = 0.25
+BURST_PERIOD_S = 1.0
+"""The ``bursty`` mix runs at ``BURST_FACTOR`` times the base rate for
+the first ``BURST_S`` seconds of every ``BURST_PERIOD_S``."""
+
 
 @dataclass(frozen=True)
 class LoadSpec:
-    """Parameters of one synthetic traffic run."""
+    """Parameters of one synthetic traffic run, at either tier."""
 
     seed: int = 0
     duration_s: float = 5.0
     rate_rps: float = 120.0
     mix: str = "repeat-heavy"
     deadline_ms: float = 100.0
-    burst_factor: float = 4.0
-    burst_s: float = 0.25
-    burst_period_s: float = 1.0
     sources: tuple[str, ...] = ()  # empty → the Table II registry
 
     def __post_init__(self) -> None:
@@ -69,19 +75,23 @@ class LoadSpec:
             self.duration_s,
             self.rate_rps,
             deadline_ms=self.deadline_ms,
-            burst_factor=self.burst_factor,
-            burst_s=self.burst_s,
-            burst_period_s=self.burst_period_s,
         )
 
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "seed": self.seed,
+            "duration_s": self.duration_s,
+            "rate_rps": self.rate_rps,
+            "mix": self.mix,
+            "deadline_ms": self.deadline_ms,
+        }
 
-def validate_seed(seed: int, name: str = "seed") -> None:
+
+def validate_seed(seed: int) -> None:
     """Reject a seed numpy's generators cannot take.
 
-    Shared by :class:`LoadSpec`, the cluster tier's ``ClusterLoadSpec``,
-    the DSE sweep and ``ServiceConfig.profile_seed`` (``name`` is the
-    field the message names), so a bad seed fails before any work
-    instead of in the first generator call.
+    Shared by :class:`LoadSpec` and the DSE sweep, so a bad seed fails
+    before any work instead of in the first generator call.
     """
     if (
         isinstance(seed, bool)
@@ -89,7 +99,7 @@ def validate_seed(seed: int, name: str = "seed") -> None:
         or seed < 0
     ):
         raise ConfigurationError(
-            f"{name} must be a non-negative integer, got {seed!r}"
+            f"seed must be a non-negative integer, got {seed!r}"
         )
 
 
@@ -98,12 +108,11 @@ def validate_traffic(
 ) -> None:
     """Reject a traffic regime the generators cannot run.
 
-    Shared by :class:`LoadSpec`, the cluster tier's ``ClusterLoadSpec``
-    and the DSE ``TrafficSpec``.  Every value must be a finite number
-    and not a ``bool``: a NaN or infinite rate or duration never ends
-    the arrival loop (or allocates until memory runs out), and a NaN
-    deadline never expires.  The duration and the rate must also be
-    positive.
+    Shared by :class:`LoadSpec` and the DSE ``TrafficSpec``.  Every
+    value must be a finite number and not a ``bool``: a NaN or infinite
+    rate or duration never ends the arrival loop (or allocates until
+    memory runs out), and a NaN deadline never expires.  The duration
+    and the rate must also be positive.
     """
     values = {"duration_s": duration_s, "rate_rps": rate_rps, **others}
     for name, value in values.items():
@@ -168,9 +177,9 @@ def _choice_table(weights: np.ndarray) -> list[float]:
 def _instantaneous_rate(spec: LoadSpec, t: float) -> float:
     if spec.mix != "bursty":
         return spec.rate_rps
-    phase = t % spec.burst_period_s
-    if phase < spec.burst_s:
-        return spec.rate_rps * spec.burst_factor
+    phase = t % BURST_PERIOD_S
+    if phase < BURST_S:
+        return spec.rate_rps * BURST_FACTOR
     return spec.rate_rps
 
 

@@ -30,7 +30,7 @@ from repro.placement import (
     estimate_gpu_service,
     structural_class_of,
 )
-from repro.serve.cache import CacheEntry, plan_signature
+from repro.serve.cache import plan_signature
 from repro.telemetry import Telemetry
 
 ANALYSIS_SECONDS_PER_NNZ = 25e-9
@@ -148,17 +148,6 @@ class SolveProfile:
                 service - self.analysis_s + CPU_ASSIST_ROUNDTRIP_SECONDS
             )
         return service
-
-    def cache_entry(self) -> CacheEntry:
-        return CacheEntry(
-            fingerprint=self.fingerprint,
-            plan_signature=self.plan_signature,
-            solver_sequence=self.solver_sequence,
-            converged=self.converged,
-            iterations=self.iterations,
-            attempt_compute_s=self.attempt_compute_s,
-            analysis_s=self.analysis_s,
-        )
 
 
 def build_profile(problem: Any, config: AcamarConfig) -> SolveProfile:

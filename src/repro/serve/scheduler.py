@@ -365,10 +365,9 @@ class MicroBatchScheduler:
                 tm.count("gpu.transfers")
             else:
                 tm.count("serve.config_loads")
-        entry = cache.get(profile.fingerprint) if cache is not None else None
-        batch_warm = entry is not None
+        batch_warm = cache is not None and cache.get(profile.fingerprint)
         if cache is not None and not batch_warm:
-            cache.put(profile.cache_entry())
+            cache.put(profile.fingerprint)
             # The put may add this fingerprint and evict others: every
             # memoized group key may be stale now.
             self._group_keys.clear()

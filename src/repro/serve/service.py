@@ -44,7 +44,7 @@ from repro.serve.api import (
     SolveResponse,
 )
 from repro.serve.cache import PlanCache
-from repro.serve.loadgen import LoadSpec, validate_seed
+from repro.serve.loadgen import LoadSpec
 from repro.serve.profile import SolveProfile, profile_items
 from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
 from repro.serve.stats import format_latency_ms, latency_summary_ms
@@ -69,7 +69,6 @@ class ServiceConfig:
     cache_capacity: int = 256
     fleet: FleetSpec = field(default_factory=FleetSpec)
     workers: int = 1
-    profile_seed: int = 1
     device_faults: tuple[DeviceFaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
@@ -77,7 +76,6 @@ class ServiceConfig:
             ("queue_capacity", 1), ("max_batch", 1), ("cache_capacity", 1),
             ("workers", 1),
         ))
-        validate_seed(self.profile_seed, "profile_seed")
         if not (math.isfinite(self.batch_window_ms)
                 and self.batch_window_ms >= 0):
             raise ConfigurationError(
@@ -205,9 +203,10 @@ class ServingReport:
             "cache": {
                 "enabled": self.cache is not None,
                 "hit_rate": round(self.cache_hit_rate, 9),
-                "entries": len(self.cache) if self.cache else 0,
+                "entries": len(self.cache) if self.cache is not None else 0,
                 "lookups": (
-                    self.cache.stats.as_dict() if self.cache else None
+                    self.cache.stats.as_dict()
+                    if self.cache is not None else None
                 ),
             },
             "batches": {
@@ -317,11 +316,14 @@ class ServingReport:
         ]
 
 
+PROFILE_SEED = 1
+"""The seed every source is resolved at for profiling, at both tiers."""
+
+
 def build_profiles(
     sources: Sequence[str],
     config: AcamarConfig,
     workers: int = 1,
-    seed: int = 1,
     collector: Telemetry | None = None,
 ) -> dict[str, "SolveProfile | str"]:
     """Profile every unique source once (real solves, memoized).
@@ -342,7 +344,7 @@ def build_profiles(
         WorkItem(
             index=index,
             source=source,
-            seed=seed,
+            seed=PROFILE_SEED,
             cost=estimate_cost(source),
         )
         for index, source in enumerate(unique)
@@ -448,7 +450,6 @@ def run_service(
             [r.source for r in requests],
             acamar_config,
             workers=service_config.workers,
-            seed=service_config.profile_seed,
             collector=collector,
         )
         cache = (

@@ -1,7 +1,11 @@
 """Tests for the golden-band regression harness."""
 
+import shutil
+
+from repro.experiments import regression
 from repro.experiments.regression import (
     BENCH_GUARDED_PREFIXES,
+    DEFAULT_BANDS_PATH,
     check_regression,
     load_bands,
     measure_headlines,
@@ -49,6 +53,40 @@ class TestBandsFile:
         values = {"a": 1.5, "b": 2.0}
         path = save_bands(values, tmp_path / "bands.json")
         assert load_bands(path) == values
+
+    def test_update_rewrites_headlines_and_keeps_guarded_bands(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "bands.json"
+        shutil.copy(DEFAULT_BANDS_PATH, path)
+        before = load_bands(path)
+        headlines = {
+            name: value + 1.0
+            for name, value in before.items()
+            if not name.startswith(BENCH_GUARDED_PREFIXES)
+        }
+        monkeypatch.setattr(regression, "DEFAULT_BANDS_PATH", path)
+        monkeypatch.setattr(
+            regression, "measure_headlines", lambda keys=None: headlines
+        )
+        save = regression.save_bands
+
+        def save_to_copy_only(values, target=DEFAULT_BANDS_PATH):
+            # Never let the update reach the committed bands file.
+            assert target == path
+            return save(values, target)
+
+        monkeypatch.setattr(regression, "save_bands", save_to_copy_only)
+        assert regression.main(["--update"]) == 0
+        after = load_bands(path)
+        guarded = {
+            name: value
+            for name, value in before.items()
+            if name.startswith(BENCH_GUARDED_PREFIXES)
+        }
+        assert len(guarded) == 19
+        assert len(headlines) == 9
+        assert after == {**guarded, **headlines}
 
 
 class TestChecks:

@@ -8,11 +8,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.serve.cluster import (
     ClusterConfig,
-    ClusterLoadSpec,
     FleetFaultEvent,
     ForcedScaleEvent,
     run_cluster_loadtest,
 )
+from repro.serve.loadgen import LoadSpec
 
 SOURCES = ("Wa", "Li", "2C")
 
@@ -23,7 +23,7 @@ def small_spec(**overrides):
         sources=SOURCES,
     )
     base.update(overrides)
-    return ClusterLoadSpec(**base)
+    return LoadSpec(**base)
 
 
 def small_config(**overrides):
@@ -84,11 +84,6 @@ class TestValidation:
     def test_integer_knobs_checked_at_construction(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             ClusterConfig(**{field: value})
-
-    @pytest.mark.parametrize("seed", [-1, True, 1.0])
-    def test_profile_seed_validated(self, seed):
-        with pytest.raises(ConfigurationError, match="^profile_seed must be"):
-            ClusterConfig(profile_seed=seed)
 
     def test_forced_scale_action_validated(self):
         with pytest.raises(ConfigurationError):
@@ -169,7 +164,7 @@ class TestAccounting:
         collector = Telemetry()
         with collector.activate():
             profiles = build_profiles(
-                list(trace.sources), AcamarConfig(), workers=1, seed=1,
+                list(trace.sources), AcamarConfig(), workers=1,
                 collector=collector,
             )
             sim = _ClusterSimulation(trace, small_config(), profiles)

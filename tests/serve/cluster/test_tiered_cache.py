@@ -1,6 +1,5 @@
 """Tiered plan cache: the local/remote/miss cost ladder."""
 
-from repro.serve.cache import CacheEntry
 from repro.serve.cluster.cache import (
     LOCAL_HIT,
     MISS,
@@ -10,53 +9,32 @@ from repro.serve.cluster.cache import (
 )
 
 
-def entry(fp):
-    return CacheEntry(
-        fingerprint=fp,
-        plan_signature=f"sig:{fp}",
-        solver_sequence=("cg",),
-        converged=True,
-        iterations=10,
-        attempt_compute_s=(1e-4,),
-        analysis_s=1e-5,
-    )
-
-
 class TestCostLadder:
     def test_miss_then_publish_then_local_hit(self):
         cache = TieredPlanCache(local_capacity=4, remote_fetch_s=250e-6)
-        tier, found, charge = cache.lookup(1, "fp-a")
-        assert (tier, found, charge) == (MISS, None, 0.0)
-        cache.publish(1, entry("fp-a"))
-        tier, found, charge = cache.lookup(1, "fp-a")
-        assert tier == LOCAL_HIT
-        assert found.fingerprint == "fp-a"
-        assert charge == 0.0
+        assert cache.lookup(1, "fp-a") == (MISS, 0.0)
+        cache.publish(1, "fp-a")
+        assert cache.lookup(1, "fp-a") == (LOCAL_HIT, 0.0)
 
     def test_remote_hit_charges_fetch_and_installs_locally(self):
         cache = TieredPlanCache(local_capacity=4, remote_fetch_s=250e-6)
-        cache.publish(1, entry("fp-a"))
+        cache.publish(1, "fp-a")
         # Fleet 2 never saw fp-a: directory hit, one fetch charge...
-        tier, found, charge = cache.lookup(2, "fp-a")
-        assert (tier, charge) == (REMOTE_HIT, 250e-6)
-        assert found.fingerprint == "fp-a"
+        assert cache.lookup(2, "fp-a") == (REMOTE_HIT, 250e-6)
         # ...and the install makes the next lookup free.
-        tier, _, charge = cache.lookup(2, "fp-a")
-        assert (tier, charge) == (LOCAL_HIT, 0.0)
+        assert cache.lookup(2, "fp-a") == (LOCAL_HIT, 0.0)
 
     def test_local_eviction_degrades_to_remote_not_miss(self):
         cache = TieredPlanCache(local_capacity=1, remote_fetch_s=1e-3)
-        cache.publish(1, entry("fp-a"))
-        cache.publish(1, entry("fp-b"))  # capacity 1: evicts fp-a locally
+        cache.publish(1, "fp-a")
+        cache.publish(1, "fp-b")  # capacity 1: evicts fp-a locally
         assert cache.local_entries(1) == 1
-        tier, found, charge = cache.lookup(1, "fp-a")
-        assert (tier, charge) == (REMOTE_HIT, 1e-3)
-        assert found.fingerprint == "fp-a"
+        assert cache.lookup(1, "fp-a") == (REMOTE_HIT, 1e-3)
 
     def test_publish_is_idempotent_in_the_directory(self):
         cache = TieredPlanCache(local_capacity=4)
-        cache.publish(1, entry("fp-a"))
-        cache.publish(2, entry("fp-a"))
+        cache.publish(1, "fp-a")
+        cache.publish(2, "fp-a")
         assert cache.publishes == 1
         assert len(cache.directory) == 1
 
@@ -65,16 +43,16 @@ class TestFleetLifecycle:
     def test_lookup_auto_attaches_unknown_fleet(self):
         cache = TieredPlanCache(local_capacity=4)
         assert cache.lookup(7, "fp-x")[0] == MISS
-        cache.publish(7, entry("fp-x"))
+        cache.publish(7, "fp-x")
         assert cache.lookup(7, "fp-x")[0] == LOCAL_HIT
 
     def test_detach_drops_local_tier_but_keeps_directory(self):
         cache = TieredPlanCache(local_capacity=4)
-        cache.publish(3, entry("fp-a"))
+        cache.publish(3, "fp-a")
         cache.detach_fleet(3)
         assert cache.local_entries(3) == 0
         # A rejoin re-pays one fetch, never a re-analysis.
-        tier, _, _ = cache.lookup(3, "fp-a")
+        tier, _ = cache.lookup(3, "fp-a")
         assert tier == REMOTE_HIT
 
     def test_misses_equal_publishes_equal_directory(self):
@@ -82,9 +60,9 @@ class TestFleetLifecycle:
         # once cluster-wide, whatever fleet sees it first.
         cache = TieredPlanCache(local_capacity=8)
         for fleet_id, fp in [(1, "a"), (2, "b"), (1, "c"), (2, "a")]:
-            tier, found, _ = cache.lookup(fleet_id, fp)
+            tier, _ = cache.lookup(fleet_id, fp)
             if tier == MISS:
-                cache.publish(fleet_id, entry(fp))
+                cache.publish(fleet_id, fp)
         assert cache.stats.misses == cache.publishes == len(cache.directory)
 
 
@@ -92,7 +70,7 @@ class TestStats:
     def test_ladder_counts(self):
         cache = TieredPlanCache(local_capacity=4)
         cache.lookup(1, "fp-a")            # miss
-        cache.publish(1, entry("fp-a"))
+        cache.publish(1, "fp-a")
         cache.lookup(1, "fp-a")            # local
         cache.lookup(2, "fp-a")            # remote
         stats = cache.stats
@@ -101,11 +79,6 @@ class TestStats:
         )
         assert stats.lookups == 3
         assert stats.local_hit_rate == 1 / 3
-
-    def test_merge(self):
-        a = TierStats(local_hits=2, remote_hits=1, misses=1)
-        a.merge(TierStats(local_hits=1, remote_hits=0, misses=3))
-        assert (a.local_hits, a.remote_hits, a.misses) == (3, 1, 4)
 
     def test_empty_rate_is_zero(self):
         assert TierStats().local_hit_rate == 0.0

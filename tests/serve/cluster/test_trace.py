@@ -5,11 +5,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.serve.api import Priority
-from repro.serve.cluster.trace import (
-    NO_DEADLINE,
-    ClusterLoadSpec,
-    generate_trace,
-)
+from repro.serve.cluster.trace import NO_DEADLINE, generate_trace
+from repro.serve.loadgen import BURST_PERIOD_S, BURST_S, LoadSpec
 
 SOURCES = ("poisson2d_64", "heat1d_256", "adv_diff_128")
 
@@ -19,21 +16,21 @@ def spec(**kw):
         seed=11, duration_s=30.0, rate_rps=400.0, sources=SOURCES
     )
     base.update(kw)
-    return ClusterLoadSpec(**base)
+    return LoadSpec(**base)
 
 
 class TestValidation:
     def test_rejects_non_positive_duration(self):
         with pytest.raises(ConfigurationError):
-            ClusterLoadSpec(duration_s=0.0)
+            LoadSpec(duration_s=0.0)
 
     def test_rejects_non_positive_rate(self):
         with pytest.raises(ConfigurationError):
-            ClusterLoadSpec(rate_rps=-1.0)
+            LoadSpec(rate_rps=-1.0)
 
     def test_rejects_unknown_mix(self):
         with pytest.raises(ConfigurationError):
-            ClusterLoadSpec(mix="nope")
+            LoadSpec(mix="nope")
 
 
 class TestShape:
@@ -114,8 +111,8 @@ class TestStatisticalModel:
 
     def test_bursty_mix_clusters_arrivals(self):
         trace = generate_trace(spec(mix="bursty"))
-        phase = trace.arrival_s % 1.0  # burst_period_s default
-        in_burst = np.mean(phase < 0.25)  # burst_s default
+        phase = trace.arrival_s % BURST_PERIOD_S
+        in_burst = np.mean(phase < BURST_S)
         # Uniform traffic would put 25% of arrivals in the burst window;
         # a 4x burst factor concentrates more than half there.
         assert in_burst > 0.5

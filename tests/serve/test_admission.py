@@ -76,16 +76,6 @@ class TestAdmission:
         assert verdict is AdmissionVerdict.SHED_DEADLINE
         assert controller.shed_deadline == 1
 
-    def test_sheds_unmeetable_deadline(self):
-        controller = AdmissionController(
-            capacity=8, min_service_estimate_s=0.1
-        )
-        verdict, _ = controller.offer(
-            request(0, Priority.INTERACTIVE, arrival=0.0, deadline=0.05),
-            now=0.0,
-        )
-        assert verdict is AdmissionVerdict.SHED_DEADLINE
-
     def test_expire_removes_lapsed_only(self):
         controller = AdmissionController(capacity=8)
         controller.offer(
@@ -122,9 +112,7 @@ class TestDeadlineBoundary:
 
     Both admission and the expiry sweep resolve "has this deadline
     passed" through the same predicate, with a closed boundary: a
-    deadline exactly equal to now has lapsed.  The feasibility floor is
-    the opposite edge: a deadline exactly now + min_service_estimate_s
-    is still admissible.
+    deadline exactly equal to now has lapsed.
     """
 
     def test_deadline_equal_to_now_is_shed_at_admission(self):
@@ -145,31 +133,9 @@ class TestDeadlineBoundary:
         assert [q.request.request_id for q in lapsed] == [0]
         assert controller.depth() == 0
 
-    def test_deadline_exactly_at_service_floor_is_admissible(self):
-        controller = AdmissionController(
-            capacity=4, min_service_estimate_s=0.010
-        )
-        verdict, _ = controller.offer(
-            request(0, deadline=1.010), now=1.0
-        )
-        assert verdict is AdmissionVerdict.ADMITTED
-
-    def test_deadline_inside_service_floor_is_shed(self):
-        controller = AdmissionController(
-            capacity=4, min_service_estimate_s=0.010
-        )
-        verdict, _ = controller.offer(
-            request(0, deadline=1.0099999), now=1.0
-        )
-        assert verdict is AdmissionVerdict.SHED_DEADLINE
-
     def test_predicates_are_single_sourced(self):
-        from repro.serve.admission import deadline_lapsed, deadline_unmeetable
+        from repro.serve.admission import deadline_lapsed
 
         assert deadline_lapsed(5.0, 5.0)
         assert not deadline_lapsed(5.0, 4.999999999)
         assert not deadline_lapsed(None, 1e9)
-        assert not deadline_unmeetable(None, 0.0, 10.0)
-        assert not deadline_unmeetable(1.010, 1.0, 0.010)
-        assert deadline_unmeetable(1.009, 1.0, 0.010)
-        assert deadline_unmeetable(0.5, 1.0, 0.0)

@@ -6,20 +6,8 @@ import pytest
 from repro import Acamar
 from repro.datasets import poisson_2d
 from repro.errors import ConfigurationError
-from repro.serve.cache import CacheEntry, PlanCache, plan_signature
+from repro.serve.cache import PlanCache, plan_signature
 from repro.sparse.csr import CSRMatrix
-
-
-def entry(fp, signature="sig"):
-    return CacheEntry(
-        fingerprint=fp,
-        plan_signature=signature,
-        solver_sequence=("cg",),
-        converged=True,
-        iterations=10,
-        attempt_compute_s=(1e-4, 2e-4),
-        analysis_s=1e-5,
-    )
 
 
 class TestStructureFingerprint:
@@ -70,40 +58,43 @@ class TestPlanCache:
 
     def test_get_records_hits_and_misses(self):
         cache = PlanCache(capacity=4)
-        assert cache.get("absent") is None
-        cache.put(entry("a"))
-        assert cache.get("a").fingerprint == "a"
+        assert cache.get("absent") is False
+        cache.put("a")
+        assert cache.get("a") is True
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_peek_does_not_touch_stats_or_order(self):
         cache = PlanCache(capacity=2)
-        cache.put(entry("a"))
-        cache.put(entry("b"))
-        assert cache.peek("a") is not None
+        cache.put("a")
+        cache.put("b")
+        assert cache.peek("a") is True
         assert cache.stats.hits == 0
-        cache.put(entry("c"))  # peek must not have refreshed "a"
-        assert cache.peek("a") is None
-        assert cache.peek("b") is not None
+        cache.put("c")  # peek must not have refreshed "a"
+        assert cache.peek("a") is False
+        assert cache.peek("b") is True
 
     def test_lru_eviction_order(self):
         cache = PlanCache(capacity=2)
-        cache.put(entry("a"))
-        cache.put(entry("b"))
+        cache.put("a")
+        cache.put("b")
         cache.get("a")  # refresh: "b" is now least recently used
-        cache.put(entry("c"))
-        assert cache.peek("b") is None
-        assert cache.peek("a") is not None
+        cache.put("c")
+        assert not cache.peek("b")
+        assert cache.peek("a")
         assert cache.stats.evictions == 1
         assert len(cache) == 2
 
     def test_put_existing_updates_in_place(self):
+        # A repeated put refreshes the fingerprint's LRU position
+        # without adding a second record or evicting anything.
         cache = PlanCache(capacity=2)
-        cache.put(entry("a", signature="old"))
-        cache.put(entry("a", signature="new"))
-        assert len(cache) == 1
-        assert cache.peek("a").plan_signature == "new"
-
-    def test_final_compute_is_last_attempt(self):
-        assert entry("a").final_compute_s == pytest.approx(2e-4)
+        cache.put("a")
+        cache.put("b")
+        cache.put("a")
+        assert len(cache) == 2
+        assert cache.stats.evictions == 0
+        cache.put("c")
+        assert not cache.peek("b")
+        assert cache.peek("a")

@@ -11,7 +11,7 @@ from repro.dse import TrafficSpec
 from repro.errors import ConfigurationError, ValidationError
 from repro.serve import loadgen
 from repro.serve.api import Priority, SolveRequest
-from repro.serve.cluster import ClusterLoadSpec
+from repro.serve.cluster import generate_trace
 from repro.serve.loadgen import (
     PRIORITY_SHARES,
     TRAFFIC_MIXES,
@@ -23,10 +23,7 @@ from repro.serve.loadgen import (
     write_request_log,
 )
 
-LOAD_SPEC_FLOATS = (
-    "duration_s", "rate_rps", "deadline_ms", "burst_factor", "burst_s",
-    "burst_period_s",
-)
+LOAD_SPEC_FLOATS = ("duration_s", "rate_rps", "deadline_ms")
 
 
 def traffic_spec(**overrides):
@@ -35,11 +32,17 @@ def traffic_spec(**overrides):
     return TrafficSpec(**fields)
 
 
+def cluster_trace_spec(**fields):
+    """A ``LoadSpec`` that the cluster tier's trace generator has run on."""
+    spec = LoadSpec(**fields)
+    generate_trace(spec)
+    return spec
+
+
 TRAFFIC_SPEC_FIELDS = [
     *((LoadSpec, name) for name in LOAD_SPEC_FLOATS),
-    *((ClusterLoadSpec, name) for name in LOAD_SPEC_FLOATS),
-    *((traffic_spec, name)
-      for name in ("duration_s", "rate_rps", "deadline_ms")),
+    *((cluster_trace_spec, name) for name in LOAD_SPEC_FLOATS),
+    *((traffic_spec, name) for name in LOAD_SPEC_FLOATS),
 ]
 
 
@@ -80,14 +83,14 @@ class TestSeedValidation:
     """A seed numpy cannot take fails at the spec, before any draw."""
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "1", True, None])
-    @pytest.mark.parametrize("build", [LoadSpec, ClusterLoadSpec])
+    @pytest.mark.parametrize("build", [LoadSpec, cluster_trace_spec])
     def test_rejected(self, build, seed):
         with pytest.raises(
             ConfigurationError, match="seed must be a non-negative integer"
         ):
             build(seed=seed)
 
-    @pytest.mark.parametrize("build", [LoadSpec, ClusterLoadSpec])
+    @pytest.mark.parametrize("build", [LoadSpec, cluster_trace_spec])
     def test_integral_seeds_accepted(self, build):
         assert build(seed=np.int64(3)).seed == 3
         assert build(seed=0).seed == 0

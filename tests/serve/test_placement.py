@@ -26,7 +26,7 @@ from repro.serve import (
     run_cluster_loadtest,
     run_service,
 )
-from repro.serve.cluster.service import ClusterConfig, ClusterLoadSpec
+from repro.serve.cluster.service import ClusterConfig
 from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
 
 # Pre-PR pinned numbers: LoadSpec(seed=7, 2 s, 120 rps) on a pure-FPGA
@@ -41,7 +41,7 @@ SERVE_GOLD = {
     "hit_rate": 0.897435897,
 }
 
-# Pre-PR pinned numbers: ClusterLoadSpec(seed=3, 12 s, 400 rps,
+# Pre-PR pinned numbers: LoadSpec(seed=3, 12 s, 400 rps,
 # repeat-heavy) on 2..4 fleets of 3 FPGA slots.
 CLUSTER_GOLD = {
     "completed": 4858,
@@ -68,7 +68,7 @@ def _serve_report(fleet: FleetSpec, workers: int = 1):
 
 
 def _cluster_report(config: ClusterConfig):
-    spec = ClusterLoadSpec(
+    spec = LoadSpec(
         seed=3, duration_s=12.0, rate_rps=400.0, mix="repeat-heavy"
     )
     return run_cluster_loadtest(spec, config)

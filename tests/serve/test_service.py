@@ -67,17 +67,17 @@ class TestServiceConfig:
         ("cache_capacity", 1.5),
         ("workers", 1.5),
         ("workers", 0),
-        ("profile_seed", -1),
-        ("profile_seed", True),
-        ("profile_seed", 1.0),
     ])
     def test_integer_knobs_take_only_integers(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             ServiceConfig(**{field: value})
 
     def test_numpy_integers_accepted(self):
-        config = ServiceConfig(max_batch=np.int64(4), profile_seed=np.int32(3))
+        config = ServiceConfig(
+            max_batch=np.int64(4), queue_capacity=np.int32(3)
+        )
         assert config.max_batch == 4
+        assert config.queue_capacity == 3
 
     def test_workers_excluded_from_report_dict(self):
         assert "workers" not in ServiceConfig(workers=4).as_dict()
@@ -183,6 +183,16 @@ class TestCacheEffect:
         counters = baseline_report.counters
         assert counters["serve.cache_hits"] == hits
         assert counters["serve.cache_misses"] == len(done) - hits
+
+    def test_empty_log_reports_zero_lookups(self):
+        # An enabled cache that is still empty must report its lookups,
+        # not null: emptiness is not the absence of a cache.
+        cache = run_service([], small_config()).as_dict()["cache"]
+        assert cache["enabled"]
+        assert cache["entries"] == 0
+        assert cache["lookups"] == {
+            "hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0,
+        }
 
 
 class TestFailedSources:

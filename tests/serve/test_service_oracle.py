@@ -32,7 +32,6 @@ from repro.serve.admission import (
     AdmissionVerdict,
     QueuedRequest,
     deadline_lapsed,
-    deadline_unmeetable,
 )
 from repro.serve.api import Outcome, Priority, SolveRequest, SolveResponse
 from repro.serve.cache import PlanCache
@@ -66,9 +65,7 @@ class SortingAdmission(AdmissionController):
     """Append, sort the whole queue, and preempt the ``max`` entry."""
 
     def offer(self, request, now):
-        if deadline_unmeetable(
-            request.deadline_s, now, self.min_service_estimate_s
-        ):
+        if deadline_lapsed(request.deadline_s, now):
             self.shed_deadline += 1
             tm.count("serve.shed.deadline")
             return AdmissionVerdict.SHED_DEADLINE, None
@@ -176,10 +173,9 @@ def serve_batch(scheduler, slot, members, profile, now, batch_id):
             tm.count("gpu.transfers")
         else:
             tm.count("serve.config_loads")
-    entry = cache.get(profile.fingerprint) if cache is not None else None
-    batch_warm = entry is not None
+    batch_warm = cache is not None and cache.get(profile.fingerprint)
     if cache is not None and not batch_warm:
-        cache.put(profile.cache_entry())
+        cache.put(profile.fingerprint)
     if not batch_warm and scheduler.fleet.cpu_assist:
         tm.count("placement.cpu_assist_offloads")
     responses = []
@@ -300,8 +296,7 @@ def every_tick_service(requests, config, build=build_profiles):
     with collector.activate():
         profiles = build(
             [r.source for r in requests], AcamarConfig(),
-            workers=config.workers, seed=config.profile_seed,
-            collector=collector,
+            workers=config.workers, collector=collector,
         )
         cache = (
             PlanCache(capacity=config.cache_capacity)
