@@ -19,6 +19,7 @@ model consumes to produce latency / utilization numbers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,6 +121,35 @@ def _check_operands(
                 f"{name}[{index}] is {values[index]}; Acamar.solve needs "
                 "finite values"
             )
+
+
+NUMERICS_FIELDS: tuple[str, ...] = (
+    "tolerance",
+    "dtype",
+    "setup_iterations",
+    "max_iterations",
+    "solver_options",
+)
+"""The :class:`AcamarConfig` fields every attempt of :meth:`Acamar.solve`
+reads.  The attempt loop also reads ``solver_fallback_order``, but only
+once an attempt fails; the Fine-Grained Reconfiguration unit reads the
+other fields, and its plan never reaches the iterates."""
+
+
+def numerics_key(config: AcamarConfig) -> str:
+    """The :data:`NUMERICS_FIELDS` of ``config``, as a canonical string.
+
+    Two solves of the same operands under configs with equal keys (and
+    the same structure policy) select the same solver and run the same
+    attempts when the first attempt converges, because the Solver
+    Modifier then never reads its fallback order, or when their
+    ``solver_fallback_order`` values are equal.  Only their plans can
+    differ.
+    """
+    doc = config.to_dict()
+    return json.dumps(
+        {name: doc[name] for name in NUMERICS_FIELDS}, sort_keys=True
+    )
 
 
 FaultHook = Callable[[str, int, SolveResult], "SolveResult | None"]

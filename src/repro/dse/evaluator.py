@@ -16,7 +16,7 @@ byte-deterministic for any worker count: the virtual clock inside each
 point never observes the pool, and results are reassembled in point
 order.
 
-Three memos keep the sweep from repeating work its points share:
+Four memos keep the sweep from repeating work its points share:
 
 - **Traces.** :func:`evaluate_items` generates each distinct
   ``LoadSpec`` (traffic regime, seed, sources) once per call and
@@ -31,9 +31,17 @@ Three memos keep the sweep from repeating work its points share:
   that leaves every profile equal, a cache capacity no smaller than
   the number of structures — share one simulation.  This memo is per
   call too, so every sweep pays for its own simulations.
+- **Solves.** :func:`evaluate_items` also keeps the real
+  ``Acamar.solve`` results its profiles ran, per source and
+  :func:`~repro.core.accelerator.numerics_key`.  The unroll budget only
+  changes the plan, and a solver mix is read only after a failed first
+  attempt, so a profile whose attempts provably repeat a stored solve
+  is priced from it under its own plan and cost model (see
+  :func:`repro.serve.profile.build_profile`).  Per call, like the
+  others, so every sweep pays for its own solves.
 - **Profiles.** :data:`_PROFILE_MEMO` keeps cold profiles per
-  (sources, solver-plan) key for the life of the worker process, so a
-  sweep pays each real solve once per worker, not once per point.
+  (sources, Acamar config) key for the life of the worker process, so
+  a sweep builds each profile once per worker, not once per point.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from repro.serve import (
 )
 from repro.serve.cluster import RequestTrace
 from repro.serve.loadgen import source_weights, validate_seed
+from repro.serve.profile import SharedSolves
 from repro.telemetry import Telemetry
 
 SLOT_AREA_HEADROOM = 2.0
@@ -75,10 +84,9 @@ SLOT_AREA_HEADROOM = 2.0
 a 2x partial-region budget reserved for in-flight reconfiguration."""
 
 _PROFILE_MEMO: dict[str, dict[str, "SolveProfile | str"]] = {}
-"""Per-process cold-profile cache keyed by the profiling-relevant
-config: sources and the solver-plan fields of the Acamar config.
-Shapes differing only in serving knobs (cache, queue, fleet bounds,
-slot count) share one entry."""
+"""Per-process cold-profile cache keyed by the sources and every field
+of the Acamar config.  Shapes differing only in serving knobs (cache,
+queue, fleet bounds, slot count) share one entry."""
 
 
 def _profile_key(sources: Sequence[str], acamar: AcamarConfig) -> str:
@@ -89,11 +97,24 @@ def _profile_key(sources: Sequence[str], acamar: AcamarConfig) -> str:
 
 
 def _profiles_for(
-    sources: Sequence[str], acamar: AcamarConfig
+    sources: Sequence[str],
+    acamar: AcamarConfig,
+    solves: SharedSolves | None,
 ) -> dict[str, "SolveProfile | str"]:
     key = _profile_key(sources, acamar)
     if key not in _PROFILE_MEMO:
-        _PROFILE_MEMO[key] = build_profiles(list(sources), acamar, workers=1)
+        profiling = Telemetry()
+        _PROFILE_MEMO[key] = build_profiles(
+            list(sources),
+            acamar,
+            workers=1,
+            collector=profiling,
+            solves=solves,
+        )
+        # Every real solve runs the Matrix Structure unit once; a
+        # reused solve runs only the plan.
+        selections = profiling.spans.get("matrix_structure.select")
+        tm.count("dse.profile_solves", selections.count if selections else 0)
     return _PROFILE_MEMO[key]
 
 
@@ -221,6 +242,7 @@ def evaluate_point(
     device: FPGADevice = ALVEO_U55C,
     trace: RequestTrace | None = None,
     runs: dict[Hashable, dict[str, Any]] | None = None,
+    solves: SharedSolves | None = None,
 ) -> dict[str, Any]:
     """Deploy one design point through the cluster simulator and price it.
 
@@ -235,11 +257,15 @@ def evaluate_point(
     run.  Without ``runs`` every call simulates on its own.  Either
     way the record is the same: pricing (area, energy, FLOPs, ids)
     is per point, and no two records share a mutable object.
+
+    ``solves`` is the sweep's memo of real solves, which the profiles
+    of a cold :data:`_PROFILE_MEMO` entry reuse where they provably
+    repeat one; without it the point solves every source itself.
     """
     with tm.span("dse.point_eval"):
         acamar = acamar_config_for(shape, base_config)
         config = cluster_config_for(shape)
-        profiles = _profiles_for(sources, acamar)
+        profiles = _profiles_for(sources, acamar, solves)
         spec = load_spec_for(traffic, sources, seed)
         if trace is None:
             trace = generate_trace(spec)
@@ -340,13 +366,15 @@ def evaluate_items(
     ``run_sharded`` unchanged: each item gets its own telemetry
     collector and any exception becomes a structured error record.
     ``item.source`` is the point payload built by :func:`run_sweep`.
-    The chunk's points generate each distinct traffic trace once and
-    run each distinct deployment once, sharing both; a regime whose
-    trace cannot be generated fails only its own points.
+    The chunk's points generate each distinct traffic trace once, run
+    each distinct deployment once and solve each source once per
+    numerics key, sharing all three; a regime whose trace cannot be
+    generated fails only its own points.
     """
     results: list[ItemResult] = []
     traces: dict[LoadSpec, RequestTrace] = {}
     runs: dict[Hashable, dict[str, Any]] = {}
+    solves: SharedSolves = {}
     for item in items:
         payload = item.source
         collector = Telemetry()
@@ -365,6 +393,7 @@ def evaluate_items(
                     base_config=config,
                     trace=traces[spec],
                     runs=runs,
+                    solves=solves,
                 )
                 tm.count("dse.points_evaluated")
                 results.append(

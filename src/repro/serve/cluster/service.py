@@ -1163,6 +1163,9 @@ class _ClusterSimulation:
         drain_limit = duration_s * DRAIN_LIMIT_FACTOR
         for _ in range(config.initial_fleets):
             self._add_fleet(0.0)
+        # Owner changes while the initial fleets join move no routed
+        # traffic; remaps count from here on.
+        self.counts["remapped"] = 0
         for fault in config.fleet_faults:
             self.wheel.schedule(fault.at_s, EVENT_FLEET_FAULT, fault)
         for forced in config.forced_scale:

@@ -82,19 +82,46 @@ class RequestTrace:
         }
 
 
+def _block_times(
+    gaps: np.ndarray, start: float, horizon: float, rate: float
+) -> np.ndarray:
+    """A prefix of ``start + np.cumsum(gaps)`` that reaches ``horizon``,
+    or all of it when none does.
+
+    The cumulative sum of a prefix is the prefix of the cumulative sum,
+    so summing only the first gaps gives exactly the leading times.
+    The prefix holds twice the expected number of arrivals at ``rate``
+    plus 64; when that falls short of the horizon, the whole block is
+    summed.
+    """
+    size = 2 * int((horizon - start) * rate) + 64
+    if size < gaps.shape[0]:
+        times = start + np.cumsum(gaps[:size])
+        if times[-1] >= horizon:
+            return times
+    return start + np.cumsum(gaps)
+
+
 def _arrivals(spec: LoadSpec, rng: np.random.Generator) -> np.ndarray:
-    """Sorted arrival timestamps over ``[0, duration_s)``."""
+    """Sorted arrival timestamps over ``[0, duration_s)``.
+
+    Every block of gaps is drawn whole, because the draws are part of
+    the seeded stream the source and priority draws continue, but only
+    summed up to the horizon (:func:`_block_times`).  The gaps are
+    non-negative, so the times never decrease and the arrivals before
+    the horizon are a prefix of them.
+    """
     bursty = spec.mix == "bursty"
     peak = spec.rate_rps * (BURST_FACTOR if bursty else 1.0)
     chunks: list[np.ndarray] = []
     t = 0.0
     while t < spec.duration_s:
         gaps = rng.exponential(1.0 / peak, size=_GAP_BLOCK)
-        times = t + np.cumsum(gaps)
+        times = _block_times(gaps, t, spec.duration_s, peak)
         t = float(times[-1])
         chunks.append(times)
     arrivals = np.concatenate(chunks)
-    arrivals = arrivals[arrivals < spec.duration_s]
+    arrivals = arrivals[: np.searchsorted(arrivals, spec.duration_s)]
     if bursty:
         # Exact thinning of the peak-rate process: accept with
         # probability rate(t)/peak.  In-burst phases accept everything;

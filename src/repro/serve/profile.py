@@ -20,10 +20,11 @@ count.  These charges are what a fingerprint-cache hit skips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Hashable, Sequence
 
 from repro import telemetry as tm
 from repro.config import AcamarConfig
+from repro.core.accelerator import Acamar, AcamarResult, numerics_key
 from repro.parallel import ItemResult, WorkItem, source_label
 from repro.placement import (
     CPU_ASSIST_ROUNDTRIP_SECONDS,
@@ -32,6 +33,11 @@ from repro.placement import (
 )
 from repro.serve.cache import plan_signature
 from repro.telemetry import Telemetry
+
+SharedSolves = dict[Hashable, dict[Hashable, AcamarResult]]
+"""Real solves shared by many profiling runs, per ``(source, seed)``
+(a DSE sweep keeps one per :func:`repro.dse.evaluator.evaluate_items`
+call); each problem's own dict is keyed as :func:`_solve` stores it."""
 
 ANALYSIS_SECONDS_PER_NNZ = 25e-9
 """Host time per stored entry for the structure checks (Eq. 1 sums plus
@@ -150,15 +156,52 @@ class SolveProfile:
         return service
 
 
-def build_profile(problem: Any, config: AcamarConfig) -> SolveProfile:
-    """Run the real decision loops + cost model for one problem."""
-    from repro.core import Acamar
+def _solve(
+    acamar: Acamar, problem: Any, solves: dict[Hashable, AcamarResult]
+) -> AcamarResult:
+    """``acamar.solve`` of ``problem``, or a stored solve it would repeat.
+
+    ``solves`` holds earlier solves of this same problem.  A solve is
+    stored under its ``numerics_key`` when its first attempt converged,
+    so no fallback order was read, and under that key and the fallback
+    order otherwise.  A lookup tries both keys, so a stored solve is
+    reused only when it has the selection and attempts this config
+    would run (see :func:`~repro.core.accelerator.numerics_key`); they
+    are returned under this config's own plan.
+    """
+    key = numerics_key(acamar.config)
+    ordered = (key, acamar.config.solver_fallback_order)
+    for stored in (key, ordered):
+        if stored in solves:
+            solved = solves[stored]
+            return AcamarResult(
+                selection=solved.selection,
+                plan=acamar.plan(problem.matrix),
+                attempts=solved.attempts,
+            )
+    result = acamar.solve(problem.matrix, problem.b)
+    solves[key if result.attempts[0].result.converged else ordered] = result
+    return result
+
+
+def build_profile(
+    problem: Any,
+    config: AcamarConfig,
+    solves: dict[Hashable, AcamarResult],
+) -> SolveProfile:
+    """Run the real decision loops + cost model for one problem.
+
+    ``solves`` holds the real solves of ``problem`` made under other
+    configs (``{}`` for none).  A stored solve is priced again under
+    this config's plan whenever its attempts are the ones this config
+    would run; only a miss solves, and stores its solve there.
+    """
     from repro.fpga import PerformanceModel
 
     acamar = Acamar(config)
     model = PerformanceModel()
     with tm.span("serve.profile.solve"):
-        result = acamar.solve(problem.matrix, problem.b)
+        result = _solve(acamar, problem, solves)
     with tm.span("serve.profile.cost_model"):
         latency = model.acamar_latency(problem.matrix, result)
     matrix = problem.matrix
@@ -189,13 +232,18 @@ def build_profile(problem: Any, config: AcamarConfig) -> SolveProfile:
 
 
 def profile_items(
-    items: Sequence[WorkItem], config: AcamarConfig
+    items: Sequence[WorkItem],
+    config: AcamarConfig,
+    solves: SharedSolves | None = None,
 ) -> list[ItemResult]:
     """Worker entry point: profile a chunk of sources, isolating faults.
 
     Mirrors the campaign's ``solve_items`` contract so it can ride
     ``run_sharded`` unchanged: each item gets its own telemetry
     collector and any exception becomes a structured error record.
+    ``solves`` holds real solves shared with other calls, per item
+    ``(source, seed)``; without it each item's solve is dropped with
+    the item.
     """
     from repro.campaign import resolve_source
 
@@ -206,7 +254,12 @@ def profile_items(
             try:
                 with tm.span("serve.profile.resolve"):
                     problem = resolve_source(item.source, item.seed)
-                profile = build_profile(problem, config)
+                stored = (
+                    {}
+                    if solves is None
+                    else solves.setdefault((item.source, item.seed), {})
+                )
+                profile = build_profile(problem, config, stored)
                 results.append(
                     ItemResult(
                         index=item.index,

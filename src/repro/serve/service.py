@@ -45,7 +45,7 @@ from repro.serve.api import (
 )
 from repro.serve.cache import PlanCache
 from repro.serve.loadgen import LoadSpec
-from repro.serve.profile import SolveProfile, profile_items
+from repro.serve.profile import SharedSolves, SolveProfile, profile_items
 from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
 from repro.serve.stats import format_latency_ms, latency_summary_ms
 from repro.telemetry import Telemetry
@@ -325,6 +325,7 @@ def build_profiles(
     config: AcamarConfig,
     workers: int = 1,
     collector: Telemetry | None = None,
+    solves: SharedSolves | None = None,
 ) -> dict[str, "SolveProfile | str"]:
     """Profile every unique source once (real solves, memoized).
 
@@ -333,6 +334,13 @@ def build_profiles(
     otherwise it runs in-process.  A profiling failure maps the source
     to its error string — requests for it will be answered with
     ``FAILED`` responses rather than sinking the run.
+
+    ``solves`` shares real solves with other in-process calls that pass
+    the same dict (see :func:`~repro.serve.profile.build_profile`): a
+    source whose stored solve has the attempts ``config`` would run is
+    priced from it under ``config``'s own plan.  A dict cannot cross
+    the pool, so with ``workers > 1`` each worker solves on its own and
+    ``solves`` is left as it was.
     """
     unique: list[str] = []
     seen = set()
@@ -357,7 +365,7 @@ def build_profiles(
         results = outcome.results
         collector.merge(outcome.telemetry)
     else:
-        results = profile_items(items, config)
+        results = profile_items(items, config, solves)
         for result in results:
             collector.merge(result.telemetry)
     profiles: dict[str, SolveProfile | str] = {}

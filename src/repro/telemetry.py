@@ -134,11 +134,13 @@ KNOWN_COUNTERS = frozenset({
     "faults.injected.device_outage",
     "faults.injected.fleet_outage",
     "faults.injected.forced_scale",
-    # design-space explorer (repro.dse): sweep progress accounting, and
-    # the cluster runs that answered the evaluated points
+    # design-space explorer (repro.dse): sweep progress accounting, the
+    # cluster runs that answered the evaluated points and the real
+    # solves their profiles ran
     "dse.points_evaluated",
     "dse.points_failed",
     "dse.simulations",
+    "dse.profile_solves",
     # heterogeneous placement (repro.placement consumers): micro-batches
     # dispatched per device class, GPU structure uploads (the PCIe
     # analogue of serve.config_loads) and cold analyses offloaded to the

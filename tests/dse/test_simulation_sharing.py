@@ -1,27 +1,34 @@
-"""One cluster simulation per distinct deployment, exact per point.
+"""One cluster simulation per distinct deployment and one solve per
+source and numerics key, exact per point.
 
 ``evaluate_items`` runs the simulator once per deployment key and
-prices every point of that deployment from the shared run.  These tests
-pin the two halves of that contract:
+prices every point of that deployment from the shared run, and its
+profiles reuse a stored ``Acamar.solve`` wherever the attempts provably
+repeat.  These tests pin the two halves of that contract:
 
 - **Exactness.**  Every sweep record equals, byte for byte as sorted
-  JSON, the record :func:`evaluate_point` builds for that point alone
-  with its own trace and its own simulation.  The spaces are chosen so
-  that every part of the key binds: unroll budgets and solver mixes
-  that change profiles, a cache capacity below the number of
-  structures, queues that shed, GPU tenants and CPU assist.
+  JSON, the record :func:`evaluate_point` builds for that point alone,
+  with a cold profile memo, its own solves, its own trace and its own
+  simulation.  The spaces are chosen so that every part of the key
+  binds: unroll budgets and solver mixes that change profiles, a cache
+  capacity below the number of structures, queues that shed, GPU
+  tenants and CPU assist; each is swept under all three solver mixes.
 - **Sharing.**  The number of simulations is the number of distinct
-  deployments each space predicts, so a key that stops matching fails
+  deployments each space predicts, and the number of real solves the
+  number the reuse rule predicts, so a key that stops matching fails
   here and not only in the benchmark.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import repro.dse.evaluator as evaluator
 from repro.config import AcamarConfig
+from repro.core import Acamar
 from repro.dse import (
+    SOLVER_MIXES,
     DesignSpace,
     TrafficSpec,
     cross_shapes,
@@ -97,6 +104,17 @@ def canonical(record):
     return json.dumps(record, sort_keys=True)
 
 
+def with_all_mixes(space):
+    """``space`` with every shape deployed under each solver mix."""
+    shapes = []
+    for shape in space.shapes:
+        for mix in SOLVER_MIXES:
+            variant = replace(shape, solver_mix=mix)
+            if variant not in shapes:
+                shapes.append(variant)
+    return replace(space, shapes=tuple(shapes))
+
+
 def count_simulations(monkeypatch, space, seed, base_config=None):
     """Run a sweep; return how many times it called ``run_cluster``."""
     calls = []
@@ -116,17 +134,38 @@ def count_simulations(monkeypatch, space, seed, base_config=None):
     return len(calls)
 
 
+def count_profile_solves(monkeypatch, space, seed, base_config=None):
+    """Run a sweep with a cold profile memo; return its real solves."""
+    calls = []
+    original = Acamar.solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Acamar, "solve", counting)
+    monkeypatch.setattr(evaluator, "_PROFILE_MEMO", {})
+    collector = Telemetry()
+    run_sweep(space, seed=seed, base_config=base_config, collector=collector)
+    assert collector.counters["dse.profile_solves"] == len(calls)
+    return len(calls)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_shared_records_equal_points_simulated_alone(case):
+def test_shared_records_equal_points_simulated_alone(monkeypatch, case):
     space, seed, base_config, _ = CASES[case]
+    space = with_all_mixes(space)
+    monkeypatch.setattr(evaluator, "_PROFILE_MEMO", {})
     shared = run_sweep(space, seed=seed, base_config=base_config)
-    alone = [
-        evaluate_point(
-            shape, traffic, space.sources, seed=seed,
-            base_config=base_config,
+    alone = []
+    for shape, traffic in space.points():
+        evaluator._PROFILE_MEMO.clear()
+        alone.append(
+            evaluate_point(
+                shape, traffic, space.sources, seed=seed,
+                base_config=base_config,
+            )
         )
-        for shape, traffic in space.points()
-    ]
     assert [canonical(r.entry) for r in shared] == [
         canonical(record) for record in alone
     ]
@@ -140,6 +179,21 @@ def test_one_simulation_per_distinct_deployment(monkeypatch, case):
 
 def test_demo_sweep_at_seed_one_runs_sixteen_simulations(monkeypatch):
     assert count_simulations(monkeypatch, demo_space(), seed=1) == 16
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_demo_sweep_solves_each_source_once(monkeypatch, seed):
+    """Four sources, one numerics key, and no source reaches the Solver
+    Modifier, so both unroll budgets and both mixes share each solve."""
+    assert count_profile_solves(monkeypatch, demo_space(), seed) == 4
+
+
+def test_failed_first_attempts_solve_once_per_fallback_order(monkeypatch):
+    """Bc exhausts every solver under ``EXHAUST_CONFIG``, so its solves
+    read the fallback order: one per mix (3).  2C and Wi converge on
+    their first attempt and are solved once each."""
+    solves = count_profile_solves(monkeypatch, EXHAUST, 0, EXHAUST_CONFIG)
+    assert solves == 3 + 1 + 1
 
 
 def test_spaces_bind_every_part_of_the_key():
@@ -191,3 +245,11 @@ def test_runs_do_not_outlive_the_sweep(monkeypatch):
     first = count_simulations(monkeypatch, space, seed=0)
     second = count_simulations(monkeypatch, space, seed=0)
     assert first == second == 1
+
+
+def test_solves_do_not_outlive_the_sweep(monkeypatch):
+    """A second sweep with a cold profile memo solves again."""
+    space = space_with(("2C", "Wi"), max_unroll=(16, 64))
+    first = count_profile_solves(monkeypatch, space, seed=0)
+    second = count_profile_solves(monkeypatch, space, seed=0)
+    assert first == second == 2

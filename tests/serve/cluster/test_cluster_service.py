@@ -212,6 +212,44 @@ class TestRoutingAffinity:
         assert doc["routing"]["ring_rebuilds"] >= 1  # initial joins
 
 
+class TestRemapCount:
+    """``remapped`` counts owner changes once the initial fleets are in.
+
+    Each initial fleet rebuilds the routes as it joins at t=0, before
+    any request is routed, so those owner changes are not remaps.  The
+    25 default sources spread over every fleet of these rings.
+    """
+
+    @staticmethod
+    def routing(initial_fleets, forced_scale=()):
+        doc = run_cluster_loadtest(
+            LoadSpec(duration_s=0.5, rate_rps=2.0),
+            ClusterConfig(
+                initial_fleets=initial_fleets,
+                autoscale=False,
+                forced_scale=forced_scale,
+            ),
+        ).as_dict()
+        assert doc["counters"]["router.remapped"] == (
+            doc["routing"]["remapped"]
+        )
+        return doc["routing"]
+
+    @pytest.mark.parametrize("fleets", [1, 2, 3])
+    def test_initial_fleets_remap_nothing(self, fleets):
+        routing = self.routing(fleets)
+        assert routing["remapped"] == 0
+        assert routing["ring_rebuilds"] == fleets
+
+    @pytest.mark.parametrize("fleets, action", [(2, "add"), (3, "drain")])
+    def test_forced_scale_still_counts(self, fleets, action):
+        routing = self.routing(
+            fleets, (ForcedScaleEvent(at_s=0.25, action=action),)
+        )
+        assert routing["remapped"] > 0
+        assert routing["ring_rebuilds"] == fleets + 1
+
+
 class TestAutoscaling:
     def test_pressure_scales_the_cluster_up(self):
         doc = run_cluster_loadtest(

@@ -2,11 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.serve.api import Priority
-from repro.serve.cluster.trace import NO_DEADLINE, generate_trace
-from repro.serve.loadgen import BURST_PERIOD_S, BURST_S, LoadSpec
+from repro.serve.cluster.trace import (
+    _GAP_BLOCK,
+    NO_DEADLINE,
+    _arrivals,
+    _block_times,
+    generate_trace,
+)
+from repro.serve.loadgen import (
+    BURST_FACTOR,
+    BURST_PERIOD_S,
+    BURST_S,
+    TRAFFIC_MIXES,
+    LoadSpec,
+)
 
 SOURCES = ("poisson2d_64", "heat1d_256", "adv_diff_128")
 
@@ -116,3 +130,70 @@ class TestStatisticalModel:
         # Uniform traffic would put 25% of arrivals in the burst window;
         # a 4x burst factor concentrates more than half there.
         assert in_burst > 0.5
+
+
+def frozen_arrivals(spec, rng):
+    """``_arrivals`` as it was before it summed only up to the horizon:
+    every block of gaps summed whole and the arrivals masked."""
+    bursty = spec.mix == "bursty"
+    peak = spec.rate_rps * (BURST_FACTOR if bursty else 1.0)
+    chunks = []
+    t = 0.0
+    while t < spec.duration_s:
+        gaps = rng.exponential(1.0 / peak, size=_GAP_BLOCK)
+        times = t + np.cumsum(gaps)
+        t = float(times[-1])
+        chunks.append(times)
+    arrivals = np.concatenate(chunks)
+    arrivals = arrivals[arrivals < spec.duration_s]
+    if bursty:
+        phase = arrivals % BURST_PERIOD_S
+        accept_p = np.where(phase < BURST_S, 1.0, 1.0 / BURST_FACTOR)
+        arrivals = arrivals[rng.random(arrivals.shape[0]) < accept_p]
+    return np.round(arrivals, 9)
+
+
+def assert_matches_frozen(load):
+    """Same arrival bytes, and the generator left in the same state."""
+    new_rng = np.random.default_rng(load.seed)
+    old_rng = np.random.default_rng(load.seed)
+    new = _arrivals(load, new_rng)
+    old = frozen_arrivals(load, old_rng)
+    assert new.dtype == old.dtype
+    assert new.tobytes() == old.tobytes()
+    assert new_rng.random(4).tobytes() == old_rng.random(4).tobytes()
+
+
+class TestArrivalsOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        duration_s=st.floats(1e-3, 60.0),
+        rate_rps=st.floats(1e-2, 5e3),
+        mix=st.sampled_from(TRAFFIC_MIXES),
+    )
+    def test_matches_whole_block_sums(self, seed, duration_s, rate_rps, mix):
+        assert_matches_frozen(
+            LoadSpec(seed=seed, duration_s=duration_s, rate_rps=rate_rps,
+                     mix=mix)
+        )
+
+    @pytest.mark.parametrize("mix", ["uniform", "bursty"])
+    def test_matches_on_several_blocks(self, mix):
+        load = LoadSpec(seed=5, duration_s=10.0, rate_rps=60_000.0, mix=mix)
+        assert 10.0 * 60_000.0 > 2 * _GAP_BLOCK
+        assert_matches_frozen(load)
+
+    @pytest.mark.parametrize("rate, prefix", [
+        (1e-3, False), (1.0, False), (1e3, True), (1e4, True), (1e9, False),
+    ])
+    def test_block_times_whatever_the_rate_guess(self, rate, prefix):
+        """About 1,000 gaps reach the horizon.  A guess that falls short
+        of it, or covers the block, sums the whole block; any other
+        returns a shorter prefix that reaches the horizon."""
+        gaps = np.random.default_rng(3).exponential(1e-3, size=_GAP_BLOCK)
+        whole = 2.0 + np.cumsum(gaps)
+        times = _block_times(gaps, 2.0, 3.0, rate)
+        assert times.tobytes() == whole[: times.shape[0]].tobytes()
+        assert times[-1] >= 3.0
+        assert (times.shape[0] < _GAP_BLOCK) == prefix

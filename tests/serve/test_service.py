@@ -10,6 +10,7 @@ from repro.fpga.multitenancy import FleetSpec
 from repro.serve.api import Outcome, Priority, SolveRequest
 from repro.serve.loadgen import LoadSpec, generate_requests
 from repro.serve.service import (
+    PROFILE_SEED,
     ServiceConfig,
     build_profiles,
     run_loadtest,
@@ -96,6 +97,23 @@ class TestBuildProfiles:
         assert profiles["Wa"].converged
         assert isinstance(profiles["bogus-key"], str)
         assert "bogus-key" in profiles["bogus-key"]
+
+    def test_shared_solves_price_each_config_as_its_own_solves(self):
+        """Configs differing in a plan field or a fallback order reuse
+        one solve per source (both converge first time) and price it
+        under their own plan."""
+        configs = [
+            acamar_config().with_overrides(max_unroll=4),
+            acamar_config().with_overrides(
+                solver_fallback_order=("jacobi", "cg", "bicgstab")
+            ),
+        ]
+        solves = {}
+        for config in configs:
+            shared = build_profiles(SOURCES, config, solves=solves)
+            assert shared == build_profiles(SOURCES, config)
+        assert sorted(solves) == [(s, PROFILE_SEED) for s in sorted(SOURCES)]
+        assert all(len(stored) == 1 for stored in solves.values())
 
 
 def acamar_config():
