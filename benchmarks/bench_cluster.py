@@ -29,14 +29,12 @@ import time
 from pathlib import Path
 
 from repro.config import AcamarConfig
+from repro.experiments.regression import band_failures
 from repro.experiments.report import ExperimentTable
 from repro.serve import LoadSpec, build_profiles
 from repro.serve.cluster import ClusterConfig, generate_trace, run_cluster
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_cluster.json"
-BANDS_PATH = Path(__file__).resolve().parent / "reference_bands.json"
-
-GUARD_RELATIVE_TOLERANCE = 0.10
 
 CANONICAL_SPEC = LoadSpec(
     seed=0, duration_s=60.0, rate_rps=2000.0, mix="repeat-heavy"
@@ -168,24 +166,13 @@ def test_bench_cluster(benchmark, print_table):
     assert report["slot_seconds_saving"] > 0.15
     assert warm["shed_rate"] < 0.05
     # Band guard: cluster headline values must not drift.
-    with open(BANDS_PATH) as fh:
-        bands = json.load(fh)
     measured = {
         "cluster_warm_p50_ms": warm["p50_ms"],
         "cluster_warm_p99_ms": warm["p99_ms"],
         "cluster_warm_local_hit_rate": warm["local_hit_rate"],
         "cluster_slot_seconds_saving": report["slot_seconds_saving"],
     }
-    failures = []
-    for name, value in measured.items():
-        reference = float(bands[name])
-        low = (1.0 - GUARD_RELATIVE_TOLERANCE) * reference
-        high = (1.0 + GUARD_RELATIVE_TOLERANCE) * reference
-        if not low <= value <= high:
-            failures.append(
-                f"{name}: measured {value:.4f} outside "
-                f"[{low:.4f}, {high:.4f}]"
-            )
+    failures = band_failures(measured)
     assert not failures, "; ".join(failures)
 
 

@@ -24,12 +24,10 @@ import time
 from pathlib import Path
 
 from repro.dse import demo_space, run_dse
+from repro.experiments.regression import band_failures
 from repro.experiments.report import ExperimentTable
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_dse.json"
-BANDS_PATH = Path(__file__).resolve().parent / "reference_bands.json"
-
-GUARD_RELATIVE_TOLERANCE = 0.10
 
 SEED = 0
 
@@ -139,8 +137,6 @@ def test_bench_dse(benchmark, print_table):
     # Capacity acceptance: the default query has a feasible answer.
     assert report["capacity"]["cheapest"] is not None
     # Band guard: DSE headline values must not drift.
-    with open(BANDS_PATH) as fh:
-        bands = json.load(fh)
     measured = {
         "dse_frontier_size": float(report["frontier_size"]),
         "dse_best_gflops_per_watt": report["best_gflops_per_watt"],
@@ -148,16 +144,7 @@ def test_bench_dse(benchmark, print_table):
             "cheapest"
         ]["fabric_mm2_seconds"],
     }
-    failures = []
-    for name, value in measured.items():
-        reference = float(bands[name])
-        low = (1.0 - GUARD_RELATIVE_TOLERANCE) * reference
-        high = (1.0 + GUARD_RELATIVE_TOLERANCE) * reference
-        if not low <= value <= high:
-            failures.append(
-                f"{name}: measured {value:.4f} outside "
-                f"[{low:.4f}, {high:.4f}]"
-            )
+    failures = band_failures(measured)
     assert not failures, "; ".join(failures)
 
 

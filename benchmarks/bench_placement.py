@@ -23,14 +23,12 @@ intentional cost-model change (and say why in the commit).
 import json
 from pathlib import Path
 
+from repro.experiments.regression import band_failures
 from repro.experiments.report import ExperimentTable
 from repro.fpga import FleetSpec
 from repro.serve import LoadSpec, ServiceConfig, run_loadtest
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_placement.json"
-BANDS_PATH = Path(__file__).resolve().parent / "reference_bands.json"
-
-GUARD_RELATIVE_TOLERANCE = 0.10
 
 SOURCES = ("Wi", "Ga", "Ns", "If")
 """Two FPGA-favored + two GPU-favored registry sources."""
@@ -156,8 +154,6 @@ def test_bench_placement(benchmark, print_table):
         by_class = records["mixed"]["by_class"]
         assert by_class["fpga"] > 0 and by_class["gpu"] > 0
     # Band guard: headline values must not drift.
-    with open(BANDS_PATH) as fh:
-        bands = json.load(fh)
     heavy = report["results"]["400rps"]
     measured = {
         "placement_mixed_p50_ms": heavy["mixed"]["p50_ms"],
@@ -165,16 +161,7 @@ def test_bench_placement(benchmark, print_table):
         "placement_fpga_device_seconds": heavy["fpga_only"]["device_seconds"],
         "placement_gpu_device_seconds": heavy["gpu_only"]["device_seconds"],
     }
-    failures = []
-    for name, value in measured.items():
-        reference = float(bands[name])
-        low = (1.0 - GUARD_RELATIVE_TOLERANCE) * reference
-        high = (1.0 + GUARD_RELATIVE_TOLERANCE) * reference
-        if not low <= value <= high:
-            failures.append(
-                f"{name}: measured {value:.4f} outside "
-                f"[{low:.4f}, {high:.4f}]"
-            )
+    failures = band_failures(measured)
     assert not failures, "; ".join(failures)
 
 

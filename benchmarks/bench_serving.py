@@ -15,13 +15,12 @@ after an intentional serving-model change (and say why in the commit).
 import json
 from pathlib import Path
 
+from repro.experiments.regression import band_failures
 from repro.experiments.report import ExperimentTable
 from repro.serve import LoadSpec, ServiceConfig, run_loadtest
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
-BANDS_PATH = Path(__file__).resolve().parent / "reference_bands.json"
 
-GUARD_RELATIVE_TOLERANCE = 0.10
 ACCEPTANCE_RATIO = 2.0
 """Acceptance floor: warm-cache p50 must beat --no-cache p50 by >2x."""
 
@@ -113,24 +112,13 @@ def test_bench_serving(benchmark, print_table):
         f"below the {ACCEPTANCE_RATIO:.0f}x acceptance floor"
     )
     # Band guard: serving headline values must not drift.
-    with open(BANDS_PATH) as fh:
-        bands = json.load(fh)
     measured = {
         "serving_warm_p50_ms": report["warm_cache"]["p50_ms"],
         "serving_nocache_p50_ms": report["no_cache"]["p50_ms"],
         "serving_cache_speedup": report["p50_speedup"],
         "serving_cache_hit_rate": report["warm_cache"]["cache_hit_rate"],
     }
-    failures = []
-    for name, value in measured.items():
-        reference = float(bands[name])
-        low = (1.0 - GUARD_RELATIVE_TOLERANCE) * reference
-        high = (1.0 + GUARD_RELATIVE_TOLERANCE) * reference
-        if not low <= value <= high:
-            failures.append(
-                f"{name}: measured {value:.4f} outside "
-                f"[{low:.4f}, {high:.4f}]"
-            )
+    failures = band_failures(measured)
     assert not failures, "; ".join(failures)
 
 

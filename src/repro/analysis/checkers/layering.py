@@ -23,10 +23,9 @@ module-granular bans that the unit table cannot express:
 - nothing imports the root facade ``repro`` itself except the entry
   points (everything else names its dependency explicitly).
 
-Known sanctioned cycles (``core ↔ fpga`` via the cost model,
-``campaign ↔ parallel`` via lazy worker imports) appear as mutual
-entries — the table documents them instead of pretending they do not
-exist.
+The one known sanctioned cycle (``core ↔ fpga`` via the cost model)
+appears as mutual entries — the table documents it instead of
+pretending it does not exist.
 """
 
 from __future__ import annotations
@@ -73,15 +72,13 @@ ALLOWED_DEPENDENCIES: Mapping[str, frozenset[str]] = {
     ),
     "analysis": frozenset({"errors", "telemetry", "sparse", "solvers"}),
     # -- orchestration ------------------------------------------------
-    # campaign ↔ parallel is a sanctioned cycle: workers lazily import
-    # campaign's entry builders.
     "campaign": frozenset({
         "errors", "config", "telemetry", "sparse", "datasets", "core",
         "fpga", "metrics", "parallel",
     }),
-    "parallel": frozenset(
-        {"errors", "config", "telemetry", "datasets", "campaign"}
-    ),
+    # parallel is a generic fan-out engine: each caller brings its own
+    # work function, so it depends on nothing above the foundation.
+    "parallel": frozenset({"errors", "config", "telemetry"}),
     "serve": frozenset({
         "errors", "config", "telemetry", "sparse", "datasets", "core",
         "fpga", "campaign", "parallel", "placement",

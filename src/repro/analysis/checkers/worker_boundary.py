@@ -9,7 +9,8 @@ expression fails at submit time — and because the pool interprets such
 failures as lost workers, the failure mode is a confusing restart storm
 rather than a clean error.
 
-The facts layer (:mod:`repro.analysis.project`) records every
+``work_fn`` is keyword-only and required, so every call names its
+worker.  The facts layer (:mod:`repro.analysis.project`) records every
 ``run_sharded`` call with the shape of its ``work_fn`` argument,
 resolving local variables through enclosing-function assignments
 (``work_fn = a if flag else b`` yields both arms).  This checker then

@@ -48,9 +48,8 @@ BOUNDARY_FUNCTIONS = frozenset({
 
 #: ``run_sharded`` keyword arguments that never cross into a worker
 #: process (the executor factory runs parent-side), so REP008 must not
-#: inspect them.  ``work_fn``/positional index 6 is handled separately.
+#: inspect them.  ``work_fn`` is keyword-only and handled separately.
 _PARENT_SIDE_KWARGS = frozenset({"executor_factory"})
-_WORK_FN_POSITION = 6
 
 #: Registry constants parsed out of ``repro.telemetry``'s module body.
 _REGISTRY_NAMES = {
@@ -263,14 +262,7 @@ class _BoundaryVisitor(ast.NodeVisitor):
 
     def _record(self, node: ast.Call) -> dict[str, Any]:
         work_expr: ast.expr | None = None
-        crossing_args: list[ast.expr] = []
-        for i, arg in enumerate(node.args):
-            if i == _WORK_FN_POSITION:
-                work_expr = arg
-            elif i == _WORK_FN_POSITION - 1:
-                continue  # positional executor_factory: parent-side
-            else:
-                crossing_args.append(arg)
+        crossing_args: list[ast.expr] = list(node.args)
         for kw in node.keywords:
             if kw.arg == "work_fn":
                 work_expr = kw.value

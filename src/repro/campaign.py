@@ -12,9 +12,11 @@ tooling as the experiment exports.
 Scaling and observability:
 
 - ``workers=N`` shards the population across a process pool via
-  :mod:`repro.parallel` — cost-balanced chunks, deterministic per-problem
-  seeds (``seed + position``), ordered reassembly, and per-problem fault
-  isolation, so results are entry-for-entry identical to the serial path;
+  :func:`repro.parallel.run_sharded` — cost-balanced chunks
+  (:func:`estimate_cost`), deterministic per-problem seeds
+  (``seed + position``), ordered reassembly, and per-problem fault
+  isolation (:func:`solve_items`), so results are entry-for-entry
+  identical to the serial path, which runs through the same engine;
 - a solve that raises (or a lost worker process, after bounded retries)
   yields a **failure-annotated** :class:`CampaignEntry` instead of
   aborting the campaign,
@@ -31,7 +33,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -40,10 +42,11 @@ from repro.config import AcamarConfig
 from repro.core import Acamar
 from repro.datasets import load_problem, manufacture_problem
 from repro.datasets.problem import Problem
-from repro.datasets.suite import dataset_keys
+from repro.datasets.suite import dataset_keys, dataset_spec
 from repro.errors import DatasetError, ValidationError
 from repro.fpga import PerformanceModel, mean_underutilization
 from repro.metrics import achieved_throughput_fraction
+from repro.parallel import ItemResult, WorkItem, run_sharded
 from repro.telemetry import TELEMETRY_SCHEMA_VERSION, Telemetry
 
 ProblemSource = Union[str, Path, Problem]
@@ -194,6 +197,38 @@ def problem_name_from_path(text: str | Path) -> str:
     return Path(text).stem
 
 
+def source_label(source: ProblemSource) -> str:
+    """Human-readable name for a source (used in failure records)."""
+    if isinstance(source, Problem):
+        return source.name
+    text = str(source)
+    if text.endswith(_MTX_SUFFIXES):
+        return problem_name_from_path(text)
+    return text
+
+
+def estimate_cost(source: ProblemSource) -> float:
+    """Estimated solve cost of a source, in NNZ-like units.
+
+    In-memory problems report their exact NNZ.  Matrix Market paths are
+    costed by file size (proportional to NNZ — one text line per entry).
+    Table II keys fall back to the registry's dimension ``n``.  The
+    estimate only balances pool chunks: relative error against the true
+    NNZ skews load balance, never correctness.
+    """
+    if isinstance(source, Problem):
+        return float(source.nnz)
+    text = str(source)
+    if text.endswith(_MTX_SUFFIXES):
+        try:
+            return float(os.path.getsize(text))
+        except OSError:
+            return 1.0
+    if text in dataset_keys():
+        return float(dataset_spec(text).n)
+    return 1.0
+
+
 def validate_source(source: ProblemSource) -> None:
     """Raise :class:`DatasetError` if ``source`` cannot be resolved.
 
@@ -269,6 +304,48 @@ def build_entry(
     )
 
 
+def solve_items(
+    items: Sequence[WorkItem], config: AcamarConfig
+) -> list[ItemResult]:
+    """Worker entry point: solve a chunk of items, isolating each fault.
+
+    :func:`run_campaign` hands it to :func:`repro.parallel.run_sharded`,
+    which calls it in this process or in pool workers.  Every item gets
+    its own telemetry collector; any exception is converted to a
+    structured error record under the item's label, so one diverging or
+    crashing solve cannot take down its chunk-mates.
+    """
+    results: list[ItemResult] = []
+    for item in items:
+        collector = Telemetry()
+        with collector.activate():
+            try:
+                with tm.span("campaign.resolve"):
+                    problem = resolve_source(item.source, item.seed)
+                entry = build_entry(problem, config)
+                results.append(
+                    ItemResult(
+                        index=item.index,
+                        entry=entry,
+                        error=None,
+                        label=entry.name,
+                        telemetry=collector.as_dict(),
+                    )
+                )
+            except Exception as exc:  # noqa: BLE001 — fault isolation
+                tm.count("campaign.failures")
+                results.append(
+                    ItemResult(
+                        index=item.index,
+                        entry=None,
+                        error=f"{type(exc).__name__}: {exc}",
+                        label=item.label,
+                        telemetry=collector.as_dict(),
+                    )
+                )
+    return results
+
+
 def _campaign_telemetry(
     collector: Telemetry,
     entries: list[CampaignEntry],
@@ -314,21 +391,17 @@ def run_campaign(
     seed: int = 1,
     workers: int | None = None,
     chunk_size: int | None = None,
-    max_pool_restarts: int = 2,
-    executor_factory: Callable[[int], Any] | None = None,
 ) -> CampaignReport:
     """Solve every source with Acamar and aggregate the results.
 
     ``workers=None`` (or ``<= 1``) runs serially in-process; ``workers=N``
-    shards across ``N`` worker processes.  Both paths use the same
-    per-problem seed derivation and entry construction, so the parallel
-    report is entry-for-entry identical to the serial one.  Unresolvable
-    sources raise :class:`DatasetError` immediately; solve-time faults
-    become failure-annotated entries.
+    shards across ``N`` worker processes.  Both run through
+    :func:`repro.parallel.run_sharded` with the same per-problem seed
+    derivation and :func:`solve_items`, so the parallel report is
+    entry-for-entry identical to the serial one.  Unresolvable sources
+    raise :class:`DatasetError` immediately; solve-time faults become
+    failure-annotated entries.
     """
-    from repro.parallel.cost import estimate_cost
-    from repro.parallel.engine import WorkItem, run_sharded, solve_items
-
     config = config if config is not None else AcamarConfig()
     source_list = list(sources)
     for source in source_list:
@@ -339,49 +412,37 @@ def run_campaign(
             source=source,
             seed=seed + index,
             cost=estimate_cost(source),
+            label=source_label(source),
         )
         for index, source in enumerate(source_list)
     ]
 
-    collector = Telemetry()
     start = time.perf_counter()
-    entries: list[CampaignEntry] = []
+    outcome = run_sharded(
+        items,
+        config,
+        workers or 1,
+        work_fn=solve_items,
+        chunk_size=chunk_size,
+    )
+    wall_seconds = time.perf_counter() - start
+    entries = [
+        result.entry
+        if result.entry is not None
+        else failure_entry(result.label, result.error)
+        for result in outcome.results
+    ]
     engine_stats: dict[str, int] | None = None
-
-    if workers is not None and workers > 1 and len(items) > 1:
-        outcome = run_sharded(
-            items,
-            config,
-            workers=workers,
-            chunk_size=chunk_size,
-            max_pool_restarts=max_pool_restarts,
-            executor_factory=executor_factory,
-        )
-        collector.merge(outcome.telemetry)
-        for result in outcome.results:
-            if result.entry is not None:
-                entries.append(result.entry)
-            else:
-                entries.append(failure_entry(result.label, result.error))
+    if outcome.workers > 1:
         engine_stats = {
             "chunks": outcome.chunks,
             "pool_restarts": outcome.pool_restarts,
             "in_process_items": outcome.in_process_items,
             "abandoned_items": outcome.abandoned_items,
         }
-        effective_workers = workers
-    else:
-        for result in solve_items(items, config):
-            collector.merge(result.telemetry)
-            if result.entry is not None:
-                entries.append(result.entry)
-            else:
-                entries.append(failure_entry(result.label, result.error))
-        effective_workers = 1
-
-    wall_seconds = time.perf_counter() - start
     report = CampaignReport(entries=entries)
     report.telemetry = _campaign_telemetry(
-        collector, entries, effective_workers, wall_seconds, engine_stats
+        outcome.telemetry, entries, outcome.workers, wall_seconds,
+        engine_stats,
     )
     return report

@@ -16,29 +16,29 @@ byte-deterministic for any worker count: the virtual clock inside each
 point never observes the pool, and results are reassembled in point
 order.
 
-Four memos keep the sweep from repeating work its points share:
+Two memos keep the sweep from repeating work its points share:
 
-- **Traces.** :func:`evaluate_items` generates each distinct
-  ``LoadSpec`` (traffic regime, seed, sources) once per call and
-  hands the read-only :class:`~repro.serve.cluster.trace.RequestTrace`
-  to every point that uses it.  The memo lives only for that call, so
-  nothing outlives the sweep: a module-level memo would keep an
-  hour-long 10k-rps trace (~680 MB) for the life of the process.
-- **Simulations.** :func:`evaluate_items` also runs the cluster
-  simulator once per distinct deployment (:func:`_deployment_key`) and
-  prices every point of that deployment from the shared run.  Points
-  that differ only in axes the run provably never reads — a solver mix
-  that leaves every profile equal, a cache capacity no smaller than
-  the number of structures — share one simulation.  This memo is per
-  call too, so every sweep pays for its own simulations.
-- **Solves.** :func:`evaluate_items` also keeps the real
-  ``Acamar.solve`` results its profiles ran, per source and
+- **The sweep memo.**  Each :func:`evaluate_items` call builds one
+  :class:`SweepMemo` and evaluates every point of its chunk against it.
+  It holds the cluster traces, one per distinct ``LoadSpec`` (traffic
+  regime, seed, sources), handed read-only to every point that uses
+  it; the cluster runs, one per distinct deployment
+  (:func:`_deployment_key`), each pricing every point of that
+  deployment — points that differ only in axes the run provably never
+  reads (a solver mix that leaves every profile equal, a cache capacity
+  no smaller than the number of structures) share one simulation; and
+  per source and seed the resolved problem with the real
+  ``Acamar.solve`` results its profiles ran, per
   :func:`~repro.core.accelerator.numerics_key`.  The unroll budget only
   changes the plan, and a solver mix is read only after a failed first
   attempt, so a profile whose attempts provably repeat a stored solve
   is priced from it under its own plan and cost model (see
-  :func:`repro.serve.profile.build_profile`).  Per call, like the
-  others, so every sweep pays for its own solves.
+  :func:`repro.serve.profile.build_profile`).  The memo lives only for
+  its call, so every sweep pays for its own traces, simulations and
+  solves, and nothing outlives it: a module-level memo would keep an
+  hour-long 10k-rps trace (~680 MB) for the life of the process.  A
+  point evaluated alone (:func:`evaluate_point` without ``memo``) runs
+  the same code against an empty memo.
 - **Profiles.** :data:`_PROFILE_MEMO` keeps cold profiles per
   (sources, Acamar config) key for the life of the worker process, so
   a sweep builds each profile once per worker, not once per point.
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Hashable, Mapping, Sequence
 
 from repro import telemetry as tm
@@ -99,22 +99,18 @@ def _profile_key(sources: Sequence[str], acamar: AcamarConfig) -> str:
 def _profiles_for(
     sources: Sequence[str],
     acamar: AcamarConfig,
-    solves: SharedSolves | None,
+    solves: SharedSolves,
 ) -> dict[str, "SolveProfile | str"]:
     key = _profile_key(sources, acamar)
     if key not in _PROFILE_MEMO:
-        profiling = Telemetry()
+        stored = sum(len(solved) for _, solved in solves.values())
         _PROFILE_MEMO[key] = build_profiles(
-            list(sources),
-            acamar,
-            workers=1,
-            collector=profiling,
-            solves=solves,
+            list(sources), acamar, solves=solves
         )
-        # Every real solve runs the Matrix Structure unit once; a
-        # reused solve runs only the plan.
-        selections = profiling.spans.get("matrix_structure.select")
-        tm.count("dse.profile_solves", selections.count if selections else 0)
+        # Every real solve stores exactly one entry; a reused solve
+        # stores none.
+        gained = sum(len(solved) for _, solved in solves.values()) - stored
+        tm.count("dse.profile_solves", gained)
     return _PROFILE_MEMO[key]
 
 
@@ -233,6 +229,22 @@ def _simulate(
     return {name: doc[name] for name in _OUTCOME_SECTIONS if name in doc}
 
 
+@dataclass
+class SweepMemo:
+    """What the points of one sweep share (see the module docstring).
+
+    ``traces`` maps a ``LoadSpec`` to its generated trace, ``runs`` a
+    :func:`_deployment_key` to its cluster run's outcome sections, and
+    ``solves`` a ``(source, seed)`` to its resolved problem and real
+    solves.  A failed trace or run is never stored, so it fails only the
+    points that need it.
+    """
+
+    traces: dict[LoadSpec, RequestTrace] = field(default_factory=dict)
+    runs: dict[Hashable, dict[str, Any]] = field(default_factory=dict)
+    solves: SharedSolves = field(default_factory=dict)
+
+
 def evaluate_point(
     shape: FleetShape,
     traffic: TrafficSpec,
@@ -240,42 +252,31 @@ def evaluate_point(
     seed: int,
     base_config: AcamarConfig | None = None,
     device: FPGADevice = ALVEO_U55C,
-    trace: RequestTrace | None = None,
-    runs: dict[Hashable, dict[str, Any]] | None = None,
-    solves: SharedSolves | None = None,
+    memo: SweepMemo | None = None,
 ) -> dict[str, Any]:
     """Deploy one design point through the cluster simulator and price it.
 
-    ``trace`` is the traffic to serve when the caller generated it
-    already (:func:`evaluate_items` shares one per regime).  It must be
-    ``generate_trace(load_spec_for(traffic, sources, seed))``, which is
-    what runs here when it is omitted.
-
-    ``runs`` is a simulation memo shared by the points of one sweep,
-    keyed by :func:`_deployment_key`.  A point whose deployment is in
-    it is priced from that run; otherwise it simulates and adds its
-    run.  Without ``runs`` every call simulates on its own.  Either
-    way the record is the same: pricing (area, energy, FLOPs, ids)
-    is per point, and no two records share a mutable object.
-
-    ``solves`` is the sweep's memo of real solves, which the profiles
-    of a cold :data:`_PROFILE_MEMO` entry reuse where they provably
-    repeat one; without it the point solves every source itself.
+    ``memo`` is what the points of one sweep share
+    (:func:`evaluate_items` passes one per call): the point takes its
+    trace, its cluster run and its sources' problems and solves from it
+    where it holds them, and adds what it computes.  Without it the
+    point gets an empty memo and runs the same code.  Either way the
+    record is the same: pricing (area, energy, FLOPs, ids) is per
+    point, and no two records share a mutable object.
     """
+    memo = memo if memo is not None else SweepMemo()
     with tm.span("dse.point_eval"):
         acamar = acamar_config_for(shape, base_config)
         config = cluster_config_for(shape)
-        profiles = _profiles_for(sources, acamar, solves)
+        profiles = _profiles_for(sources, acamar, memo.solves)
         spec = load_spec_for(traffic, sources, seed)
-        if trace is None:
-            trace = generate_trace(spec)
-        if runs is None:
-            doc = _simulate(trace, config, acamar, profiles)
-        else:
-            key = _deployment_key(spec, trace, config, profiles)
-            if key not in runs:
-                runs[key] = _simulate(trace, config, acamar, profiles)
-            doc = runs[key]
+        if spec not in memo.traces:
+            memo.traces[spec] = generate_trace(spec)
+        trace = memo.traces[spec]
+        key = _deployment_key(spec, trace, config, profiles)
+        if key not in memo.runs:
+            memo.runs[key] = _simulate(trace, config, acamar, profiles)
+        doc = memo.runs[key]
 
         fleets = doc["fleets"]
         requests = doc["requests"]
@@ -364,36 +365,21 @@ def evaluate_items(
 
     Mirrors the campaign's ``solve_items`` contract so it can ride
     ``run_sharded`` unchanged: each item gets its own telemetry
-    collector and any exception becomes a structured error record.
-    ``item.source`` is the point payload built by :func:`run_sweep`.
-    The chunk's points generate each distinct traffic trace once, run
-    each distinct deployment once and solve each source once per
-    numerics key, sharing all three; a regime whose trace cannot be
-    generated fails only its own points.
+    collector and any exception becomes a structured error record under
+    the item's label, its point id.  ``item.source`` is the point's
+    ``(shape, traffic, sources)``.  The chunk's points share one
+    :class:`SweepMemo`, so a regime whose trace cannot be generated
+    fails only its own points.
     """
+    memo = SweepMemo()
     results: list[ItemResult] = []
-    traces: dict[LoadSpec, RequestTrace] = {}
-    runs: dict[Hashable, dict[str, Any]] = {}
-    solves: SharedSolves = {}
     for item in items:
-        payload = item.source
         collector = Telemetry()
         with collector.activate():
             try:
-                traffic = TrafficSpec(**payload["traffic"])
-                sources = tuple(payload["sources"])
-                spec = load_spec_for(traffic, sources, item.seed)
-                if spec not in traces:
-                    traces[spec] = generate_trace(spec)
+                shape, traffic, sources = item.source
                 record = evaluate_point(
-                    shape=FleetShape(**payload["shape"]),
-                    traffic=traffic,
-                    sources=sources,
-                    seed=item.seed,
-                    base_config=config,
-                    trace=traces[spec],
-                    runs=runs,
-                    solves=solves,
+                    shape, traffic, sources, item.seed, config, memo=memo
                 )
                 tm.count("dse.points_evaluated")
                 results.append(
@@ -401,7 +387,7 @@ def evaluate_items(
                         index=item.index,
                         entry=record,
                         error=None,
-                        label=record["id"],
+                        label=item.label,
                         telemetry=collector.as_dict(),
                     )
                 )
@@ -412,7 +398,7 @@ def evaluate_items(
                         index=item.index,
                         entry=None,
                         error=f"{type(exc).__name__}: {exc}",
-                        label=str(payload.get("id", item.index)),
+                        label=item.label,
                         telemetry=collector.as_dict(),
                     )
                 )
@@ -444,31 +430,17 @@ def run_sweep(
             f"workers must be an integer >= 1, got {workers!r}"
         )
     base = base_config if base_config is not None else AcamarConfig()
-    items = []
-    for index, (shape, traffic) in enumerate(space.points()):
-        payload = {
-            "id": point_id(shape, traffic),
-            "shape": shape.as_dict(),
-            "traffic": traffic.as_dict(),
-            "sources": list(space.sources),
-        }
-        items.append(
-            WorkItem(
-                index=index,
-                source=payload,
-                seed=seed,
-                cost=traffic.rate_rps * traffic.duration_s,
-            )
+    items = [
+        WorkItem(
+            index=index,
+            source=(shape, traffic, space.sources),
+            seed=seed,
+            cost=traffic.rate_rps * traffic.duration_s,
+            label=point_id(shape, traffic),
         )
-    collector = collector if collector is not None else Telemetry()
-    if workers > 1 and len(items) > 1:
-        outcome = run_sharded(
-            items, base, workers=workers, work_fn=evaluate_items
-        )
-        results = outcome.results
+        for index, (shape, traffic) in enumerate(space.points())
+    ]
+    outcome = run_sharded(items, base, workers, work_fn=evaluate_items)
+    if collector is not None:
         collector.merge(outcome.telemetry)
-    else:
-        results = evaluate_items(items, base)
-        for result in results:
-            collector.merge(result.telemetry)
-    return sorted(results, key=lambda r: r.index)
+    return outcome.results

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -81,6 +82,35 @@ def load_bands(path: str | Path = DEFAULT_BANDS_PATH) -> dict[str, float]:
         return {k: float(v) for k, v in json.load(fh).items()}
 
 
+def _band(reference: float) -> tuple[float, float]:
+    """The two-sided band of a pinned metric: ``(1 - tol) * reference``
+    to ``(1 + tol) * reference``, ``tol`` being
+    :data:`RELATIVE_TOLERANCE` (ordered, so a negative reference has a
+    band too)."""
+    low, high = sorted((
+        (1.0 - RELATIVE_TOLERANCE) * reference,
+        (1.0 + RELATIVE_TOLERANCE) * reference,
+    ))
+    return low, high
+
+
+def band_failures(measured: Mapping[str, float]) -> list[str]:
+    """One message per measured value outside its band in the reference
+    file; the dedicated benchmark guards (``bench_serving.py``,
+    ``bench_cluster.py``, ``bench_placement.py``, ``bench_dse.py``)
+    assert that this list is empty."""
+    bands = load_bands()
+    failures = []
+    for name, value in measured.items():
+        low, high = _band(bands[name])
+        if not low <= value <= high:
+            failures.append(
+                f"{name}: measured {value:.4f} outside "
+                f"[{low:.4f}, {high:.4f}]"
+            )
+    return failures
+
+
 def save_bands(
     values: dict[str, float], path: str | Path = DEFAULT_BANDS_PATH
 ) -> Path:
@@ -94,7 +124,6 @@ def save_bands(
 def check_regression(
     keys: tuple[str, ...] | None = None,
     path: str | Path = DEFAULT_BANDS_PATH,
-    rtol: float = RELATIVE_TOLERANCE,
 ) -> list[MetricCheck]:
     """Compare live headline metrics against the pinned bands."""
     reference = load_bands(path)
@@ -107,13 +136,13 @@ def check_regression(
             # metrics.
             continue
         value = measured[name]
-        scale = max(abs(ref_value), 1e-12)
+        low, high = _band(ref_value)
         checks.append(
             MetricCheck(
                 name=name,
                 reference=ref_value,
                 measured=value,
-                within_band=abs(value - ref_value) / scale <= rtol,
+                within_band=low <= value <= high,
             )
         )
     return checks

@@ -37,11 +37,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.campaign import estimate_cost, solve_items
 from repro.config import AcamarConfig
 from repro.core import Acamar
 from repro.datasets import dataset_keys, load_problem, poisson_2d
 from repro.errors import UnknownNameError
-from repro.parallel import WorkItem, estimate_cost, run_sharded
+from repro.parallel import WorkItem, run_sharded
 from repro.parallel.engine import MAX_ITEM_ATTEMPTS
 from repro.serve.api import Outcome
 from repro.serve.cluster.autoscale import ScaleAction
@@ -181,6 +182,7 @@ def run_pool_profile(plan: FaultPlan) -> ProfileOutcome:
             source=source,
             seed=101 + index,
             cost=estimate_cost(source),
+            label=source,
         )
         for index, source in enumerate(sources)
     ]
@@ -194,6 +196,7 @@ def run_pool_profile(plan: FaultPlan) -> ProfileOutcome:
             items,
             AcamarConfig(),
             workers=POOL_WORKERS,
+            work_fn=solve_items,
             chunk_size=POOL_CHUNK_SIZE,
             executor_factory=factory,
         )

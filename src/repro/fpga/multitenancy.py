@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.config import check_integer_fields
 from repro.errors import ConfigurationError
-from repro.fpga.device import ALVEO_U55C, FPGADevice
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class FleetSpec:
 
     devices: int = 1
     slots_per_device: int = 4
-    device: FPGADevice = ALVEO_U55C
     gpu_tenants: int = 0
     cpu_assist: bool = False
 

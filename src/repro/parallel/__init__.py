@@ -1,12 +1,13 @@
-"""Parallel campaign execution: worker-pool sharding with fault isolation.
+"""Fan-out execution: one path for serial and worker-pool runs.
 
-The campaign runner (:mod:`repro.campaign`) solves a whole workload
-population; this package spreads that population across a process pool —
-the software analogue of the paper's point that end-to-end throughput
-comes from overlapping *independent* solves across compute units.
+The campaign runner, the serving profiler and the design-space sweep
+each hand a population of independent work items to
+:func:`run_sharded`, which runs them in this process or spreads them
+across a process pool — the software analogue of the paper's point that
+end-to-end throughput comes from overlapping *independent* solves
+across compute units.
 """
 
-from repro.parallel.cost import estimate_cost, source_label
 from repro.parallel.engine import (
     ItemResult,
     ParallelOutcome,
@@ -19,8 +20,6 @@ __all__ = [
     "ItemResult",
     "ParallelOutcome",
     "WorkItem",
-    "estimate_cost",
     "run_sharded",
     "shard_by_cost",
-    "source_label",
 ]

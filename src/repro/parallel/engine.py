@@ -1,41 +1,45 @@
-"""Worker-pool execution engine for campaign workloads.
+"""Fan-out engine: one path for serial and pooled work.
 
-Shards a population of problem sources across a
+:func:`run_sharded` hands a population of :class:`WorkItem` objects to a
+worker function, either in this process or across a
 :class:`~concurrent.futures.ProcessPoolExecutor`:
 
+- **one serial path** — with one worker, or fewer than two items, the
+  work function runs here on the whole population; no pool is built,
 - **cost-aware chunking** — items are greedily packed (longest-processing-
-  time-first) into chunks balanced by estimated cost, a proxy for the
-  solve's NNZ-driven work, so one heavy matrix does not serialize the
-  tail of the campaign,
-- **deterministic seeds** — each item carries the seed the campaign
-  derived from its position, so parallel runs reproduce the serial run
-  entry for entry,
+  time-first) into chunks balanced by estimated cost, so one heavy item
+  does not serialize the tail of the run,
+- **deterministic seeds** — each item carries the seed its producer
+  derived, so pooled runs reproduce the serial run item for item,
 - **ordered reassembly** — workers return results tagged with the item's
-  original index; callers always see campaign order,
-- **fault isolation** — a solve that raises inside a worker yields a
+  original index; callers always see index order,
+- **fault isolation** — a work function turns an item that raises into a
   structured error record for that item only; a *lost worker process*
   (``BrokenProcessPool``) triggers a bounded number of pool restarts with
   singleton resubmission, after which every still-in-flight suspect is
-  recorded as a structured ``WorkerLost`` failure (results completed by
-  surviving chunks are kept); only when the pool could never be started
-  at all is the remainder finished in-process,
-- **per-worker telemetry** — every item is solved under its own
-  :class:`~repro.telemetry.Telemetry` collector whose dict form rides
-  back with the result for the campaign to merge.
+  recorded as a structured ``WorkerLost`` failure under its item's
+  label (results completed by surviving chunks are kept); only when the
+  pool could never be started at all is the remainder finished
+  in-process,
+- **per-item telemetry** — every result carries its own telemetry dict,
+  which the engine merges into the outcome.
 
-The heavy imports (datasets, solvers) happen lazily inside the worker
-function so the module itself stays cheap to import in the parent.
+The campaign (:func:`repro.campaign.solve_items`), the serving
+profiler (:func:`repro.serve.profile.profile_items`) and the
+design-space sweep (:func:`repro.dse.evaluator.evaluate_items`) each
+bring their own ``work_fn`` and label their own items.  One piece of
+the campaign remains here: a ``WorkerLost`` record counts
+``campaign.failures`` and ``campaign.workers_lost`` whichever work
+function lost the item.  The process-pool machinery is imported only
+when a pool runs, so serial callers never load it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.config import AcamarConfig
-from repro.parallel.cost import estimate_cost, source_label
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -44,11 +48,8 @@ __all__ = [
     "ItemResult",
     "ParallelOutcome",
     "WorkItem",
-    "estimate_cost",  # re-exported from repro.parallel.cost
     "run_sharded",
     "shard_by_cost",
-    "solve_items",
-    "source_label",  # re-exported from repro.parallel.cost
 ]
 
 DEFAULT_OVERSUBSCRIPTION = 4
@@ -65,12 +66,19 @@ MAX_ITEM_ATTEMPTS = 2
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One schedulable campaign solve."""
+    """One schedulable unit of work.
+
+    ``source`` is whatever the producer's work function takes (a problem
+    source, a design point); ``label`` names the item in its error and
+    ``WorkerLost`` records, so a lost item is reported under the name
+    its producer gave it.
+    """
 
     index: int
-    source: Any  # str | Path | Problem — kept loose to avoid heavy imports
+    source: Any
     seed: int
     cost: float
+    label: str
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,7 @@ class ItemResult:
     """What a worker reports back for one item."""
 
     index: int
-    entry: Any | None  # CampaignEntry on success
+    entry: Any | None  # the work function's record on success
     error: str | None
     label: str
     telemetry: dict[str, Any]
@@ -86,7 +94,11 @@ class ItemResult:
 
 @dataclass
 class ParallelOutcome:
-    """Ordered results plus engine-level statistics."""
+    """Ordered results plus engine-level statistics.
+
+    ``workers`` is 1 when the work ran serially in this process; the
+    pool statistics below are then all zero.
+    """
 
     results: list[ItemResult]
     telemetry: Telemetry
@@ -103,8 +115,8 @@ def shard_by_cost(
     """Pack items into ``n_chunks`` cost-balanced chunks (LPT greedy).
 
     Items are assigned heaviest-first to the currently lightest chunk,
-    then each chunk is restored to campaign (index) order.  Empty chunks
-    are dropped, so the result has at most ``n_chunks`` entries.
+    then each chunk is restored to index order.  Empty chunks are
+    dropped, so the result has at most ``n_chunks`` entries.
     """
     n_chunks = max(1, min(int(n_chunks), len(items)))
     chunks: list[list[WorkItem]] = [[] for _ in range(n_chunks)]
@@ -117,56 +129,11 @@ def shard_by_cost(
     return [chunk for chunk in packed if chunk]
 
 
-def solve_items(
-    items: Sequence[WorkItem], config: AcamarConfig
-) -> list[ItemResult]:
-    """Worker entry point: solve a chunk of items, isolating each fault.
-
-    Runs in the pool's worker processes (and doubles as the in-process
-    fallback path).  Every item gets its own telemetry collector; any
-    exception is converted to a structured error record so one diverging
-    or crashing solve cannot take down its chunk-mates.
-    """
-    from repro import telemetry as tm
-    from repro.campaign import build_entry, resolve_source
-
-    results: list[ItemResult] = []
-    for item in items:
-        collector = Telemetry()
-        with collector.activate():
-            try:
-                with tm.span("campaign.resolve"):
-                    problem = resolve_source(item.source, item.seed)
-                entry = build_entry(problem, config)
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=entry,
-                        error=None,
-                        label=entry.name,
-                        telemetry=collector.as_dict(),
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 — fault isolation
-                tm.count("campaign.failures")
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        label=source_label(item.source),
-                        telemetry=collector.as_dict(),
-                    )
-                )
-    return results
-
-
 def _lost_worker_result(item: WorkItem, attempts: int) -> ItemResult:
-    # A lost worker is a campaign failure exactly like an in-process
-    # solve fault, so its result telemetry carries the same
-    # ``campaign.failures`` increment the fault-isolation path in
-    # :func:`solve_items` records — aggregate failure counts agree no
-    # matter which path recorded an item.
+    # The counters keep the campaign's names for every work function:
+    # a lost campaign item then counts ``campaign.failures`` exactly as
+    # an in-process fault does, while a lost sweep point or profiling
+    # item counts it too, instead of its own layer's failure counter.
     telemetry = Telemetry()
     telemetry.count("campaign.failures")
     telemetry.count("campaign.workers_lost")
@@ -177,7 +144,7 @@ def _lost_worker_result(item: WorkItem, attempts: int) -> ItemResult:
             "WorkerLost: worker process died while this item was in "
             f"flight ({attempts} attempts)"
         ),
-        label=source_label(item.source),
+        label=item.label,
         telemetry=telemetry.as_dict(),
     )
 
@@ -186,30 +153,39 @@ def run_sharded(
     items: Sequence[WorkItem],
     config: AcamarConfig,
     workers: int,
+    *,
+    work_fn: Callable[..., list[ItemResult]],
     chunk_size: int | None = None,
     max_pool_restarts: int = 2,
     executor_factory: Callable[[int], Any] | None = None,
-    work_fn: Callable[..., list[ItemResult]] = solve_items,
 ) -> ParallelOutcome:
-    """Solve ``items`` on a worker pool; always returns a full outcome.
+    """Run ``work_fn`` over ``items``; always returns a full outcome.
 
-    ``executor_factory`` exists for tests (inject a deterministic fake);
-    production use leaves it ``None`` for ``ProcessPoolExecutor``.
-    ``chunk_size`` caps items per chunk; by default chunk count is
-    ``workers * DEFAULT_OVERSUBSCRIPTION``.  ``work_fn`` is the worker
-    entry point (``(items, config) -> list[ItemResult]``); it defaults to
-    the campaign's :func:`solve_items` and must be a picklable top-level
-    function — the serving profiler passes its own
-    (:func:`repro.serve.profile.profile_items`) to reuse the pool,
-    restart, and reassembly machinery for a different unit of work.
+    ``work_fn`` is the worker entry point, ``(items, config) ->
+    list[ItemResult]``, one result per item; for a pool it must be a
+    picklable top-level function (``repro lint`` rule REP008 checks
+    every call).  With ``workers <= 1``, or fewer than two items, it is
+    called once in this process on all of ``items``.  Otherwise the
+    items run on a worker pool: ``chunk_size`` caps items per chunk (by
+    default the chunk count is ``workers * DEFAULT_OVERSUBSCRIPTION``),
+    and ``executor_factory`` exists for tests and the chaos harness
+    (inject a deterministic fake; ``None`` builds a
+    ``ProcessPoolExecutor``).  Either way the results come back in
+    index order with their telemetry merged into the outcome's.
     """
     telemetry = Telemetry()
+    if workers <= 1 or len(items) < 2:
+        results = sorted(work_fn(items, config), key=lambda r: r.index)
+        for result in results:
+            telemetry.merge(result.telemetry)
+        return ParallelOutcome(results=results, telemetry=telemetry, workers=1)
+
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     outcome = ParallelOutcome(results=[], telemetry=telemetry, workers=workers)
-    if not items:
-        return outcome
     if executor_factory is None:
-        def executor_factory(n: int) -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(max_workers=n)
+        executor_factory = ProcessPoolExecutor
 
     pending: dict[int, WorkItem] = {item.index: item for item in items}
     attempts: dict[int, int] = {item.index: 0 for item in items}

@@ -1336,7 +1336,6 @@ def run_cluster(
                 list(trace.sources),
                 acamar_config,
                 workers=config.workers,
-                collector=collector,
             )
         simulation = _ClusterSimulation(trace, config, profiles)
         duration = float(trace.meta.get("duration_s", 0.0))

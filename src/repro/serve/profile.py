@@ -5,10 +5,10 @@ problem source needs a ground-truth profile: which solver sequence the
 decision loops pick, how many iterations the final attempt runs, and the
 cost model's per-attempt compute latency.  :func:`profile_items` is a
 worker entry point with the same ``(items, config) -> list[ItemResult]``
-shape as the campaign's ``solve_items``, so the service can dispatch
-profiling through :func:`repro.parallel.engine.run_sharded` (pool
-restarts, fault isolation and ordered reassembly included) when warming
-many unique sources, or call it directly in-process for lazy misses.
+shape as the campaign's ``solve_items``, so the service dispatches
+profiling through :func:`repro.parallel.run_sharded` (serially, or on a
+pool with restarts, fault isolation and ordered reassembly), and a
+caller that shares solves across calls runs it in this process.
 
 Host-side analysis latency is modeled with explicit constants below:
 the Matrix Structure unit reads every stored entry (dominance sums plus
@@ -20,12 +20,14 @@ count.  These charges are what a fingerprint-cache hit skips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from typing import Hashable, Sequence
 
 from repro import telemetry as tm
+from repro.campaign import resolve_source
 from repro.config import AcamarConfig
 from repro.core.accelerator import Acamar, AcamarResult, numerics_key
-from repro.parallel import ItemResult, WorkItem, source_label
+from repro.datasets.problem import Problem
+from repro.parallel import ItemResult, WorkItem
 from repro.placement import (
     CPU_ASSIST_ROUNDTRIP_SECONDS,
     estimate_gpu_service,
@@ -34,10 +36,11 @@ from repro.placement import (
 from repro.serve.cache import plan_signature
 from repro.telemetry import Telemetry
 
-SharedSolves = dict[Hashable, dict[Hashable, AcamarResult]]
-"""Real solves shared by many profiling runs, per ``(source, seed)``
-(a DSE sweep keeps one per :func:`repro.dse.evaluator.evaluate_items`
-call); each problem's own dict is keyed as :func:`_solve` stores it."""
+SharedSolves = dict[Hashable, tuple[Problem, dict[Hashable, AcamarResult]]]
+"""Resolved problems and their real solves, shared by many profiling
+runs, per ``(source, seed)`` (a DSE sweep keeps one in its
+:class:`~repro.dse.evaluator.SweepMemo`); each problem's own dict is
+keyed as :func:`_solve` stores it."""
 
 ANALYSIS_SECONDS_PER_NNZ = 25e-9
 """Host time per stored entry for the structure checks (Eq. 1 sums plus
@@ -157,7 +160,7 @@ class SolveProfile:
 
 
 def _solve(
-    acamar: Acamar, problem: Any, solves: dict[Hashable, AcamarResult]
+    acamar: Acamar, problem: Problem, solves: dict[Hashable, AcamarResult]
 ) -> AcamarResult:
     """``acamar.solve`` of ``problem``, or a stored solve it would repeat.
 
@@ -185,7 +188,7 @@ def _solve(
 
 
 def build_profile(
-    problem: Any,
+    problem: Problem,
     config: AcamarConfig,
     solves: dict[Hashable, AcamarResult],
 ) -> SolveProfile:
@@ -241,24 +244,24 @@ def profile_items(
     Mirrors the campaign's ``solve_items`` contract so it can ride
     ``run_sharded`` unchanged: each item gets its own telemetry
     collector and any exception becomes a structured error record.
-    ``solves`` holds real solves shared with other calls, per item
-    ``(source, seed)``; without it each item's solve is dropped with
-    the item.
+    ``solves`` holds problems and real solves shared with other calls,
+    per item ``(source, seed)``: an item whose key it holds is not
+    resolved again, and is solved again only where no stored solve
+    repeats.  Without it each item starts from a fresh dict, dropped
+    with the item.
     """
-    from repro.campaign import resolve_source
-
     results: list[ItemResult] = []
     for item in items:
+        memo = solves if solves is not None else {}
         collector = Telemetry()
         with collector.activate():
             try:
-                with tm.span("serve.profile.resolve"):
-                    problem = resolve_source(item.source, item.seed)
-                stored = (
-                    {}
-                    if solves is None
-                    else solves.setdefault((item.source, item.seed), {})
-                )
+                key = (item.source, item.seed)
+                if key not in memo:
+                    with tm.span("serve.profile.resolve"):
+                        problem = resolve_source(item.source, item.seed)
+                    memo[key] = (problem, {})
+                problem, stored = memo[key]
                 profile = build_profile(problem, config, stored)
                 results.append(
                     ItemResult(
@@ -276,7 +279,7 @@ def profile_items(
                         index=item.index,
                         entry=None,
                         error=f"{type(exc).__name__}: {exc}",
-                        label=source_label(item.source),
+                        label=item.label,
                         telemetry=collector.as_dict(),
                     )
                 )

@@ -152,7 +152,6 @@ class MicroBatchScheduler:
     cache: PlanCache | None = None
     max_batch: int = 8
     batch_window_s: float = 2e-3
-    solver_swap_s: float = 0.0
     device_faults: tuple[DeviceFaultEvent, ...] = ()
     slots: list[FleetSlot] = field(default_factory=list)
     batches: list[BatchRecord] = field(default_factory=list)
@@ -184,12 +183,6 @@ class MicroBatchScheduler:
                 )
                 for j in range(self.fleet.gpu_tenants)
             ]
-        if not self.solver_swap_s:
-            from repro.fpga import PerformanceModel
-
-            self.solver_swap_s = PerformanceModel(
-                self.fleet.device
-            ).reconfig.solver_swap_seconds()
         self._placements: dict[str, PlacementDecision] = {}
         self._group_keys: dict[str, tuple[str, str, str]] = {}
 
@@ -357,7 +350,7 @@ class MicroBatchScheduler:
         # it is the PCIe structure upload.
         config_load = cache is None or slot.resident_signature != signature
         on_gpu = device_class == GPU
-        swap_charge = profile.gpu_transfer_s if on_gpu else self.solver_swap_s
+        swap_charge = profile.gpu_transfer_s if on_gpu else profile.solver_swap_s
         cursor = now + (swap_charge if config_load else 0.0)
         if config_load:
             slot.config_loads += 1

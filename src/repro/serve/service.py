@@ -31,10 +31,11 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro import telemetry as tm
+from repro.campaign import estimate_cost
 from repro.config import AcamarConfig, check_integer_fields
 from repro.errors import ConfigurationError, ValidationError
 from repro.fpga.multitenancy import FleetSpec
-from repro.parallel import WorkItem, estimate_cost, run_sharded
+from repro.parallel import WorkItem, run_sharded
 from repro.serve.admission import AdmissionController, AdmissionVerdict
 from repro.serve.api import (
     PRIORITY_NAMES,
@@ -324,56 +325,49 @@ def build_profiles(
     sources: Sequence[str],
     config: AcamarConfig,
     workers: int = 1,
-    collector: Telemetry | None = None,
     solves: SharedSolves | None = None,
 ) -> dict[str, "SolveProfile | str"]:
     """Profile every unique source once (real solves, memoized).
 
-    ``workers > 1`` fans profiling out through the parallel engine's
-    pool machinery with :func:`profile_items` as the work function;
-    otherwise it runs in-process.  A profiling failure maps the source
-    to its error string — requests for it will be answered with
-    ``FAILED`` responses rather than sinking the run.
+    Profiling runs through :func:`repro.parallel.run_sharded` with
+    :func:`profile_items` as the work function: serially for
+    ``workers <= 1``, on a worker pool otherwise.  A profiling failure
+    maps the source to its error string — requests for it will be
+    answered with ``FAILED`` responses rather than sinking the run.
+    Each item's telemetry is merged into the active collector, if any.
 
-    ``solves`` shares real solves with other in-process calls that pass
-    the same dict (see :func:`~repro.serve.profile.build_profile`): a
-    source whose stored solve has the attempts ``config`` would run is
-    priced from it under ``config``'s own plan.  A dict cannot cross
-    the pool, so with ``workers > 1`` each worker solves on its own and
-    ``solves`` is left as it was.
+    ``solves`` shares resolved problems and real solves with other
+    in-process calls that pass the same dict (see
+    :func:`~repro.serve.profile.build_profile`): a source whose stored
+    solve has the attempts ``config`` would run is priced from it under
+    ``config``'s own plan.  A dict cannot cross a pool, so a call that
+    passes ``solves`` profiles in this process whatever ``workers`` is.
     """
-    unique: list[str] = []
-    seen = set()
-    for source in sources:
-        if source not in seen:
-            seen.add(source)
-            unique.append(source)
+    unique = list(dict.fromkeys(sources))
     items = [
         WorkItem(
             index=index,
             source=source,
             seed=PROFILE_SEED,
             cost=estimate_cost(source),
+            label=source,
         )
         for index, source in enumerate(unique)
     ]
-    collector = collector if collector is not None else Telemetry()
-    if workers > 1 and len(items) > 1:
-        outcome = run_sharded(
-            items, config, workers=workers, work_fn=profile_items
-        )
-        results = outcome.results
-        collector.merge(outcome.telemetry)
-    else:
+    if solves is not None:
         results = profile_items(items, config, solves)
+    else:
+        results = run_sharded(
+            items, config, workers, work_fn=profile_items
+        ).results
+    collector = tm.active()
+    if collector is not None:
         for result in results:
             collector.merge(result.telemetry)
-    profiles: dict[str, SolveProfile | str] = {}
-    for item, result in zip(items, sorted(results, key=lambda r: r.index)):
-        profiles[str(item.source)] = (
-            result.entry if result.entry is not None else result.error
-        )
-    return profiles
+    return {
+        source: result.entry if result.entry is not None else result.error
+        for source, result in zip(unique, results)
+    }
 
 
 def run_loadtest(
@@ -458,7 +452,6 @@ def run_service(
             [r.source for r in requests],
             acamar_config,
             workers=service_config.workers,
-            collector=collector,
         )
         cache = (
             PlanCache(capacity=service_config.cache_capacity)

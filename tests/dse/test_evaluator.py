@@ -12,9 +12,12 @@ from repro.dse import (
     cluster_config_for,
     evaluate_items,
     evaluate_point,
+    point_id,
     run_sweep,
 )
 from repro.errors import ConfigurationError
+from repro.faults.injectors import ChaosExecutorFactory
+from repro.faults.plan import PoolFaultSchedule
 from repro.parallel import WorkItem
 from repro.telemetry import Telemetry
 
@@ -101,25 +104,21 @@ class TestEvaluatePoint:
 
 class TestEvaluateItems:
     def test_bad_payload_becomes_error_record(self):
-        collector = Telemetry()
+        """An item that is not a ``(shape, traffic, sources)`` point
+        fails inside the per-item guard, under its own label."""
         item = WorkItem(
             index=0,
-            source={
-                "id": "broken",
-                "shape": {**tiny_shape().as_dict(),
-                          "slots_per_fleet": 0},
-                "traffic": tiny_traffic().as_dict(),
-                "sources": ["2C"],
-            },
+            source=(tiny_shape(), tiny_traffic()),
             seed=0,
             cost=1.0,
+            label="broken",
         )
-        with collector.activate():
-            results = evaluate_items([item], AcamarConfig())
+        results = evaluate_items([item], AcamarConfig())
         assert len(results) == 1
         assert results[0].entry is None
-        assert "ConfigurationError" in results[0].error
+        assert "ValueError" in results[0].error
         assert results[0].label == "broken"
+        assert results[0].telemetry["counters"]["dse.points_failed"] == 1
 
     def test_counters_track_outcomes(self):
         space = tiny_space()
@@ -202,6 +201,28 @@ class TestRunSweep:
         results = run_sweep(space, seed=0)
         assert [r.index for r in results] == list(range(len(space)))
         assert all(r.entry is not None for r in results)
+
+    def test_lost_worker_is_labelled_with_its_point_id(self, monkeypatch):
+        """A point whose worker dies past the retry budget is reported
+        under its point id, like a point that fails in its worker."""
+        space = tiny_space()
+        factory = ChaosExecutorFactory(
+            PoolFaultSchedule(item_kills=(0, 2), item_stalls=(False, False))
+        )
+        real_run_sharded = evaluator.run_sharded
+
+        def chaotic_run_sharded(items, config, workers, **kwargs):
+            return real_run_sharded(
+                items, config, workers, executor_factory=factory, **kwargs
+            )
+
+        monkeypatch.setattr(evaluator, "run_sharded", chaotic_run_sharded)
+        results = run_sweep(space, seed=0, workers=2)
+        (shape, traffic), lost_point = space.points()[1], results[1]
+        assert lost_point.error.startswith("WorkerLost")
+        assert lost_point.label == point_id(shape, traffic)
+        assert results[0].entry is not None
+        assert results[0].label == point_id(*space.points()[0])
 
     @pytest.mark.slow
     def test_workers_do_not_change_records(self):

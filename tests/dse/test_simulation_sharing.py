@@ -34,6 +34,7 @@ from repro.dse import (
     cross_shapes,
     demo_space,
     evaluate_point,
+    run_dse,
     run_sweep,
 )
 from repro.telemetry import Telemetry
@@ -186,6 +187,24 @@ def test_demo_sweep_solves_each_source_once(monkeypatch, seed):
     """Four sources, one numerics key, and no source reaches the Solver
     Modifier, so both unroll budgets and both mixes share each solve."""
     assert count_profile_solves(monkeypatch, demo_space(), seed) == 4
+
+
+def test_sweep_telemetry_carries_the_profiling(monkeypatch):
+    """Profiling records into the sweep's collector: each demo source is
+    resolved once, and each real solve runs the Matrix Structure unit
+    once and stores one entry in the sweep memo."""
+    monkeypatch.setattr(evaluator, "_PROFILE_MEMO", {})
+    collector = Telemetry()
+    run_dse(demo_space(), seed=0, collector=collector)
+    counters = collector.counters
+    assert counters["dse.profile_solves"] == 4
+    assert collector.spans["serve.profile.resolve"].count == 4
+    assert collector.spans["matrix_structure.select"].count == 4
+    assert sum(
+        value
+        for name, value in counters.items()
+        if name.startswith("solver_attempts.")
+    ) == 4
 
 
 def test_failed_first_attempts_solve_once_per_fallback_order(monkeypatch):

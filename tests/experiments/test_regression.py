@@ -6,6 +6,7 @@ from repro.experiments import regression
 from repro.experiments.regression import (
     BENCH_GUARDED_PREFIXES,
     DEFAULT_BANDS_PATH,
+    band_failures,
     check_regression,
     load_bands,
     measure_headlines,
@@ -13,6 +14,25 @@ from repro.experiments.regression import (
 )
 
 SUBSET = ("2C", "Wi", "Fe", "Bc", "If", "Po")
+
+
+class TestBandFailures:
+    def test_values_inside_the_band_pass(self):
+        reference = load_bands()["dse_frontier_size"]
+        assert band_failures({
+            "dse_frontier_size": reference,
+        }) == []
+        assert band_failures({
+            "dse_frontier_size": 1.05 * reference,
+        }) == []
+
+    def test_value_outside_the_band_is_named_with_its_band(self):
+        reference = load_bands()["dse_frontier_size"]
+        (message,) = band_failures({"dse_frontier_size": 2 * reference})
+        assert message == (
+            f"dse_frontier_size: measured {2 * reference:.4f} outside "
+            f"[{0.9 * reference:.4f}, {1.1 * reference:.4f}]"
+        )
 
 
 class TestBandsFile:

@@ -19,7 +19,8 @@ from repro.telemetry import Telemetry
 
 def items(n):
     return [
-        WorkItem(index=i, source=f"s{i}", seed=i, cost=1.0) for i in range(n)
+        WorkItem(index=i, source=f"s{i}", seed=i, cost=1.0, label=f"s{i}")
+        for i in range(n)
     ]
 
 

@@ -1,26 +1,28 @@
-"""Tests for the worker-pool campaign engine."""
+"""Tests for the fan-out engine and the campaign's worker helpers."""
 
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
+import pytest
 
+from repro.campaign import estimate_cost, solve_items, source_label
 from repro.config import AcamarConfig
 from repro.datasets import poisson_2d
 from repro.datasets.problem import Problem
-from repro.parallel.engine import (
-    WorkItem,
-    estimate_cost,
-    run_sharded,
-    shard_by_cost,
-    solve_items,
-    source_label,
-)
+from repro.parallel.engine import WorkItem, run_sharded, shard_by_cost
+from repro.telemetry import Telemetry
 
 
 def make_items(sources, seed=1):
     return [
-        WorkItem(index=i, source=s, seed=seed + i, cost=estimate_cost(s))
+        WorkItem(
+            index=i,
+            source=s,
+            seed=seed + i,
+            cost=estimate_cost(s),
+            label=source_label(s),
+        )
         for i, s in enumerate(sources)
     ]
 
@@ -55,7 +57,7 @@ class TestEstimateCost:
 class TestShardByCost:
     def test_balances_loads(self):
         items = [
-            WorkItem(index=i, source=f"s{i}", seed=i, cost=cost)
+            WorkItem(index=i, source=f"s{i}", seed=i, cost=cost, label=f"s{i}")
             for i, cost in enumerate([100, 1, 1, 1, 99, 1, 1, 1])
         ]
         chunks = shard_by_cost(items, 2)
@@ -132,15 +134,47 @@ class _FlakyExecutor:
 
 
 class TestRunSharded:
+    @pytest.mark.parametrize("workers, sources", [
+        (1, ["Wa", "Li", "Fe"]),
+        (4, ["Wa"]),
+    ])
+    def test_serial_case_never_builds_an_executor(self, workers, sources):
+        def factory(n):
+            raise AssertionError("the serial path built an executor")
+
+        items = make_items(sources)
+        config = AcamarConfig()
+        outcome = run_sharded(
+            items,
+            config,
+            workers=workers,
+            work_fn=solve_items,
+            executor_factory=factory,
+        )
+        expected = solve_items(items, config)
+        assert [r.entry for r in outcome.results] == [
+            r.entry for r in expected
+        ]
+        assert outcome.workers == 1
+        assert outcome.chunks == outcome.pool_restarts == 0
+        merged = Telemetry()
+        for result in expected:
+            merged.merge(result.telemetry)
+        assert outcome.telemetry.counters == merged.counters
+        assert {
+            name: stats.count
+            for name, stats in outcome.telemetry.spans.items()
+        } == {name: stats.count for name, stats in merged.spans.items()}
+
     def test_empty_items(self):
-        outcome = run_sharded([], AcamarConfig(), workers=2)
+        outcome = run_sharded([], AcamarConfig(), workers=2, work_fn=solve_items)
         assert outcome.results == []
 
     def test_real_pool_matches_serial(self):
         items = make_items(["Wa", "Li", "Fe"])
         config = AcamarConfig()
         serial = solve_items(items, config)
-        outcome = run_sharded(items, config, workers=2)
+        outcome = run_sharded(items, config, workers=2, work_fn=solve_items)
         assert [r.index for r in outcome.results] == [0, 1, 2]
         for ours, ref in zip(outcome.results, serial):
             assert ours.entry.name == ref.entry.name
@@ -149,7 +183,7 @@ class TestRunSharded:
 
     def test_worker_exception_isolated_in_real_pool(self):
         items = make_items([broken_problem(), poisson_2d(8)])
-        outcome = run_sharded(items, AcamarConfig(), workers=2)
+        outcome = run_sharded(items, AcamarConfig(), workers=2, work_fn=solve_items)
         assert outcome.results[0].error is not None
         assert outcome.results[1].entry.converged
 
@@ -163,7 +197,11 @@ class TestRunSharded:
             return _FlakyExecutor({"Li"}, budget)
 
         outcome = run_sharded(
-            items, AcamarConfig(), workers=2, executor_factory=factory
+            items,
+            AcamarConfig(),
+            workers=2,
+            work_fn=solve_items,
+            executor_factory=factory,
         )
         assert outcome.pool_restarts == 1
         assert len(factory_calls) == 2
@@ -179,7 +217,11 @@ class TestRunSharded:
             return _FlakyExecutor({"Li"}, budget)
 
         outcome = run_sharded(
-            items, AcamarConfig(), workers=2, executor_factory=factory
+            items,
+            AcamarConfig(),
+            workers=2,
+            work_fn=solve_items,
+            executor_factory=factory,
         )
         assert len(outcome.results) == 3
         by_index = {r.index: r for r in outcome.results}
@@ -196,7 +238,11 @@ class TestRunSharded:
 
         items = make_items(["Wa", "Li"])
         outcome = run_sharded(
-            items, AcamarConfig(), workers=4, executor_factory=factory
+            items,
+            AcamarConfig(),
+            workers=4,
+            work_fn=solve_items,
+            executor_factory=factory,
         )
         assert outcome.in_process_items == 2
         assert all(r.entry is not None for r in outcome.results)
@@ -222,6 +268,7 @@ class TestRunSharded:
             items,
             AcamarConfig(),
             workers=2,
+            work_fn=solve_items,
             chunk_size=2,
             executor_factory=factory,
         )
@@ -230,8 +277,8 @@ class TestRunSharded:
 
     def test_deterministic_across_runs(self):
         items = make_items(["Wa", "Li"])
-        first = run_sharded(items, AcamarConfig(), workers=2)
-        second = run_sharded(items, AcamarConfig(), workers=2)
+        first = run_sharded(items, AcamarConfig(), workers=2, work_fn=solve_items)
+        second = run_sharded(items, AcamarConfig(), workers=2, work_fn=solve_items)
         for a, b in zip(first.results, second.results):
             assert a.entry.iterations == b.entry.iterations
             assert a.entry.solver_sequence == b.entry.solver_sequence
@@ -242,7 +289,7 @@ class TestAllErrorReassembly:
         items = make_items(
             [broken_problem("b0"), broken_problem("b1"), broken_problem("b2")]
         )
-        outcome = run_sharded(items, AcamarConfig(), workers=2)
+        outcome = run_sharded(items, AcamarConfig(), workers=2, work_fn=solve_items)
         assert [r.index for r in outcome.results] == [0, 1, 2]
         assert all(r.entry is None for r in outcome.results)
         assert all(r.error is not None for r in outcome.results)
@@ -303,7 +350,11 @@ class TestWorkerLostAccounting:
             return _FlakyExecutor({"Li"}, budget)
 
         outcome = run_sharded(
-            items, AcamarConfig(), workers=2, executor_factory=factory
+            items,
+            AcamarConfig(),
+            workers=2,
+            work_fn=solve_items,
+            executor_factory=factory,
         )
         lost = [r for r in outcome.results if r.error is not None]
         assert len(lost) == 1
@@ -325,7 +376,11 @@ class TestWorkerLostAccounting:
             return _FlakyExecutor({"Li"}, budget)
 
         outcome = run_sharded(
-            items, AcamarConfig(), workers=2, executor_factory=factory
+            items,
+            AcamarConfig(),
+            workers=2,
+            work_fn=solve_items,
+            executor_factory=factory,
         )
         errored = [r for r in outcome.results if r.error is not None]
         assert outcome.telemetry.counters["campaign.failures"] == len(errored)
@@ -345,6 +400,7 @@ class TestRestartExhaustionMidCampaign:
             items,
             AcamarConfig(),
             workers=2,
+            work_fn=solve_items,
             chunk_size=2,
             max_pool_restarts=0,
             executor_factory=factory,
@@ -377,6 +433,7 @@ class TestRestartExhaustionMidCampaign:
             items,
             AcamarConfig(),
             workers=2,
+            work_fn=solve_items,
             max_pool_restarts=1,
             executor_factory=factory,
         )

@@ -164,8 +164,7 @@ class TestAccounting:
         collector = Telemetry()
         with collector.activate():
             profiles = build_profiles(
-                list(trace.sources), AcamarConfig(), workers=1,
-                collector=collector,
+                list(trace.sources), AcamarConfig(), workers=1
             )
             sim = _ClusterSimulation(trace, small_config(), profiles)
             sim.run(spec.duration_s)

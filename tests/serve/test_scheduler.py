@@ -62,7 +62,6 @@ def make_scheduler(cache=None, slots=2, max_batch=4, window=1e-3):
         cache=cache,
         max_batch=max_batch,
         batch_window_s=window,
-        solver_swap_s=SWAP_S,
     )
 
 
@@ -284,7 +283,6 @@ class TestDeviceFaults:
             cache=cache,
             max_batch=4,
             batch_window_s=1e-3,
-            solver_swap_s=SWAP_S,
             device_faults=events,
         )
 

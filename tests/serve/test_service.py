@@ -113,7 +113,9 @@ class TestBuildProfiles:
             shared = build_profiles(SOURCES, config, solves=solves)
             assert shared == build_profiles(SOURCES, config)
         assert sorted(solves) == [(s, PROFILE_SEED) for s in sorted(SOURCES)]
-        assert all(len(stored) == 1 for stored in solves.values())
+        for (source, _), (problem, stored) in solves.items():
+            assert problem.name == shared[source].label
+            assert len(stored) == 1
 
 
 def acamar_config():

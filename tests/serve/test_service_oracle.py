@@ -165,7 +165,7 @@ def serve_batch(scheduler, slot, members, profile, now, batch_id):
     signature = profile.plan_signature
     config_load = cache is None or slot.resident_signature != signature
     on_gpu = slot.device_class == GPU
-    swap_charge = profile.gpu_transfer_s if on_gpu else scheduler.solver_swap_s
+    swap_charge = profile.gpu_transfer_s if on_gpu else profile.solver_swap_s
     cursor = now + (swap_charge if config_load else 0.0)
     if config_load:
         slot.config_loads += 1
@@ -296,7 +296,7 @@ def every_tick_service(requests, config, build=build_profiles):
     with collector.activate():
         profiles = build(
             [r.source for r in requests], AcamarConfig(),
-            workers=config.workers, collector=collector,
+            workers=config.workers,
         )
         cache = (
             PlanCache(capacity=config.cache_capacity)
