@@ -10,9 +10,9 @@ regressions ("the counter exists, it just never fired").
 
 Checked cross-module, over the whole-program index:
 
-- every name in ``KNOWN_SPANS`` / ``KNOWN_COUNTERS`` /
-  ``KNOWN_DISTRIBUTIONS`` must be emitted by some module (literal or
-  conditional-of-literals call sites, as REP005 recognizes them),
+- every name in ``KNOWN_SPANS`` / ``KNOWN_COUNTERS`` must be emitted
+  by some module (literal or conditional-of-literals call sites, as
+  REP005 recognizes them),
 - every prefix family in ``KNOWN_COUNTER_PREFIXES`` must have at least
   one live emission: a literal counter under the prefix or an f-string
   whose literal head starts with it.  (Emissions under *unregistered*
@@ -41,7 +41,6 @@ REGISTRY_MODULE = "repro.telemetry"
 _KIND_LABEL = {
     "spans": "KNOWN_SPANS",
     "counters": "KNOWN_COUNTERS",
-    "distributions": "KNOWN_DISTRIBUTIONS",
 }
 
 
@@ -58,9 +57,7 @@ class TelemetryLivenessChecker:
         registry: dict[str, dict[str, int]] = registry_facts["registry"]
         registry_path = str(registry_facts["path"])
 
-        emitted: dict[str, set[str]] = {
-            "spans": set(), "counters": set(), "distributions": set(),
-        }
+        emitted: dict[str, set[str]] = {"spans": set(), "counters": set()}
         heads: set[str] = set()
         for module, facts in sorted(index.modules.items()):
             if module == REGISTRY_MODULE:

@@ -1,16 +1,15 @@
 """REP005 — telemetry naming discipline.
 
-Operations dashboards and the golden telemetry reports key on span,
-counter and distribution *names*.  A typo'd or ad-hoc name silently
-forks a metric, so every recording call must:
+Operations dashboards and the golden telemetry reports key on span
+and counter *names*.  A typo'd or ad-hoc name silently forks a metric,
+so every recording call must:
 
 - pass the name as a **string literal** (the conditional-of-literals
   idiom ``count("a" if warm else "b")`` counts — both arms are
   checked), never a computed expression, and
 - use a name registered in :mod:`repro.telemetry`'s
-  ``KNOWN_SPANS`` / ``KNOWN_COUNTERS`` / ``KNOWN_DISTRIBUTIONS``
-  registry, which is the single source of truth the docs and
-  dashboards are generated from.
+  ``KNOWN_SPANS`` / ``KNOWN_COUNTERS`` registry, which is the single
+  source of truth the docs and dashboards are generated from.
 
 One dynamic shape is sanctioned: an f-string whose literal head lies in
 a registered *prefix family* (``KNOWN_COUNTER_PREFIXES``), e.g. the
@@ -39,7 +38,6 @@ from repro.analysis.engine import Finding, SourceFile
 from repro.telemetry import (
     KNOWN_COUNTER_PREFIXES,
     KNOWN_COUNTERS,
-    KNOWN_DISTRIBUTIONS,
     KNOWN_SPANS,
 )
 
@@ -50,13 +48,11 @@ RECORDING_FUNCTIONS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     "span": (KNOWN_SPANS, frozenset()),
     "record_span": (KNOWN_SPANS, frozenset()),
     "count": (KNOWN_COUNTERS, KNOWN_COUNTER_PREFIXES),
-    "observe": (KNOWN_DISTRIBUTIONS, frozenset()),
 }
 
 REGISTRY_LABEL = {
     id(KNOWN_SPANS): "KNOWN_SPANS",
     id(KNOWN_COUNTERS): "KNOWN_COUNTERS",
-    id(KNOWN_DISTRIBUTIONS): "KNOWN_DISTRIBUTIONS",
 }
 
 #: Conventional local names for a telemetry collector (module alias or

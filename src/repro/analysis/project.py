@@ -55,7 +55,6 @@ _PARENT_SIDE_KWARGS = frozenset({"executor_factory"})
 _REGISTRY_NAMES = {
     "KNOWN_SPANS": "spans",
     "KNOWN_COUNTERS": "counters",
-    "KNOWN_DISTRIBUTIONS": "distributions",
     "KNOWN_COUNTER_PREFIXES": "prefixes",
 }
 
@@ -64,7 +63,6 @@ _EMISSION_KINDS = {
     "span": "spans",
     "record_span": "spans",
     "count": "counters",
-    "observe": "distributions",
 }
 
 #: Wall-clock and entropy reads whose values must not leak into the
@@ -344,9 +342,7 @@ def _emissions(source: SourceFile, imports: ImportMap) -> dict[str, Any]:
     from repro.analysis.checkers.common import string_literals
     from repro.analysis.checkers.telemetry_names import _recording_target
 
-    emitted: dict[str, dict[str, list[int]]] = {
-        "spans": {}, "counters": {}, "distributions": {},
-    }
+    emitted: dict[str, dict[str, list[int]]] = {"spans": {}, "counters": {}}
     heads: dict[str, list[int]] = {}
     for node in ast.walk(source.tree):
         if not isinstance(node, ast.Call) or not node.args:

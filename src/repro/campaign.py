@@ -21,19 +21,18 @@ Scaling and observability:
   yields a **failure-annotated** :class:`CampaignEntry` instead of
   aborting the campaign,
 - every run collects :mod:`repro.telemetry` spans/counters from the
-  decision loops and cost model; the aggregate rides on
-  :attr:`CampaignReport.telemetry` and serializes with
-  :meth:`CampaignReport.write_telemetry`.
+  decision loops and cost model, a ``campaign.run`` span around the
+  fan-out and ``campaign.failures`` per failure record; the collector
+  rides on :attr:`CampaignReport.telemetry`.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -43,11 +42,11 @@ from repro.core import Acamar
 from repro.datasets import load_problem, manufacture_problem
 from repro.datasets.problem import Problem
 from repro.datasets.suite import dataset_keys, dataset_spec
-from repro.errors import DatasetError, ValidationError
+from repro.errors import DatasetError
 from repro.fpga import PerformanceModel, mean_underutilization
 from repro.metrics import achieved_throughput_fraction
-from repro.parallel import ItemResult, WorkItem, run_sharded
-from repro.telemetry import TELEMETRY_SCHEMA_VERSION, Telemetry
+from repro.parallel import ItemResult, WorkItem, isolated, run_sharded
+from repro.telemetry import Telemetry
 
 ProblemSource = Union[str, Path, Problem]
 
@@ -103,7 +102,7 @@ class CampaignReport:
     """Aggregate over all campaign entries."""
 
     entries: list[CampaignEntry]
-    telemetry: dict[str, Any] | None = None
+    telemetry: Telemetry = field(default_factory=Telemetry)
 
     @property
     def convergence_rate(self) -> float:
@@ -159,16 +158,6 @@ class CampaignReport:
                     f"{e.underutilization:.6f}", f"{e.throughput:.6f}",
                     e.failure or "",
                 ])
-        return path
-
-    def write_telemetry(self, path: str | Path) -> Path:
-        """Serialize the telemetry aggregate (see docs/operations.md)."""
-        import json
-
-        if self.telemetry is None:
-            raise ValidationError("this report carries no telemetry aggregate")
-        path = Path(path)
-        path.write_text(json.dumps(self.telemetry, indent=2) + "\n")
         return path
 
     def summary_lines(self) -> list[str]:
@@ -304,85 +293,26 @@ def build_entry(
     )
 
 
+def _solve_item(item: WorkItem, config: AcamarConfig) -> CampaignEntry:
+    with tm.span("campaign.resolve"):
+        problem = resolve_source(item.source, item.seed)
+    return build_entry(problem, config)
+
+
 def solve_items(
     items: Sequence[WorkItem], config: AcamarConfig
 ) -> list[ItemResult]:
     """Worker entry point: solve a chunk of items, isolating each fault.
 
     :func:`run_campaign` hands it to :func:`repro.parallel.run_sharded`,
-    which calls it in this process or in pool workers.  Every item gets
-    its own telemetry collector; any exception is converted to a
-    structured error record under the item's label, so one diverging or
-    crashing solve cannot take down its chunk-mates.
+    which calls it in this process or in pool workers.  Each item runs
+    through :func:`repro.parallel.isolated`, so one diverging or
+    crashing solve becomes its own error record and cannot take down
+    its chunk-mates.
     """
-    results: list[ItemResult] = []
-    for item in items:
-        collector = Telemetry()
-        with collector.activate():
-            try:
-                with tm.span("campaign.resolve"):
-                    problem = resolve_source(item.source, item.seed)
-                entry = build_entry(problem, config)
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=entry,
-                        error=None,
-                        label=entry.name,
-                        telemetry=collector.as_dict(),
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 — fault isolation
-                tm.count("campaign.failures")
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        label=item.label,
-                        telemetry=collector.as_dict(),
-                    )
-                )
-    return results
-
-
-def _campaign_telemetry(
-    collector: Telemetry,
-    entries: list[CampaignEntry],
-    workers: int,
-    wall_seconds: float,
-    engine: dict[str, int] | None = None,
-) -> dict[str, Any]:
-    """Assemble the documented campaign telemetry schema."""
-    base = collector.as_dict()
-    counters = base["counters"]
-    solver_attempts = {
-        name.split(".", 1)[1]: value
-        for name, value in counters.items()
-        if name.startswith("solver_attempts.")
-    }
-    failures = sum(1 for e in entries if e.failed)
-    document: dict[str, Any] = {
-        "schema_version": TELEMETRY_SCHEMA_VERSION,
-        "campaign": {
-            "workers": workers,
-            "wall_seconds": round(wall_seconds, 6),
-            "problems": len(entries),
-            "converged": sum(1 for e in entries if e.converged),
-            "failures": failures,
-        },
-        "solver_attempts": solver_attempts,
-        "reconfigurations": {
-            "spmv_events": counters.get("spmv_reconfig_events", 0),
-            "solver_swaps": counters.get("solver_swaps", 0),
-            "msid_events_removed": counters.get("msid_events_removed", 0),
-        },
-        "stages": base["spans"],
-        "counters": counters,
-    }
-    if engine:
-        document["campaign"].update(engine)
-    return document
+    return [
+        isolated(item, lambda: _solve_item(item, config)) for item in items
+    ]
 
 
 def run_campaign(
@@ -400,7 +330,7 @@ def run_campaign(
     derivation and :func:`solve_items`, so the parallel report is
     entry-for-entry identical to the serial one.  Unresolvable sources
     raise :class:`DatasetError` immediately; solve-time faults become
-    failure-annotated entries.
+    failure-annotated entries, each counted as ``campaign.failures``.
     """
     config = config if config is not None else AcamarConfig()
     source_list = list(sources)
@@ -417,32 +347,21 @@ def run_campaign(
         for index, source in enumerate(source_list)
     ]
 
-    start = time.perf_counter()
-    outcome = run_sharded(
-        items,
-        config,
-        workers or 1,
-        work_fn=solve_items,
-        chunk_size=chunk_size,
-    )
-    wall_seconds = time.perf_counter() - start
-    entries = [
-        result.entry
-        if result.entry is not None
-        else failure_entry(result.label, result.error)
-        for result in outcome.results
-    ]
-    engine_stats: dict[str, int] | None = None
-    if outcome.workers > 1:
-        engine_stats = {
-            "chunks": outcome.chunks,
-            "pool_restarts": outcome.pool_restarts,
-            "in_process_items": outcome.in_process_items,
-            "abandoned_items": outcome.abandoned_items,
-        }
-    report = CampaignReport(entries=entries)
-    report.telemetry = _campaign_telemetry(
-        outcome.telemetry, entries, outcome.workers, wall_seconds,
-        engine_stats,
-    )
+    report = CampaignReport(entries=[])
+    with report.telemetry.activate():
+        with tm.span("campaign.run"):
+            outcome = run_sharded(
+                items,
+                config,
+                workers or 1,
+                work_fn=solve_items,
+                chunk_size=chunk_size,
+            )
+        report.telemetry.merge(outcome.telemetry)
+        for result in outcome.results:
+            if result.entry is None:
+                tm.count("campaign.failures")
+                report.entries.append(failure_entry(result.label, result.error))
+            else:
+                report.entries.append(result.entry)
     return report

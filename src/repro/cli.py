@@ -517,7 +517,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.csv:
         print(f"wrote CSV to {report.to_csv(args.csv)}")
     if args.telemetry:
-        print(f"wrote telemetry to {report.write_telemetry(args.telemetry)}")
+        print(f"wrote telemetry to "
+              f"{report.telemetry.write_json(args.telemetry)}")
     converged = sum(1 for e in report.entries if e.converged)
     return 0 if report.entries and converged == len(report.entries) else 1
 

@@ -64,7 +64,7 @@ from repro.errors import ConfigurationError
 from repro.fpga.cost_model import PerformanceModel
 from repro.fpga.device import ALVEO_U55C, FPGADevice
 from repro.fpga.energy import EnergyModel
-from repro.parallel import ItemResult, WorkItem, run_sharded
+from repro.parallel import ItemResult, WorkItem, isolated, run_sharded
 from repro.placement import GPU_TENANT_AREA_MM2
 from repro.serve import (
     ClusterConfig,
@@ -358,51 +358,32 @@ def evaluate_point(
         }
 
 
+def _evaluate_item(
+    item: WorkItem, config: AcamarConfig, memo: SweepMemo
+) -> dict[str, Any]:
+    shape, traffic, sources = item.source
+    return evaluate_point(
+        shape, traffic, sources, item.seed, config, memo=memo
+    )
+
+
 def evaluate_items(
     items: Sequence[WorkItem], config: AcamarConfig
 ) -> list[ItemResult]:
     """Worker entry point: evaluate a chunk of design points.
 
     Mirrors the campaign's ``solve_items`` contract so it can ride
-    ``run_sharded`` unchanged: each item gets its own telemetry
-    collector and any exception becomes a structured error record under
-    the item's label, its point id.  ``item.source`` is the point's
-    ``(shape, traffic, sources)``.  The chunk's points share one
-    :class:`SweepMemo`, so a regime whose trace cannot be generated
-    fails only its own points.
+    ``run_sharded`` unchanged: each item runs through
+    :func:`repro.parallel.isolated`, labelled with its point id.
+    ``item.source`` is the point's ``(shape, traffic, sources)``.  The
+    chunk's points share one :class:`SweepMemo`, so a regime whose
+    trace cannot be generated fails only its own points.
     """
     memo = SweepMemo()
-    results: list[ItemResult] = []
-    for item in items:
-        collector = Telemetry()
-        with collector.activate():
-            try:
-                shape, traffic, sources = item.source
-                record = evaluate_point(
-                    shape, traffic, sources, item.seed, config, memo=memo
-                )
-                tm.count("dse.points_evaluated")
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=record,
-                        error=None,
-                        label=item.label,
-                        telemetry=collector.as_dict(),
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 — fault isolation
-                tm.count("dse.points_failed")
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        label=item.label,
-                        telemetry=collector.as_dict(),
-                    )
-                )
-    return results
+    return [
+        isolated(item, lambda: _evaluate_item(item, config, memo))
+        for item in items
+    ]
 
 
 def run_sweep(
@@ -416,7 +397,9 @@ def run_sweep(
 
     Returns one :class:`ItemResult` per point in declaration order
     regardless of ``workers`` — the pool only changes wall-clock time,
-    never the records, so reports stay byte-identical per seed.  A
+    never the records, so reports stay byte-identical per seed.  The
+    run's telemetry goes to ``collector``, with one
+    ``dse.points_evaluated`` or ``dse.points_failed`` per record.  A
     negative or non-integer ``seed`` and a ``workers`` below 1 raise
     :class:`~repro.errors.ConfigurationError` before any point runs.
     """
@@ -441,6 +424,12 @@ def run_sweep(
         for index, (shape, traffic) in enumerate(space.points())
     ]
     outcome = run_sharded(items, base, workers, work_fn=evaluate_items)
-    if collector is not None:
-        collector.merge(outcome.telemetry)
+    collector = collector if collector is not None else Telemetry()
+    collector.merge(outcome.telemetry)
+    with collector.activate():
+        for result in outcome.results:
+            tm.count(
+                "dse.points_evaluated" if result.error is None
+                else "dse.points_failed"
+            )
     return outcome.results

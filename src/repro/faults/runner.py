@@ -240,20 +240,18 @@ def run_pool_profile(plan: FaultPlan) -> ProfileOutcome:
                 f"reported: {result.error}",
             )
     merged = outcome.telemetry.counters
+    workers_lost = merged.get("parallel.workers_lost", 0)
     error_count = sum(1 for r in outcome.results if r.error is not None)
-    if merged.get("campaign.failures", 0) != error_count:
+    if workers_lost != error_count:
         violated(
             "CHS-POOL-PARITY",
-            f"campaign.failures={merged.get('campaign.failures', 0)} but "
-            f"{error_count} result(s) carry an error",
+            f"parallel.workers_lost={workers_lost} but {error_count} "
+            "result(s) carry an error",
         )
-    if merged.get("campaign.workers_lost", 0) != len(lost) or (
-        outcome.abandoned_items != len(lost)
-    ):
+    if workers_lost != len(lost):
         violated(
             "CHS-POOL-PARITY",
-            f"workers_lost counter {merged.get('campaign.workers_lost', 0)} "
-            f"/ abandoned_items {outcome.abandoned_items} disagree with "
+            f"parallel.workers_lost={workers_lost} disagrees with "
             f"{len(lost)} WorkerLost result(s)",
         )
     injected = _injected(collector)
@@ -283,13 +281,13 @@ def run_pool_profile(plan: FaultPlan) -> ProfileOutcome:
         "item_stalls": [int(s) for s in schedule.item_stalls],
         "entries": sum(1 for r in outcome.results if r.entry is not None),
         "worker_lost": sorted(r.index for r in lost),
-        "pool_restarts": outcome.pool_restarts,
+        "pool_restarts": merged.get("parallel.pool_restarts", 0),
         "pools_created": factory.pools_created,
-        "abandoned_items": outcome.abandoned_items,
+        "abandoned_items": workers_lost,
         "counters": {
-            name: merged[name]
-            for name in ("campaign.failures", "campaign.workers_lost")
-            if name in merged
+            name: value
+            for name, value in merged.items()
+            if name.startswith("parallel.")
         },
     }
     return ProfileOutcome("pool", injected, observed, tuple(findings))

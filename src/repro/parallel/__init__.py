@@ -12,6 +12,7 @@ from repro.parallel.engine import (
     ItemResult,
     ParallelOutcome,
     WorkItem,
+    isolated,
     run_sharded,
     shard_by_cost,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "ItemResult",
     "ParallelOutcome",
     "WorkItem",
+    "isolated",
     "run_sharded",
     "shard_by_cost",
 ]

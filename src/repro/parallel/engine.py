@@ -13,25 +13,28 @@ worker function, either in this process or across a
   derived, so pooled runs reproduce the serial run item for item,
 - **ordered reassembly** — workers return results tagged with the item's
   original index; callers always see index order,
-- **fault isolation** — a work function turns an item that raises into a
-  structured error record for that item only; a *lost worker process*
+- **fault isolation** — a work function runs each item through
+  :func:`isolated`, which turns an item that raises into a structured
+  error record for that item only; a *lost worker process*
   (``BrokenProcessPool``) triggers a bounded number of pool restarts with
   singleton resubmission, after which every still-in-flight suspect is
   recorded as a structured ``WorkerLost`` failure under its item's
   label (results completed by surviving chunks are kept); only when the
   pool could never be started at all is the remainder finished
   in-process,
-- **per-item telemetry** — every result carries its own telemetry dict,
-  which the engine merges into the outcome.
+- **per-item telemetry** — every result carries its own
+  :class:`~repro.telemetry.Telemetry`, which the engine merges into the
+  outcome's; on the pool path the engine adds only its own events there
+  (``parallel.chunks``, ``parallel.pool_restarts``,
+  ``parallel.in_process_items``, ``parallel.workers_lost``).
 
 The campaign (:func:`repro.campaign.solve_items`), the serving
 profiler (:func:`repro.serve.profile.profile_items`) and the
 design-space sweep (:func:`repro.dse.evaluator.evaluate_items`) each
-bring their own ``work_fn`` and label their own items.  One piece of
-the campaign remains here: a ``WorkerLost`` record counts
-``campaign.failures`` and ``campaign.workers_lost`` whichever work
-function lost the item.  The process-pool machinery is imported only
-when a pool runs, so serial callers never load it.
+bring their own ``work_fn`` and label their own items, and each caller
+counts its own failures from the records, lost items included.  The
+process-pool machinery is imported only when a pool runs, so serial
+callers never load it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "ItemResult",
     "ParallelOutcome",
     "WorkItem",
+    "isolated",
     "run_sharded",
     "shard_by_cost",
 ]
@@ -89,24 +93,33 @@ class ItemResult:
     entry: Any | None  # the work function's record on success
     error: str | None
     label: str
-    telemetry: dict[str, Any]
+    telemetry: Telemetry
 
 
 @dataclass
 class ParallelOutcome:
-    """Ordered results plus engine-level statistics.
-
-    ``workers`` is 1 when the work ran serially in this process; the
-    pool statistics below are then all zero.
-    """
+    """Ordered results plus the merged telemetry of the run."""
 
     results: list[ItemResult]
     telemetry: Telemetry
-    workers: int
-    pool_restarts: int = 0
-    in_process_items: int = 0
-    abandoned_items: int = 0
-    chunks: int = 0
+
+
+def isolated(item: WorkItem, run: Callable[[], Any]) -> ItemResult:
+    """Run one item's work under a fresh collector, isolating its fault.
+
+    ``run()`` returns the item's record.  An exception becomes the
+    item's error record instead, so one failing item cannot take down
+    its chunk-mates.  Either way the result carries what the collector
+    recorded and is labelled ``item.label``.
+    """
+    collector = Telemetry()
+    entry, error = None, None
+    with collector.activate():
+        try:
+            entry = run()
+        except Exception as exc:  # noqa: BLE001 — fault isolation
+            error = f"{type(exc).__name__}: {exc}"
+    return ItemResult(item.index, entry, error, item.label, collector)
 
 
 def shard_by_cost(
@@ -127,26 +140,6 @@ def shard_by_cost(
         loads[target] += item.cost
     packed = [sorted(chunk, key=lambda it: it.index) for chunk in chunks]
     return [chunk for chunk in packed if chunk]
-
-
-def _lost_worker_result(item: WorkItem, attempts: int) -> ItemResult:
-    # The counters keep the campaign's names for every work function:
-    # a lost campaign item then counts ``campaign.failures`` exactly as
-    # an in-process fault does, while a lost sweep point or profiling
-    # item counts it too, instead of its own layer's failure counter.
-    telemetry = Telemetry()
-    telemetry.count("campaign.failures")
-    telemetry.count("campaign.workers_lost")
-    return ItemResult(
-        index=item.index,
-        entry=None,
-        error=(
-            "WorkerLost: worker process died while this item was in "
-            f"flight ({attempts} attempts)"
-        ),
-        label=item.label,
-        telemetry=telemetry.as_dict(),
-    )
 
 
 def run_sharded(
@@ -171,30 +164,47 @@ def run_sharded(
     and ``executor_factory`` exists for tests and the chaos harness
     (inject a deterministic fake; ``None`` builds a
     ``ProcessPoolExecutor``).  Either way the results come back in
-    index order with their telemetry merged into the outcome's.
+    index order with their telemetry merged into the outcome's, and
+    the pool path counts its ``parallel.*`` events there.
     """
     telemetry = Telemetry()
     if workers <= 1 or len(items) < 2:
         results = sorted(work_fn(items, config), key=lambda r: r.index)
         for result in results:
             telemetry.merge(result.telemetry)
-        return ParallelOutcome(results=results, telemetry=telemetry, workers=1)
+        return ParallelOutcome(results=results, telemetry=telemetry)
 
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    outcome = ParallelOutcome(results=[], telemetry=telemetry, workers=workers)
     if executor_factory is None:
         executor_factory = ProcessPoolExecutor
 
     pending: dict[int, WorkItem] = {item.index: item for item in items}
     attempts: dict[int, int] = {item.index: 0 for item in items}
     collected: dict[int, ItemResult] = {}
-    epoch = 0
-    pool_ever_broke = False
 
-    while pending and outcome.pool_restarts <= max_pool_restarts:
-        if epoch == 0:
+    def collect(result: ItemResult) -> None:
+        collected[result.index] = result
+        telemetry.merge(result.telemetry)
+
+    def abandon(index: int) -> None:
+        # Nothing of a lost item's run came back: its collector is empty.
+        collect(ItemResult(
+            index=index,
+            entry=None,
+            error=(
+                "WorkerLost: worker process died while this item was in "
+                f"flight ({attempts[index]} attempts)"
+            ),
+            label=pending.pop(index).label,
+            telemetry=Telemetry(),
+        ))
+        telemetry.count("parallel.workers_lost")
+
+    restarts = 0
+    while pending and restarts <= max_pool_restarts:
+        if restarts == 0:
             if chunk_size is not None:
                 n_chunks = -(-len(pending) // max(1, int(chunk_size)))
             else:
@@ -203,8 +213,7 @@ def run_sharded(
         else:
             # Singleton resubmission localizes blame for the pool loss.
             chunks = [[item] for item in pending.values()]
-        outcome.chunks += len(chunks)
-        epoch += 1
+        telemetry.count("parallel.chunks", len(chunks))
         broke = False
         try:
             executor = executor_factory(workers)
@@ -225,52 +234,38 @@ def run_sharded(
                         broke = True
                         continue
                     for result in batch:
-                        collected[result.index] = result
                         pending.pop(result.index, None)
-                        telemetry.merge(result.telemetry)
+                        collect(result)
                 if broke:
                     break
         finally:
             executor.shutdown(wait=not broke, cancel_futures=True)
-        if broke:
-            pool_ever_broke = True
-            outcome.pool_restarts += 1
-            for index in pending:
-                attempts[index] += 1
-            exhausted = [
-                index
-                for index, item in pending.items()
-                if attempts[index] >= MAX_ITEM_ATTEMPTS
-            ]
-            for index in exhausted:
-                item = pending.pop(index)
-                result = _lost_worker_result(item, attempts[index])
-                collected[index] = result
-                outcome.abandoned_items += 1
-                telemetry.merge(result.telemetry)
-        else:
+        if not broke:
             break
+        restarts += 1
+        telemetry.count("parallel.pool_restarts")
+        for index in pending:
+            attempts[index] += 1
+        for index in [i for i in pending if attempts[i] >= MAX_ITEM_ATTEMPTS]:
+            abandon(index)
 
-    if pending and pool_ever_broke:
+    if pending and restarts:
         # Restart budget exhausted while these items were in flight:
         # every one of them is a crash suspect (it shared its last pool
         # with a breakage), so retrying it in this process would risk
         # the parent.  Record each as a structured WorkerLost result;
         # results already completed by surviving chunks stay collected.
         for index in sorted(pending):
-            item = pending.pop(index)
-            result = _lost_worker_result(item, attempts[index])
-            collected[index] = result
-            outcome.abandoned_items += 1
-            telemetry.merge(result.telemetry)
+            abandon(index)
     elif pending:
         # The pool never started at all (OSError before any submission):
         # the items are innocent, so finish them in this process.
         leftovers = sorted(pending.values(), key=lambda it: it.index)
-        outcome.in_process_items += len(leftovers)
+        telemetry.count("parallel.in_process_items", len(leftovers))
         for result in work_fn(leftovers, config):
-            collected[result.index] = result
-            telemetry.merge(result.telemetry)
+            collect(result)
 
-    outcome.results = [collected[index] for index in sorted(collected)]
-    return outcome
+    return ParallelOutcome(
+        results=[collected[index] for index in sorted(collected)],
+        telemetry=telemetry,
+    )

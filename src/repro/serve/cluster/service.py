@@ -83,7 +83,7 @@ from repro.serve.cluster.trace import RequestTrace
 from repro.serve.loadgen import LoadSpec
 from repro.serve.profile import DISPATCH_OVERHEAD_SECONDS, SolveProfile
 from repro.serve.service import DRAIN_LIMIT_FACTOR, build_profiles
-from repro.serve.stats import format_latency_ms, latency_summary_ms_array
+from repro.serve.stats import format_latency_ms, latency_summary_ms
 from repro.telemetry import Telemetry, percentile
 
 CLUSTER_SCHEMA_VERSION = 1
@@ -373,12 +373,10 @@ class ClusterReport:
         by_priority = {}
         for priority in Priority:
             mask = self.latency_priorities == priority.value
-            by_priority[PRIORITY_NAMES[priority]] = (
-                latency_summary_ms_array(
-                    self.latencies_ms[mask], consume=True
-                )
+            by_priority[PRIORITY_NAMES[priority]] = latency_summary_ms(
+                self.latencies_ms[mask], consume=True
             )
-        overall = latency_summary_ms_array(self.latencies_ms, consume=True)
+        overall = latency_summary_ms(self.latencies_ms, consume=True)
         return {"overall": overall, "by_priority": by_priority}
 
     def as_dict(self) -> dict[str, Any]:

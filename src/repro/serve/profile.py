@@ -27,14 +27,13 @@ from repro.campaign import resolve_source
 from repro.config import AcamarConfig
 from repro.core.accelerator import Acamar, AcamarResult, numerics_key
 from repro.datasets.problem import Problem
-from repro.parallel import ItemResult, WorkItem
+from repro.parallel import ItemResult, WorkItem, isolated
 from repro.placement import (
     CPU_ASSIST_ROUNDTRIP_SECONDS,
     estimate_gpu_service,
     structural_class_of,
 )
 from repro.serve.cache import plan_signature
-from repro.telemetry import Telemetry
 
 SharedSolves = dict[Hashable, tuple[Problem, dict[Hashable, AcamarResult]]]
 """Resolved problems and their real solves, shared by many profiling
@@ -234,6 +233,19 @@ def build_profile(
     )
 
 
+def _profile_item(
+    item: WorkItem, config: AcamarConfig, solves: SharedSolves | None
+) -> SolveProfile:
+    memo = solves if solves is not None else {}
+    key = (item.source, item.seed)
+    if key not in memo:
+        with tm.span("serve.profile.resolve"):
+            problem = resolve_source(item.source, item.seed)
+        memo[key] = (problem, {})
+    problem, stored = memo[key]
+    return build_profile(problem, config, stored)
+
+
 def profile_items(
     items: Sequence[WorkItem],
     config: AcamarConfig,
@@ -242,45 +254,14 @@ def profile_items(
     """Worker entry point: profile a chunk of sources, isolating faults.
 
     Mirrors the campaign's ``solve_items`` contract so it can ride
-    ``run_sharded`` unchanged: each item gets its own telemetry
-    collector and any exception becomes a structured error record.
-    ``solves`` holds problems and real solves shared with other calls,
-    per item ``(source, seed)``: an item whose key it holds is not
-    resolved again, and is solved again only where no stored solve
-    repeats.  Without it each item starts from a fresh dict, dropped
-    with the item.
+    ``run_sharded`` unchanged: each item runs through
+    :func:`repro.parallel.isolated`.  ``solves`` holds problems and real
+    solves shared with other calls, per item ``(source, seed)``: an item
+    whose key it holds is not resolved again, and is solved again only
+    where no stored solve repeats.  Without it each item starts from a
+    fresh dict, dropped with the item.
     """
-    results: list[ItemResult] = []
-    for item in items:
-        memo = solves if solves is not None else {}
-        collector = Telemetry()
-        with collector.activate():
-            try:
-                key = (item.source, item.seed)
-                if key not in memo:
-                    with tm.span("serve.profile.resolve"):
-                        problem = resolve_source(item.source, item.seed)
-                    memo[key] = (problem, {})
-                problem, stored = memo[key]
-                profile = build_profile(problem, config, stored)
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=profile,
-                        error=None,
-                        label=profile.label,
-                        telemetry=collector.as_dict(),
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 — fault isolation
-                tm.count("serve.profile_failures")
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        label=item.label,
-                        telemetry=collector.as_dict(),
-                    )
-                )
-    return results
+    return [
+        isolated(item, lambda: _profile_item(item, config, solves))
+        for item in items
+    ]

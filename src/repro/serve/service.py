@@ -334,7 +334,10 @@ def build_profiles(
     ``workers <= 1``, on a worker pool otherwise.  A profiling failure
     maps the source to its error string — requests for it will be
     answered with ``FAILED`` responses rather than sinking the run.
-    Each item's telemetry is merged into the active collector, if any.
+    Each item's telemetry is merged into the active collector, if any,
+    and each failure counts ``serve.profile_failures`` there; the pool's
+    own ``parallel.*`` counters stay out, so a report's counters do not
+    depend on ``workers``.
 
     ``solves`` shares resolved problems and real solves with other
     in-process calls that pass the same dict (see
@@ -361,9 +364,11 @@ def build_profiles(
             items, config, workers, work_fn=profile_items
         ).results
     collector = tm.active()
-    if collector is not None:
-        for result in results:
+    for result in results:
+        if collector is not None:
             collector.merge(result.telemetry)
+        if result.error is not None:
+            tm.count("serve.profile_failures")
     return {
         source: result.entry if result.entry is not None else result.error
         for source, result in zip(unique, results)
@@ -568,9 +573,6 @@ def run_service(
                 idle = _first_tick(until, step, tick) - step
                 queue_depth_samples.extend([0] * idle)
                 step += idle
-        for response in responses:
-            if response.outcome is Outcome.COMPLETED:
-                tm.observe("serve.latency_ms", response.latency_s * 1e3)
     responses.sort(key=attrgetter("finish_s", "request_id"))
     horizon = max(
         [duration]

@@ -17,20 +17,26 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.telemetry import percentile
 
-
-def latency_summary_ms(values: Sequence[float]) -> dict[str, Any]:
+def latency_summary_ms(
+    values: "Sequence[float] | np.ndarray", *, consume: bool = False
+) -> dict[str, Any]:
     """Percentile summary of a latency population (milliseconds).
 
     An empty population reports ``count: 0`` with null statistics — an
     idle fleet's p50/p99 must be distinguishable from a fleet that
     genuinely served in zero milliseconds (the old 0.0 sentinel made
     zero-completion configurations look infinitely fast to capacity
-    planning and frontier extraction).
+    planning and frontier extraction).  Percentiles use
+    ``numpy.percentile``'s default linear interpolation.
+
+    With ``consume=True`` an array input is partitioned in place (its
+    element *order* is destroyed, the multiset of values is preserved)
+    instead of copied — callers holding a population-sized array they
+    no longer need in order pass this to skip a full-size allocation.
     """
-    data = [float(v) for v in values]
-    if not data:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
         return {
             "count": 0,
             "mean": None,
@@ -39,13 +45,16 @@ def latency_summary_ms(values: Sequence[float]) -> dict[str, Any]:
             "p99": None,
             "max": None,
         }
+    p50, p90, p99 = np.percentile(
+        arr, [50.0, 90.0, 99.0], overwrite_input=consume
+    )
     return {
-        "count": len(data),
-        "mean": round(sum(data) / len(data), 6),
-        "p50": round(percentile(data, 50.0), 6),
-        "p90": round(percentile(data, 90.0), 6),
-        "p99": round(percentile(data, 99.0), 6),
-        "max": round(max(data), 6),
+        "count": int(arr.size),
+        "mean": round(float(arr.mean()), 6),
+        "p50": round(float(p50), 6),
+        "p90": round(float(p90), 6),
+        "p99": round(float(p99), 6),
+        "max": round(float(arr.max()), 6),
     }
 
 
@@ -58,34 +67,3 @@ def format_latency_ms(value: Any) -> str:
     if value is None:
         return "n/a"
     return f"{float(value):.3f}"
-
-
-def latency_summary_ms_array(
-    values: "np.ndarray", *, consume: bool = False
-) -> dict[str, Any]:
-    """Same summary shape for an array population (cluster scale).
-
-    ``numpy.percentile``'s default linear-interpolation method matches
-    :func:`repro.telemetry.percentile`, so the two paths agree; the
-    array path exists because materializing tens of millions of
-    latencies as a Python list would dominate the cluster run.
-
-    With ``consume=True`` the input array is partitioned in place (its
-    element *order* is destroyed, the multiset of values is preserved)
-    instead of copied — callers holding a population-sized array they
-    no longer need in order pass this to skip a full-size allocation.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return latency_summary_ms([])
-    p50, p90, p99 = np.percentile(
-        arr, [50.0, 90.0, 99.0], overwrite_input=consume
-    )
-    return {
-        "count": int(arr.size),
-        "mean": round(float(arr.mean()), 6),
-        "p50": round(float(p50), 6),
-        "p90": round(float(p90), 6),
-        "p99": round(float(p99), 6),
-        "max": round(float(arr.max()), 6),
-    }

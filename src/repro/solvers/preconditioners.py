@@ -79,14 +79,6 @@ class JacobiPreconditioner(Preconditioner):
         return len(self._inv_diag)
 
 
-def _split_triangles(matrix: CSRMatrix):
-    """Return (lower-strict, diag, upper-strict) views as index arrays."""
-    row_of = matrix.row_ids()
-    lower = row_of > matrix.indices
-    upper = row_of < matrix.indices
-    return row_of, lower, upper
-
-
 class SSORPreconditioner(Preconditioner):
     """Symmetric SOR preconditioner.
 

@@ -7,19 +7,17 @@ layer:
 
 - :class:`Telemetry` collects **spans** (named wall-time intervals with
   count / total / max statistics) and **counters** (monotonic integers),
+  and nothing else: its size grows with the number of names, never with
+  traffic,
 - instrumented code calls the module-level :func:`span` and :func:`count`
   helpers, which are no-ops unless a collector is *activated* on the
   current context (a ``contextvars.ContextVar``, so parallel campaign
   workers and threads each aggregate into their own collector),
 - collectors merge associatively (:meth:`Telemetry.merge`), which is how
-  the campaign engine folds per-worker telemetry into one report,
-- **distributions** (:func:`observe`) collect individual observations —
-  e.g. per-request serving latencies — and summarize them as percentile
-  statistics; the ``distributions`` key only appears in ``as_dict``
-  output when at least one observation was recorded, so the schema stays
-  backward compatible,
+  the fan-out engine folds each work item's collector into one,
 - :meth:`Telemetry.as_dict` emits the stable JSON schema documented in
-  ``docs/operations.md`` (``TELEMETRY_SCHEMA_VERSION`` guards it).
+  ``docs/operations.md`` (``TELEMETRY_SCHEMA_VERSION`` guards it); every
+  command's ``--telemetry`` file is that document.
 
 The instrumented sites are the Solver Decision loop and Fine-Grained
 Reconfiguration unit (:mod:`repro.core`) and the FPGA cost model
@@ -35,20 +33,21 @@ from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 TELEMETRY_SCHEMA_VERSION = 1
 
 # -- the telemetry name registry ----------------------------------------
 #
-# Every span/counter/distribution name recorded anywhere in repro MUST
-# be listed here; the REP005 lint rule (repro.analysis) enforces that
+# Every span and counter name recorded anywhere in repro MUST be
+# listed here; the REP005 lint rule (repro.analysis) enforces that
 # call sites pass registered string literals.  The registry is the
 # single source of truth the operations docs and dashboards key on —
 # adding a name here is a schema decision, not a formality.
 
 KNOWN_SPANS = frozenset({
     # campaign runner
+    "campaign.run",
     "campaign.resolve",
     "campaign.solve",
     "campaign.cost_model",
@@ -81,9 +80,13 @@ KNOWN_COUNTERS = frozenset({
     "solver_swaps",
     "spmv_reconfig_events",
     "msid_events_removed",
-    # campaign engine
+    # campaign runner: failure records, lost workers included
     "campaign.failures",
-    "campaign.workers_lost",
+    # fan-out engine (repro.parallel), pool path only
+    "parallel.chunks",
+    "parallel.pool_restarts",
+    "parallel.in_process_items",
+    "parallel.workers_lost",
     # serving pipeline
     "serve.requests",
     "serve.admitted",
@@ -152,11 +155,6 @@ KNOWN_COUNTERS = frozenset({
 })
 """Sanctioned monotonic counter names."""
 
-KNOWN_DISTRIBUTIONS = frozenset({
-    "serve.latency_ms",
-})
-"""Sanctioned distribution names (per-event observations)."""
-
 KNOWN_COUNTER_PREFIXES = frozenset({
     "solver_attempts.",
 })
@@ -208,11 +206,9 @@ def percentile(values: list[float], q: float) -> float:
     """Linear-interpolation percentile of ``values`` (``q`` in [0, 100]).
 
     Matches ``numpy.percentile``'s default method but works on plain
-    lists, keeping telemetry serialization free of array round-trips.
-    Returns 0.0 for an empty list — callers that must distinguish "no
-    data" from "zero" (summaries, reports) check emptiness themselves
-    and publish ``None``; see :meth:`Telemetry._distribution_summary`
-    and :func:`repro.serve.stats.latency_summary_ms`.
+    lists (the cluster autoscaler's queue-depth window).  Returns 0.0
+    for an empty list — callers that must distinguish "no data" from
+    "zero" check emptiness themselves.
     """
     if not values:
         return 0.0
@@ -253,17 +249,17 @@ _NO_SPAN = nullcontext()
 
 
 class Telemetry:
-    """One collector of spans, counters and distributions.
+    """One collector of spans and counters.
 
-    Instances are cheap; the campaign engine creates one per worker task
-    and merges them.  Activation installs the instance on the current
-    execution context so library code can record without plumbing.
+    Instances are cheap and pickle as they are; the fan-out engine runs
+    each work item under its own and merges them.  Activation installs
+    the instance on the current execution context so library code can
+    record without plumbing.
     """
 
     def __init__(self) -> None:
         self.spans: dict[str, SpanStats] = {}
         self.counters: dict[str, int] = {}
-        self.distributions: dict[str, list[float]] = {}
 
     # -- recording -----------------------------------------------------
 
@@ -280,10 +276,6 @@ class Telemetry:
     def count(self, name: str, increment: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + int(increment)
 
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation of distribution ``name``."""
-        self.distributions.setdefault(name, []).append(float(value))
-
     # -- activation ----------------------------------------------------
 
     @contextmanager
@@ -297,65 +289,16 @@ class Telemetry:
 
     # -- aggregation ---------------------------------------------------
 
-    def merge(self, other: "Telemetry | Mapping[str, Any]") -> None:
-        """Fold another collector (or its ``as_dict`` form) into this one."""
-        if isinstance(other, Telemetry):
-            span_items = [(k, v) for k, v in other.spans.items()]
-            counter_items = other.counters.items()
-            for name, values in other.distributions.items():
-                self.distributions.setdefault(name, []).extend(values)
-        else:
-            span_items = [
-                (name, SpanStats(
-                    count=int(stats["count"]),
-                    total_ms=float(stats["total_ms"]),
-                    max_ms=float(stats["max_ms"]),
-                ))
-                for name, stats in other.get("spans", {}).items()
-            ]
-            counter_items = other.get("counters", {}).items()
-            for name, stats in other.get("distributions", {}).items():
-                values = [float(v) for v in stats.get("values", [])]
-                # Merging an empty summary must not materialize an empty
-                # distribution entry (it would surface as a null-stats
-                # row the source collector never actually recorded).
-                if values:
-                    self.distributions.setdefault(name, []).extend(values)
-        for name, stats in span_items:
+    def merge(self, other: "Telemetry") -> None:
+        """Fold another collector into this one."""
+        for name, stats in other.spans.items():
             mine = self.spans.setdefault(name, SpanStats())
             self.spans[name] = mine.merged_with(stats)
-        for name, value in counter_items:
+        for name, value in other.counters.items():
             self.count(name, value)
 
-    def _distribution_summary(self, values: list[float]) -> dict[str, Any]:
-        # An empty population's statistics are null, not 0.0: an idle
-        # fleet's p50/p95/p99 must be distinguishable from genuinely
-        # zero latency (the 0.0 sentinel misled autoscaler/capacity
-        # consumers into reading "no data" as "instant").
-        if not values:
-            return {
-                "count": 0,
-                "mean": None,
-                "p50": None,
-                "p95": None,
-                "p99": None,
-                "max": None,
-                "values": [],
-            }
-        return {
-            "count": len(values),
-            "mean": round(sum(values) / len(values), 9),
-            "p50": round(percentile(values, 50.0), 9),
-            "p95": round(percentile(values, 95.0), 9),
-            "p99": round(percentile(values, 99.0), 9),
-            "max": round(max(values), 9),
-            # Raw observations ride along so dict-form merges stay
-            # associative (summary percentiles alone are not mergeable).
-            "values": [round(v, 9) for v in values],
-        }
-
     def as_dict(self) -> dict[str, Any]:
-        document: dict[str, Any] = {
+        return {
             "schema_version": TELEMETRY_SCHEMA_VERSION,
             "spans": {
                 name: stats.as_dict()
@@ -363,12 +306,6 @@ class Telemetry:
             },
             "counters": dict(sorted(self.counters.items())),
         }
-        if self.distributions:
-            document["distributions"] = {
-                name: self._distribution_summary(values)
-                for name, values in sorted(self.distributions.items())
-            }
-        return document
 
     def write_json(self, path: str | Path) -> Path:
         path = Path(path)
@@ -398,9 +335,3 @@ def count(name: str, increment: int = 1) -> None:
     if collector is not None:
         collector.count(name, increment)
 
-
-def observe(name: str, value: float) -> None:
-    """Record one observation on the active collector (no-op if none)."""
-    collector = _ACTIVE.get()
-    if collector is not None:
-        collector.observe(name, value)

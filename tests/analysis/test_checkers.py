@@ -289,7 +289,6 @@ class TestTelemetryNames:
             "def f(warm):\n"
             "    tm.count('serve.cache_hits' if warm else"
             " 'serve.cache_misses')\n"
-            "    tm.observe('serve.latency_ms', 1.0)\n"
             "    with tm.span('kernel.spmv'):\n        pass\n"
         )
         assert lint_snippet("repro/serve/mod.py", code, self.CHECKER) == []

@@ -68,26 +68,23 @@ class TestFactsExtraction:
             "def f(x):\n"
             "    with tm.span(\"phase.run\"):\n"
             "        tm.count(\"hits\")\n"
-            "        tm.observe(\"latency\", 1.0)\n"
             "        tm.count(f\"fam.{x}\")\n",
         )
         emits = facts["emits"]
         assert list(emits["spans"]) == ["phase.run"]
         assert list(emits["counters"]) == ["hits"]
-        assert list(emits["distributions"]) == ["latency"]
         assert list(emits["counter_heads"]) == ["fam."]
 
     def test_registry_only_for_telemetry_module(self, tmp_path):
         code = (
             "KNOWN_SPANS = frozenset({\"a.b\"})\n"
             "KNOWN_COUNTERS = frozenset({\"hits\"})\n"
-            "KNOWN_DISTRIBUTIONS = frozenset()\n"
             "KNOWN_COUNTER_PREFIXES = frozenset({\"fam.\"})\n"
         )
         telemetry = facts_for(tmp_path, "repro/telemetry.py", code)
         assert telemetry["registry"]["spans"] == {"a.b": 1}
         assert telemetry["registry"]["counters"] == {"hits": 2}
-        assert telemetry["registry"]["prefixes"] == {"fam.": 4}
+        assert telemetry["registry"]["prefixes"] == {"fam.": 3}
         other = facts_for(tmp_path, "repro/helpers.py", code)
         assert other["registry"] is None
 

@@ -118,13 +118,15 @@ class TestEvaluateItems:
         assert results[0].entry is None
         assert "ValueError" in results[0].error
         assert results[0].label == "broken"
-        assert results[0].telemetry["counters"]["dse.points_failed"] == 1
+        # The sweep counts outcomes from the records; the item does not.
+        assert results[0].telemetry.counters == {}
 
     def test_counters_track_outcomes(self):
         space = tiny_space()
         collector = Telemetry()
         run_sweep(space, seed=0, collector=collector)
         assert collector.counters["dse.points_evaluated"] == len(space)
+        assert "dse.points_failed" not in collector.counters
 
 
 def two_regime_space():
@@ -202,10 +204,10 @@ class TestRunSweep:
         assert [r.index for r in results] == list(range(len(space)))
         assert all(r.entry is not None for r in results)
 
-    def test_lost_worker_is_labelled_with_its_point_id(self, monkeypatch):
-        """A point whose worker dies past the retry budget is reported
-        under its point id, like a point that fails in its worker."""
-        space = tiny_space()
+    @staticmethod
+    def sweep_losing_the_second_point(monkeypatch, collector=None):
+        """``run_sweep`` over :func:`tiny_space` on two workers whose
+        second point kills its worker twice, past the retry budget."""
         factory = ChaosExecutorFactory(
             PoolFaultSchedule(item_kills=(0, 2), item_stalls=(False, False))
         )
@@ -217,12 +219,30 @@ class TestRunSweep:
             )
 
         monkeypatch.setattr(evaluator, "run_sharded", chaotic_run_sharded)
-        results = run_sweep(space, seed=0, workers=2)
+        return run_sweep(tiny_space(), seed=0, workers=2, collector=collector)
+
+    def test_lost_worker_is_labelled_with_its_point_id(self, monkeypatch):
+        """A point whose worker dies past the retry budget is reported
+        under its point id, like a point that fails in its worker."""
+        space = tiny_space()
+        results = self.sweep_losing_the_second_point(monkeypatch)
         (shape, traffic), lost_point = space.points()[1], results[1]
         assert lost_point.error.startswith("WorkerLost")
         assert lost_point.label == point_id(shape, traffic)
         assert results[0].entry is not None
         assert results[0].label == point_id(*space.points()[0])
+
+    def test_lost_point_counts_as_a_failed_point(self, monkeypatch):
+        """The sweep counts the lost point as its own failure, the engine
+        counts the lost worker, and nothing counts a campaign event."""
+        collector = Telemetry()
+        self.sweep_losing_the_second_point(monkeypatch, collector)
+        counters = collector.counters
+        assert counters["dse.points_evaluated"] == 1
+        assert counters["dse.points_failed"] == 1
+        assert counters["parallel.workers_lost"] == 1
+        assert counters["parallel.pool_restarts"] == 2
+        assert not any(name.startswith("campaign.") for name in counters)
 
     @pytest.mark.slow
     def test_workers_do_not_change_records(self):

@@ -38,15 +38,15 @@ class TestPoolProfile:
         assert any(f.check == "CHS-POOL-ORDER" for f in outcome.findings)
 
     def test_detects_missing_failure_counters(self, monkeypatch):
-        # Strip the failure counters off the merged telemetry: the
-        # parity invariant (satellite of this PR) must catch it.
+        # Strip the engine's lost-worker counter off the merged
+        # telemetry: the parity invariant must catch it.
         import repro.faults.runner as runner
 
         real_run_sharded = runner.run_sharded
 
         def amnesiac_run_sharded(items, config, **kwargs):
             outcome = real_run_sharded(items, config, **kwargs)
-            outcome.telemetry.counters.pop("campaign.failures", None)
+            outcome.telemetry.counters.pop("parallel.workers_lost", None)
             return outcome
 
         monkeypatch.setattr(runner, "run_sharded", amnesiac_run_sharded)

@@ -6,11 +6,18 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from repro import telemetry as tm
 from repro.campaign import estimate_cost, solve_items, source_label
 from repro.config import AcamarConfig
 from repro.datasets import poisson_2d
 from repro.datasets.problem import Problem
-from repro.parallel.engine import WorkItem, run_sharded, shard_by_cost
+from repro.parallel.engine import (
+    ItemResult,
+    WorkItem,
+    isolated,
+    run_sharded,
+    shard_by_cost,
+)
 from repro.telemetry import Telemetry
 
 
@@ -90,7 +97,7 @@ class TestSolveItems:
         assert len(results) == 1
         assert results[0].error is None
         assert results[0].entry.converged
-        assert results[0].telemetry["spans"]["campaign.solve"]["count"] == 1
+        assert results[0].telemetry.spans["campaign.solve"].count == 1
 
     def test_fault_isolated_per_item(self):
         items = make_items([broken_problem(), poisson_2d(8)])
@@ -100,6 +107,35 @@ class TestSolveItems:
         assert results[0].label == "broken"
         assert results[1].error is None
         assert results[1].entry.converged
+        assert results[1].label == "poisson_2d_8x8"
+
+
+class TestIsolated:
+    def test_record_and_telemetry_of_a_clean_run(self):
+        def run():
+            tm.count("events")
+            return "record"
+
+        result = isolated(make_items(["Wa"])[0], run)
+        assert (result.index, result.entry, result.error, result.label) == (
+            0, "record", None, "Wa",
+        )
+        assert result.telemetry.counters == {"events": 1}
+
+    def test_exception_becomes_the_items_error_record(self):
+        def run():
+            tm.count("events")
+            raise ValueError("nope")
+
+        outer = Telemetry()
+        with outer.activate():
+            result = isolated(make_items(["Wa"])[0], run)
+        assert (result.entry, result.error, result.label) == (
+            None, "ValueError: nope", "Wa",
+        )
+        # What ran before the fault stays on the item's own collector.
+        assert result.telemetry.counters == {"events": 1}
+        assert outer.counters == {}
 
 
 class TestSourceLabel:
@@ -155,8 +191,9 @@ class TestRunSharded:
         assert [r.entry for r in outcome.results] == [
             r.entry for r in expected
         ]
-        assert outcome.workers == 1
-        assert outcome.chunks == outcome.pool_restarts == 0
+        assert not any(
+            name.startswith("parallel.") for name in outcome.telemetry.counters
+        )
         merged = Telemetry()
         for result in expected:
             merged.merge(result.telemetry)
@@ -176,6 +213,8 @@ class TestRunSharded:
         serial = solve_items(items, config)
         outcome = run_sharded(items, config, workers=2, work_fn=solve_items)
         assert [r.index for r in outcome.results] == [0, 1, 2]
+        # Each item's Telemetry came back pickled and merged.
+        assert outcome.telemetry.spans["campaign.solve"].count == 3
         for ours, ref in zip(outcome.results, serial):
             assert ours.entry.name == ref.entry.name
             assert ours.entry.iterations == ref.entry.iterations
@@ -203,10 +242,10 @@ class TestRunSharded:
             work_fn=solve_items,
             executor_factory=factory,
         )
-        assert outcome.pool_restarts == 1
+        assert outcome.telemetry.counters["parallel.pool_restarts"] == 1
         assert len(factory_calls) == 2
         entries = {r.label: r for r in outcome.results}
-        assert entries["light_in_tissue"].error is None
+        assert entries["Li"].error is None
         assert all(r.entry is not None for r in outcome.results)
 
     def test_persistent_worker_loss_becomes_failure_record(self):
@@ -227,7 +266,7 @@ class TestRunSharded:
         by_index = {r.index: r for r in outcome.results}
         assert by_index[1].error is not None
         assert "WorkerLost" in by_index[1].error
-        assert outcome.abandoned_items == 1
+        assert outcome.telemetry.counters["parallel.workers_lost"] == 1
         # The innocent chunk-mates still complete.
         assert by_index[0].entry is not None
         assert by_index[2].entry is not None
@@ -244,7 +283,7 @@ class TestRunSharded:
             work_fn=solve_items,
             executor_factory=factory,
         )
-        assert outcome.in_process_items == 2
+        assert outcome.telemetry.counters["parallel.in_process_items"] == 2
         assert all(r.entry is not None for r in outcome.results)
 
     def test_chunk_size_controls_chunk_count(self):
@@ -264,7 +303,7 @@ class TestRunSharded:
         def factory(n):
             return Recorder()
 
-        run_sharded(
+        outcome = run_sharded(
             items,
             AcamarConfig(),
             workers=2,
@@ -272,6 +311,7 @@ class TestRunSharded:
             chunk_size=2,
             executor_factory=factory,
         )
+        assert outcome.telemetry.counters["parallel.chunks"] == 2
         assert len(chunks) == 2
         assert all(len(chunk) == 2 for chunk in chunks)
 
@@ -294,21 +334,19 @@ class TestAllErrorReassembly:
         assert all(r.entry is None for r in outcome.results)
         assert all(r.error is not None for r in outcome.results)
         assert [r.label for r in outcome.results] == ["b0", "b1", "b2"]
-        assert outcome.abandoned_items == 0
+        assert "parallel.workers_lost" not in outcome.telemetry.counters
 
 
 def echo_items(chunk, config):
     """Module-level work_fn stand-in: pool workers must be able to pickle
     it, exactly like the real ``solve_items``/``profile_items``."""
-    from repro.parallel.engine import ItemResult
-
     return [
         ItemResult(
             index=it.index,
             entry=f"echo:{it.source}",
             error=None,
             label=str(it.source),
-            telemetry={},
+            telemetry=Telemetry(),
         )
         for it in chunk
     ]
@@ -335,12 +373,12 @@ class TestCustomWorkFn:
             executor_factory=factory,
             work_fn=echo_items,
         )
-        assert outcome.in_process_items == 2
+        assert outcome.telemetry.counters["parallel.in_process_items"] == 2
         assert all(r.entry.startswith("echo:") for r in outcome.results)
 
 
 class TestWorkerLostAccounting:
-    """WorkerLost records must count failures exactly like solve faults."""
+    """The engine counts its own events; a lost record carries none."""
 
     def test_lost_worker_counters_match_fault_path(self):
         items = make_items(["Wa", "Li", "Fe"])
@@ -358,32 +396,33 @@ class TestWorkerLostAccounting:
         )
         lost = [r for r in outcome.results if r.error is not None]
         assert len(lost) == 1
-        # The per-item record carries the same failure increment the
-        # in-worker fault-isolation path would have recorded.
-        counters = lost[0].telemetry["counters"]
-        assert counters["campaign.failures"] == 1
-        assert counters["campaign.workers_lost"] == 1
-        # And the aggregate agrees with the result records.
+        # The lost record's collector is empty: nothing ran for it.
+        assert lost[0].telemetry.as_dict() == Telemetry().as_dict()
+        # The engine counts the loss once, under its own name, and names
+        # no counter of the work function's layer.
         merged = outcome.telemetry.counters
-        assert merged["campaign.failures"] == len(lost)
-        assert merged["campaign.workers_lost"] == len(lost)
+        assert merged["parallel.workers_lost"] == len(lost)
+        assert not any(name.startswith("campaign.") for name in merged)
 
-    def test_mixed_fault_paths_agree_in_aggregate(self):
-        items = make_items([broken_problem(), "Wa", "Li"])
+    def test_mixed_fault_paths_agree_in_aggregate(self, monkeypatch):
+        # run_campaign counts campaign.failures once per failure record,
+        # an in-worker fault and a lost worker alike.
+        import functools
+
+        import repro.campaign as campaign
+
         budget = {"remaining": 100}  # Li kills workers; index 0 raises
-
-        def factory(n):
-            return _FlakyExecutor({"Li"}, budget)
-
-        outcome = run_sharded(
-            items,
-            AcamarConfig(),
-            workers=2,
-            work_fn=solve_items,
-            executor_factory=factory,
+        monkeypatch.setattr(campaign, "run_sharded", functools.partial(
+            run_sharded,
+            executor_factory=lambda n: _FlakyExecutor({"Li"}, budget),
+        ))
+        report = campaign.run_campaign(
+            [broken_problem(), "Wa", "Li"], workers=2
         )
-        errored = [r for r in outcome.results if r.error is not None]
-        assert outcome.telemetry.counters["campaign.failures"] == len(errored)
+        counters = report.telemetry.counters
+        assert [e.name for e in report.failures] == ["broken", "Li"]
+        assert counters["campaign.failures"] == len(report.failures)
+        assert counters["parallel.workers_lost"] == 1
 
 
 class TestRestartExhaustionMidCampaign:
@@ -414,8 +453,9 @@ class TestRestartExhaustionMidCampaign:
         # Li's chunk-mates are crash suspects; they must be reported as
         # WorkerLost, never retried inside the parent process.
         assert 1 in suspects
-        assert outcome.in_process_items == 0
-        assert outcome.abandoned_items == len(suspects)
+        counters = outcome.telemetry.counters
+        assert "parallel.in_process_items" not in counters
+        assert counters["parallel.workers_lost"] == len(suspects)
         # Chunks that survived the broken pool keep their real entries.
         completed = [r for r in outcome.results if r.entry is not None]
         assert len(completed) == len(items) - len(suspects)
@@ -442,5 +482,7 @@ class TestRestartExhaustionMidCampaign:
             r.error is not None and "WorkerLost" in r.error
             for r in outcome.results
         )
-        assert outcome.in_process_items == 0
-        assert outcome.abandoned_items == 3
+        counters = outcome.telemetry.counters
+        assert "parallel.in_process_items" not in counters
+        assert counters["parallel.workers_lost"] == 3
+        assert counters["parallel.pool_restarts"] == 2

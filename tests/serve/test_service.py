@@ -1,5 +1,6 @@
 """End-to-end tests of the serving simulator and its report."""
 
+import json
 import math
 
 import numpy as np
@@ -301,10 +302,35 @@ class TestReport:
         first = json.loads(lines[0])
         assert first["request_id"] == baseline_report.responses[0].request_id
 
-    def test_latency_distribution_in_telemetry(self, baseline_report):
-        distributions = baseline_report.telemetry.distributions
-        assert len(distributions["serve.latency_ms"]) == len(
-            baseline_report.completed
+    def test_telemetry_size_grows_with_names_not_traffic(self):
+        def zeroed(node):
+            if isinstance(node, dict):
+                return {key: zeroed(value) for key, value in node.items()}
+            if isinstance(node, list):
+                return [zeroed(value) for value in node]
+            return 0
+
+        short, long = (
+            run_loadtest(small_spec(duration_s=seconds), small_config())
+            .telemetry.as_dict()
+            for seconds in (1.0, 5.0)
+        )
+        for document in (short, long):
+            assert set(document) == {"schema_version", "spans", "counters"}
+        # With every number zeroed and only the names both runs recorded,
+        # the two documents are the same: five times the requests add no
+        # bytes beyond new names and wider numbers.
+        for section in ("spans", "counters"):
+            shared = short[section].keys() & long[section].keys()
+            for document in (short, long):
+                document[section] = {
+                    name: value
+                    for name, value in document[section].items()
+                    if name in shared
+                }
+        assert json.dumps(zeroed(short)) == json.dumps(zeroed(long))
+        assert long["counters"]["serve.requests"] > (
+            3 * short["counters"]["serve.requests"]
         )
 
 

@@ -359,9 +359,6 @@ def every_tick_service(requests, config, build=build_profiles):
                     tm.count("serve.shed.drain_limit")
                 admission.queue = []
                 break
-        for response in responses:
-            if response.outcome is Outcome.COMPLETED:
-                tm.observe("serve.latency_ms", response.latency_s * 1e3)
     responses.sort(key=lambda r: (r.finish_s, r.request_id))
     horizon = max(
         [duration]

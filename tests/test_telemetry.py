@@ -44,7 +44,7 @@ class TestTelemetry:
         collector.count("events", 4)
         assert collector.counters["events"] == 5
 
-    def test_merge_with_collector_and_dict(self):
+    def test_merge_with_collector(self):
         a = Telemetry()
         with a.span("stage"):
             pass
@@ -56,10 +56,21 @@ class TestTelemetry:
         a.merge(b)
         assert a.spans["stage"].count == 2
         assert a.counters["events"] == 5
-        c = Telemetry()
-        c.merge(a.as_dict())
-        assert c.spans["stage"].count == 2
-        assert c.counters["events"] == 5
+        assert b.spans["stage"].count == 1
+        assert b.counters["events"] == 3
+
+    def test_pickled_collector_merges_like_the_original(self):
+        # Pool workers send their collectors back pickled, as they are.
+        import pickle
+
+        collector = Telemetry()
+        with collector.span("stage"):
+            pass
+        collector.count("events", 2)
+        direct, shipped = Telemetry(), Telemetry()
+        direct.merge(collector)
+        shipped.merge(pickle.loads(pickle.dumps(collector)))
+        assert shipped.as_dict() == direct.as_dict()
 
     def test_as_dict_schema(self):
         collector = Telemetry()
@@ -79,22 +90,10 @@ class TestTelemetry:
         loaded = json.loads(path.read_text())
         assert loaded["counters"]["events"] == 1
 
-    def test_merge_with_plain_mapping_payload(self):
-        # A hand-built Mapping (not produced by as_dict) must merge: the
-        # worker protocol promises dict-shape, not a Telemetry instance.
-        collector = Telemetry()
-        collector.merge({
-            "spans": {"stage": {"count": 2, "total_ms": 8.0, "max_ms": 5.0}},
-            "counters": {"events": 3},
-        })
-        assert collector.spans["stage"].count == 2
-        assert collector.spans["stage"].max_ms == 5.0
-        assert collector.counters["events"] == 3
-
-    def test_merge_with_empty_mapping_is_noop(self):
+    def test_merge_with_empty_collector_is_noop(self):
         collector = Telemetry()
         collector.count("events")
-        collector.merge({})
+        collector.merge(Telemetry())
         assert collector.counters == {"events": 1}
         assert collector.spans == {}
 
@@ -105,64 +104,15 @@ class TestTelemetry:
         with collector.span("stage"):
             pass
         before = collector.spans["stage"].as_dict()
-        collector.merge({
-            "spans": {"stage": {"count": 0, "total_ms": 0.0, "max_ms": 0.0}},
-        })
+        idle = Telemetry()
+        idle.spans["stage"] = SpanStats()
+        idle.spans["fresh"] = SpanStats()
+        collector.merge(idle)
         after = collector.spans["stage"]
         assert after.count == 1
         assert after.as_dict() == before
-        collector.merge({
-            "spans": {"fresh": {"count": 0, "total_ms": 0.0, "max_ms": 0.0}},
-        })
         assert collector.spans["fresh"].count == 0
         assert collector.spans["fresh"].mean_ms == 0.0
-
-
-class TestDistributions:
-    def test_observe_collects_values(self):
-        collector = Telemetry()
-        collector.observe("latency", 2.0)
-        collector.observe("latency", 4.0)
-        assert collector.distributions["latency"] == [2.0, 4.0]
-
-    def test_as_dict_summarizes_and_keeps_raw_values(self):
-        collector = Telemetry()
-        for value in [1.0, 2.0, 3.0, 4.0]:
-            collector.observe("latency", value)
-        summary = collector.as_dict()["distributions"]["latency"]
-        assert summary["count"] == 4
-        assert summary["mean"] == 2.5
-        assert summary["p50"] == 2.5
-        assert summary["max"] == 4.0
-        assert summary["values"] == [1.0, 2.0, 3.0, 4.0]
-
-    def test_distributions_key_absent_when_empty(self):
-        # Schema v1 compatibility: reports without observations look
-        # exactly like pre-distribution reports.
-        assert "distributions" not in Telemetry().as_dict()
-
-    def test_merge_is_associative_across_dict_form(self):
-        a, b = Telemetry(), Telemetry()
-        a.observe("latency", 1.0)
-        b.observe("latency", 9.0)
-        direct = Telemetry()
-        direct.merge(a)
-        direct.merge(b)
-        via_dict = Telemetry()
-        via_dict.merge(a.as_dict())
-        via_dict.merge(b.as_dict())
-        assert direct.distributions == via_dict.distributions
-        assert (
-            direct.as_dict()["distributions"]
-            == via_dict.as_dict()["distributions"]
-        )
-
-    def test_module_level_observe_routes_to_active(self):
-        collector = Telemetry()
-        with collector.activate():
-            tm.observe("latency", 7.0)
-        tm.observe("ignored", 1.0)  # no active collector: must not raise
-        assert collector.distributions == {"latency": [7.0]}
 
 
 class TestPercentile:
