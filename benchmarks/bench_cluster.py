@@ -11,14 +11,14 @@ repeat-heavy mix) feed ``benchmarks/BENCH_cluster.json``:
   fleet; the autoscaler's value shows up as provisioned slot-seconds.
 
 The simulator runs on a virtual clock, so latency percentiles and
-slot-second totals are byte-deterministic per seed and can be pinned by
-the band guard at the usual 10% tolerance.  The event-loop throughput
-(``events_per_s``: trace rows processed per wall second) is the only
-wall-clock number — recorded for the ROADMAP's >60x real-time claim but
-deliberately excluded from the band guard.  The three modes serve one
-trace with one set of profiles, both built before any mode is timed,
-so ``events_per_s`` times the simulation alone and does not depend on
-which mode runs first.
+slot-second totals are byte-deterministic per seed, and the live record
+must equal the committed one field for field.  The event-loop
+throughput (``events_per_s``: trace rows processed per wall second) is
+the only wall-clock number — recorded for the ROADMAP's >60x real-time
+claim but deliberately left out of the comparison.  The three modes
+serve one trace with one set of profiles, both built before any mode
+is timed, so ``events_per_s`` times the simulation alone and does not
+depend on which mode runs first.
 
 Regenerate the committed record with ``python benchmarks/bench_cluster.py``
 after an intentional cluster-model change (and say why in the commit).
@@ -29,7 +29,6 @@ import time
 from pathlib import Path
 
 from repro.config import AcamarConfig
-from repro.experiments.regression import band_failures
 from repro.experiments.report import ExperimentTable
 from repro.serve import LoadSpec, build_profiles
 from repro.serve.cluster import ClusterConfig, generate_trace, run_cluster
@@ -41,6 +40,10 @@ CANONICAL_SPEC = LoadSpec(
 )
 
 MAX_FLEETS = 6
+
+SLOT_SECONDS_SAVING_FLOOR = 0.5
+"""Acceptance floor: the autoscaler provisions at most half the
+slot-seconds of the static fully-provisioned fleet."""
 
 
 def _config(**overrides) -> ClusterConfig:
@@ -147,9 +150,10 @@ def run() -> tuple[ExperimentTable, dict]:
     return table, report
 
 
-def test_bench_cluster(benchmark, print_table):
+def test_bench_cluster(benchmark, print_table, assert_matches_record):
     table, report = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(table)
+    assert_matches_record(report, BENCH_PATH)
     warm = report["warm_affinity"]
     scatter = report["no_affinity"]
     static = report["static_fleet"]
@@ -160,32 +164,11 @@ def test_bench_cluster(benchmark, print_table):
     # fewer remote installs and a better local hit rate than spraying.
     assert warm["local_hit_rate"] >= scatter["local_hit_rate"]
     assert warm["remote_hits"] <= scatter["remote_hits"]
-    # Autoscaler acceptance: meaningfully fewer provisioned
-    # slot-seconds than static full provisioning, without collapsing
-    # into mass shedding.
-    assert report["slot_seconds_saving"] > 0.15
+    # Autoscaler acceptance: at least half the provisioned slot-seconds
+    # of static full provisioning saved, without collapsing into mass
+    # shedding.
+    assert report["slot_seconds_saving"] >= SLOT_SECONDS_SAVING_FLOOR
     assert warm["shed_rate"] < 0.05
-    # Band guard: cluster headline values must not drift.
-    measured = {
-        "cluster_warm_p50_ms": warm["p50_ms"],
-        "cluster_warm_p99_ms": warm["p99_ms"],
-        "cluster_warm_local_hit_rate": warm["local_hit_rate"],
-        "cluster_slot_seconds_saving": report["slot_seconds_saving"],
-    }
-    failures = band_failures(measured)
-    assert not failures, "; ".join(failures)
-
-
-def test_committed_record_meets_acceptance():
-    """The committed record shows affinity and autoscaling paying off."""
-    with open(BENCH_PATH) as fh:
-        committed = json.load(fh)
-    assert committed["warm_affinity"]["unaccounted"] == 0
-    assert committed["slot_seconds_saving"] > 0.15
-    assert (
-        committed["warm_affinity"]["local_hit_rate"]
-        >= committed["no_affinity"]["local_hit_rate"]
-    )
 
 
 def main() -> int:  # pragma: no cover - CLI

@@ -4,9 +4,9 @@ Runs the canonical loadtest (``seed=0, duration=5s``, repeat-heavy mix)
 twice — fingerprint cache on and off — and records the p50 latency win,
 cache hit rate and shed accounting in ``benchmarks/BENCH_serving.json``.
 The serving simulator runs on a virtual clock, so every number here is
-deterministic: the band guard can therefore pin the headline values to
-the recorded references in ``reference_bands.json`` at the usual 10%
-tolerance (drift means the cost model or scheduler changed, not noise).
+deterministic: the live record must equal the committed one field for
+field (a difference means the cost model or scheduler changed, not
+noise).
 
 Regenerate the committed record with ``python benchmarks/bench_serving.py``
 after an intentional serving-model change (and say why in the commit).
@@ -15,7 +15,6 @@ after an intentional serving-model change (and say why in the commit).
 import json
 from pathlib import Path
 
-from repro.experiments.regression import band_failures
 from repro.experiments.report import ExperimentTable
 from repro.serve import LoadSpec, ServiceConfig, run_loadtest
 
@@ -100,9 +99,10 @@ def run() -> tuple[ExperimentTable, dict]:
     return table, report
 
 
-def test_bench_serving(benchmark, print_table):
+def test_bench_serving(benchmark, print_table, assert_matches_record):
     table, report = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(table)
+    assert_matches_record(report, BENCH_PATH)
     # Accounting invariant: nothing dropped without an explicit response.
     assert report["warm_cache"]["unaccounted"] == 0
     assert report["no_cache"]["unaccounted"] == 0
@@ -111,24 +111,6 @@ def test_bench_serving(benchmark, print_table):
         f"warm cache p50 win {report['p50_speedup']:.2f}x "
         f"below the {ACCEPTANCE_RATIO:.0f}x acceptance floor"
     )
-    # Band guard: serving headline values must not drift.
-    measured = {
-        "serving_warm_p50_ms": report["warm_cache"]["p50_ms"],
-        "serving_nocache_p50_ms": report["no_cache"]["p50_ms"],
-        "serving_cache_speedup": report["p50_speedup"],
-        "serving_cache_hit_rate": report["warm_cache"]["cache_hit_rate"],
-    }
-    failures = band_failures(measured)
-    assert not failures, "; ".join(failures)
-
-
-def test_committed_record_meets_acceptance():
-    """The committed record shows the >2x serving acceptance result."""
-    with open(BENCH_PATH) as fh:
-        committed = json.load(fh)
-    assert committed["p50_speedup"] > ACCEPTANCE_RATIO
-    assert committed["warm_cache"]["unaccounted"] == 0
-    assert committed["no_cache"]["unaccounted"] == 0
 
 
 def main() -> int:  # pragma: no cover - CLI

@@ -281,9 +281,7 @@ def run_pool_profile(plan: FaultPlan) -> ProfileOutcome:
         "item_stalls": [int(s) for s in schedule.item_stalls],
         "entries": sum(1 for r in outcome.results if r.entry is not None),
         "worker_lost": sorted(r.index for r in lost),
-        "pool_restarts": merged.get("parallel.pool_restarts", 0),
         "pools_created": factory.pools_created,
-        "abandoned_items": workers_lost,
         "counters": {
             name: value
             for name, value in merged.items()
@@ -342,18 +340,19 @@ def run_serve_profile(plan: FaultPlan) -> ProfileOutcome:
                 f"request {response.request_id} ended "
                 f"{response.outcome.value} with no reason",
             )
-    if report.counters.get("serve.requests", 0) != len(requests):
+    counters = report.telemetry.counters
+    if counters.get("serve.requests", 0) != len(requests):
         violated(
             "CHS-SERVE-COUNT",
-            f"serve.requests={report.counters.get('serve.requests', 0)} "
+            f"serve.requests={counters.get('serve.requests', 0)} "
             f"but {len(requests)} request(s) were offered",
         )
     applied_faults = sum(slot.outages for slot in report.scheduler.slots)
-    if report.counters.get("serve.device_faults", 0) != applied_faults:
+    if counters.get("serve.device_faults", 0) != applied_faults:
         violated(
             "CHS-SERVE-FAULTS",
             f"serve.device_faults counter "
-            f"{report.counters.get('serve.device_faults', 0)} disagrees "
+            f"{counters.get('serve.device_faults', 0)} disagrees "
             f"with {applied_faults} slot outage(s)",
         )
     if applied_faults > len(schedule.device_faults):
@@ -540,7 +539,7 @@ def run_cluster_profile(plan: FaultPlan) -> ProfileOutcome:
 
     injected = {
         name: value
-        for name, value in report.counters.items()
+        for name, value in report.telemetry.counters.items()
         if name.startswith("faults.injected.")
     }
     if report.unaccounted != 0:
@@ -722,7 +721,8 @@ def run_placement_profile(plan: FaultPlan) -> ProfileOutcome:
             f"{report.unaccounted} request(s) dropped without a response "
             "on the mixed fleet",
         )
-    applied_faults = report.counters.get("serve.device_faults", 0)
+    counters = report.telemetry.counters
+    applied_faults = counters.get("serve.device_faults", 0)
     if applied_faults != len(schedule.device_faults):
         violated(
             "CHS-PLACE-INJECT",
@@ -768,15 +768,15 @@ def run_placement_profile(plan: FaultPlan) -> ProfileOutcome:
                 f"source {source} placement was forced although both "
                 "device classes are tenanted",
             )
-    fpga_batches = report.counters.get("placement.fpga_batches", 0)
-    gpu_batches = report.counters.get("placement.gpu_batches", 0)
+    fpga_batches = counters.get("placement.fpga_batches", 0)
+    gpu_batches = counters.get("placement.gpu_batches", 0)
     if fpga_batches == 0 or gpu_batches == 0:
         violated(
             "CHS-PLACE-SERVE",
             f"both slot pools must carry batches under chaos, got "
             f"{fpga_batches} fpga / {gpu_batches} gpu",
         )
-    if gpu_batches and not report.counters.get("gpu.transfers", 0):
+    if gpu_batches and not counters.get("gpu.transfers", 0):
         violated(
             "CHS-PLACE-SERVE",
             f"{gpu_batches} GPU batch(es) served without a single PCIe "
@@ -795,12 +795,12 @@ def run_placement_profile(plan: FaultPlan) -> ProfileOutcome:
             for source in sorted(decisions)
         },
         "batches": {"fpga": fpga_batches, "gpu": gpu_batches},
-        "gpu_transfers": report.counters.get("gpu.transfers", 0),
-        "cpu_assist_offloads": report.counters.get(
+        "gpu_transfers": counters.get("gpu.transfers", 0),
+        "cpu_assist_offloads": counters.get(
             "placement.cpu_assist_offloads", 0
         ),
         "requests": {
-            "offered": report.counters.get("serve.requests", 0),
+            "offered": counters.get("serve.requests", 0),
             "completed": len(report.completed),
             "shed": report.shed_count,
             "expired": report.expired_count,

@@ -339,7 +339,6 @@ class ClusterReport:
     wheel: TimerWheel
     horizon_s: float
     queue_depth_samples: list[int]
-    counters: dict[str, int]
     placements: dict[str, PlacementDecision] = field(default_factory=dict)
     telemetry: Telemetry = field(default_factory=Telemetry)
     # Cached document: the latency section partitions a multi-million
@@ -479,7 +478,7 @@ class ClusterReport:
                 "pushed": self.wheel.pushed,
                 "popped": self.wheel.popped,
             },
-            "counters": dict(sorted(self.counters.items())),
+            "counters": dict(sorted(self.telemetry.counters.items())),
         }
         if self.config.heterogeneous:
             document["fleets"]["provisioned_gpu_tenant_seconds"] = round(
@@ -1360,7 +1359,6 @@ def run_cluster(
         wheel=simulation.wheel,
         horizon_s=simulation.horizon_s,
         queue_depth_samples=simulation.queue_depth_samples,
-        counters=dict(collector.counters),
         placements={
             d.source: d for d in simulation.placements if d is not None
         },

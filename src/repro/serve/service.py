@@ -124,7 +124,6 @@ class ServingReport:
     admission: AdmissionController
     cache: PlanCache | None
     horizon_s: float
-    counters: dict[str, int]
     telemetry: Telemetry = field(default_factory=Telemetry)
     meta: dict[str, Any] = field(default_factory=dict)
 
@@ -236,7 +235,7 @@ class ServingReport:
                     s.outages for s in self.scheduler.slots
                 ),
             },
-            "counters": dict(sorted(self.counters.items())),
+            "counters": dict(sorted(self.telemetry.counters.items())),
         }
         if self.scheduler.fleet.gpu_tenants > 0:
             document["placement"] = self._placement_section()
@@ -588,7 +587,6 @@ def run_service(
         admission=admission,
         cache=cache,
         horizon_s=horizon,
-        counters=dict(collector.counters),
         telemetry=collector,
         meta=dict(meta or {}),
     )

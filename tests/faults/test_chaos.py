@@ -18,7 +18,16 @@ class TestPoolProfile:
         assert outcome.clean, [f.render() for f in outcome.findings]
         assert outcome.injected["faults.injected.worker_death"] > 0
         assert outcome.observed["worker_lost"], "no WorkerLost item exercised"
-        assert outcome.observed["pool_restarts"] > 0
+        # Restarts and lost items are stated once, as engine counters.
+        assert set(outcome.observed) == {
+            "items", "item_kills", "item_stalls", "entries", "worker_lost",
+            "pools_created", "counters",
+        }
+        counters = outcome.observed["counters"]
+        assert counters["parallel.pool_restarts"] > 0
+        assert counters["parallel.workers_lost"] == len(
+            outcome.observed["worker_lost"]
+        )
 
     def test_detects_dropped_results(self, monkeypatch):
         # If the engine loses an item, the chaos audit must say so —

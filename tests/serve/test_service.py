@@ -201,7 +201,7 @@ class TestCacheEffect:
         done = baseline_report.completed
         hits = sum(r.cache_hit for r in done)
         assert hits and hits < len(done)
-        counters = baseline_report.counters
+        counters = baseline_report.telemetry.counters
         assert counters["serve.cache_hits"] == hits
         assert counters["serve.cache_misses"] == len(done) - hits
 

@@ -369,7 +369,7 @@ def every_tick_service(requests, config, build=build_profiles):
         config=config, requests=list(requests), responses=responses,
         queue_depth_samples=samples, scheduler=scheduler,
         admission=admission, cache=cache, horizon_s=horizon,
-        counters=dict(collector.counters), telemetry=collector,
+        telemetry=collector,
     )
 
 
@@ -542,7 +542,7 @@ CASES = {
             DeviceFaultEvent(0.3, 0, 0.01),
             DeviceFaultEvent(5.0, 0, 0.1),  # after the last arrival
         )),
-        lambda report: report.counters["serve.device_faults"] == 4,
+        lambda report: report.telemetry.counters["serve.device_faults"] == 4,
     ),
     "gpu-tenants-cpu-assist-gpu-fault": (
         lambda: generate_requests(LoadSpec(
@@ -553,8 +553,8 @@ CASES = {
                             cpu_assist=True),
             device_faults=(DeviceFaultEvent(0.2, 0, 0.05, GPU),),
         ),
-        lambda report: report.counters["serve.device_faults"] == 1
-        and report.counters["placement.gpu_batches"],
+        lambda report: report.telemetry.counters["serve.device_faults"] == 1
+        and report.telemetry.counters["placement.gpu_batches"],
     ),
     "window0-batch1-tick0.25": (
         lambda: generate_requests(LoadSpec(
@@ -578,12 +578,12 @@ CASES = {
     "drain-limit": (
         lambda: [SolveRequest(i, "Wa", 1e-4) for i in range(300)],
         ServiceConfig(queue_capacity=300, fleet=FleetSpec(1, 1)),
-        lambda report: report.counters["serve.shed.drain_limit"],
+        lambda report: report.telemetry.counters["serve.shed.drain_limit"],
     ),
     "failing-source-unsorted-log": (
         failing_unsorted_log,
         ServiceConfig(),
-        lambda report: report.counters["serve.failed"],
+        lambda report: report.telemetry.counters["serve.failed"],
     ),
     "tick0.3-arrival-edges": (
         tick_edge_log,
@@ -613,8 +613,8 @@ CASES = {
         ),
         lambda report: report.completed
         and {b.size for b in report.scheduler.batches} == {1}
-        and report.counters["placement.gpu_batches"]
-        and report.counters["placement.fpga_batches"],
+        and report.telemetry.counters["placement.gpu_batches"]
+        and report.telemetry.counters["placement.fpga_batches"],
     ),
     "interactive-behind-older-batch-groups": (
         interactive_behind_batch_log,
@@ -633,7 +633,9 @@ def test_report_matches_every_tick_loop(name, tmp_path, monkeypatch):
     expected = every_tick_service(requests, config)
     assert report.to_json() == expected.to_json()
     assert report.queue_depth_samples == expected.queue_depth_samples
-    assert list(report.counters.items()) == list(expected.counters.items())
+    assert list(report.telemetry.counters.items()) == list(
+        expected.telemetry.counters.items()
+    )
     assert report.requests == expected.requests
     assert reaches(report)
 
@@ -738,4 +740,6 @@ def test_random_logs_match_every_tick_loop(profiled, data):
     expected = every_tick_service(requests, config, build=cached)
     assert report.to_json() == expected.to_json()
     assert report.queue_depth_samples == expected.queue_depth_samples
-    assert list(report.counters.items()) == list(expected.counters.items())
+    assert list(report.telemetry.counters.items()) == list(
+        expected.telemetry.counters.items()
+    )

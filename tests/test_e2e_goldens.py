@@ -1,14 +1,63 @@
-"""Exact goldens for the modeled totals of two e2ebench workloads.
+"""Exact goldens for the modeled totals of the four e2ebench workloads.
 
-``e2ebench/workloads.py`` reports ``device_s`` for ``loadtest`` as the
-single-fleet run's ``fleet.device_seconds`` and for ``dse-sweep`` as the
-sum of every design point's ``device_seconds``.  Both run on the virtual
-clock, so at seed 1 every figure below is exact; a change that moves one
-changes the benchmark's modeled output and must say why.
+``e2ebench/workloads.py`` reports ``device_s`` for ``solve-65k`` as the
+sum of the three solves' modeled ``total_seconds``, for
+``table2-campaign`` as the campaign's compute and reconfiguration time
+plus one solver swap per fallback, for ``loadtest`` as the single-fleet
+run's ``fleet.device_seconds`` and for ``dse-sweep`` as the sum of every
+design point's ``device_seconds``.  All four are modeled, so at seed 1
+every figure below is exact; a change that moves one changes the
+benchmark's modeled output and must say why.
 """
 
+from repro import run_campaign
+from repro.core.accelerator import Acamar
+from repro.datasets import (
+    convection_diffusion_2d,
+    dataset_keys,
+    load_problem,
+    manufacture_problem,
+    poisson_2d,
+    sdd_matrix,
+)
 from repro.dse import demo_space, run_dse
+from repro.fpga import PerformanceModel
 from repro.serve import LoadSpec, ServiceConfig, run_loadtest
+
+
+def test_solve_65k_seed_1_totals():
+    sdd = sdd_matrix(65536, 8.0, seed=1, symmetric=False, dominance=1.05)
+    problems = [
+        poisson_2d(256, seed=1),
+        convection_diffusion_2d(256, seed=1),
+        manufacture_problem("sdd_65536", sdd, seed=1),
+    ]
+    acamar = Acamar()
+    model = PerformanceModel()
+    results = [acamar.solve(p.matrix, p.b) for p in problems]
+    assert [r.selection.solver for r in results] == ["cg", "bicgstab", "jacobi"]
+    device_s = sum(
+        model.acamar_latency(p.matrix, r).total_seconds
+        for p, r in zip(problems, results)
+    )
+    assert round(device_s, 9) == 1.479199467
+    iterations = sum(a.result.iterations for r in results for a in r.attempts)
+    assert iterations == 392
+
+
+def test_table2_campaign_seed_1_totals():
+    report = run_campaign(
+        [load_problem(key, 1) for key in dataset_keys()], workers=1
+    )
+    assert not report.failures
+    swap_s = PerformanceModel().reconfig.solver_swap_seconds()
+    device_s = sum(
+        (e.compute_ms + e.reconfig_ms) * 1e-3
+        + max(0, len(e.solver_sequence) - 1) * swap_s
+        for e in report.entries
+    )
+    assert round(device_s, 9) == 19.802966123
+    assert sum(e.iterations for e in report.entries) == 2445
 
 
 def test_loadtest_seed_1_totals():
