@@ -621,12 +621,7 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
         meta = {"request_log": str(requests_path)}
     else:
         requests = generate_requests(spec)
-        meta = {
-            "seed": spec.seed,
-            "duration_s": spec.duration_s,
-            "rate_rps": spec.rate_rps,
-            "mix": spec.mix,
-        }
+        meta = spec.as_dict()
         if getattr(args, "save_requests", None):
             print(
                 f"wrote request log to "

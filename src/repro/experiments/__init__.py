@@ -1,8 +1,8 @@
 """Experiment harness: one module per paper table/figure.
 
 Every module exposes ``run(keys=None, ...) -> ExperimentTable`` (keys are
-Table II dataset IDs; ``None`` means all 25) and a ``main()`` that prints
-the regenerated table.  The mapping to the paper:
+Table II dataset IDs; ``None`` means all 25); ``repro experiment <id>``
+prints the regenerated table.  The mapping to the paper:
 
 ========  =====================================================
 module    paper artifact

@@ -3,8 +3,8 @@
 The benchmark harness prints monospace tables; anyone regenerating the
 paper's *figures* wants machine-readable series.  ``export_table`` writes
 one table, ``export_all`` regenerates and writes every experiment into a
-directory (one ``.csv`` + one ``.json`` per artifact), and the module is
-reachable as ``python -m repro.experiments.export <dir>``.
+directory (one ``.csv`` + one ``.json`` per artifact); ``repro export
+<dir>`` runs the latter.
 """
 
 from __future__ import annotations
@@ -64,26 +64,3 @@ def export_all(
     written.append(export_table_csv(summary, directory / "summary.csv"))
     written.append(export_table_json(summary, directory / "summary.json"))
     return written
-
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="export every experiment table as CSV + JSON"
-    )
-    parser.add_argument("directory", help="output directory")
-    parser.add_argument("--keys", help="comma-separated dataset subset")
-    args = parser.parse_args(argv)
-    keys = (
-        tuple(k.strip() for k in args.keys.split(",") if k.strip())
-        if args.keys
-        else None
-    )
-    files = export_all(args.directory, keys)
-    print(f"wrote {len(files)} files to {args.directory}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

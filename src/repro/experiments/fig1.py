@@ -48,11 +48,3 @@ def run(keys: tuple[str, ...] | None = None) -> ExperimentTable:
             "dominant kernel, as in the paper"
         )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -58,11 +58,3 @@ def run(keys: tuple[str, ...] | None = None) -> ExperimentTable:
         f"mean area saving {np.mean(savings):.2f}x (paper: ~2x)"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

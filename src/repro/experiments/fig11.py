@@ -61,11 +61,3 @@ def run(
         "latency/utilization balance essentially unchanged (paper Fig. 11)"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

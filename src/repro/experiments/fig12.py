@@ -55,11 +55,3 @@ def run(
         f"S={rates[-1]}); the paper fixes S=32 to bound reconfiguration cost"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

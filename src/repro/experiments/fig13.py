@@ -63,11 +63,3 @@ def run(keys: tuple[str, ...] | None = None) -> ExperimentTable:
         "bandwidth-bound (Section VIII-A)"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -40,11 +40,3 @@ def run(
             "motivating dynamic reconfiguration"
         )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

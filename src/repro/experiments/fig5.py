@@ -56,11 +56,3 @@ def run(
             "effectively constant, matching the paper's choice of rOpt=8"
         )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -59,11 +59,3 @@ def run(
         "(paper: up to 11.61x); gains diminish and flatten for URB > 16"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -48,11 +48,3 @@ def run(
         f"best observed ratio {max(maxima):.2f}x"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -38,11 +38,3 @@ def run(keys: tuple[str, ...] | None = None) -> ExperimentTable:
         f"{np.mean(gpu_values):.0%} (paper: 50% vs 81%)"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

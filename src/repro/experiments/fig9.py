@@ -57,11 +57,3 @@ def run(keys: tuple[str, ...] | None = None) -> ExperimentTable:
         f"{np.mean(gpu_vals):.2%} of its fp32 peak (memory-bound)"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

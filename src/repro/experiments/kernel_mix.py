@@ -56,11 +56,3 @@ def run(keys: tuple[str, ...] | None = None) -> ExperimentTable:
         "for Jacobi — matching each algorithm's kernel schedule"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -53,11 +53,3 @@ def run(keys: tuple[str, ...] | None = None) -> ExperimentTable:
         "solver switching stays necessary even on an fp64 fabric"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -195,11 +195,3 @@ def run(keys: tuple[str, ...] | None = None) -> ExperimentTable:
     holding = sum(1 for c in checks if c.holds)
     table.add_note(f"{holding}/{len(checks)} claims hold")
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

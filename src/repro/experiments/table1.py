@@ -29,11 +29,3 @@ def run() -> ExperimentTable:
         "benchmarks/bench_table1_criteria.py"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

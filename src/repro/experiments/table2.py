@@ -49,11 +49,3 @@ def run(keys: tuple[str, ...] | None = None) -> ExperimentTable:
         "paper's pattern (paper: Acamar column all Y)"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -5,8 +5,7 @@ stays high — extend to fleet count: an idle fleet burns device-seconds
 for nothing, an overloaded cluster sheds work.  The autoscaler closes
 that loop *on the virtual clock*: once per epoch it reads an
 :class:`IntervalSignals` snapshot (queue-depth p90 across fleets, shed
-rate, busy fraction, local cache hit rate) and emits a
-:class:`ScaleDecision`.
+rate, busy fraction) and emits a :class:`ScaleDecision`.
 
 Every input is derived from simulated state, and the policy is a pure
 function of the signal history — no wall clock, no randomness — so the
@@ -94,16 +93,6 @@ class IntervalSignals:
     queue_depth_p90: float
     shed_rate: float
     busy_fraction: float
-    local_hit_rate: float
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "at_s": round(self.at_s, 9),
-            "queue_depth_p90": round(self.queue_depth_p90, 9),
-            "shed_rate": round(self.shed_rate, 9),
-            "busy_fraction": round(self.busy_fraction, 9),
-            "local_hit_rate": round(self.local_hit_rate, 9),
-        }
 
 
 @dataclass(frozen=True)

@@ -660,8 +660,6 @@ class _ClusterSimulation:
         # per-epoch signal accumulators
         self._epoch_arrivals = 0
         self._epoch_shed = 0
-        self._prev_lookups = 0
-        self._prev_local_hits = 0
 
     # -- membership ----------------------------------------------------
 
@@ -1118,12 +1116,6 @@ class _ClusterSimulation:
                 for free in fleet.slot_free
             )
             slot_count += fleet.slots
-        lookups = self.cache.stats.lookups
-        local_hits = self.cache.stats.local_hits
-        delta_lookups = lookups - self._prev_lookups
-        delta_local = local_hits - self._prev_local_hits
-        self._prev_lookups = lookups
-        self._prev_local_hits = local_hits
         arrivals = self._epoch_arrivals
         shed = self._epoch_shed
         self._epoch_arrivals = 0
@@ -1135,9 +1127,6 @@ class _ClusterSimulation:
             busy_fraction=(
                 busy_slot_s / (slot_count * interval_s)
                 if slot_count else 0.0
-            ),
-            local_hit_rate=(
-                delta_local / delta_lookups if delta_lookups else 0.0
             ),
         )
 

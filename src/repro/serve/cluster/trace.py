@@ -1,10 +1,9 @@
-"""Array-native request traces: cluster-scale load, zero Python objects.
+"""Array-native request traces: the one traffic generator of both tiers.
 
-A ``--duration 3600 --rate 10000`` run is ~36 million requests.  The
-single-fleet generator's one-``SolveRequest``-per-arrival stream
-(:mod:`repro.serve.loadgen`) would need tens of gigabytes and minutes
-of allocation alone, so the cluster tier keeps the whole trace as a
-struct-of-arrays :class:`RequestTrace`:
+A ``--duration 3600 --rate 10000`` run is ~36 million requests.  One
+``SolveRequest`` object per arrival would need tens of gigabytes and
+minutes of allocation alone, so the cluster tier keeps the whole trace
+as a struct-of-arrays :class:`RequestTrace`:
 
 - ``arrival_s``  — float64, sorted, rounded to 9 decimals (the repo's
   virtual-timestamp precision),
@@ -12,17 +11,18 @@ struct-of-arrays :class:`RequestTrace`:
 - ``priority``   — int8 :class:`~repro.serve.api.Priority` value,
 - ``deadline_s`` — float64 absolute deadline, ``+inf`` meaning none.
 
-Generation is fully vectorized and reuses the *same* statistical model
-as the object generator, from the same
-:class:`~repro.serve.loadgen.LoadSpec` —
+Generation is fully vectorized over the traffic model of a
+:class:`~repro.serve.loadgen.LoadSpec`:
 :func:`repro.serve.loadgen.source_weights` for the dataset mix,
 ``PRIORITY_SHARES`` for the class split, Poisson arrivals with the
 square-wave bursts of ``BURST_FACTOR``, ``BURST_S`` and
-``BURST_PERIOD_S`` — so "repeat-heavy at 120 rps" means the same
-workload at either tier.  Bursty arrivals use exact thinning: draw a
-homogeneous Poisson process at the peak rate, then keep each arrival
-with probability ``rate(t) / peak``.  One seeded PCG64 generator drives
-everything, so a seed fully determines the trace.
+``BURST_PERIOD_S``.  The single-fleet tier serves the same rows as
+request objects (:func:`repro.serve.loadgen.generate_requests`), so
+"repeat-heavy at 120 rps" is one workload at either tier.  Bursty
+arrivals use exact thinning: draw a homogeneous Poisson process at the
+peak rate, then keep each arrival with probability ``rate(t) / peak``.
+One seeded PCG64 generator drives everything, so a seed fully
+determines the trace.
 """
 
 from __future__ import annotations

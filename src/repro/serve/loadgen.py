@@ -16,9 +16,10 @@ run — so the generator models each dimension explicitly:
 - **priority/deadline mix**: a fixed fraction of traffic is interactive
   with a relative deadline; the rest splits batch/best-effort.
 
-One :class:`LoadSpec` drives both tiers: :func:`generate_requests`
-here and the cluster tier's vectorized
-:func:`~repro.serve.cluster.trace.generate_trace`.  Everything derives
+One generator serves both tiers: the cluster tier's vectorized
+:func:`~repro.serve.cluster.trace.generate_trace` draws the traffic of a
+:class:`LoadSpec`, and :func:`generate_requests` here turns its rows
+into request objects for the single-fleet engine.  Everything derives
 from one ``numpy`` PCG64 generator seeded by the caller, so a seed
 fully determines the request log.  Logs round-trip through JSONL
 (:func:`write_request_log` / :func:`read_request_log`) for replay and
@@ -27,7 +28,6 @@ offline analysis.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import numbers
@@ -137,9 +137,9 @@ def validate_traffic(
 def source_weights(mix: str, n_keys: int) -> np.ndarray:
     """Per-source probability weights of traffic mix ``mix``.
 
-    Shared by the object-stream generator below and the cluster tier's
-    vectorized trace generator (:mod:`repro.serve.cluster.trace`), so
-    "repeat-heavy" means the same skew in both.
+    Shared by the trace generator (:mod:`repro.serve.cluster.trace`)
+    and the DSE evaluator, so "repeat-heavy" means the same skew in
+    both.
     """
     if mix not in TRAFFIC_MIXES:
         raise ConfigurationError(
@@ -161,74 +161,35 @@ def source_weights(mix: str, n_keys: int) -> np.ndarray:
     return weights
 
 
-def _choice_table(weights: np.ndarray) -> list[float]:
-    """The cumulative table ``Generator.choice(len(weights), p=weights)``
-    searches, built the way ``choice`` builds it on every call.
-
-    ``bisect_right(table, rng.random())`` then draws the index ``choice``
-    would draw, from the same single uniform: the random stream stays
-    byte-identical at a fraction of ``choice``'s per-call cost.
-    """
-    cdf = np.cumsum(weights, dtype=np.float64)
-    cdf /= cdf[-1]
-    return cdf.tolist()
-
-
-def _instantaneous_rate(spec: LoadSpec, t: float) -> float:
-    if spec.mix != "bursty":
-        return spec.rate_rps
-    phase = t % BURST_PERIOD_S
-    if phase < BURST_S:
-        return spec.rate_rps * BURST_FACTOR
-    return spec.rate_rps
-
-
 def generate_requests(spec: LoadSpec) -> list[SolveRequest]:
-    """Produce the full request log for ``spec`` (arrival-ordered)."""
-    if spec.sources:
-        keys: tuple[str, ...] = tuple(spec.sources)
-    else:
-        from repro.datasets.suite import dataset_keys
+    """Produce the full request log for ``spec`` (arrival-ordered).
 
-        keys = dataset_keys()
-    rng = np.random.default_rng(spec.seed)
-    source_table = _choice_table(source_weights(spec.mix, len(keys)))
-    priorities = [p for p, _ in PRIORITY_SHARES]
-    priority_table = _choice_table(np.array([w for _, w in PRIORITY_SHARES]))
-    requests: list[SolveRequest] = []
-    t = 0.0
-    request_id = 0
-    while True:
-        # Thinning-free non-homogeneous sampling: draw the gap at the
-        # *current* instantaneous rate.  Exact for piecewise-constant
-        # rates whose pieces are long relative to the gap, which holds
-        # for the burst parameters above.
-        t += float(rng.exponential(1.0 / _instantaneous_rate(spec, t)))
-        # Quantize to the log precision (9 decimals) so a live run and a
-        # replay of its saved request log see bit-identical arrivals.
-        t = round(t, 9)
-        if t >= spec.duration_s:
-            break
-        # Gap, then source, then priority: the order of the draws is
-        # part of the seed contract.
-        source = keys[bisect.bisect_right(source_table, rng.random())]
-        priority = priorities[
-            bisect.bisect_right(priority_table, rng.random())
-        ]
-        deadline = None
-        if priority is Priority.INTERACTIVE:
-            deadline = round(t + spec.deadline_ms * 1e-3, 9)
-        requests.append(
-            SolveRequest(
-                request_id=request_id,
-                source=source,
-                arrival_s=t,
-                priority=priority,
-                deadline_s=deadline,
-            )
+    One :class:`~repro.serve.api.SolveRequest` per row of
+    :func:`~repro.serve.cluster.trace.generate_trace` for the same spec,
+    so both tiers serve the same traffic: row ``i`` is request id ``i``.
+    """
+    from repro.serve.cluster.trace import NO_DEADLINE, generate_trace
+
+    trace = generate_trace(spec)
+    priorities = {p.value: p for p in Priority}
+    rows = zip(
+        trace.arrival_s.tolist(),
+        trace.source_idx.tolist(),
+        trace.priority.tolist(),
+        trace.deadline_s.tolist(),
+    )
+    return [
+        SolveRequest(
+            request_id=request_id,
+            source=trace.sources[source],
+            arrival_s=arrival,
+            priority=priorities[priority],
+            deadline_s=None if deadline == NO_DEADLINE else deadline,
         )
-        request_id += 1
-    return requests
+        for request_id, (arrival, source, priority, deadline) in enumerate(
+            rows
+        )
+    ]
 
 
 def write_request_log(

@@ -382,15 +382,9 @@ def run_loadtest(
     """Generate synthetic traffic for ``spec`` and serve it."""
     from repro.serve.loadgen import generate_requests
 
-    requests = generate_requests(spec)
-    meta = {
-        "seed": spec.seed,
-        "duration_s": spec.duration_s,
-        "rate_rps": spec.rate_rps,
-        "mix": spec.mix,
-    }
     return run_service(
-        requests, service_config, acamar_config, meta=meta
+        generate_requests(spec), service_config, acamar_config,
+        meta=spec.as_dict(),
     )
 
 

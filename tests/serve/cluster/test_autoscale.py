@@ -23,22 +23,19 @@ POLICY = AutoscalerPolicy(
 
 def hot(at_s):
     return IntervalSignals(
-        at_s=at_s, queue_depth_p90=200.0, shed_rate=0.0,
-        busy_fraction=1.0, local_hit_rate=1.0,
+        at_s=at_s, queue_depth_p90=200.0, shed_rate=0.0, busy_fraction=1.0,
     )
 
 
 def cold(at_s):
     return IntervalSignals(
-        at_s=at_s, queue_depth_p90=0.0, shed_rate=0.0,
-        busy_fraction=0.1, local_hit_rate=1.0,
+        at_s=at_s, queue_depth_p90=0.0, shed_rate=0.0, busy_fraction=0.1,
     )
 
 
 def neutral(at_s):
     return IntervalSignals(
-        at_s=at_s, queue_depth_p90=10.0, shed_rate=0.0,
-        busy_fraction=0.8, local_hit_rate=1.0,
+        at_s=at_s, queue_depth_p90=10.0, shed_rate=0.0, busy_fraction=0.8,
     )
 
 

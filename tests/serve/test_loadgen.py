@@ -9,17 +9,15 @@ import pytest
 from repro.datasets.suite import dataset_keys
 from repro.dse import TrafficSpec
 from repro.errors import ConfigurationError, ValidationError
-from repro.serve import loadgen
-from repro.serve.api import Priority, SolveRequest
+from repro.serve import ServiceConfig, run_cluster_loadtest, run_loadtest
+from repro.serve.api import Priority
 from repro.serve.cluster import generate_trace
+from repro.serve.cluster.trace import NO_DEADLINE
 from repro.serve.loadgen import (
-    PRIORITY_SHARES,
     TRAFFIC_MIXES,
     LoadSpec,
-    _instantaneous_rate,
     generate_requests,
     read_request_log,
-    source_weights,
     write_request_log,
 )
 
@@ -220,41 +218,7 @@ class TestRequestLogValidation:
             read_request_log(tmp_path / "absent.jsonl")
 
 
-def choice_loop_requests(spec, keys, rng):
-    """Two ``Generator.choice(p=...)`` calls per request (the replaced
-    loop, kept as the oracle)."""
-    weights = source_weights(spec.mix, len(keys))
-    priorities = [p for p, _ in PRIORITY_SHARES]
-    priority_weights = np.array([w for _, w in PRIORITY_SHARES])
-    requests = []
-    t = 0.0
-    request_id = 0
-    while True:
-        t += float(rng.exponential(1.0 / _instantaneous_rate(spec, t)))
-        t = round(t, 9)
-        if t >= spec.duration_s:
-            break
-        source = keys[int(rng.choice(len(keys), p=weights))]
-        priority = priorities[
-            int(rng.choice(len(priorities), p=priority_weights))
-        ]
-        deadline = None
-        if priority is Priority.INTERACTIVE:
-            deadline = round(t + spec.deadline_ms * 1e-3, 9)
-        requests.append(
-            SolveRequest(
-                request_id=request_id,
-                source=source,
-                arrival_s=t,
-                priority=priority,
-                deadline_s=deadline,
-            )
-        )
-        request_id += 1
-    return requests
-
-
-ORACLE_SOURCES = {
+STREAM_SOURCES = {
     1: ("Wa",),
     2: ("Wa", "Li"),
     6: tuple(dataset_keys()[5:11]),
@@ -262,107 +226,39 @@ ORACLE_SOURCES = {
 }
 
 
-def untemper(y):
-    """Invert MT19937's output tempering: the state word that yields ``y``."""
-    y ^= y >> 18
-    y ^= (y << 15) & 0xEFC60000
-    x = y
-    for _ in range(5):
-        x = y ^ ((x << 7) & 0x9D2C5680)
-    x &= 0xFFFFFFFF
-    y = x
-    for _ in range(3):
-        x = y ^ (x >> 11)
-    return x & 0xFFFFFFFF
+class TestOneStream:
+    """``generate_requests`` serves the rows of ``generate_trace``: one
+    traffic generator for both tiers."""
 
-
-def uniform_words(u):
-    """The two 32-bit outputs from which MT19937's ``random()`` makes ``u``."""
-    m = int(u * 2.0**53)
-    assert m / 2.0**53 == u
-    return [(m >> 26) << 5, (m & ((1 << 26) - 1)) << 6]
-
-
-def scripted_rng(words):
-    """A generator whose first raw outputs are ``words``."""
-    bits = np.random.MT19937(0)
-    state = bits.state
-    key = state["state"]["key"].copy()
-    key[: len(words)] = [untemper(w) for w in words]
-    state["state"]["key"] = key
-    state["state"]["pos"] = 0
-    bits.state = state
-    return np.random.Generator(bits)
-
-
-def choice_table(weights):
-    cdf = np.cumsum(weights)
-    return (cdf / cdf[-1]).tolist()
-
-
-def generate_on(monkeypatch, spec, make_rng):
-    """``generate_requests(spec)`` on the generator ``make_rng(seed)``;
-    returns the requests and that generator."""
-    made = []
-
-    def recording_rng(seed):
-        made.append(make_rng(seed))
-        return made[-1]
-
-    monkeypatch.setattr(loadgen.np.random, "default_rng", recording_rng)
-    requests = generate_requests(spec)
-    monkeypatch.undo()
-    return requests, made[0]
-
-
-class TestChoiceFreeGenerator:
-    """``generate_requests`` draws each index by bisecting the table
-    ``Generator.choice`` builds, from the same uniform.  The stream is a
-    contract: equal request lists and an equal final generator state,
-    compared in-process (numpy does not promise streams across
-    versions)."""
-
-    @pytest.mark.parametrize("n_sources", sorted(ORACLE_SOURCES))
+    @pytest.mark.parametrize("n_sources", sorted(STREAM_SOURCES))
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("mix", TRAFFIC_MIXES)
-    def test_matches_choice_loop(self, monkeypatch, mix, seed, n_sources):
-        sources = ORACLE_SOURCES[n_sources]
+    def test_requests_are_the_trace_rows(self, mix, seed, n_sources):
         spec = LoadSpec(seed=seed, duration_s=2.0, rate_rps=300.0, mix=mix,
-                        sources=sources)
-        requests, rng = generate_on(
-            monkeypatch, spec, np.random.default_rng
-        )
-        oracle_rng = np.random.default_rng(seed)
-        expected = choice_loop_requests(
-            spec, sources or dataset_keys(), oracle_rng
-        )
-        assert len(requests) > 300
-        assert requests == expected
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+                        sources=STREAM_SOURCES[n_sources])
+        requests = generate_requests(spec)
+        trace = generate_trace(spec)
+        assert len(requests) == len(trace) > 300
+        for row, request in enumerate(requests):
+            assert request.request_id == row
+            assert request.source == trace.sources[trace.source_idx[row]]
+            assert request.arrival_s == trace.arrival_s[row]
+            assert type(request.arrival_s) is float
+            assert request.priority is Priority(trace.priority[row])
+            deadline = trace.deadline_s[row]
+            if deadline == NO_DEADLINE:
+                assert request.deadline_s is None
+            else:
+                assert request.deadline_s == deadline
+                assert type(request.deadline_s) is float
 
-    def test_uniform_on_a_table_boundary(self, monkeypatch):
-        # ``choice`` searches its table with side="right": a uniform
-        # equal to a boundary belongs to the next index.  Script the first
-        # request's draws onto boundaries: a zero gap, then a source and
-        # a priority uniform equal to a table entry in [0.5, 1), where
-        # every double is a possible ``random()`` value.
-        spec = LoadSpec(seed=0, duration_s=0.5, rate_rps=300.0)
-        keys = dataset_keys()
-        source_u = next(
-            c for c in choice_table(source_weights(spec.mix, len(keys)))
-            if c >= 0.5
-        )
-        priority_u = choice_table([w for _, w in PRIORITY_SHARES])[1]
-        words = [0, 0, *uniform_words(source_u), *uniform_words(priority_u)]
-        requests, rng = generate_on(
-            monkeypatch, spec, lambda seed: scripted_rng(words)
-        )
-        oracle_rng = scripted_rng(words)
-        expected = choice_loop_requests(spec, keys, oracle_rng)
-        assert expected[0].arrival_s == 0.0
-        assert expected[0].priority is Priority.BEST_EFFORT
-        assert requests == expected
-        state = rng.bit_generator.state["state"]
-        oracle_state = oracle_rng.bit_generator.state["state"]
-        assert state["pos"] == oracle_state["pos"]
-        assert np.array_equal(state["key"], oracle_state["key"])
+    @pytest.mark.parametrize("mix", TRAFFIC_MIXES)
+    def test_both_tiers_generate_and_echo_the_same_load(self, mix):
+        spec = LoadSpec(seed=1, duration_s=1.0, rate_rps=200.0, mix=mix,
+                        sources=("Wa", "Li"))
+        single = run_loadtest(spec, ServiceConfig(workers=1)).as_dict()
+        cluster = run_cluster_loadtest(spec).as_dict()
+        generated = single["requests"]["generated"]
+        assert generated == cluster["requests"]["generated"] > 0
+        assert single["serving"].items() >= spec.as_dict().items()
+        assert cluster["cluster"].items() >= spec.as_dict().items()

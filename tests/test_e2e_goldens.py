@@ -66,14 +66,14 @@ def test_loadtest_seed_1_totals():
         ServiceConfig(workers=1),
     )
     doc = report.as_dict(include_responses=False)
-    assert doc["fleet"]["device_seconds"] == 42.284075612
-    assert doc["requests"]["completed"] == 11947
-    assert doc["batches"]["count"] == 10256
-    assert doc["batches"]["config_loads"] == 6728
-    assert doc["latency_ms"]["overall"]["p50"] == 6.259571
-    assert doc["latency_ms"]["overall"]["p99"] == 21.853076
+    assert doc["fleet"]["device_seconds"] == 42.833628592
+    assert doc["requests"]["completed"] == 12021
+    assert doc["batches"]["count"] == 10367
+    assert doc["batches"]["config_loads"] == 6806
+    assert doc["latency_ms"]["overall"]["p50"] == 6.25933
+    assert doc["latency_ms"]["overall"]["p99"] == 21.961806
     lookups = doc["cache"]["lookups"]
-    assert (lookups["hits"], lookups["misses"]) == (10231, 25)
+    assert (lookups["hits"], lookups["misses"]) == (10342, 25)
 
 
 def test_dse_sweep_seed_1_totals():
