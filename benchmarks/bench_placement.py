@@ -38,9 +38,9 @@ DURATION_S = 3.0
 RATES_RPS = (200.0, 400.0)
 
 FLEETS = {
-    "fpga_only": FleetSpec(devices=1, slots_per_device=4),
-    "gpu_only": FleetSpec(devices=1, slots_per_device=0, gpu_tenants=4),
-    "mixed": FleetSpec(devices=1, slots_per_device=2, gpu_tenants=2),
+    "fpga_only": FleetSpec(slots_per_device=4),
+    "gpu_only": FleetSpec(slots_per_device=0, gpu_tenants=4),
+    "mixed": FleetSpec(slots_per_device=2, gpu_tenants=2),
 }
 
 

@@ -133,10 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-batch", type=int, default=8)
         p.add_argument("--batch-window-ms", type=float, default=1.0)
         p.add_argument(
-            "--devices", type=int, default=1,
-            help="FPGAs in the serving fleet",
-        )
-        p.add_argument(
             "--slots-per-device", type=int, default=4,
             help="co-resident solver instances per device",
         )
@@ -194,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "cluster mode",
         "multi-fleet simulator (repro.serve.cluster); ignores the "
         "single-fleet --queue-capacity/--max-batch/--batch-window-ms/"
-        "--devices/--slots-per-device/--no-cache flags",
+        "--slots-per-device/--no-cache flags",
     )
     cluster.add_argument(
         "--cluster", action="store_true",
@@ -220,18 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--batch-fill-ms", type=float, default=40.0, metavar="MS",
         help="micro-batch fill window on the cluster tier",
-    )
-    cluster.add_argument(
-        "--interval", type=float, default=1.0, metavar="S",
-        help="epoch length = autoscaler evaluation interval",
-    )
-    cluster.add_argument(
-        "--remote-fetch-ms", type=float, default=0.25, metavar="MS",
-        help="modeled cost of a remote plan-cache hit",
-    )
-    cluster.add_argument(
-        "--vnodes", type=int, default=64, metavar="N",
-        help="virtual nodes per fleet on the consistent-hash ring",
     )
     cluster.add_argument(
         "--no-affinity", action="store_true",
@@ -547,9 +531,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         batch_fill_ms=args.batch_fill_ms,
         queue_capacity=args.cluster_queue_capacity,
         cache_capacity=args.cache_capacity,
-        remote_fetch_ms=args.remote_fetch_ms,
-        interval_s=args.interval,
-        vnodes=args.vnodes,
         affinity_routing=not args.no_affinity,
         autoscale=not args.no_autoscale,
         workers=args.workers,
@@ -602,7 +583,6 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
         cache_enabled=not args.no_cache,
         cache_capacity=args.cache_capacity,
         fleet=FleetSpec(
-            devices=args.devices,
             slots_per_device=args.slots_per_device,
             gpu_tenants=args.gpu_tenants,
             cpu_assist=args.cpu_assist,

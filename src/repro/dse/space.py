@@ -164,13 +164,8 @@ class TrafficSpec:
                 f"got {self.name!r}"
             )
         validate_traffic(
-            self.mix, self.duration_s, self.rate_rps,
-            deadline_ms=self.deadline_ms,
+            self.mix, self.duration_s, self.rate_rps, self.deadline_ms
         )
-        if self.deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline must be > 0 ms, got {self.deadline_ms}"
-            )
 
     def as_dict(self) -> dict[str, Any]:
         return {

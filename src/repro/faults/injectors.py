@@ -202,9 +202,10 @@ def chaos_service_config(
     """Service configuration that makes the scheduled pressure real.
 
     Queue and plan-cache capacities come from the schedule (small on
-    purpose: queue-full sheds, preemptions and cache evictions must
-    actually happen), and the plan's device outages are handed to the
-    scheduler's fault seam; each outage is counted here as injected.
+    purpose: preemptions and cache evictions must actually happen, and
+    the runner checks that they did), and the plan's device outages are
+    handed to the scheduler's fault seam; each outage is counted here as
+    injected.
     """
     for _ in schedule.device_faults:
         tm.count("faults.injected.device_outage")
@@ -212,7 +213,7 @@ def chaos_service_config(
         queue_capacity=schedule.queue_capacity,
         max_batch=4,
         cache_capacity=schedule.cache_capacity,
-        fleet=FleetSpec(devices=1, slots_per_device=slots),
+        fleet=FleetSpec(slots_per_device=slots),
         device_faults=schedule.device_faults,
     )
 
@@ -234,7 +235,6 @@ def chaos_placement_config(
         queue_capacity=256,
         max_batch=4,
         fleet=FleetSpec(
-            devices=1,
             slots_per_device=fpga_slots,
             gpu_tenants=gpu_tenants,
             cpu_assist=True,

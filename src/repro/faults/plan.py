@@ -44,6 +44,13 @@ EXHAUSTION_BUDGET = 99
 diverges on *every* configuration, exercising Solver Modifier
 exhaustion regardless of which solver the structure unit selected."""
 
+SERVE_QUEUE_CAPACITY = 4
+"""Admission queue bound of the serve profile: small enough that every
+chaos seed 0-63 preempts at least three requests."""
+
+SERVE_CACHE_CAPACITY = 4
+"""Plan-cache bound of the serve profile, below its ten sources."""
+
 # Independent SeedSequence streams per fault domain.
 _POOL_STREAM = 1
 _SERVE_STREAM = 2
@@ -102,8 +109,10 @@ class ServeFaultSchedule:
     The storm window ``[storm_start_s, storm_start_s + storm_duration_s)``
     rewrites every covered request's deadline to a tight relative bound,
     mass-exercising the admission/expiry paths; ``queue_capacity`` and
-    ``cache_capacity`` are deliberately small so queue-full sheds,
-    preemptions and plan-cache evictions all genuinely occur.
+    ``cache_capacity`` (:data:`SERVE_QUEUE_CAPACITY`,
+    :data:`SERVE_CACHE_CAPACITY`) are deliberately small so priority
+    preemptions and plan-cache evictions genuinely occur on every seed.
+    Queue-full sheds usually do too, but some seeds have none.
     """
 
     rate_rps: float
@@ -237,11 +246,7 @@ class FaultPlan:
         )
 
     def serve_schedule(
-        self,
-        duration_s: float,
-        slots: int,
-        queue_capacity: int = 8,
-        cache_capacity: int = 4,
+        self, duration_s: float, slots: int
     ) -> ServeFaultSchedule:
         """Draw the serving overload shape and device-outage events."""
         if duration_s <= 0:
@@ -273,8 +278,8 @@ class FaultPlan:
             storm_start_s=storm_start,
             storm_duration_s=storm_duration,
             storm_deadline_ms=storm_deadline_ms,
-            queue_capacity=queue_capacity,
-            cache_capacity=cache_capacity,
+            queue_capacity=SERVE_QUEUE_CAPACITY,
+            cache_capacity=SERVE_CACHE_CAPACITY,
             device_faults=faults,
         )
 

@@ -377,6 +377,12 @@ def run_serve_profile(plan: FaultPlan) -> ProfileOutcome:
             "CHS-SERVE-PRESSURE",
             "plan-cache capacity pressure produced zero evictions",
         )
+    if report.admission.preemptions == 0:
+        violated(
+            "CHS-SERVE-PRESSURE",
+            "the full admission queue preempted no request — the run "
+            "never exercised priority preemption",
+        )
     pressure_responses = report.shed_count + report.expired_count
     if storm_count and pressure_responses == 0:
         violated(
@@ -630,7 +636,7 @@ def run_cluster_profile(plan: FaultPlan) -> ProfileOutcome:
         for index, decision in enumerate(report.autoscaler.decisions)
         if decision.action is not ScaleAction.HOLD
     ]
-    min_gap = config.policy.cooldown_intervals + 1
+    min_gap = report.autoscaler.policy.cooldown_intervals + 1
     too_close = [
         (a, b)
         for a, b in zip(actions, actions[1:])
@@ -747,7 +753,7 @@ def run_placement_profile(plan: FaultPlan) -> ProfileOutcome:
     for source, profile in report.scheduler.profiles.items():
         if isinstance(profile, str):
             continue
-        decision = report.scheduler.placement_for(source)
+        decision = report.scheduler.placements.get(source)
         if decision is None:
             violated(
                 "CHS-PLACE-DECIDE",

@@ -1,10 +1,10 @@
 """The fleet a serving deployment schedules against.
 
-A deployment runs several devices, each hosting a bounded number of
-co-resident Reconfigurable Solver instances (:class:`FleetSpec`).  The
-serving scheduler (:mod:`repro.serve`) charges simulated device time
-against these slots, so tenancy limits bound in-flight batches exactly
-the way fabric area bounds co-running kernels.
+A deployment runs one device hosting a bounded number of co-resident
+Reconfigurable Solver instances (:class:`FleetSpec`).  The serving
+scheduler (:mod:`repro.serve`) charges simulated device time against
+these slots, so tenancy limits bound in-flight batches exactly the way
+fabric area bounds co-running kernels.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from repro.config import check_integer_fields
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FleetSpec:
-    """A serving deployment: ``devices`` FPGAs × solver slots per device.
+    """A serving deployment: one FPGA with ``slots_per_device`` solver slots.
 
     A *slot* is one co-resident Reconfigurable Solver instance — an SpMV
     region provisioned up to the configured maximum unroll plus its
@@ -36,16 +36,15 @@ class FleetSpec:
     dispatchable slot overall.
     """
 
-    devices: int = 1
     slots_per_device: int = 4
     gpu_tenants: int = 0
     cpu_assist: bool = False
 
     def __post_init__(self) -> None:
         check_integer_fields(self, (
-            ("devices", 1), ("slots_per_device", 0), ("gpu_tenants", 0)
+            ("slots_per_device", 0), ("gpu_tenants", 0)
         ))
-        if self.devices * self.slots_per_device + self.gpu_tenants < 1:
+        if self.slots_per_device + self.gpu_tenants < 1:
             raise ConfigurationError(
                 "fleet needs at least one dispatchable slot "
                 "(FPGA slots + GPU tenants)"
@@ -53,10 +52,10 @@ class FleetSpec:
 
     @property
     def total_slots(self) -> int:
-        """Concurrent FPGA solver instances across the fleet.
+        """Concurrent FPGA solver instances in the fleet.
 
         GPU tenants are counted separately, so fleets with
         ``gpu_tenants=0`` keep byte-identical accounting with
         pre-placement reports.
         """
-        return self.devices * self.slots_per_device
+        return self.slots_per_device

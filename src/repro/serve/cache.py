@@ -23,9 +23,9 @@ right-hand sides), so the service keys a cache on a pattern hash:
 
 ``plan_signature(plan)``
     SHA-256 over the per-set ``(start_row, stop_row, unroll)`` schedule.
-    Two matrices with different fingerprints can still share a
-    signature; the scheduler batches on it because equal signatures mean
-    the fabric needs no reconfiguration between their sweeps.
+    Slot residency is tracked by it: a batch whose signature matches
+    the one a slot was last configured with needs no configuration load
+    there.  Batches themselves group by fingerprint.
 
 The cache itself is a bounded LRU of fingerprints: a hit only has to
 record that the structure was analyzed, because every decision it lets
@@ -98,10 +98,6 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def peek(self, fingerprint: str) -> bool:
-        """Look up without touching LRU order or hit/miss stats."""
-        return fingerprint in self._entries
 
     def get(self, fingerprint: str) -> bool:
         if fingerprint not in self._entries:

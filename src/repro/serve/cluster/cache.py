@@ -10,7 +10,7 @@ time against the virtual clock:
 
 ``remote hit``
     Some other fleet published the fingerprint to the cluster
-    directory.  The batch pays one ``remote_fetch_s`` transfer
+    directory.  The batch pays one :data:`REMOTE_FETCH_MS` transfer
     (host-tier RPC + plan blob copy, the CPU–FPGA division of labor
     keeps this off-device) and the fingerprint is installed into the
     local LRU so the next hit is free.
@@ -39,6 +39,9 @@ from repro.serve.cache import PlanCache
 LOCAL_HIT = "local"
 REMOTE_HIT = "remote"
 MISS = "miss"
+
+REMOTE_FETCH_MS = 0.25
+"""Modeled cost of one remote hit, in ms."""
 
 
 @dataclass
@@ -70,11 +73,8 @@ class TierStats:
 class TieredPlanCache:
     """Cluster directory plus per-fleet local LRUs with a cost ladder."""
 
-    def __init__(
-        self, local_capacity: int = 256, remote_fetch_s: float = 250e-6
-    ) -> None:
+    def __init__(self, local_capacity: int = 256) -> None:
         self.local_capacity = local_capacity
-        self.remote_fetch_s = remote_fetch_s
         self.directory: set[str] = set()
         self.publishes = 0
         self.stats = TierStats()
@@ -116,7 +116,7 @@ class TieredPlanCache:
         if fingerprint in self.directory:
             self.stats.remote_hits += 1
             local.put(fingerprint)
-            return REMOTE_HIT, self.remote_fetch_s
+            return REMOTE_HIT, REMOTE_FETCH_MS * 1e-3
         self.stats.misses += 1
         return MISS, 0.0
 
@@ -134,6 +134,6 @@ class TieredPlanCache:
             "publishes": self.publishes,
             "local_capacity": self.local_capacity,
             "local_evictions": self.local_evictions(),
-            "remote_fetch_ms": round(self.remote_fetch_s * 1e3, 9),
+            "remote_fetch_ms": REMOTE_FETCH_MS,
             "lookups": self.stats.as_dict(),
         }

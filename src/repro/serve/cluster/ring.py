@@ -10,7 +10,7 @@ fingerprints when ``N`` fleets remain — so a drain or a join costs a
 bounded cold-miss burst instead of a cluster-wide cache wipe.
 
 Construction is the textbook scheme: each fleet contributes
-``vnodes`` tokens (SHA-256 of ``"fleet:{id}:{replica}"``, first 8 bytes
+:data:`VNODES` tokens (SHA-256 of ``"fleet:{id}:{replica}"``, first 8 bytes
 as a big-endian integer) onto a ``2^64`` ring; a key hashes the same way
 and is owned by the first token clockwise.  Everything is integer
 arithmetic over sorted lists — no floats, no process-salted ``hash()``
@@ -24,7 +24,7 @@ import hashlib
 
 from repro.errors import ConfigurationError
 
-DEFAULT_VNODES = 64
+VNODES = 64
 """Tokens per fleet.  More virtual nodes smooth the arc-length spread
 (load balance across fleets) at the cost of a longer sorted token list."""
 
@@ -36,12 +36,7 @@ def _token(text: str) -> int:
 class HashRing:
     """Consistent-hash ring mapping string keys to integer fleet ids."""
 
-    def __init__(self, vnodes: int = DEFAULT_VNODES) -> None:
-        if vnodes < 1:
-            raise ConfigurationError(
-                f"vnodes must be >= 1, got {vnodes}"
-            )
-        self.vnodes = vnodes
+    def __init__(self) -> None:
         self._tokens: list[int] = []
         self._owners: list[int] = []
         self._members: set[int] = set()
@@ -60,7 +55,7 @@ class HashRing:
         if fleet_id in self._members:
             return
         self._members.add(fleet_id)
-        for replica in range(self.vnodes):
+        for replica in range(VNODES):
             token = _token(f"fleet:{fleet_id}:{replica}")
             at = bisect.bisect_left(self._tokens, token)
             # SHA-256 collisions across distinct vnode labels are not a

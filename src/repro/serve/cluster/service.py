@@ -70,7 +70,7 @@ from repro.serve.cluster.autoscale import (
     IntervalSignals,
     ScaleAction,
 )
-from repro.serve.cluster.cache import MISS, TieredPlanCache
+from repro.serve.cluster.cache import MISS, REMOTE_FETCH_MS, TieredPlanCache
 from repro.serve.cluster.events import (
     EVENT_EPOCH,
     EVENT_FLEET_FAULT,
@@ -78,7 +78,7 @@ from repro.serve.cluster.events import (
     EVENT_FORCED_SCALE,
     TimerWheel,
 )
-from repro.serve.cluster.ring import DEFAULT_VNODES, HashRing
+from repro.serve.cluster.ring import VNODES, HashRing
 from repro.serve.cluster.trace import RequestTrace
 from repro.serve.loadgen import LoadSpec
 from repro.serve.profile import DISPATCH_OVERHEAD_SECONDS, SolveProfile
@@ -87,6 +87,10 @@ from repro.serve.stats import format_latency_ms, latency_summary_ms
 from repro.telemetry import Telemetry, percentile
 
 CLUSTER_SCHEMA_VERSION = 1
+
+EPOCH_S = 1.0
+"""Length of one epoch, which is also the autoscaler's evaluation
+interval, in seconds."""
 
 
 @dataclass(frozen=True)
@@ -138,12 +142,8 @@ class ClusterConfig:
     batch_fill_ms: float = 40.0
     queue_capacity: int = 4096
     cache_capacity: int = 256
-    remote_fetch_ms: float = 0.25
-    interval_s: float = 1.0
-    vnodes: int = DEFAULT_VNODES
     affinity_routing: bool = True
     autoscale: bool = True
-    policy: AutoscalerPolicy = field(default_factory=AutoscalerPolicy)
     workers: int = 1
     fleet_faults: tuple[FleetFaultEvent, ...] = ()
     forced_scale: tuple[ForcedScaleEvent, ...] = ()
@@ -153,7 +153,7 @@ class ClusterConfig:
             ("min_fleets", 1), ("initial_fleets", 1), ("max_fleets", 1),
             ("slots_per_fleet", 0), ("gpu_tenants_per_fleet", 0),
             ("max_batch", 1), ("queue_capacity", 1), ("cache_capacity", 1),
-            ("vnodes", 1), ("workers", 1),
+            ("workers", 1),
         ))
         if self.max_gpu_tenants is not None:
             check_integer_fields(self, (("max_gpu_tenants", 0),))
@@ -170,21 +170,15 @@ class ClusterConfig:
                 "a fleet needs at least one dispatchable slot "
                 "(slots_per_fleet + gpu_tenants_per_fleet >= 1)"
             )
-        if not (math.isfinite(self.interval_s) and self.interval_s > 0):
+        if not (math.isfinite(self.batch_fill_ms) and self.batch_fill_ms >= 0):
             raise ConfigurationError(
-                f"interval_s must be a finite number > 0, got {self.interval_s}"
+                "batch_fill_ms must be a finite number >= 0, got "
+                f"{self.batch_fill_ms}"
             )
-        for name in ("batch_fill_ms", "remote_fetch_ms"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(
-                    f"{name} must be a finite number >= 0, got {value}"
-                )
-        if self.batch_fill_ms * 1e-3 >= self.interval_s:
+        if self.batch_fill_ms * 1e-3 >= EPOCH_S:
             raise ConfigurationError(
                 "batch fill window must be shorter than the epoch "
-                f"interval, got {self.batch_fill_ms} ms vs "
-                f"{self.interval_s} s"
+                f"interval, got {self.batch_fill_ms} ms vs {EPOCH_S} s"
             )
 
     @property
@@ -205,12 +199,12 @@ class ClusterConfig:
             "batch_fill_ms": self.batch_fill_ms,
             "queue_capacity": self.queue_capacity,
             "cache_capacity": self.cache_capacity,
-            "remote_fetch_ms": self.remote_fetch_ms,
-            "interval_s": self.interval_s,
-            "vnodes": self.vnodes,
+            "remote_fetch_ms": REMOTE_FETCH_MS,
+            "interval_s": EPOCH_S,
+            "vnodes": VNODES,
             "affinity_routing": self.affinity_routing,
             "autoscale": self.autoscale,
-            "policy": self.policy.as_dict(),
+            "policy": AutoscalerPolicy().as_dict(),
             "fleet_faults": len(self.fleet_faults),
             "forced_scale": len(self.forced_scale),
         }
@@ -615,18 +609,15 @@ class _ClusterSimulation:
         self.placed_class = [
             d.device_class if d else FPGA for d in self.placements
         ]
-        self.ring = HashRing(vnodes=config.vnodes)
+        self.ring = HashRing()
         self.route_map = np.full(self.n_sources, -1, dtype=np.int64)
         self.fleets: dict[int, FleetState] = {}
         self.next_fleet_id = 0
         # The simulation's only read of ``cache_capacity``: the DSE
         # shares one run across capacities at or above the number of
         # distinct fingerprints, since a local tier then never evicts.
-        self.cache = TieredPlanCache(
-            local_capacity=config.cache_capacity,
-            remote_fetch_s=config.remote_fetch_ms * 1e-3,
-        )
-        self.autoscaler = Autoscaler(config.policy)
+        self.cache = TieredPlanCache(local_capacity=config.cache_capacity)
+        self.autoscaler = Autoscaler()
         self.wheel = TimerWheel()
         self.counts = {
             "completed": 0,
@@ -1105,14 +1096,14 @@ class _ClusterSimulation:
 
     # -- signals -------------------------------------------------------
 
-    def _signals(self, at_s: float, interval_s: float) -> IntervalSignals:
+    def _signals(self, at_s: float) -> IntervalSignals:
         alive = [f for f in self.fleets.values() if f.alive]
         depths = [float(f.backlog) for f in alive]
         busy_slot_s = 0.0
         slot_count = 0
         for fleet in alive:
             busy_slot_s += sum(
-                min(max(free - at_s, 0.0), interval_s)
+                min(max(free - at_s, 0.0), EPOCH_S)
                 for free in fleet.slot_free
             )
             slot_count += fleet.slots
@@ -1125,7 +1116,7 @@ class _ClusterSimulation:
             queue_depth_p90=percentile(depths, 90.0),
             shed_rate=shed / arrivals if arrivals else 0.0,
             busy_fraction=(
-                busy_slot_s / (slot_count * interval_s)
+                busy_slot_s / (slot_count * EPOCH_S)
                 if slot_count else 0.0
             ),
         )
@@ -1145,7 +1136,6 @@ class _ClusterSimulation:
 
     def run(self, duration_s: float) -> None:
         config = self.config
-        interval = config.interval_s
         drain_limit = duration_s * DRAIN_LIMIT_FACTOR
         for _ in range(config.initial_fleets):
             self._add_fleet(0.0)
@@ -1168,7 +1158,7 @@ class _ClusterSimulation:
                 continue
             epoch = int(event.payload)
             t0 = event.at_s
-            t1 = round((epoch + 1) * interval, 9)
+            t1 = round((epoch + 1) * EPOCH_S, 9)
             self._retire_idle(t0)
             self._expire(t0)
             hi = int(np.searchsorted(arrivals, t1, side="left"))
@@ -1179,7 +1169,7 @@ class _ClusterSimulation:
                 if fleet.alive:
                     self._dispatch_fleet(fleet, t1)
             self.queue_depth_samples.append(self.total_backlog())
-            signals = self._signals(t1, interval)
+            signals = self._signals(t1)
             if config.autoscale and t1 <= duration_s:
                 alive = len(
                     [f for f in self.fleets.values()

@@ -71,10 +71,7 @@ class LoadSpec:
     def __post_init__(self) -> None:
         validate_seed(self.seed)
         validate_traffic(
-            self.mix,
-            self.duration_s,
-            self.rate_rps,
-            deadline_ms=self.deadline_ms,
+            self.mix, self.duration_s, self.rate_rps, self.deadline_ms
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -104,17 +101,22 @@ def validate_seed(seed: int) -> None:
 
 
 def validate_traffic(
-    mix: str, duration_s: float, rate_rps: float, **others: float
+    mix: str, duration_s: float, rate_rps: float, deadline_ms: float
 ) -> None:
     """Reject a traffic regime the generators cannot run.
 
     Shared by :class:`LoadSpec` and the DSE ``TrafficSpec``.  Every
     value must be a finite number and not a ``bool``: a NaN or infinite
     rate or duration never ends the arrival loop (or allocates until
-    memory runs out), and a NaN deadline never expires.  The duration
-    and the rate must also be positive.
+    memory runs out), and a NaN deadline never expires.  All three must
+    also be positive: a deadline at or before the arrival sheds every
+    interactive request at admission.
     """
-    values = {"duration_s": duration_s, "rate_rps": rate_rps, **others}
+    values = {
+        "duration_s": duration_s,
+        "rate_rps": rate_rps,
+        "deadline_ms": deadline_ms,
+    }
     for name, value in values.items():
         if (
             isinstance(value, bool)
@@ -128,6 +130,8 @@ def validate_traffic(
         raise ConfigurationError(f"duration must be > 0 s, got {duration_s}")
     if rate_rps <= 0:
         raise ConfigurationError(f"rate must be > 0 rps, got {rate_rps}")
+    if deadline_ms <= 0:
+        raise ConfigurationError(f"deadline must be > 0 ms, got {deadline_ms}")
     if mix not in TRAFFIC_MIXES:
         raise ConfigurationError(
             f"unknown traffic mix {mix!r}; expected one of {TRAFFIC_MIXES}"

@@ -6,8 +6,7 @@ compatible requests and places them on fleet slots
 time so tenancy limits genuinely bound concurrency.
 
 Compatibility follows the fabric, not the client: requests whose
-matrices share a structure fingerprint — or, once their analysis is
-cached, a reconfiguration-plan *signature* — can run back-to-back on one
+matrices share a structure fingerprint can run back-to-back on one
 Reconfigurable Solver instance with no reconfiguration between them.
 Batching therefore amortizes exactly the costs Acamar's decision loops
 amortize: the structure analysis is charged once per cold batch, the
@@ -142,9 +141,17 @@ class MicroBatchScheduler:
     error string when profiling failed); the service resolves it before
     the simulation loop.  ``cache`` is ``None`` when serving runs
     cache-less (``--no-cache``) — batching still amortizes within a
-    batch, but every batch re-runs the analysis.  The scheduler must be
-    the cache's only writer during a run: it memoizes group keys and
-    drops them on its own ``put`` (see :meth:`group_key`).
+    batch, but every batch re-runs the analysis.
+
+    Two per-source tables are built once, from the profiles and the
+    fleet's tenancy mix, and stay fixed for the run: ``placements``
+    (the :func:`~repro.placement.decide_placement` result of every
+    profiled source) and ``batch_keys``.  A batch key is the source's
+    structure fingerprint plus its placement's device class, so only
+    requests bound for the same backend share a micro-batch and the
+    batch's charge model is unambiguous.  A failed profile is keyed by
+    its source, so one poisoned source cannot contaminate a healthy
+    batch.
     """
 
     fleet: FleetSpec
@@ -183,67 +190,26 @@ class MicroBatchScheduler:
                 )
                 for j in range(self.fleet.gpu_tenants)
             ]
-        self._placements: dict[str, PlacementDecision] = {}
-        self._group_keys: dict[str, tuple[str, str, str]] = {}
-
-    # -- placement decisions ------------------------------------------
-
-    def placement_for(self, source: str) -> PlacementDecision | None:
-        """Memoized per-source placement (``None`` for failed profiles).
-
-        Decisions are pure functions of the profile and the fleet's
-        tenancy mix, so memoization is a pure speedup — every run,
-        machine and worker count computes the identical placement.
-        """
-        if source in self._placements:
-            return self._placements[source]
-        profile = self.profiles[source]
-        if isinstance(profile, str):
-            return None
-        decision = decide_placement(
-            profile,
-            fpga_slots=self.fleet.total_slots,
-            gpu_tenants=self.fleet.gpu_tenants,
-            max_batch=self.max_batch,
-        )
-        self._placements[source] = decision
-        return decision
-
-    @property
-    def _default_class(self) -> str:
-        """Device class for batches with no profile (failed analyses)."""
-        return FPGA if self.fleet.total_slots > 0 else GPU
+        self.placements: dict[str, PlacementDecision] = {}
+        self.batch_keys: dict[str, tuple[str, str, str]] = {}
+        # A failed profile has no placement: its batch goes to the FPGA
+        # pool, or to the GPU tenants of a GPU-only fleet.
+        failed_class = FPGA if self.fleet.total_slots > 0 else GPU
+        for source, profile in self.profiles.items():
+            if isinstance(profile, str):
+                self.batch_keys[source] = ("error", source, failed_class)
+                continue
+            decision = self.placements[source] = decide_placement(
+                profile,
+                fpga_slots=self.fleet.total_slots,
+                gpu_tenants=self.fleet.gpu_tenants,
+                max_batch=self.max_batch,
+            )
+            self.batch_keys[source] = (
+                "fp", profile.fingerprint, decision.device_class
+            )
 
     # -- batch formation ----------------------------------------------
-
-    def group_key(self, queued: QueuedRequest) -> tuple[str, str, str]:
-        """Compatibility key: plan signature when cached, else fingerprint.
-
-        A fingerprint's plan signature is only *known* to the service
-        once its analysis ran and is cached, so signature-level merging
-        (batching different structures that share a schedule) engages
-        for warm traffic only.  Failed profiles group by source so one
-        poisoned source cannot contaminate a healthy batch.
-
-        The third element is the placement's device class: requests
-        bound for different backends never share a micro-batch, so the
-        batch's charge model is unambiguous.
-
-        A key depends only on the source's profile and placement (both
-        fixed for a run) and on whether the cache holds its fingerprint,
-        which only :meth:`_serve_batch`'s ``put`` changes (it is also the
-        only place an eviction happens).  :meth:`dispatch` therefore
-        memoizes keys per source and drops the memo on every ``put``;
-        without a cache, keys never change.
-        """
-        profile = self.profiles[queued.request.source]
-        if isinstance(profile, str):
-            return ("error", queued.request.source, self._default_class)
-        placed = self.placement_for(queued.request.source)
-        device_class = placed.device_class if placed else self._default_class
-        if self.cache is not None and self.cache.peek(profile.fingerprint):
-            return ("plan", profile.plan_signature, device_class)
-        return ("fp", profile.fingerprint, device_class)
 
     def _ripe(self, members: list[QueuedRequest], now: float) -> bool:
         """Is the group full, interactive-headed, or older than the window?
@@ -361,9 +327,6 @@ class MicroBatchScheduler:
         batch_warm = cache is not None and cache.get(profile.fingerprint)
         if cache is not None and not batch_warm:
             cache.put(profile.fingerprint)
-            # The put may add this fingerprint and evict others: every
-            # memoized group key may be stale now.
-            self._group_keys.clear()
         cpu_assist = self.fleet.cpu_assist
         if not batch_warm and cpu_assist:
             tm.count("placement.cpu_assist_offloads")
@@ -497,11 +460,12 @@ class MicroBatchScheduler:
         groups.
 
         Each placement re-forms the groups from the remaining queue,
-        because a cold batch's ``put`` can merge groups, and places the
-        first ripe group whose device class has a free slot: a class
-        with none skips the group rather than ending the tick.  The free
-        slots are found once per tick and a slot leaves the list when
-        its batch makes it busy.
+        because the members a group leaves behind past ``max_batch`` keep
+        their queue position (which moves the group's place in the order
+        and can change its ripeness), and places the first ripe group
+        whose device class has a free slot: a class with none skips the
+        group rather than ending the tick.  The free slots are found once
+        per tick and a slot leaves the list when its batch makes it busy.
         """
         if self._faults_applied < len(self.device_faults):
             self.apply_device_faults(now)
@@ -511,7 +475,7 @@ class MicroBatchScheduler:
         if not free:
             return [], queue, next_batch_id
         profiles = self.profiles
-        keys = self._group_keys
+        keys = self.batch_keys
         max_batch = self.max_batch
         with_cache = self.cache is not None
         responses: list[SolveResponse] = []
@@ -519,10 +483,7 @@ class MicroBatchScheduler:
         while remaining and free:
             groups: dict[tuple[str, str, str], list[QueuedRequest]] = {}
             for queued in remaining:
-                source = queued.request.source
-                key = keys.get(source)
-                if key is None:
-                    key = keys[source] = self.group_key(queued)
+                key = keys[queued.request.source]
                 members = groups.get(key)
                 if members is None:
                     groups[key] = [queued]

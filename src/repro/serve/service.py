@@ -4,8 +4,8 @@ virtual clock.
 :func:`run_service` consumes a request log (usually from
 :mod:`repro.serve.loadgen`) and produces a :class:`ServingReport`.  The
 simulation is **discrete-event over scheduling ticks**: virtual time
-advances in fixed quanta (``tick_ms``); each tick admits the arrivals it
-covers, expires lapsed deadlines, and lets the scheduler place ripe
+advances in fixed quanta (:data:`TICK_MS`); each tick admits the arrivals
+it covers, expires lapsed deadlines, and lets the scheduler place ripe
 micro-batches on free fleet slots.  Ticks on which the queue is empty
 and nothing arrives or faults are skipped in one step: nothing could
 happen on them.  All latencies are simulated —
@@ -57,6 +57,9 @@ DRAIN_LIMIT_FACTOR = 20.0
 """The simulator refuses to run past ``duration * factor`` draining a
 queue that cannot empty; survivors are shed with an explicit response."""
 
+TICK_MS = 0.5
+"""Length of one scheduling tick of :func:`run_service`, in ms."""
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -65,7 +68,6 @@ class ServiceConfig:
     queue_capacity: int = 64
     max_batch: int = 8
     batch_window_ms: float = 1.0
-    tick_ms: float = 0.5
     cache_enabled: bool = True
     cache_capacity: int = 256
     fleet: FleetSpec = field(default_factory=FleetSpec)
@@ -83,14 +85,11 @@ class ServiceConfig:
                 "batch_window_ms must be a finite number >= 0, got "
                 f"{self.batch_window_ms}"
             )
-        if not (math.isfinite(self.tick_ms) and self.tick_ms > 0):
-            raise ConfigurationError(
-                f"tick_ms must be a finite number > 0, got {self.tick_ms}"
-            )
 
     def as_dict(self) -> dict[str, Any]:
+        # A fleet is one device; the key keeps the report schema.
         fleet: dict[str, Any] = {
-            "devices": self.fleet.devices,
+            "devices": 1,
             "slots_per_device": self.fleet.slots_per_device,
             "total_slots": self.fleet.total_slots,
         }
@@ -104,7 +103,7 @@ class ServiceConfig:
             "queue_capacity": self.queue_capacity,
             "max_batch": self.max_batch,
             "batch_window_ms": self.batch_window_ms,
-            "tick_ms": self.tick_ms,
+            "tick_ms": TICK_MS,
             "cache_enabled": self.cache_enabled,
             "cache_capacity": self.cache_capacity,
             "fleet": fleet,
@@ -248,12 +247,7 @@ class ServingReport:
         """Per-source decisions plus the Table-II-style scenario matrix."""
         from repro.placement import placement_section
 
-        decisions = {}
-        for source, profile in self.scheduler.profiles.items():
-            if isinstance(profile, str):
-                continue
-            decisions[source] = self.scheduler.placement_for(source)
-        return placement_section(decisions)
+        return placement_section(self.scheduler.placements)
 
     def _fleet_by_class(self) -> dict[str, Any]:
         """Busy-time and batch accounting split by device class."""
@@ -469,7 +463,7 @@ def run_service(
         )
         responses: list[SolveResponse] = []
         queue_depth_samples: list[int] = []
-        tick = service_config.tick_ms * 1e-3
+        tick = TICK_MS * 1e-3
         total = len(requests)
         arrivals = [request.arrival_s for request in requests]
         duration = arrivals[-1] if requests else 0.0

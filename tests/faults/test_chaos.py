@@ -74,6 +74,25 @@ class TestServeProfile:
         assert requests["unaccounted"] == 0
         assert requests["shed"] + requests["expired"] > 0
         assert outcome.observed["cache"]["lookups"]["evictions"] > 0
+        assert outcome.observed["queue"]["preemptions"] >= 1
+
+    def test_preempts_without_a_queue_full_shed(self):
+        # Seed 16 sheds nothing for a full queue, so its preemptions
+        # come from priority alone.
+        outcome = run_serve_profile(FaultPlan(16))
+        assert outcome.clean, [f.render() for f in outcome.findings]
+        assert outcome.observed["queue"]["shed_full"] == 0
+        assert outcome.observed["queue"]["preemptions"] >= 1
+
+    def test_detects_a_run_without_preemption(self, monkeypatch):
+        import repro.faults.plan as plan
+
+        # At a queue of 8, seed 0 never preempts.
+        monkeypatch.setattr(plan, "SERVE_QUEUE_CAPACITY", 8)
+        outcome = run_serve_profile(FaultPlan(0))
+        assert outcome.observed["queue"]["preemptions"] == 0
+        assert [f.check for f in outcome.findings] == ["CHS-SERVE-PRESSURE"]
+        assert "preempted no request" in outcome.findings[0].message
 
     def test_detects_unaccounted_requests(self, monkeypatch):
         import repro.faults.runner as runner

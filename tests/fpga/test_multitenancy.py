@@ -10,23 +10,21 @@ class TestFleetSpec:
         from repro.fpga.multitenancy import FleetSpec
 
         fleet = FleetSpec()
-        assert fleet.devices == 1
         assert fleet.slots_per_device == 4
         assert fleet.total_slots == 4
-        assert FleetSpec(devices=3, slots_per_device=2).total_slots == 6
+        assert FleetSpec(slots_per_device=2).total_slots == 2
 
     def test_validation(self):
         from repro.fpga.multitenancy import FleetSpec
 
         with pytest.raises(ConfigurationError):
-            FleetSpec(devices=0)
-        with pytest.raises(ConfigurationError):
             FleetSpec(slots_per_device=0)
+        # Keyword-only: ``FleetSpec(1, 1)`` once meant one device with
+        # one slot, and must not silently mean one slot plus a GPU tenant.
+        with pytest.raises(TypeError):
+            FleetSpec(1, 1)
 
     @pytest.mark.parametrize("field, value", [
-        ("devices", 1.5),
-        ("devices", True),
-        ("devices", 0),
         ("slots_per_device", 2.0),
         ("slots_per_device", -1),
         ("gpu_tenants", 0.5),

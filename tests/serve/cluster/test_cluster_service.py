@@ -45,19 +45,14 @@ class TestValidation:
             ClusterConfig(min_fleets=0)
 
     def test_fill_window_must_fit_in_epoch(self):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(batch_fill_ms=1500.0, interval_s=1.0)
+        with pytest.raises(ConfigurationError, match="shorter than the epoch"):
+            ClusterConfig(batch_fill_ms=1000.0)
+        ClusterConfig(batch_fill_ms=999.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("interval_s", math.nan),
-        ("interval_s", math.inf),
-        ("interval_s", 0.0),
         ("batch_fill_ms", math.nan),
         ("batch_fill_ms", math.inf),
         ("batch_fill_ms", -1.0),
-        ("remote_fetch_ms", math.nan),
-        ("remote_fetch_ms", math.inf),
-        ("remote_fetch_ms", -1.0),
     ])
     def test_time_knobs_must_be_finite(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
@@ -78,7 +73,6 @@ class TestValidation:
         ("queue_capacity", True),
         ("cache_capacity", 0),
         ("cache_capacity", 8.0),
-        ("vnodes", 0),
         ("workers", 1.5),
     ])
     def test_integer_knobs_checked_at_construction(self, field, value):
@@ -281,7 +275,7 @@ class TestAutoscaling:
             i for i, d in enumerate(decisions)
             if d.action is not ScaleAction.HOLD
         ]
-        cooldown = report.config.policy.cooldown_intervals
+        cooldown = report.autoscaler.policy.cooldown_intervals
         for a, b in zip(fired, fired[1:]):
             assert b - a >= cooldown + 1
 

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.cluster.ring import DEFAULT_VNODES, HashRing
+from repro.serve.cluster.ring import HashRing
 
 
 def keys(n):
     return [f"fingerprint:{i:05d}" for i in range(n)]
 
 
-def build(members, vnodes=DEFAULT_VNODES):
-    ring = HashRing(vnodes=vnodes)
+def build(members):
+    ring = HashRing()
     for fleet_id in members:
         ring.add(fleet_id)
     return ring
@@ -21,10 +21,6 @@ class TestMembership:
     def test_empty_ring_refuses_to_route(self):
         with pytest.raises(ConfigurationError):
             HashRing().owner("k")
-
-    def test_vnodes_validated(self):
-        with pytest.raises(ConfigurationError):
-            HashRing(vnodes=0)
 
     def test_add_is_idempotent(self):
         ring = build([1, 2])

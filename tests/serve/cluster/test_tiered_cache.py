@@ -3,33 +3,36 @@
 from repro.serve.cluster.cache import (
     LOCAL_HIT,
     MISS,
+    REMOTE_FETCH_MS,
     REMOTE_HIT,
     TieredPlanCache,
     TierStats,
 )
 
+REMOTE_FETCH_S = REMOTE_FETCH_MS * 1e-3
+
 
 class TestCostLadder:
     def test_miss_then_publish_then_local_hit(self):
-        cache = TieredPlanCache(local_capacity=4, remote_fetch_s=250e-6)
+        cache = TieredPlanCache(local_capacity=4)
         assert cache.lookup(1, "fp-a") == (MISS, 0.0)
         cache.publish(1, "fp-a")
         assert cache.lookup(1, "fp-a") == (LOCAL_HIT, 0.0)
 
     def test_remote_hit_charges_fetch_and_installs_locally(self):
-        cache = TieredPlanCache(local_capacity=4, remote_fetch_s=250e-6)
+        cache = TieredPlanCache(local_capacity=4)
         cache.publish(1, "fp-a")
         # Fleet 2 never saw fp-a: directory hit, one fetch charge...
-        assert cache.lookup(2, "fp-a") == (REMOTE_HIT, 250e-6)
+        assert cache.lookup(2, "fp-a") == (REMOTE_HIT, REMOTE_FETCH_S)
         # ...and the install makes the next lookup free.
         assert cache.lookup(2, "fp-a") == (LOCAL_HIT, 0.0)
 
     def test_local_eviction_degrades_to_remote_not_miss(self):
-        cache = TieredPlanCache(local_capacity=1, remote_fetch_s=1e-3)
+        cache = TieredPlanCache(local_capacity=1)
         cache.publish(1, "fp-a")
         cache.publish(1, "fp-b")  # capacity 1: evicts fp-a locally
         assert cache.local_entries(1) == 1
-        assert cache.lookup(1, "fp-a") == (REMOTE_HIT, 1e-3)
+        assert cache.lookup(1, "fp-a") == (REMOTE_HIT, REMOTE_FETCH_S)
 
     def test_publish_is_idempotent_in_the_directory(self):
         cache = TieredPlanCache(local_capacity=4)

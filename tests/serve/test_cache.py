@@ -65,26 +65,16 @@ class TestPlanCache:
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
-    def test_peek_does_not_touch_stats_or_order(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a")
-        cache.put("b")
-        assert cache.peek("a") is True
-        assert cache.stats.hits == 0
-        cache.put("c")  # peek must not have refreshed "a"
-        assert cache.peek("a") is False
-        assert cache.peek("b") is True
-
     def test_lru_eviction_order(self):
         cache = PlanCache(capacity=2)
         cache.put("a")
         cache.put("b")
         cache.get("a")  # refresh: "b" is now least recently used
         cache.put("c")
-        assert not cache.peek("b")
-        assert cache.peek("a")
         assert cache.stats.evictions == 1
         assert len(cache) == 2
+        assert cache.get("b") is False
+        assert cache.get("a") is True
 
     def test_put_existing_updates_in_place(self):
         # A repeated put refreshes the fingerprint's LRU position
@@ -96,5 +86,5 @@ class TestPlanCache:
         assert len(cache) == 2
         assert cache.stats.evictions == 0
         cache.put("c")
-        assert not cache.peek("b")
-        assert cache.peek("a")
+        assert cache.get("b") is False
+        assert cache.get("a") is True

@@ -53,6 +53,16 @@ class TestLoadSpec:
         with pytest.raises(ConfigurationError):
             LoadSpec(mix="mystery")
 
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    @pytest.mark.parametrize(
+        "build", [LoadSpec, cluster_trace_spec, traffic_spec]
+    )
+    def test_deadline_must_be_positive(self, build, value):
+        # One rule for every traffic spec: a deadline at or before the
+        # arrival would shed every interactive request at admission.
+        with pytest.raises(ConfigurationError, match="deadline must be > 0 ms"):
+            build(deadline_ms=value)
+
 
 class TestNonFiniteTraffic:
     """NaN and infinite values never reach a generator loop."""

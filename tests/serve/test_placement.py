@@ -54,7 +54,7 @@ CLUSTER_GOLD = {
 }
 
 MIXED_FLEET = FleetSpec(
-    devices=1, slots_per_device=2, gpu_tenants=2, cpu_assist=True
+    slots_per_device=2, gpu_tenants=2, cpu_assist=True
 )
 
 
@@ -78,7 +78,7 @@ class TestForcedSingleBackend:
     """gpu_tenants=0 must reproduce the pre-PR reports exactly."""
 
     def test_serve_gold_values(self):
-        doc = _serve_report(FleetSpec(devices=1, slots_per_device=3)).as_dict()
+        doc = _serve_report(FleetSpec(slots_per_device=3)).as_dict()
         assert doc["requests"]["completed"] == SERVE_GOLD["completed"]
         assert doc["latency_ms"]["overall"]["p50"] == SERVE_GOLD["p50_ms"]
         assert doc["latency_ms"]["overall"]["p99"] == SERVE_GOLD["p99_ms"]
@@ -88,7 +88,7 @@ class TestForcedSingleBackend:
         assert doc["cache"]["hit_rate"] == SERVE_GOLD["hit_rate"]
 
     def test_serve_schema_parity(self):
-        doc = _serve_report(FleetSpec(devices=1, slots_per_device=3)).as_dict()
+        doc = _serve_report(FleetSpec(slots_per_device=3)).as_dict()
         assert "placement" not in doc
         assert "gpu_tenants" not in doc["serving"]["fleet"]
         assert "cpu_assist" not in doc["serving"]["fleet"]
@@ -187,7 +187,7 @@ class TestMixedFleetDecisions:
 
     def test_single_backend_decisions_are_forced(self):
         doc = _serve_report(
-            FleetSpec(devices=1, slots_per_device=0, gpu_tenants=2)
+            FleetSpec(slots_per_device=0, gpu_tenants=2)
         ).as_dict()
         for decision in doc["placement"]["sources"].values():
             assert decision["device_class"] == GPU
@@ -248,7 +248,7 @@ class TestClassScopedFaults:
 
     def test_fault_for_absent_class_is_consumed_without_effect(self):
         scheduler = MicroBatchScheduler(
-            fleet=FleetSpec(devices=1, slots_per_device=2),
+            fleet=FleetSpec(slots_per_device=2),
             profiles={},
             device_faults=(
                 DeviceFaultEvent(at_s=1.0, slot=0, outage_s=0.5,

@@ -57,7 +57,7 @@ def queued(rid, source, priority=Priority.BATCH, arrival=0.0, admitted=0.0):
 
 def make_scheduler(cache=None, slots=2, max_batch=4, window=1e-3):
     return MicroBatchScheduler(
-        fleet=FleetSpec(devices=1, slots_per_device=slots),
+        fleet=FleetSpec(slots_per_device=slots),
         profiles=dict(PROFILES),
         cache=cache,
         max_batch=max_batch,
@@ -211,14 +211,22 @@ class TestCostCharging:
         assert still == remaining
 
 
-class TestGroupKeyMemo:
-    """Memoized group keys must follow the cache, and slots the plan."""
+class TestBatchKeys:
+    """Batches group by fingerprint, and slots match on the plan."""
 
-    def test_cached_fingerprints_merge_on_their_plan_signature(self):
+    def test_keys_are_fixed_per_source(self):
+        scheduler = make_scheduler(cache=PlanCache(capacity=8))
+        assert scheduler.batch_keys == {
+            "A": ("fp", "fp-a", "fpga"),
+            "B": ("fp", "fp-b", "fpga"),
+            "C": ("fp", "fp-c", "fpga"),
+            "bad": ("error", "bad", "fpga"),
+        }
+        assert sorted(scheduler.placements) == ["A", "B", "C"]
+
+    def test_cached_fingerprints_sharing_a_plan_still_batch_apart(self):
         # A and B share a plan signature under different fingerprints.
-        # Each first runs alone and cold, so its key is first computed
-        # uncached; once both are cached they form one batch, which a
-        # key memoized before the ``put`` would keep apart.
+        # Once both are cached they still form two batches.
         scheduler = make_scheduler(cache=PlanCache(capacity=8))
         scheduler.dispatch([queued(0, "A")], now=0.01, next_batch_id=0)
         scheduler.dispatch(
@@ -235,7 +243,7 @@ class TestGroupKeyMemo:
             next_batch_id=2,
         )
         assert remaining == []
-        assert {r.batch_id for r in responses} == {2}
+        assert sorted(r.batch_id for r in responses) == [2, 3]
         assert all(r.cache_hit for r in responses)
 
     def test_without_cache_fingerprints_never_merge(self):
@@ -278,7 +286,7 @@ class TestDeviceFaults:
 
         events = tuple(DeviceFaultEvent(*f) for f in faults)
         return MicroBatchScheduler(
-            fleet=FleetSpec(devices=1, slots_per_device=slots),
+            fleet=FleetSpec(slots_per_device=slots),
             profiles=dict(PROFILES),
             cache=cache,
             max_batch=4,

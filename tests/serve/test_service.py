@@ -28,7 +28,7 @@ def small_spec(**overrides):
 
 
 def small_config(**overrides):
-    base = dict(fleet=FleetSpec(devices=1, slots_per_device=2))
+    base = dict(fleet=FleetSpec(slots_per_device=2))
     base.update(overrides)
     return ServiceConfig(**base)
 
@@ -41,8 +41,6 @@ def baseline_report():
 class TestServiceConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ServiceConfig(tick_ms=0.0)
-        with pytest.raises(ConfigurationError):
             ServiceConfig(workers=0)
 
     @pytest.mark.parametrize("field, value", [
@@ -51,10 +49,6 @@ class TestServiceConfig:
         ("batch_window_ms", -1.0),
         ("batch_window_ms", math.nan),
         ("batch_window_ms", math.inf),
-        ("tick_ms", 0.0),
-        ("tick_ms", -0.5),
-        ("tick_ms", math.nan),
-        ("tick_ms", math.inf),
     ])
     def test_field_checked_at_construction(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
@@ -138,7 +132,7 @@ class TestAccountingInvariant:
             small_spec(rate_rps=600.0, mix="bursty"),
             small_config(
                 queue_capacity=4,
-                fleet=FleetSpec(devices=1, slots_per_device=1),
+                fleet=FleetSpec(slots_per_device=1),
             ),
         )
         assert report.unaccounted == 0
@@ -152,7 +146,7 @@ class TestAccountingInvariant:
             small_spec(rate_rps=600.0, mix="bursty"),
             small_config(
                 queue_capacity=4,
-                fleet=FleetSpec(devices=1, slots_per_device=1),
+                fleet=FleetSpec(slots_per_device=1),
             ),
         )
         for response in report.responses:

@@ -3,7 +3,7 @@
 ``run_service`` skips the ticks on which its queue is empty and nothing
 arrives or faults, ``MicroBatchScheduler.dispatch`` returns early on a
 tick that cannot dispatch and places each batch in one pass over the
-slots with memoized group keys, ``AdmissionController.offer`` inserts in
+slots with per-source batch keys, ``AdmissionController.offer`` inserts in
 log time and ``expire`` returns at once while no queued deadline has
 lapsed.  The straightforward versions they replaced are kept here as
 the oracle: a loop that visits every tick, a dispatch that forms groups
@@ -47,6 +47,7 @@ from repro.serve.scheduler import (
 )
 from repro.serve.service import (
     DRAIN_LIMIT_FACTOR,
+    TICK_MS,
     ServiceConfig,
     ServingReport,
     build_profiles,
@@ -103,7 +104,9 @@ class SortingAdmission(AdmissionController):
 # Copies of MicroBatchScheduler.has_free_slot, group_key, _form_groups,
 # _ripe, _pick_slot and _serve_batch as they stood before dispatch placed
 # each batch in one pass.  They read and write the scheduler's state but
-# never call the helpers that replaced them.
+# never call the helpers that replaced them.  ``group_key`` follows the
+# one batching rule, fingerprint and device class, and reads only the
+# scheduler's ``placements`` table.
 
 
 def has_free_slot(scheduler, now):
@@ -112,16 +115,11 @@ def has_free_slot(scheduler, now):
 
 def group_key(scheduler, queued):
     profile = scheduler.profiles[queued.request.source]
-    default_class = FPGA if scheduler.fleet.total_slots > 0 else GPU
     if isinstance(profile, str):
+        default_class = FPGA if scheduler.fleet.total_slots > 0 else GPU
         return ("error", queued.request.source, default_class)
-    placed = scheduler.placement_for(queued.request.source)
-    device_class = placed.device_class if placed else default_class
-    if scheduler.cache is not None and scheduler.cache.peek(
-        profile.fingerprint
-    ):
-        return ("plan", profile.plan_signature, device_class)
-    return ("fp", profile.fingerprint, device_class)
+    placed = scheduler.placements[queued.request.source]
+    return ("fp", profile.fingerprint, placed.device_class)
 
 
 def form_groups(scheduler, queue):
@@ -311,7 +309,7 @@ def every_tick_service(requests, config, build=build_profiles):
         admission = SortingAdmission(capacity=config.queue_capacity)
         responses = []
         samples = []
-        tick = config.tick_ms * 1e-3
+        tick = TICK_MS * 1e-3
         duration = requests[-1].arrival_s if requests else 0.0
         drain_limit = max(duration, tick) * DRAIN_LIMIT_FACTOR
         pointer = 0
@@ -374,27 +372,39 @@ def every_tick_service(requests, config, build=build_profiles):
 
 
 SIX = tuple(dataset_keys()[:6])
-EDGE_TICK_MS = 0.3
 
 
 def tick_edge_log():
     """Lone arrivals exactly on a tick, one ulp after it and 1e-13 before.
 
-    ``ceil(t / tick)`` overshoots the tick of ``105 * tick`` and ``210 *
-    tick`` and undershoots that of ``nextafter(23 * tick)`` and
-    ``nextafter(147 * tick)``; each arrival finds the queue empty, so the
-    skip has to land on it.
+    ``ceil(t / tick)`` overshoots the tick of ``1001 * tick`` and ``1003 *
+    tick`` and undershoots that of ``nextafter(k * tick)`` for ``k`` in
+    11, 15 and 22 (:func:`ceil_corrections` counts them); each arrival
+    finds the queue empty, so the skip has to land on it.
     """
-    tick = EDGE_TICK_MS * 1e-3
+    tick = TICK_MS * 1e-3
     arrivals = [
-        *(k * tick for k in (40, 105, 210, 333)),
-        *(math.nextafter(k * tick, math.inf) for k in (23, 147, 265)),
-        *(k * tick - 1e-13 for k in (7, 300, 1000)),
+        *(k * tick for k in (40, 1001, 1003)),
+        *(math.nextafter(k * tick, math.inf) for k in (11, 15, 22)),
+        *(k * tick - 1e-13 for k in (7, 300, 1000, 1500)),
     ]
     return [
         SolveRequest(request_id=i, source="Wa", arrival_s=t)
         for i, t in enumerate(sorted(arrivals))
     ]
+
+
+def ceil_corrections(requests):
+    """How many arrivals ``ceil(t / tick)`` puts one tick late, and how
+    many one tick early, against the loop's own test ``t <= k * tick``."""
+    tick = TICK_MS * 1e-3
+    late = early = 0
+    for request in requests:
+        t = request.arrival_s
+        k = math.ceil(t / tick)
+        late += t <= (k - 1) * tick
+        early += t > k * tick
+    return late, early
 
 
 TWIN = "wa-copy.mtx"
@@ -404,12 +414,10 @@ def twin_alternation_log():
     """``Wa`` and a Matrix Market copy of it, alternating with ``Li``.
 
     The copy (written to the working directory) has Wa's fingerprint
-    under another source name, so the two share a batch only if every
-    request's group key follows the cache.  Wa's key is first computed
-    uncached (round 0), the copy's while Wa is cached (round 1).  At
-    cache capacity 1 each ``Li`` evicts Wa and each later Wa evicts
-    ``Li``.  A key kept across the ``put`` that cached Wa, or across one
-    that evicted it, splits the pair.
+    under another source name, so the two share a batch: batch keys are
+    fingerprints, not sources.  At cache capacity 1 each ``Li`` evicts
+    Wa and each later lone Wa evicts ``Li``, so every pair runs warm on
+    the entry the lone Wa before it cached.
     """
     write_matrix_market(load_matrix("Wa"), TWIN)
     rounds = [("Wa",), ("Wa", TWIN), ("Li",)] * 4
@@ -514,7 +522,7 @@ CASES = {
         lambda: generate_requests(LoadSpec(
             seed=0, duration_s=1.0, rate_rps=600.0, mix="bursty",
             sources=("Wa", "Li"))),
-        ServiceConfig(queue_capacity=4, fleet=FleetSpec(1, 1)),
+        ServiceConfig(queue_capacity=4, fleet=FleetSpec(slots_per_device=1)),
         lambda report: report.admission.preemptions
         and report.admission.shed_full,
     ),
@@ -529,7 +537,7 @@ CASES = {
         lambda: generate_requests(LoadSpec(
             seed=3, duration_s=1.0, rate_rps=400.0, mix="bursty",
             deadline_ms=3.0, sources=SIX)),
-        ServiceConfig(fleet=FleetSpec(1, 1)),
+        ServiceConfig(fleet=FleetSpec(slots_per_device=1)),
         lambda report: report.expired_count,
     ),
     "device-faults": (
@@ -549,17 +557,17 @@ CASES = {
             seed=5, duration_s=1.0, rate_rps=300.0, mix="uniform",
             sources=SIX)),
         ServiceConfig(
-            fleet=FleetSpec(devices=1, slots_per_device=2, gpu_tenants=2,
+            fleet=FleetSpec(slots_per_device=2, gpu_tenants=2,
                             cpu_assist=True),
             device_faults=(DeviceFaultEvent(0.2, 0, 0.05, GPU),),
         ),
         lambda report: report.telemetry.counters["serve.device_faults"] == 1
         and report.telemetry.counters["placement.gpu_batches"],
     ),
-    "window0-batch1-tick0.25": (
+    "window0-batch1": (
         lambda: generate_requests(LoadSpec(
             seed=6, duration_s=1.0, rate_rps=300.0, sources=SIX)),
-        ServiceConfig(batch_window_ms=0.0, max_batch=1, tick_ms=0.25),
+        ServiceConfig(batch_window_ms=0.0, max_batch=1),
         lambda report: report.completed,
     ),
     "full-batches-before-the-window": (
@@ -568,16 +576,18 @@ CASES = {
         ServiceConfig(max_batch=2, batch_window_ms=20.0),
         lambda report: report.completed,
     ),
-    "tick2-cache2-evictions": (
+    "cache2-evictions": (
         lambda: generate_requests(LoadSpec(
             seed=8, duration_s=1.0, rate_rps=300.0, mix="uniform",
             sources=SIX)),
-        ServiceConfig(tick_ms=2.0, cache_capacity=2),
+        ServiceConfig(cache_capacity=2),
         lambda report: report.cache.stats.evictions,
     ),
     "drain-limit": (
         lambda: [SolveRequest(i, "Wa", 1e-4) for i in range(300)],
-        ServiceConfig(queue_capacity=300, fleet=FleetSpec(1, 1)),
+        ServiceConfig(
+            queue_capacity=300, fleet=FleetSpec(slots_per_device=1)
+        ),
         lambda report: report.telemetry.counters["serve.shed.drain_limit"],
     ),
     "failing-source-unsorted-log": (
@@ -585,10 +595,11 @@ CASES = {
         ServiceConfig(),
         lambda report: report.telemetry.counters["serve.failed"],
     ),
-    "tick0.3-arrival-edges": (
+    "tick0.5-arrival-edges": (
         tick_edge_log,
-        ServiceConfig(tick_ms=EDGE_TICK_MS, batch_window_ms=0.0),
-        lambda report: len(report.completed) == 10,
+        ServiceConfig(batch_window_ms=0.0),
+        lambda report: len(report.completed) == 10
+        and ceil_corrections(report.requests) == (2, 3),
     ),
     "cache1-twin-sources-alternate": (
         twin_alternation_log,
@@ -600,8 +611,7 @@ CASES = {
     ),
     "gpu-tenant-busy-fpga-slots-free": (
         gpu_busy_fpga_free_log,
-        ServiceConfig(fleet=FleetSpec(
-            devices=1, slots_per_device=2, gpu_tenants=1)),
+        ServiceConfig(fleet=FleetSpec(slots_per_device=2, gpu_tenants=1)),
         fpga_passed_a_waiting_gpu_group,
     ),
     "batch1-window0-mixed-fleet": (
@@ -609,7 +619,7 @@ CASES = {
             seed=11, duration_s=1.0, rate_rps=400.0, mix="repeat-heavy")),
         ServiceConfig(
             max_batch=1, batch_window_ms=0.0,
-            fleet=FleetSpec(devices=1, slots_per_device=2, gpu_tenants=1),
+            fleet=FleetSpec(slots_per_device=2, gpu_tenants=1),
         ),
         lambda report: report.completed
         and {b.size for b in report.scheduler.batches} == {1}
@@ -715,11 +725,9 @@ def logs_and_configs(draw, sources):
         queue_capacity=draw(st.integers(1, 6)),
         max_batch=draw(st.integers(1, 4)),
         batch_window_ms=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
-        tick_ms=draw(st.sampled_from([0.25, 0.5, 1.0])),
         cache_enabled=draw(st.booleans()),
         cache_capacity=draw(st.integers(1, 3)),
         fleet=FleetSpec(
-            devices=1,
             slots_per_device=slots,
             gpu_tenants=draw(st.integers(0 if slots else 1, 2)),
             cpu_assist=draw(st.booleans()),

@@ -447,14 +447,18 @@ class TestUsageErrorBoundary:
          "queue_capacity must be >= 1"),
         (("loadtest", "--workers", "0", "--duration", "1"),
          "workers must be >= 1"),
-        (("loadtest", "--devices", "0", "--duration", "1"),
-         "devices must be >= 1"),
+        (("loadtest", "--deadline-ms", "-5", "--duration", "1"),
+         "deadline must be > 0 ms"),
         (("serve", "--gpu-tenants", "-1", "--duration", "1"),
          "gpu_tenants must be >= 0"),
         (("loadtest", "--cluster", "--duration", "1", "--rate", "10",
           "--cluster-max-batch", "0"), "max_batch must be >= 1"),
         (("loadtest", "--cluster", "--duration", "1", "--rate", "10",
           "--cluster-max-batch", "-1"), "max_batch must be >= 1"),
+        (("serve", "--deadline-ms", "-5", "--duration", "1"),
+         "deadline must be > 0 ms"),
+        (("loadtest", "--cluster", "--deadline-ms", "0", "--duration", "1"),
+         "deadline must be > 0 ms"),
     ])
     def test_bad_argument(self, argv, message):
         result = run_cli(*argv)
@@ -535,19 +539,20 @@ class TestUsageErrorBoundary:
 
 
 class TestNonFiniteKnobs:
-    """Non-finite knobs exit 2 before any work: a NaN interval would
-    never end, a NaN fill window would serve nothing and exit 0, and an
-    infinite tolerance would report convergence after one iteration."""
+    """Non-finite knobs exit 2 before any work: a NaN deadline would
+    never expire, a NaN fill window would serve nothing and exit 0, and
+    an infinite tolerance would report convergence after one
+    iteration."""
 
     @pytest.mark.parametrize("argv, message", [
-        (("loadtest", "--cluster", "--interval", "nan"),
-         "interval_s must be a finite number > 0"),
+        (("loadtest", "--cluster", "--deadline-ms", "nan"),
+         "deadline_ms must be a finite number"),
         (("loadtest", "--cluster", "--batch-fill-ms", "nan"),
          "batch_fill_ms must be a finite number >= 0"),
-        (("loadtest", "--cluster", "--remote-fetch-ms", "nan"),
-         "remote_fetch_ms must be a finite number >= 0"),
-        (("loadtest", "--cluster", "--remote-fetch-ms", "-1"),
-         "remote_fetch_ms must be a finite number >= 0"),
+        (("serve", "--deadline-ms", "nan", "--duration", "1"),
+         "deadline_ms must be a finite number"),
+        (("loadtest", "--deadline-ms", "inf", "--duration", "1"),
+         "deadline_ms must be a finite number"),
         (("solve", "--poisson", "4", "--msid-tolerance", "nan"),
          "msid_tolerance must be a finite number"),
         (("solve", "--poisson", "4", "--msid-tolerance", "inf"),
@@ -632,8 +637,7 @@ class TestClusterLoadtest:
         assert main([
             "loadtest", "--cluster", "--seed", "0", "--duration", "2",
             "--rate", "100", "--fleets", "3", "--max-fleets", "5",
-            "--no-autoscale", "--no-affinity", "--vnodes", "16",
-            "--out", str(out),
+            "--no-autoscale", "--no-affinity", "--out", str(out),
         ]) == 0
         capsys.readouterr()
         document = json.loads(out.read_text())
@@ -642,7 +646,8 @@ class TestClusterLoadtest:
         assert cluster["max_fleets"] == 5
         assert cluster["autoscale"] is False
         assert cluster["affinity_routing"] is False
-        assert cluster["vnodes"] == 16
+        assert (cluster["interval_s"], cluster["vnodes"]) == (1.0, 64)
+        assert cluster["remote_fetch_ms"] == 0.25
         assert document["fleets"]["peak"] == 3
 
     def test_invalid_cluster_config_exits_two(self, capsys):
