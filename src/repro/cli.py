@@ -349,9 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(command: str, exc: Exception) -> int:
-    """Report a rejected argument on stderr; usage errors exit 2."""
-    message = exc.args[0] if exc.args else str(exc)
+def _usage_error(command: str, message: object) -> int:
+    """Report a rejected request on stderr; usage errors exit 2."""
     print(f"{command}: {message}", file=sys.stderr)
     return 2
 
@@ -421,7 +420,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     final attempt converges, 1 when it does not (fixed solver or the
     Acamar fallback chain alike), 2 for a usage error — an unresolvable
     source, a bad flag or ``--config`` value, an unknown solver — which
-    is rejected before the problem line prints.
+    is rejected before the problem line prints, and 2 for a problem too
+    large to allocate.
     """
     overrides = {
         "sampling_rate": args.sampling_rate,
@@ -797,9 +797,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
     The one usage-error boundary: a bad flag value, an unknown name or
-    source, or an unreadable input raises one of the errors caught here,
-    wherever in the command it is detected, and exits 2 with one line on
-    stderr instead of a traceback.
+    source, an unreadable input, or a request too large for memory
+    raises one of the errors caught here, wherever in the command it is
+    detected, and exits 2 with one line on stderr instead of a traceback.
     """
     from repro.errors import (
         ConfigurationError,
@@ -814,6 +814,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (
         ConfigurationError, DatasetError, UnknownNameError, ValidationError
     ) as exc:
+        return _usage_error(args.command, exc.args[0] if exc.args else exc)
+    except MemoryError as exc:
+        # str(), not args[0]: numpy's allocation error keeps the shape there.
         return _usage_error(args.command, exc)
 
 

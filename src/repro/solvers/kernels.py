@@ -9,6 +9,15 @@ the tally the FPGA and GPU cost models price, so the modeled kernel mix
 is the work the solver actually did.  This module is the only place that
 records a tally.
 
+The SpMV and transposed-SpMV kernels read their operand as the fabric's
+fp32 operators do (docs/modeling.md, "Arithmetic"): every subnormal, in
+the solver precision, is set to zero before the product, in place in the
+array the solver-precision cast returns.  That array is the caller's own
+vector when it already holds the solver precision, so the solver goes on
+with the flushed vector; a wider vector is left as it is and only its
+cast copy is flushed.  The flush is neither tallied nor priced.  The
+dense units and the sweep keep the host's gradual underflow.
+
 The sparse kernels (SpMV, transposed SpMV and the Gauss-Seidel/SOR sweep,
 which is priced as one SpMV pass) run inside the ``kernel.spmv`` /
 ``kernel.rmatvec`` telemetry spans.  The dense kernels record no span: a
@@ -36,7 +45,8 @@ class Kernels:
     ``matrix`` is the operator in the solver precision; the SpMV kernels
     run in that precision.  The dense reductions (:meth:`dot`,
     :meth:`norm`) accumulate in float64, casting their operands into
-    scratch vectors allocated once here rather than once per call.
+    scratch vectors allocated once here rather than once per call; the
+    SpMV operand flush runs over one more, in the solver precision.
     """
 
     def __init__(self, matrix: CSRMatrix) -> None:
@@ -46,6 +56,8 @@ class Kernels:
         n = matrix.shape[0]
         self._left = np.empty(n, dtype=np.float64)
         self._right = np.empty(n, dtype=np.float64)
+        self._tiny = np.finfo(self.dtype).tiny
+        self._magnitude = np.empty(n, dtype=self.dtype)
 
     @staticmethod
     def _wide(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -56,24 +68,49 @@ class Kernels:
 
     # -- the Dynamic SpMV kernel ----------------------------------------
 
+    def _operand(self, v: np.ndarray) -> np.ndarray:
+        """``v`` cast to the solver precision, subnormals flushed in place.
+
+        A flushed subnormal keeps its sign (``-0.0``); zeros, normals,
+        infinities and NaNs keep their bytes.
+        """
+        operand = v.astype(self.dtype, copy=False)
+        magnitude = np.abs(operand, out=self._magnitude)
+        # The entry argmin picks is the least magnitude or a NaN; ``not >=``
+        # sends both to the masked pass.  An empty operand has no argmin.
+        if operand.size and not magnitude[magnitude.argmin()] >= self._tiny:
+            keep = np.greater_equal(magnitude, self._tiny, out=magnitude)
+            np.multiply(operand, keep, out=operand)
+        return operand
+
     def spmv(
         self, v: np.ndarray, operator: CSRMatrix | None = None
     ) -> np.ndarray:
         """``A v`` in the solver precision, returned in ``v``'s precision.
+
+        The operand is flushed first, in place: every subnormal of ``v``
+        in the solver precision becomes zero, as the fabric's fp32
+        operators read it.  A float32 ``v`` in a float32 solve is
+        flushed itself, so the solver goes on with the flushed vector;
+        a float64 ``v`` stays untouched and only its cast copy is
+        flushed.  The flush is neither tallied nor priced.
 
         ``operator`` defaults to the solve's matrix; Jacobi's ``T`` and
         multicolor Gauss-Seidel's off-diagonal part pass their own.
         """
         matrix = self.matrix if operator is None else operator
         with tm.span("kernel.spmv"):
-            product = matrix.matvec(v.astype(self.dtype, copy=False))
+            product = matrix.matvec(self._operand(v))
         self.ops.record("spmv", matrix.nnz)
         return product.astype(v.dtype, copy=False)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """``A^T v`` in the solver precision, returned in ``v``'s precision."""
+        """``A^T v`` in the solver precision, returned in ``v``'s precision.
+
+        The operand is flushed in place as in :meth:`spmv`.
+        """
         with tm.span("kernel.rmatvec"):
-            product = self.matrix.rmatvec(v.astype(self.dtype, copy=False))
+            product = self.matrix.rmatvec(self._operand(v))
         self.ops.record("spmv", self.matrix.nnz)
         return product.astype(v.dtype, copy=False)
 

@@ -240,6 +240,29 @@ class TestSolveExitContract:
     def test_convergence_is_zero(self):
         assert main(["solve", "--dataset", "Wa"]) == 0
 
+    def test_problem_too_large_for_memory_is_two(self, monkeypatch, capsys):
+        # poisson_2d is replaced, never run: a host that overcommits can
+        # grant a real 75 GiB request and then kill the process using it.
+        message = (
+            "Unable to allocate 74.5 GiB for an array with shape "
+            "(10000000000,) and data type float64"
+        )
+
+        class ArrayMemoryError(MemoryError):
+            """numpy's shape: the array shape in ``args``, text in ``str``."""
+
+            def __str__(self):
+                return message
+
+        def too_large(n):
+            raise ArrayMemoryError((n * n,), "float64")
+
+        monkeypatch.setattr("repro.cli.poisson_2d", too_large)
+        assert main(["solve", "--poisson", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"solve: {message}\n"
+        assert captured.out == ""
+
 
 class TestServe:
     def test_loadtest_summary_and_report(self, tmp_path, capsys):
