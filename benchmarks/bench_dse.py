@@ -114,8 +114,8 @@ def run() -> tuple[ExperimentTable, dict]:
     return table, report
 
 
-def test_bench_dse(benchmark, print_table, assert_matches_record):
-    table, report = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_bench_dse(print_table, assert_matches_record):
+    table, report = run()
     print_table(table)
     assert_matches_record(report, BENCH_PATH)
     # Sweep integrity: every point evaluated, none failed.

@@ -66,8 +66,8 @@ def run() -> ExperimentTable:
     return table
 
 
-def test_bench_parallel_campaign(benchmark, print_table):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_bench_parallel_campaign(print_table):
+    table = run()
     print_table(table)
     assert all(table.column("identical to serial")), (
         "parallel campaign diverged from the serial reference"

@@ -99,8 +99,8 @@ def run() -> tuple[ExperimentTable, dict]:
     return table, report
 
 
-def test_bench_serving(benchmark, print_table, assert_matches_record):
-    table, report = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_bench_serving(print_table, assert_matches_record):
+    table, report = run()
     print_table(table)
     assert_matches_record(report, BENCH_PATH)
     # Accounting invariant: nothing dropped without an explicit response.

@@ -1,14 +1,11 @@
-"""Shared benchmark configuration.
-
-Each benchmark regenerates one paper table/figure over all 25 Table II
-stand-ins and prints the series.  Numerical solves are cached in
-``repro.experiments.runner`` across benchmarks, so the whole suite performs
-each dataset's solves exactly once.
+"""Shared fixtures of the benchmarks CI runs.
 
 The deterministic stage benches (serving, cluster, placement, DSE)
 compare the record they measure with their committed ``BENCH_*.json``
 through :func:`assert_matches_record`: every field but the wall-clock
-ones must be equal.
+ones must be equal.  :func:`print_table` shows a bench's table outside
+pytest's output capture.  The paper's figure claims are checked in
+``repro.experiments.summary.collect`` (tier-1), not here.
 """
 
 import json
@@ -92,16 +89,5 @@ def print_table(capsys):
     def _print(table):
         with capsys.disabled():
             print("\n" + table.to_text() + "\n")
-
-    return _print
-
-
-@pytest.fixture
-def print_text(capsys):
-    """Print arbitrary text to the real terminal (outside capture)."""
-
-    def _print(text):
-        with capsys.disabled():
-            print(text + "\n")
 
     return _print

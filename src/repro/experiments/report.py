@@ -1,6 +1,7 @@
 """Plain-text table rendering for experiment output.
 
-The benchmark harness regenerates the paper's tables and figure series as
+The experiment harness (``repro experiment``, ``repro experiments``,
+``repro summary``) renders the paper's tables and figure series as
 monospace tables; this module holds the one formatter they all share.
 """
 
@@ -9,12 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.errors import UnknownNameError
 
 
 def format_cell(value: Any) -> str:
     """Render one cell: floats get 4 significant digits, bools ✓/✗."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "Y" if value else "x"
     if isinstance(value, float):
         if value == 0:

@@ -46,9 +46,12 @@ def collect(
     """Run every experiment once: the nine headline numbers, then the
     paper's claims, which read those numbers.
 
-    The headlines are this repository's own measurements, which tier-1
-    pins exactly on the full 25-dataset run
-    (``tests/experiments/test_summary.py``).
+    This is the one place a paper-figure claim is checked: each
+    ``holds`` joins every shape property of its figure, the per-dataset
+    ones included.  The headlines are this repository's own
+    measurements, which tier-1 pins exactly on the full 25-dataset run
+    (``tests/experiments/test_summary.py``); tier-1 also requires every
+    claim to hold there and on a six-dataset subset.
     """
     t2 = table2.run(keys)
     f1 = fig1.run(keys)
@@ -81,16 +84,23 @@ def collect(
     ))
 
     share = headlines["fig1_mean_spmv_share"]
+    shares = f1.column("spmv_share")
     checks.append(ClaimCheck(
         "Figure 1", "SpMV dominates solver latency",
-        "most of the time", f"mean share {share:.0%}", share > 0.5,
+        "most of the time", f"mean share {share:.0%}",
+        share > 0.5 and np.quantile(shares, 0.1) > 0.3
+        and all(0.0 < s < 1.0 for s in shares),
     ))
 
     f2 = fig2.run(keys)
     best = set(f2.column("best URB"))
+    wider_wastes_more = float(np.mean(f2.column("URB=64"))) > float(
+        np.mean(f2.column("URB=4"))
+    )
     checks.append(ClaimCheck(
         "Figure 2", "no single static unroll factor is optimal",
-        "varies per dataset", f"best URB spans {sorted(best)}", len(best) > 1,
+        "varies per dataset", f"best URB spans {sorted(best)}",
+        len(best) > 1 and wider_wastes_more,
     ))
 
     rates = list(f5.rows[-1][1:])
@@ -100,7 +110,8 @@ def collect(
         "Figure 5", "reconfiguration rate flattens after rOpt=8",
         "almost constant past 8",
         f"drop {head:.2f} before rOpt=8 vs {tail:.3f} after",
-        tail < head / 2,
+        tail < head / 2 and tail < 0.1
+        and all(a >= b - 1e-12 for a, b in zip(rates, rates[1:])),
     ))
 
     urb1 = headlines["fig6_gmean_urb1"]
@@ -111,7 +122,7 @@ def collect(
         "up to 11.61x",
         f"up to {best_speedup:.1f}x, GMEAN {urb1:.1f}x at URB=1, "
         f"{urb64:.2f}x at URB=64",
-        best_speedup > 6.0 and urb1 > gmean[2] > gmean[3]
+        best_speedup > 6.0 and urb1 > 3.0 and urb1 > gmean[2] > gmean[3]
         and abs(urb64 - gmean[-2]) < 0.15,
     ))
 
@@ -119,7 +130,8 @@ def collect(
     best_ratio = max(max(row[1:]) for row in f7.rows)
     checks.append(ClaimCheck(
         "Figure 7", "R.U. improvement grows with baseline allocation",
-        "up to 3x", f"up to {best_ratio:.1f}x", best_ratio > 2.0,
+        "up to 3x", f"up to {best_ratio:.1f}x",
+        best_ratio > 2.0 and all(row[-1] > row[1] for row in f7.rows),
     ))
 
     acamar_ru = headlines["fig8_acamar_ru"]
@@ -127,40 +139,54 @@ def collect(
     checks.append(ClaimCheck(
         "Figure 8", "Acamar wastes far fewer compute units than the GPU",
         "50% vs 81%", f"{acamar_ru:.0%} vs {gpu_ru:.0%}",
-        acamar_ru < gpu_ru - 0.15,
+        acamar_ru < gpu_ru - 0.15
+        and all(row[1] < row[2] for row in f8.rows[:-1]),
     ))
 
     acamar_tp, gpu_tp = headlines["fig9_acamar_throughput"], f9.rows[-1][3]
     checks.append(ClaimCheck(
         "Figure 9", "Acamar near-peak throughput, GPU a few percent",
         "~70% vs <<1%", f"{acamar_tp:.0%} vs {gpu_tp:.2%}",
-        0.55 < acamar_tp < 0.95 and gpu_tp < 0.02,
+        0.55 < acamar_tp < 0.9 and gpu_tp < 0.02
+        and max(row[1] for row in f9.rows[:-1]) > 0.70,
     ))
 
     saving = headlines["fig10_area_saving"]
-    acamar_eff = f10.rows[-1][1]
+    acamar_eff, static_eff = f10.rows[-1][1], f10.rows[-1][2]
+    datasets = f10.rows[:-1]
+    below_static = sum(1 for row in datasets if row[1] < row[2])
     checks.append(ClaimCheck(
         "Figure 10", "higher GFLOPS/mm², positive area saving",
         "~720 GFLOPS/mm², ~2x area",
         f"{acamar_eff:.0f} GFLOPS/mm², {saving:.2f}x area",
-        saving > 1.0,
+        saving > 1.0 and 300 < acamar_eff < 1500
+        and acamar_eff > 0.9 * static_eff
+        and below_static < len(datasets) / 2,
     ))
 
     f11 = fig11.run(keys)
     lat_cols = [i for i, h in enumerate(f11.headers) if h.startswith("lat@")]
+    ru_cols = [i for i, h in enumerate(f11.headers) if h.startswith("RU@")]
     drift = max(
         abs(row[i] - 1.0) for row in f11.rows for i in lat_cols
     )
+    ru_spread = max(
+        max(row[i] for i in ru_cols) - min(row[i] for i in ru_cols)
+        for row in f11.rows
+    )
     checks.append(ClaimCheck(
         "Figure 11", "MSID stages leave latency/R.U. nearly unchanged",
-        "almost constant", f"max latency drift {drift:.1%}", drift < 0.25,
+        "almost constant", f"max latency drift {drift:.1%}",
+        drift < 0.25 and ru_spread < 0.15,
     ))
 
     f12 = fig12.run(keys)
-    first, last = f12.rows[-1][1], f12.rows[-1][-1]
+    sampled = list(f12.rows[-1][1:])
+    first, last = sampled[0], sampled[-1]
     checks.append(ClaimCheck(
         "Figure 12", "R.U. decreases with sampling rate",
-        "decreasing", f"{first:.2f} -> {last:.2f}", last < first,
+        "decreasing", f"{first:.2f} -> {last:.2f}",
+        last < first and last < sampled[len(sampled) // 2],
     ))
 
     f13 = fig13.run(keys)
@@ -169,7 +195,8 @@ def collect(
     checks.append(ClaimCheck(
         "Figure 13", "positive reconfiguration-time budget vs URB=8 baseline",
         "bounded budgets", f"{positive}/{len(budgets)} datasets positive",
-        positive >= 0.7 * len(budgets),
+        positive >= 0.7 * len(budgets)
+        and all(e >= 0 for e in f13.column("events")),
     ))
     return headlines, checks
 

@@ -26,6 +26,6 @@ def run() -> ExperimentTable:
         )
     table.add_note(
         "executable checks are exercised against the Table II stand-ins in "
-        "benchmarks/bench_table1_criteria.py"
+        "tests/solvers/test_criteria.py"
     )
     return table

@@ -49,13 +49,3 @@ class FleetSpec:
                 "fleet needs at least one dispatchable slot "
                 "(FPGA slots + GPU tenants)"
             )
-
-    @property
-    def total_slots(self) -> int:
-        """Concurrent FPGA solver instances in the fleet.
-
-        GPU tenants are counted separately, so fleets with
-        ``gpu_tenants=0`` keep byte-identical accounting with
-        pre-placement reports.
-        """
-        return self.slots_per_device

@@ -132,8 +132,6 @@ class TieredPlanCache:
         return {
             "directory_entries": len(self.directory),
             "publishes": self.publishes,
-            "local_capacity": self.local_capacity,
             "local_evictions": self.local_evictions(),
-            "remote_fetch_ms": REMOTE_FETCH_MS,
             "lookups": self.stats.as_dict(),
         }

@@ -183,10 +183,10 @@ class MicroBatchScheduler:
         )
         if not self.slots:
             self.slots = [
-                FleetSlot(index=i) for i in range(self.fleet.total_slots)
+                FleetSlot(index=i) for i in range(self.fleet.slots_per_device)
             ] + [
                 FleetSlot(
-                    index=self.fleet.total_slots + j, device_class=GPU
+                    index=self.fleet.slots_per_device + j, device_class=GPU
                 )
                 for j in range(self.fleet.gpu_tenants)
             ]
@@ -194,14 +194,14 @@ class MicroBatchScheduler:
         self.batch_keys: dict[str, tuple[str, str, str]] = {}
         # A failed profile has no placement: its batch goes to the FPGA
         # pool, or to the GPU tenants of a GPU-only fleet.
-        failed_class = FPGA if self.fleet.total_slots > 0 else GPU
+        failed_class = FPGA if self.fleet.slots_per_device > 0 else GPU
         for source, profile in self.profiles.items():
             if isinstance(profile, str):
                 self.batch_keys[source] = ("error", source, failed_class)
                 continue
             decision = self.placements[source] = decide_placement(
                 profile,
-                fpga_slots=self.fleet.total_slots,
+                fpga_slots=self.fleet.slots_per_device,
                 gpu_tenants=self.fleet.gpu_tenants,
                 max_batch=self.max_batch,
             )

@@ -87,11 +87,8 @@ class ServiceConfig:
             )
 
     def as_dict(self) -> dict[str, Any]:
-        # A fleet is one device; the key keeps the report schema.
         fleet: dict[str, Any] = {
-            "devices": 1,
             "slots_per_device": self.fleet.slots_per_device,
-            "total_slots": self.fleet.total_slots,
         }
         # Tenancy-mix keys appear only on heterogeneous fleets so the
         # pure-FPGA config schema (and its committed goldens) stay

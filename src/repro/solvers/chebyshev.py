@@ -86,10 +86,6 @@ class ChebyshevSolver(IterativeSolver):
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         matrix, b, x = self._prepare(matrix, b, x0)
-        # The interval estimate's power iteration is not tallied.
-        lam_min, lam_max = self._estimate_interval(matrix)
-        theta = 0.5 * (lam_max + lam_min)  # interval center
-        delta = 0.5 * (lam_max - lam_min)  # interval half-width
         k = Kernels(matrix)
 
         x64 = x.astype(np.float64)
@@ -99,6 +95,14 @@ class ChebyshevSolver(IterativeSolver):
         monitor = self._monitor(b)
         # The initial ||r_0|| is not tallied.
         status = monitor.update(float(np.linalg.norm(r)))
+        if status is not None:
+            # Settled before the recurrence needs a spectrum (an empty
+            # system has none to estimate), as every other solver is.
+            return self._result(status, x64.astype(self.dtype), monitor, k)
+        # The interval estimate's power iteration is not tallied.
+        lam_min, lam_max = self._estimate_interval(matrix)
+        theta = 0.5 * (lam_max + lam_min)  # interval center
+        delta = 0.5 * (lam_max - lam_min)  # interval half-width
         # Saad's Chebyshev recurrence: sigma = theta/delta, rho_k tracks
         # the ratio of consecutive scaled Chebyshev polynomials.
         sigma = theta / delta

@@ -1,5 +1,7 @@
 """Tests for the experiment report formatting."""
 
+import numpy as np
+
 from repro.experiments.report import ExperimentTable, format_cell, format_table
 
 
@@ -7,6 +9,9 @@ class TestFormatCell:
     def test_booleans_render_as_marks(self):
         assert format_cell(True) == "Y"
         assert format_cell(False) == "x"
+        # A predicate over numpy values yields numpy booleans.
+        assert format_cell(np.bool_(True)) == "Y"
+        assert format_cell(np.bool_(False)) == "x"
 
     def test_floats_compact(self):
         assert format_cell(0.123456) == "0.1235"

@@ -48,4 +48,5 @@ def test_full_run_headlines_are_pinned():
     assert {
         name: round(value, 9) for name, value in headlines.items()
     } == FULL_RUN_HEADLINES
-    assert all(check.holds for check in checks)
+    failing = [c for c in checks if not c.holds]
+    assert not failing, failing

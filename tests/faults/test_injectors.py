@@ -137,7 +137,7 @@ class TestServeInjectors:
         assert config.queue_capacity == schedule.queue_capacity
         assert config.cache_capacity == schedule.cache_capacity
         assert config.device_faults == schedule.device_faults
-        assert config.fleet.total_slots == 3
+        assert config.fleet.slots_per_device == 3
         assert collector.counters["faults.injected.device_outage"] == len(
             schedule.device_faults
         )

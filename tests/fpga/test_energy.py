@@ -1,9 +1,11 @@
 """Tests for the energy model extension."""
 
+import numpy as np
 import pytest
 
 from repro import Acamar
-from repro.datasets import load_problem, poisson_2d
+from repro.datasets import dataset_keys, load_problem, poisson_2d
+from repro.experiments import runner
 from repro.fpga import PerformanceModel
 from repro.fpga.energy import (
     CSR_BYTES_PER_NNZ,
@@ -102,6 +104,30 @@ class TestEnergyModel:
         area = model.acamar_spmv_area_mm2(problem.matrix, result.plan)
         energy = EnergyModel().acamar(latency, area)
         assert 0 < energy.total_j < 1.0  # sane magnitude for a ms-scale solve
+
+    def test_compute_energy_near_parity_on_the_stand_ins(self):
+        """Ablation A4: static URB=16 over Acamar compute energy (leakage,
+        switching and memory; reconfiguration is Figure 13's budget).
+        Switching and memory are work-determined, so the ratio sits near
+        1: the win of dynamic sizing is Figure 10's freed fabric."""
+        model = runner.performance_model()
+        energy_model = EnergyModel(model.device)
+        static_urb = 16
+        ratios = []
+        for key in dataset_keys():
+            matrix = runner.problem(key).matrix
+            result = runner.acamar_result(key)
+            acamar = energy_model.acamar(
+                model.solver_latency(matrix, result.final, plan=result.plan),
+                model.acamar_spmv_area_mm2(matrix, result.plan),
+            )
+            static = energy_model.static_design(
+                model.solver_latency(matrix, result.final, urb=static_urb),
+                static_urb,
+            )
+            ratios.append(static.total_j / (acamar.total_j - acamar.reconfig_j))
+        assert all(r > 0 for r in ratios)
+        assert np.exp(np.mean(np.log(ratios))) > 0.9
 
 
 class TestFleetEnergy:

@@ -6,13 +6,12 @@ from repro.errors import ConfigurationError
 
 
 class TestFleetSpec:
-    def test_defaults_and_total_slots(self):
+    def test_defaults(self):
         from repro.fpga.multitenancy import FleetSpec
 
         fleet = FleetSpec()
         assert fleet.slots_per_device == 4
-        assert fleet.total_slots == 4
-        assert FleetSpec(slots_per_device=2).total_slots == 2
+        assert (fleet.gpu_tenants, fleet.cpu_assist) == (0, False)
 
     def test_validation(self):
         from repro.fpga.multitenancy import FleetSpec

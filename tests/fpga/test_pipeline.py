@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import Acamar, AcamarConfig
+from repro import AcamarConfig
 from repro.core import FineGrainedReconfigurationUnit
-from repro.datasets import load_problem
+from repro.datasets import dataset_keys
 from repro.datasets.generators import sdd_matrix
 from repro.errors import ConfigurationError
+from repro.experiments import runner
 from repro.fpga import ALVEO_U55C, SpMVPipelineSimulator
+from repro.fpga.cost_model import operator_row_lengths
 from repro.fpga.pipeline import MAC_LATENCY_CYCLES, _tree_latency
 
 
@@ -25,16 +27,23 @@ def planned_matrix():
 
 
 class TestAgreementWithAnalyticModel:
-    @pytest.mark.parametrize("key", ["2C", "Wi", "Cr", "G2"])
+    @pytest.mark.parametrize("key", dataset_keys())
     def test_cycles_match_within_drain_tail(self, simulator, key):
-        problem = load_problem(key)
-        plan = Acamar().plan(problem.matrix)
+        """Validation V1: the sweep of each stand-in's converging solver
+        under its Acamar plan, timed by both independent models."""
+        matrix = runner.problem(key).matrix
+        result = runner.acamar_result(key)
+        lengths = operator_row_lengths(matrix, result.final.solver)
         pipeline_c, analytic_c = simulator.validate_against_analytic(
-            problem.matrix.row_lengths(), plan
+            lengths, result.plan
         )
         # The two models may differ only by the pipeline's drain tail.
         assert abs(pipeline_c - analytic_c) < 80
         assert pipeline_c / analytic_c == pytest.approx(1.0, abs=0.05)
+        trace = SpMVPipelineSimulator(
+            ALVEO_U55C, include_reconfiguration=False
+        ).simulate(lengths, result.plan)
+        assert 0.0 < trace.occupancy <= 1.0
 
     def test_busy_and_provisioned_identical_to_analytic(
         self, simulator, planned_matrix

@@ -116,7 +116,7 @@ def has_free_slot(scheduler, now):
 def group_key(scheduler, queued):
     profile = scheduler.profiles[queued.request.source]
     if isinstance(profile, str):
-        default_class = FPGA if scheduler.fleet.total_slots > 0 else GPU
+        default_class = FPGA if scheduler.fleet.slots_per_device > 0 else GPU
         return ("error", queued.request.source, default_class)
     placed = scheduler.placements[queued.request.source]
     return ("fp", profile.fingerprint, placed.device_class)
@@ -451,7 +451,7 @@ def starts_by_batch(report):
 def fpga_passed_a_waiting_gpu_group(report):
     """Did an FPGA batch start before a GPU batch whose request was
     ahead of it in queue order?"""
-    gpu_from = report.scheduler.fleet.total_slots
+    gpu_from = report.scheduler.fleet.slots_per_device
     start = starts_by_batch(report)
     done = report.completed
     return any(

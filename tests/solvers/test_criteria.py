@@ -65,6 +65,17 @@ class TestPredicates:
         negative = CSRMatrix.from_dense(-np.eye(8))
         assert not criterion.satisfied_by(negative)
 
+    @pytest.mark.parametrize("solver, key, satisfied", [
+        ("jacobi", "Wa", True),
+        ("jacobi", "2C", False),
+        ("cg", "2C", True),
+        ("bicgstab", "If", True),
+    ])
+    def test_predicates_on_stand_ins(self, solver, key, satisfied):
+        from repro.datasets import load_matrix
+
+        assert criterion_for(solver).satisfied_by(load_matrix(key)) is satisfied
+
     def test_criteria_predict_solver_outcomes_on_suite(self):
         """Where a Table I predicate holds, the solver must converge."""
         from repro.baselines import run_solver_portfolio

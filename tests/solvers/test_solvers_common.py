@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ShapeMismatchError
 from repro.solvers import SOLVER_REGISTRY, JacobiSolver, make_solver
+from repro.solvers.base import SolveStatus
 from repro.sparse import CSRMatrix
 
 ALL_SOLVER_NAMES = sorted(SOLVER_REGISTRY)
@@ -58,6 +59,13 @@ class TestContracts:
         result = any_solver.solve(small_csr, np.zeros(4))
         assert result.converged
         np.testing.assert_allclose(result.x, 0.0, atol=1e-6)
+
+    def test_empty_system_converges_in_one_iteration(self, any_solver):
+        empty = CSRMatrix((0, 0), [0], [], [])
+        result = any_solver.solve(empty, np.zeros(0))
+        assert result.status is SolveStatus.CONVERGED
+        assert result.iterations == 1
+        assert result.x.shape == (0,)
 
     def test_warm_start_helps(self, any_solver, spd_system):
         matrix, b, x_true = spd_system
