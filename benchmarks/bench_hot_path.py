@@ -69,6 +69,14 @@ GUARD_REFERENCES = {
 ``(1 - GUARD_RELATIVE_TOLERANCE)`` times it."""
 
 
+def _zeroed(out: np.ndarray | None, size: int, dtype: np.dtype) -> np.ndarray:
+    """The seed kernels' zeroed result, or ``out`` zeroed in its place."""
+    if out is None:
+        return np.zeros(size, dtype=dtype)
+    out.fill(0)
+    return out
+
+
 class LegacySubstrateMatrix(CSRMatrix):
     """CSR matrix with the seed's (pre-caching) kernel implementations.
 
@@ -86,22 +94,22 @@ class LegacySubstrateMatrix(CSRMatrix):
     def row_ids(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_rows), self.row_lengths())
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x)
         out_dtype = np.result_type(self.data, x)
         products = self.data * x[self.indices]
-        result = np.zeros(self.n_rows, dtype=out_dtype)
+        result = _zeroed(out, self.n_rows, out_dtype)
         nonempty = self.indptr[:-1] != self.indptr[1:]
         if np.any(nonempty):
             starts = self.indptr[:-1][nonempty]
             result[nonempty] = np.add.reduceat(products, starts)
         return result
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+    def rmatvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x)
         out_dtype = np.result_type(self.data, x)
         row_of = np.repeat(np.arange(self.n_rows), self.row_lengths())
-        result = np.zeros(self.n_cols, dtype=out_dtype)
+        result = _zeroed(out, self.n_cols, out_dtype)
         np.add.at(result, self.indices, self.data * x[row_of])
         return result
 

@@ -243,7 +243,9 @@ class Acamar:
         # Every configuration runs at the same solver precision, so cast
         # the operator once up front instead of once per fallback attempt
         # (each solver's ``_prepare`` then sees a matching dtype and the
-        # cast matrix's structure cache is shared across attempts).
+        # cast matrix's structure cache is shared across attempts).  The
+        # cast shares the structure arrays and the row views the checks
+        # above built.
         solver_dtype = np.dtype(self.config.dtype)
         if matrix.data.dtype != solver_dtype:
             compute_matrix = matrix.astype(solver_dtype)

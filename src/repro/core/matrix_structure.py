@@ -61,9 +61,15 @@ class MatrixStructureUnit:
     def analyze(self, matrix: CSRMatrix) -> MatrixProperties:
         """Run the two hardware checks (diag dominance, CSR-vs-CSC).
 
-        The CSC view comes from the matrix's cached transpose, so a
-        solve that later needs ``rmatvec`` (BiCG's shadow sweep) reuses
-        the same transposition instead of re-sorting the entries.
+        The symmetry check first compares each column's entry count with
+        the row length of the same index; where they differ the pattern
+        is not symmetric and no CSC view is built.  Otherwise the CSC
+        view is the matrix's cached transpose.  ``Acamar.solve`` solves
+        on a copy cast to the solver precision, which shares the
+        structure arrays and the cached row lengths and row ids but not
+        the transpose (its values differ): a BiCG solve on that copy
+        transposes it again.  Only an input already in the solver
+        precision is solved as the same object, and reuses the transpose.
         """
         return analyze_properties(matrix, rtol=self.symmetry_rtol)
 

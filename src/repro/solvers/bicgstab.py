@@ -41,14 +41,17 @@ class BiCGStabSolver(IterativeSolver):
         b: np.ndarray,
         x0: np.ndarray | None = None,
     ) -> SolveResult:
-        matrix, b, x = self._prepare(matrix, b, x0)
+        matrix, b, x0 = self._prepare(matrix, b, x0)
         k = Kernels(matrix)
         cast = self.dtype.type
+        # One buffer per vector for the whole solve, updated in place.
+        x, r, p, s, ap, a_s = (k.vector() for _ in range(6))
+        x[:] = x0
 
         # Initialize unit: r_0 = b - A x_0 (static SpMV), r0* = r_0, p_0 = r_0.
-        r = k.vsub(b, k.spmv(x))
+        k.vsub(b, k.spmv(x, out=ap), out=r)
         r_shadow = r.astype(np.float64)
-        p = r.copy()
+        p[:] = r
 
         monitor = self._monitor(b)
         # ||r_0|| and the per-iteration ||s|| below are not tallied.
@@ -58,21 +61,21 @@ class BiCGStabSolver(IterativeSolver):
             if abs(rho) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN  # rho-breakdown
                 break
-            ap = k.spmv(p)
+            k.spmv(p, out=ap)
             ap_rs = k.dot(ap, r_shadow)
             if abs(ap_rs) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN  # alpha denominator vanished
                 break
             alpha = rho / ap_rs
-            s = k.axmy(r, cast(alpha), ap)
+            k.axmy(r, cast(alpha), ap, out=s)
             s_norm = float(np.linalg.norm(s.astype(np.float64)))
             if monitor.relative(s_norm) <= self.tolerance:
                 # Lucky convergence: the alpha step alone solved the system
                 # (s = r - alpha A p vanished), so skip the smoothing step.
-                x = k.axpy(x, cast(alpha), p)
+                k.axpy(x, cast(alpha), p, out=x)
                 status = monitor.update(s_norm)
                 break
-            a_s = k.spmv(s)
+            k.spmv(s, out=a_s)
             as_s = k.dot(a_s, s)
             as_as = k.dot(a_s, a_s)
             if as_as < _BREAKDOWN_EPS:
@@ -80,8 +83,9 @@ class BiCGStabSolver(IterativeSolver):
                 status = SolveStatus.BREAKDOWN
                 break
             omega = as_s / as_as
-            x = k.axpy(k.axpy(x, cast(alpha), p), cast(omega), s)
-            r = k.axmy(s, cast(omega), a_s)
+            k.axpy(x, cast(alpha), p, out=x)
+            k.axpy(x, cast(omega), s, out=x)
+            k.axmy(s, cast(omega), a_s, out=r)
             status = monitor.update(k.norm(r))
             if status is not None:
                 break
@@ -91,6 +95,7 @@ class BiCGStabSolver(IterativeSolver):
                 status = SolveStatus.BREAKDOWN
                 break
             beta = (rho_next / rho) * (alpha / omega)
-            p = k.axpy(r, cast(beta), k.axmy(p, cast(omega), ap))
+            k.axmy(p, cast(omega), ap, out=p)
+            k.axpy(r, cast(beta), p, out=p)
             rho = rho_next
         return self._result(status, x, monitor, k)

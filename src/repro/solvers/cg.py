@@ -42,31 +42,34 @@ class ConjugateGradientSolver(IterativeSolver):
         b: np.ndarray,
         x0: np.ndarray | None = None,
     ) -> SolveResult:
-        matrix, b, x = self._prepare(matrix, b, x0)
+        matrix, b, x0 = self._prepare(matrix, b, x0)
         k = Kernels(matrix)
+        # One buffer per vector for the whole solve, updated in place.
+        x, r, p, ap = k.vector(), k.vector(), k.vector(), k.vector()
+        x[:] = x0
 
         # Initialize unit: r_0 = b - A x_0, p_0 = r_0 (one static SpMV).
-        r = k.vsub(b, k.spmv(x))
-        p = r.copy()
+        k.vsub(b, k.spmv(x, out=ap), out=r)
+        p[:] = r
         rs = k.dot(r, r)
 
         monitor = self._monitor(b)
         status = monitor.update(np.sqrt(rs))
         while status is None:
-            ap = k.spmv(p)
+            k.spmv(p, out=ap)
             p_ap = k.dot(p, ap)
             if abs(p_ap) < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN
                 break
             alpha = self.dtype.type(rs / p_ap)
-            x = k.axpy(x, alpha, p)
-            r = k.axmy(r, alpha, ap)
+            k.axpy(x, alpha, p, out=x)
+            k.axmy(r, alpha, ap, out=r)
             rs_next = k.dot(r, r)
             if rs < _BREAKDOWN_EPS:
                 status = SolveStatus.BREAKDOWN
                 break
             beta = self.dtype.type(rs_next / rs)
-            p = k.axpy(r, beta, p)
+            k.axpy(r, beta, p, out=p)
             rs = rs_next
             status = monitor.update(np.sqrt(max(rs, 0.0)))
         return self._result(status, x, monitor, k)

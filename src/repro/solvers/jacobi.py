@@ -42,11 +42,11 @@ class JacobiSolver(IterativeSolver):
         b: np.ndarray,
         x0: np.ndarray | None = None,
     ) -> SolveResult:
-        matrix, b, x = self._prepare(matrix, b, x0)
+        matrix, b, x0 = self._prepare(matrix, b, x0)
         diag = matrix.diagonal().astype(self.dtype)
         if np.any(diag == 0):
             # A zero diagonal makes D^-1 undefined: immediate breakdown.
-            return self._breakdown(x)
+            return self._breakdown(x0)
         inv_diag = (1.0 / diag).astype(self.dtype)
         off_diag = matrix.without_diagonal()
         # T = D^-1 (L + U): scale each stored row of (L+U) by 1/d_i.
@@ -58,13 +58,17 @@ class JacobiSolver(IterativeSolver):
         )
         c = (inv_diag * b).astype(self.dtype)
         k = Kernels(matrix)
+        # One buffer per vector for the whole solve; x and x_next swap.
+        x, x_next, work = k.vector(), k.vector(), k.vector()
+        x[:] = x0
 
         monitor = self._monitor(b)
         status = None
         while status is None:
-            x_next = k.vsub(c, k.spmv(x, t_matrix))
+            k.vsub(c, k.spmv(x, t_matrix, out=work), out=x_next)
             # Residual b - A x_j = D (x_{j+1} - x_j); diagonal scale + norm.
-            residual = k.norm(k.scale(diag, k.vsub(x_next, x)))
-            x = x_next
+            k.vsub(x_next, x, out=work)
+            residual = k.norm(k.scale(diag, work, out=work))
+            x, x_next = x_next, x
             status = monitor.update(residual)
         return self._result(status, x, monitor, k)

@@ -27,16 +27,27 @@ collector (0.3 µs without one), a sixth or more of such a call.
 
 Work a solver does outside these methods is not tallied, and so not
 priced.
+
+On the fabric each solver vector lives in one fixed buffer for the whole
+solve.  :meth:`Kernels.vector` hands a solver such a buffer, zeroed, in
+the solver precision and on a 64-byte cache-line boundary, and the
+SpMV, transposed-SpMV, AXPY, vector-add and scale kernels take an
+optional ``out`` that receives the result and is returned.  ``out`` must
+hold the shape and dtype the allocating call returns, and its bits are
+that call's.  CG, BiCG-STAB and Jacobi update their vectors this way;
+the other solvers let each call allocate its result.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from repro import telemetry as tm
 from repro.solvers.base import OpCounter
 from repro.solvers.preconditioners import Preconditioner
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, _aligned_empty, _check_out
 
 
 class Kernels:
@@ -46,7 +57,9 @@ class Kernels:
     run in that precision.  The dense reductions (:meth:`dot`,
     :meth:`norm`) accumulate in float64, casting their operands into
     scratch vectors allocated once here rather than once per call; the
-    SpMV operand flush runs over one more, in the solver precision.
+    SpMV operand flush runs over one more, in the solver precision, and
+    an AXPY forms ``alpha x`` in another.  Every scratch vector starts
+    on a cache line.
     """
 
     def __init__(self, matrix: CSRMatrix) -> None:
@@ -54,10 +67,68 @@ class Kernels:
         self.dtype = matrix.data.dtype
         self.ops = OpCounter()
         n = matrix.shape[0]
-        self._left = np.empty(n, dtype=np.float64)
-        self._right = np.empty(n, dtype=np.float64)
+        self._left = _aligned_empty(n, np.float64)
+        self._right = _aligned_empty(n, np.float64)
         self._tiny = np.finfo(self.dtype).tiny
-        self._magnitude = np.empty(n, dtype=self.dtype)
+        self._magnitude = _aligned_empty(n, self.dtype)
+        self._scaled = _aligned_empty(n, self.dtype)
+        self._weak_scalars = (float, int, self.dtype.type)
+
+    def vector(self) -> np.ndarray:
+        """A zeroed vector of the solve's length, in the solver precision.
+
+        It starts on a 64-byte cache-line boundary.  A solver takes its
+        vectors here once per solve and updates them through ``out``.
+        """
+        v = _aligned_empty(self.matrix.shape[0], self.dtype)
+        v.fill(0)
+        return v
+
+    @staticmethod
+    def _elementwise(
+        ufunc: np.ufunc, a: np.ndarray, b: np.ndarray, out: np.ndarray | None
+    ) -> np.ndarray:
+        """``ufunc(a, b)``, into ``out`` when given.
+
+        ``out`` must hold the allocating call's shape and dtype, which is
+        checked first, since numpy would broadcast or cast into it
+        silently; a read-only ``out`` is reported through the same check
+        when the ufunc raises.
+        """
+        if out is None:
+            return ufunc(a, b)
+        if (
+            type(out) is not np.ndarray
+            or not out.dtype == a.dtype == b.dtype
+            or out.shape != a.shape
+        ):
+            _check_out(
+                out, np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b)
+            )
+        try:
+            ufunc(a, b, out=out)
+        except ValueError:
+            _check_out(
+                out, np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b)
+            )
+            raise
+        return out
+
+    def _times(self, alpha: float | np.floating, x: np.ndarray) -> np.ndarray:
+        """``alpha * x``, in the product scratch when that is its dtype.
+
+        A Python number (weak under numpy's promotion rules) or a scalar
+        of the solver precision leaves a solver-precision ``x``'s dtype
+        as it is; any other scalar gets a fresh product in the dtype
+        numpy gives it, so a float64 ``alpha`` is not rounded to float32.
+        """
+        if (
+            x.dtype == self.dtype
+            and type(alpha) in self._weak_scalars
+            and x.shape == self._scaled.shape
+        ):
+            return np.multiply(alpha, x, out=self._scaled)
+        return alpha * x
 
     @staticmethod
     def _wide(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -84,7 +155,10 @@ class Kernels:
         return operand
 
     def spmv(
-        self, v: np.ndarray, operator: CSRMatrix | None = None
+        self,
+        v: np.ndarray,
+        operator: CSRMatrix | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """``A v`` in the solver precision, returned in ``v``'s precision.
 
@@ -97,22 +171,44 @@ class Kernels:
 
         ``operator`` defaults to the solve's matrix; Jacobi's ``T`` and
         multicolor Gauss-Seidel's off-diagonal part pass their own.
+        ``out`` receives the product, through ``CSRMatrix.matvec``'s own
+        ``out`` when the operator holds ``v``'s precision.
         """
         matrix = self.matrix if operator is None else operator
         with tm.span("kernel.spmv"):
-            product = matrix.matvec(self._operand(v))
+            product = self._product(matrix, matrix.matvec, v, out)
         self.ops.record("spmv", matrix.nnz)
-        return product.astype(v.dtype, copy=False)
+        return product
 
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+    def rmatvec(
+        self, v: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """``A^T v`` in the solver precision, returned in ``v``'s precision.
 
-        The operand is flushed in place as in :meth:`spmv`.
+        The operand is flushed in place, and ``out`` taken, as in
+        :meth:`spmv`.
         """
         with tm.span("kernel.rmatvec"):
-            product = self.matrix.rmatvec(self._operand(v))
+            product = self._product(self.matrix, self.matrix.rmatvec, v, out)
         self.ops.record("spmv", self.matrix.nnz)
-        return product.astype(v.dtype, copy=False)
+        return product
+
+    def _product(
+        self,
+        matrix: CSRMatrix,
+        apply: Callable[..., np.ndarray],
+        v: np.ndarray,
+        out: np.ndarray | None,
+    ) -> np.ndarray:
+        """``apply`` of the flushed ``v``, in ``v``'s precision."""
+        operand = self._operand(v)
+        if matrix.data.dtype == operand.dtype == v.dtype:
+            return apply(operand, out=out)
+        product = apply(operand).astype(v.dtype, copy=False)
+        if out is None:
+            return product
+        np.copyto(_check_out(out, product.shape, product.dtype), product)
+        return out
 
     def sweep(
         self,
@@ -159,34 +255,50 @@ class Kernels:
         return value
 
     def axpy(
-        self, y: np.ndarray, alpha: float | np.floating, x: np.ndarray
+        self,
+        y: np.ndarray,
+        alpha: float | np.floating,
+        x: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``y + alpha x``."""
-        out = y + alpha * x
+        """``y + alpha x``, into ``out`` when given.
+
+        The two roundings of ``y + alpha * x``: ``alpha x`` in its own
+        dtype, in a scratch vector, then the sum.
+        """
+        out = self._elementwise(np.add, y, self._times(alpha, x), out)
         self.ops.record("axpy", len(out))
         return out
 
     def axmy(
-        self, y: np.ndarray, alpha: float | np.floating, x: np.ndarray
+        self,
+        y: np.ndarray,
+        alpha: float | np.floating,
+        x: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``y - alpha x`` on the AXPY unit.
+        """``y - alpha x`` on the AXPY unit, into ``out`` when given.
 
         Not :meth:`axpy` with ``-alpha``: the two differ in the sign bit
         of a NaN, which a diverged iterate can hold.
         """
-        out = y - alpha * x
+        out = self._elementwise(np.subtract, y, self._times(alpha, x), out)
         self.ops.record("axpy", len(out))
         return out
 
-    def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def vsub(
+        self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """``a - b`` on the vector-add unit (tallied as ``vadd``)."""
-        out = a - b
+        out = self._elementwise(np.subtract, a, b, out)
         self.ops.record("vadd", len(out))
         return out
 
-    def scale(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Diagonal scaling ``d * v``."""
-        out = d * v
+    def scale(
+        self, d: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Diagonal scaling ``d * v``, into ``out`` when given."""
+        out = self._elementwise(np.multiply, d, v, out)
         self.ops.record("scale", len(out))
         return out
 

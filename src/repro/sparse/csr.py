@@ -15,7 +15,9 @@ either.  That contract is what makes the internal structure cache sound —
 derived views (row ids, row lengths, the diagonal, the transposed matrix,
 the off-diagonal split, the SpMV kernel plan) are computed lazily on first
 use and reused for the lifetime of the matrix.  Cached vector views are
-returned as read-only arrays; copy before writing.
+returned as read-only arrays; copy before writing.  A cast copy
+(:meth:`CSRMatrix.astype`) shares the structure arrays and the structure
+views already built.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import hashlib
 
 import numpy as np
 
-from repro.errors import ShapeMismatchError, SparseFormatError
+from repro.errors import ShapeMismatchError, SparseFormatError, ValidationError
 from repro.sparse.coo import stable_order
 
 _DIA_MAX_DIAGONALS = 24
@@ -32,6 +34,47 @@ _DIA_MAX_DIAGONALS = 24
 
 _DIA_MIN_FILL = 0.5
 """Minimum occupied fraction of the banded footprint for the fast path."""
+
+_CACHE_LINE = 64
+"""Byte boundary the kernel scratch and the solver vectors start on."""
+
+_STRUCTURE_VIEWS = ("row_lengths", "row_ids", "structure_fingerprint")
+"""Cached views that depend on the pattern only, shared by a cast copy."""
+
+
+def _aligned_empty(size: int, dtype: np.dtype | type) -> np.ndarray:
+    """Uninitialized vector of ``size`` entries on a cache-line boundary.
+
+    numpy places a fresh array at a 16-byte multiple, and its AVX-512
+    loops write an output that starts off a 64-byte boundary at about
+    half speed.  The buffer is over-allocated by one line and sliced to
+    the first boundary.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(size) * dtype.itemsize
+    raw = np.empty(nbytes + _CACHE_LINE, dtype=np.uint8)
+    start = -raw.ctypes.data % _CACHE_LINE
+    # Two slices: numpy leaves an empty slice at its base's address.
+    return raw[start:][:nbytes].view(dtype)
+
+
+def _check_out(out: np.ndarray, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """``out`` if it can take a kernel result of ``shape`` and ``dtype``.
+
+    A kernel writes into ``out`` exactly what its allocating call
+    returns, so a vector of another shape or dtype (which numpy would
+    broadcast or cast silently) is the caller's error.
+    """
+    if not isinstance(out, np.ndarray) or out.shape != shape:
+        raise ShapeMismatchError(
+            f"out must be an array of shape {shape}, got "
+            f"{getattr(out, 'shape', type(out).__name__)}"
+        )
+    if out.dtype != dtype:
+        raise ValidationError(f"out must hold {np.dtype(dtype)}, got {out.dtype}")
+    if not out.flags.writeable:
+        raise ValidationError("out must be writeable")
+    return out
 
 
 class CSRMatrix:
@@ -182,7 +225,7 @@ class CSRMatrix:
         key = ("ws", tag, np.dtype(dtype))
         buf = self._cache.get(key)
         if buf is None or len(buf) < size:
-            buf = np.empty(size, dtype=dtype)
+            buf = _aligned_empty(size, dtype)
             self._cache[key] = buf
         return buf[:size]
 
@@ -225,12 +268,15 @@ class CSRMatrix:
 
         ``("empty",)`` — no stored entries, the product is all zeros.
 
-        ``("dia", terms)`` — banded fast path: the matrix has few distinct
-        diagonals and they are densely occupied (regular stencils such as
-        the 5-point Poisson operator).  Each term is
+        ``("dia", terms, padding)`` — banded fast path: the matrix has few
+        distinct diagonals and they are densely occupied (regular stencils
+        such as the 5-point Poisson operator).  Each term is
         ``(offset, lo, hi, weights)`` and the product is accumulated as
         contiguous multiply-add sweeps in ascending-offset order, which
-        matches the per-row left-to-right accumulation order.
+        matches the per-row left-to-right accumulation order.  A row of
+        the span ``[lo, hi)`` that stores nothing on the diagonal holds a
+        zero weight; ``padding`` gives, per term, the positions of those
+        rows within the span (``None`` when every row stores an entry).
 
         ``("csr", starts, nonempty)`` — general gather + segmented
         reduction.  ``nonempty`` is ``None`` when every row has at least
@@ -250,9 +296,9 @@ class CSRMatrix:
         # row longer than the cap rules the banded plan out without the
         # diagonal census.
         if self.row_lengths().max() <= _DIA_MAX_DIAGONALS:
-            terms = self._diagonal_terms()
-            if terms is not None:
-                return ("dia", terms)
+            banded = self._diagonal_terms()
+            if banded is not None:
+                return ("dia", *banded)
         nonempty = self.indptr[:-1] != self.indptr[1:]
         if nonempty.all():
             return ("csr", self.indptr[:-1], None)
@@ -261,38 +307,69 @@ class CSRMatrix:
         return ("csr", starts, nonempty)
 
     def _diagonal_terms(self) -> tuple | None:
-        """The ``dia`` plan's terms, or ``None`` if the matrix is not banded."""
+        """The ``dia`` plan's terms and padding, or ``None`` if not banded.
+
+        The diagonals' spans are laid end to end in one buffer of the
+        banded footprint, and one scatter writes every stored value at
+        its row's place in its diagonal's span; a term's weights are its
+        span of that buffer.
+        """
         n_rows, n_cols = self.shape
-        offsets = self.indices - self.row_ids()
+        row_ids = self.row_ids()
+        # Each entry's diagonal offset, shifted to a non-negative index.
+        index = self.indices - row_ids + (n_rows - 1)
         # Diagonal census: ascending distinct offsets, as np.unique gives,
         # from one O(nnz + n_rows + n_cols) bincount.
-        census = np.bincount(offsets + n_rows - 1, minlength=n_rows + n_cols - 1)
-        distinct = np.flatnonzero(census) - (n_rows - 1)
-        if len(distinct) > _DIA_MAX_DIAGONALS:
+        census = np.bincount(index, minlength=n_rows + n_cols - 1)
+        occupied = np.flatnonzero(census)
+        if len(occupied) > _DIA_MAX_DIAGONALS:
             return None
+        distinct = occupied - (n_rows - 1)
         bounds = [
             (max(0, -int(d)), min(n_rows, n_cols - int(d))) for d in distinct
         ]
         footprint = sum(hi - lo for lo, hi in bounds)
         if not footprint or self.nnz < _DIA_MIN_FILL * footprint:
             return None
-        terms = []
-        row_ids = self.row_ids()
-        for d, (lo, hi) in zip(distinct, bounds):
-            mask = offsets == d
-            weights = np.zeros(hi - lo, dtype=self.data.dtype)
-            weights[row_ids[mask] - lo] = self.data[mask]
-            weights.flags.writeable = False
-            terms.append((int(d), lo, hi, weights))
-        return tuple(terms)
+        first = np.cumsum([0] + [hi - lo for lo, hi in bounds])
+        # Per diagonal, what takes a row to its place in the buffer.
+        shift = np.zeros(len(census), dtype=np.int64)
+        shift[occupied] = first[:-1] - [lo for lo, _ in bounds]
+        place = row_ids + shift[index]
+        weights = np.zeros(footprint, dtype=self.data.dtype)
+        weights[place] = self.data
+        weights.flags.writeable = False
+        stored = None
+        terms, padding = [], []
+        for k, (d, (lo, hi)) in enumerate(zip(distinct, bounds)):
+            span = slice(first[k], first[k + 1])
+            terms.append((int(d), lo, hi, weights[span]))
+            if census[occupied[k]] == hi - lo:
+                padding.append(None)
+                continue
+            if stored is None:
+                stored = np.zeros(footprint, dtype=bool)
+                stored[place] = True
+            gaps = np.flatnonzero(~stored[span])
+            gaps.flags.writeable = False
+            padding.append(gaps)
+        return tuple(terms), tuple(padding)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sparse matrix–vector product ``A @ x``.
 
         Implemented with gather + segmented reduction
         (:func:`numpy.add.reduceat`), which mirrors the accelerator's
         gather-multiply-reduce pipeline without scipy; densely banded
-        matrices instead take a per-diagonal multiply-add fast path.
+        matrices instead take a per-diagonal multiply-add fast path.  A
+        banded row's padding contributes +0 whatever ``x`` holds there, so
+        an infinite or NaN entry of ``x`` reaches only the rows that store
+        an entry in its column, as in the ``csr`` path.
+
+        ``out``, when given, receives the product and is returned: a
+        vector of ``n_rows`` entries in the product's dtype,
+        ``np.result_type(data, x)``, sharing no memory with ``x``.  The
+        bits are those of the allocating call.
         """
         x = np.asarray(x)
         if x.shape != (self.n_cols,):
@@ -300,17 +377,39 @@ class CSRMatrix:
                 f"matvec expects a vector of length {self.n_cols}, got {x.shape}"
             )
         out_dtype = np.result_type(self.data, x)
+        if out is not None:
+            _check_out(out, (self.n_rows,), out_dtype)
+            if np.shares_memory(out, x):
+                raise ValidationError("matvec's out must not share memory with x")
         plan = self._spmv_plan()
+        if plan[0] == "csr":
+            return self._csr_product(plan, x, out_dtype, out)
+        if out is None:
+            out = np.zeros(self.n_rows, dtype=out_dtype)
+        else:
+            out.fill(0)
         if plan[0] == "empty":
-            return np.zeros(self.n_rows, dtype=out_dtype)
-        if plan[0] == "dia":
-            result = np.zeros(self.n_rows, dtype=out_dtype)
-            scratch = self._workspace("dia", self.n_rows, out_dtype)
-            for offset, lo, hi, weights in plan[1]:
-                seg = scratch[: hi - lo]
-                np.multiply(weights, x[lo + offset : hi + offset], out=seg)
-                np.add(result[lo:hi], seg, out=result[lo:hi])
-            return result
+            return out
+        _, terms, padding = plan
+        scratch = self._workspace("dia", self.n_rows, out_dtype)
+        for (offset, lo, hi, weights), gaps in zip(terms, padding):
+            seg = scratch[: hi - lo]
+            np.multiply(weights, x[lo + offset : hi + offset], out=seg)
+            if gaps is not None:
+                # +0 leaves a finite row's bits as they were: the sum
+                # starts at +0, which round-to-nearest never turns -0.
+                seg[gaps] = 0
+            np.add(out[lo:hi], seg, out=out[lo:hi])
+        return out
+
+    def _csr_product(
+        self,
+        plan: tuple,
+        x: np.ndarray,
+        out_dtype: np.dtype,
+        out: np.ndarray | None,
+    ) -> np.ndarray:
+        """The ``csr`` plan's gather, multiply and segmented reduction."""
         _, starts, nonempty = plan
         products = self._workspace("products", self.nnz, out_dtype)
         # The products of ``data * x[indices]``, gathered without numpy's
@@ -321,26 +420,37 @@ class CSRMatrix:
             x = x.astype(out_dtype)
         x.take(self.indices, out=products, mode="wrap")
         np.multiply(self.data, products, out=products)
+        # ``reduceat`` allocates its result, which is then copied into
+        # ``out``: reducing into a given ``out`` ran 11 % slower over one
+        # float32 SpMV of each of the 25 stand-ins (AVX-512 x86 host).
+        sums = np.add.reduceat(products, starts)
         if nonempty is None:
-            return np.add.reduceat(products, starts)
-        result = np.zeros(self.n_rows, dtype=out_dtype)
-        result[nonempty] = np.add.reduceat(products, starts)
-        return result
+            if out is None:
+                return sums
+            np.copyto(out, sums)
+            return out
+        if out is None:
+            out = np.zeros(self.n_rows, dtype=out_dtype)
+        else:
+            out.fill(0)
+        out[nonempty] = sums
+        return out
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+    def rmatvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transposed product ``A.T @ x`` via the cached transpose.
 
         Delegating to ``A.T.matvec`` turns the per-call ``np.add.at``
         scatter into a one-time transposition (a radix pass) plus the same
         gather + ``reduceat`` kernel as :meth:`matvec`, which is what
-        makes BiCG's shadow recurrence affordable.
+        makes BiCG's shadow recurrence affordable.  ``out`` is as in
+        :meth:`matvec`, with ``n_cols`` entries.
         """
         x = np.asarray(x)
         if x.shape != (self.n_rows,):
             raise ShapeMismatchError(
                 f"rmatvec expects a vector of length {self.n_rows}, got {x.shape}"
             )
-        return self.transpose().matvec(x)
+        return self.transpose().matvec(x, out=out)
 
     # ------------------------------------------------------------------
     # Structure manipulation
@@ -406,11 +516,20 @@ class CSRMatrix:
         return t
 
     def astype(self, dtype: np.dtype | type) -> "CSRMatrix":
-        """Copy with values cast to ``dtype`` (e.g. ``np.float32``)."""
-        return type(self)._from_canonical_parts(
-            self.shape, self.indptr.copy(), self.indices.copy(),
-            self.data.astype(dtype),
+        """Copy with values cast to ``dtype`` (e.g. ``np.float32``).
+
+        As in :meth:`with_data`, the (immutable) structure arrays are
+        shared; so are the structure views already cached (row lengths,
+        row ids, the structure fingerprint), which the copy would
+        otherwise build again.
+        """
+        cast = type(self)._from_canonical_parts(
+            self.shape, self.indptr, self.indices, self.data.astype(dtype)
         )
+        for key in _STRUCTURE_VIEWS:
+            if key in self._cache:
+                cast._cache[key] = self._cache[key]
+        return cast
 
     def with_data(self, data: np.ndarray) -> "CSRMatrix":
         """Same sparsity pattern, new stored values.

@@ -84,8 +84,15 @@ def is_symmetric(matrix: CSRMatrix, rtol: float = 1e-6) -> bool:
     array-wise against the CSR input decides ``A == A.T``.  Values must
     agree to ``rtol`` with an absolute floor of ``rtol * max|A|``, so the
     verdict does not depend on the matrix's scale.
+
+    A symmetric pattern stores as many entries in each column as in the
+    row of the same index, so a column count that differs from its row
+    length decides ``False`` before the transposition is built.
     """
     if matrix.shape[0] != matrix.shape[1]:
+        return False
+    column_counts = np.bincount(matrix.indices, minlength=matrix.n_cols)
+    if not np.array_equal(column_counts, matrix.row_lengths()):
         return False
     transpose = matrix.transpose()
     if not transpose.structurally_equal(matrix):

@@ -337,3 +337,39 @@ def test_exit_matches_frozen_loop(cls, options, make_input, status, exit, dtype)
     old, old_exit = FROZEN[cls](solver, matrix, b)
     assert (old.status.value, old_exit) == (status, exit)
     assert_bit_identical(solver.solve(matrix, b), old)
+
+
+def _poisson_65k(seed):
+    problem = datasets.poisson_2d(256, seed=seed)
+    return problem.matrix, problem.b
+
+
+def _sdd_65k(seed):
+    """The ``solve-65k`` workload's 65,536-row SDD operator and its b."""
+    sdd = datasets.sdd_matrix(
+        65536, 8.0, seed=seed, symmetric=False, dominance=1.05
+    )
+    problem = datasets.manufacture_problem("sdd_65536", sdd, seed=seed)
+    return problem.matrix, problem.b
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize(
+    "cls, make_input, plan",
+    [
+        (ConjugateGradientSolver, _poisson_65k, "dia"),
+        (JacobiSolver, _sdd_65k, "csr"),
+    ],
+    ids=["cg-poisson_2d(256)", "jacobi-sdd_65536"],
+)
+def test_workload_size_matches_frozen_loop(cls, make_input, plan, seed):
+    # At 65,536 rows the solvers' vectors fill whole cache lines, and CG's
+    # operator takes the banded plan.  No SpMV operand of these solves
+    # holds a float32 subnormal, so the frozen loops, which do not flush,
+    # still apply.
+    matrix, b = make_input(seed)
+    assert matrix.astype(np.float32)._spmv_plan()[0] == plan
+    solver = cls()
+    old, old_exit = FROZEN[cls](solver, matrix, b)
+    assert (old.status.value, old_exit) == ("converged", "monitor")
+    assert_bit_identical(solver.solve(matrix, b), old)

@@ -78,10 +78,10 @@ def test_float32_bicgstab_spmv_operands_hold_no_subnormals(monkeypatch):
     matvec = CSRMatrix.matvec
     subnormals = []
 
-    def spy(self, x):
+    def spy(self, x, out=None):
         tiny = np.finfo(x.dtype).tiny
         subnormals.append(int(np.count_nonzero((np.abs(x) < tiny) & (x != 0))))
-        return matvec(self, x)
+        return matvec(self, x, out=out)
 
     monkeypatch.setattr(CSRMatrix, "matvec", spy)
     result = make_solver("bicgstab", tolerance=TOLERANCE).solve(

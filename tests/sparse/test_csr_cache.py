@@ -5,7 +5,9 @@ row lengths, diagonal, transpose, SpMV kernel plan, scratch buffers).
 These tests pin the contract: caching must be invisible — bit-identical
 results, no aliasing of kernel scratch — and the
 transpose-backed ``rmatvec`` must match the old scatter implementation
-to a few ULP of the accumulated magnitude across dtypes.
+to a few ULP of the accumulated magnitude across dtypes.  A product
+written into ``out`` is the allocating call's, bit for bit; scratch
+buffers start on a cache line; a cast copy shares the structure.
 """
 
 import numpy as np
@@ -13,7 +15,11 @@ import pytest
 
 from repro.datasets.generators import sdd_matrix
 from repro.datasets.pde import poisson_2d
+from repro.errors import ReproError
 from repro.sparse.csr import CSRMatrix
+
+DTYPES = (np.float32, np.float64)
+SIZES = (0, 1, 17, 2025, 65536)
 
 
 def fresh_copy(matrix: CSRMatrix) -> CSRMatrix:
@@ -158,6 +164,28 @@ class TestBandedFastPath:
             operator.matvec(x), np.array([2.0, 0.0, 0.0, 5.0])
         )
 
+    @pytest.mark.parametrize("n", [4, 1000])
+    def test_plan_keeps_only_the_diagonals_spans(self, n):
+        # Two corner entries: each diagonal spans one row, so the plan's
+        # weights hold two values whatever n is, not two rows of n.
+        operator = CSRMatrix(
+            (n, n),
+            np.array([0] + [1] * (n - 1) + [2]),
+            np.array([n - 1, 0]),
+            np.array([2.0, 5.0]),
+        )
+        plan = operator._spmv_plan()
+        assert plan[0] == "dia"
+        buffers = {}
+        for term in plan[1]:
+            weights = term[3] if term[3].base is None else term[3].base
+            buffers[id(weights)] = weights.size
+        assert sum(buffers.values()) == 2
+        x = np.arange(1.0, n + 1)
+        np.testing.assert_array_equal(
+            operator.matvec(x), operator.to_dense() @ x
+        )
+
 
 class TestWithData:
     def test_shares_structure_replaces_values(self, matrix):
@@ -171,3 +199,143 @@ class TestWithData:
 
         with pytest.raises(SparseFormatError):
             matrix.with_data(np.zeros(matrix.nnz + 1))
+
+
+def plan_cases() -> dict[str, CSRMatrix]:
+    """One matrix per SpMV plan, and the csr plan with empty rows."""
+    rng = np.random.default_rng(5)
+    dense = (rng.random((60, 45)) < 0.4) * rng.standard_normal((60, 45))
+    empty_rows = dense.copy()
+    empty_rows[::3] = 0.0
+    return {
+        "csr": CSRMatrix.from_dense(dense),
+        "csr-empty-rows": CSRMatrix.from_dense(empty_rows),
+        "dia": poisson_2d(12).matrix,
+        "empty": CSRMatrix((7, 5), np.zeros(8, dtype=np.int64), [], []),
+    }
+
+
+PLAN_KINDS = {"csr": "csr", "csr-empty-rows": "csr", "dia": "dia",
+              "empty": "empty"}
+
+
+class TestOutArgument:
+    """``matvec``/``rmatvec`` write the allocating call's bits into ``out``."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", sorted(PLAN_KINDS))
+    def test_bit_identical_to_the_allocating_call(self, case, dtype):
+        matrix = plan_cases()[case].astype(dtype)
+        assert matrix._spmv_plan()[0] == PLAN_KINDS[case]
+        if case == "csr-empty-rows":
+            assert matrix._spmv_plan()[2] is not None
+        rng = np.random.default_rng(6)
+        for method, n_in, n_out in (
+            (matrix.matvec, matrix.n_cols, matrix.n_rows),
+            (matrix.rmatvec, matrix.n_rows, matrix.n_cols),
+        ):
+            x = rng.standard_normal(n_in).astype(dtype)
+            out = np.full(n_out, np.nan, dtype=dtype)
+            assert method(x, out=out) is out
+            expected = method(x)
+            assert expected.dtype == out.dtype
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(PLAN_KINDS))
+    def test_a_float32_x_widens_into_a_float64_out(self, case):
+        matrix = plan_cases()[case]
+        x = np.random.default_rng(7).standard_normal(matrix.n_cols)
+        x = x.astype(np.float32)
+        out = np.empty(matrix.n_rows)
+        assert matrix.matvec(x, out=out).tobytes() == matrix.matvec(x).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(PLAN_KINDS))
+    def test_a_bad_out_raises_a_repro_error(self, case):
+        matrix = plan_cases()[case]
+        for method, n_in, n_out in (
+            (matrix.matvec, matrix.n_cols, matrix.n_rows),
+            (matrix.rmatvec, matrix.n_rows, matrix.n_cols),
+        ):
+            read_only = np.empty(n_out)
+            read_only.flags.writeable = False
+            for out in (
+                np.empty(n_out + 1),
+                np.empty((n_out, 1)),
+                np.empty(n_out, dtype=np.float32),
+                np.empty(n_out, dtype=np.int64),
+                list(np.empty(n_out)),
+                read_only,
+            ):
+                with pytest.raises(ReproError):
+                    method(np.ones(n_in), out=out)
+
+    def test_out_sharing_memory_with_x_raises(self):
+        matrix = poisson_2d(6).matrix
+        x = np.ones(matrix.n_cols)
+        with pytest.raises(ReproError):
+            matrix.matvec(x, out=x)
+        with pytest.raises(ReproError):
+            matrix.rmatvec(x, out=x)
+        buffer = np.ones(2 * matrix.n_rows)
+        with pytest.raises(ReproError):
+            matrix.matvec(buffer[: matrix.n_cols], out=buffer[1 : matrix.n_rows + 1])
+        # Disjoint halves of one buffer are fine.
+        out = matrix.matvec(buffer[: matrix.n_cols], out=buffer[matrix.n_rows :])
+        assert out.tobytes() == matrix.matvec(np.ones(matrix.n_cols)).tobytes()
+
+
+class TestAlignedWorkspace:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_workspaces_start_on_a_cache_line(self, size, dtype):
+        matrix = CSRMatrix.identity(3)
+        buf = matrix._workspace("probe", size, dtype)
+        assert buf.shape == (size,)
+        assert buf.dtype == dtype
+        assert buf.ctypes.data % 64 == 0
+
+    def test_kernel_workspaces_are_aligned(self):
+        for matrix in (poisson_2d(12).matrix, plan_cases()["csr"]):
+            matrix.matvec(np.ones(matrix.n_cols, dtype=np.float32))
+            buffers = [v for k, v in matrix._cache.items()
+                       if isinstance(k, tuple) and k[0] == "ws"]
+            assert buffers
+            assert all(buf.ctypes.data % 64 == 0 for buf in buffers)
+
+
+class TestAstypeSharesStructure:
+    def test_structure_arrays_shared_values_copied(self, matrix):
+        cast = matrix.astype(np.float32)
+        assert np.shares_memory(cast.indptr, matrix.indptr)
+        assert np.shares_memory(cast.indices, matrix.indices)
+        assert not np.shares_memory(cast.data, matrix.data)
+        np.testing.assert_array_equal(cast.data, matrix.data.astype(np.float32))
+
+    def test_cached_structure_views_carry_over(self, matrix):
+        ids, lengths = matrix.row_ids(), matrix.row_lengths()
+        digest = matrix.structure_fingerprint()
+        cast = matrix.astype(np.float32)
+        assert cast.row_ids() is ids
+        assert cast.row_lengths() is lengths
+        assert cast._cache["structure_fingerprint"] == digest
+        # Value-dependent views are the copy's own.
+        assert "diagonal" not in cast._cache
+        assert "spmv_plan" not in cast._cache
+        assert "transpose" not in cast._cache
+
+    def test_a_cold_cast_builds_its_own_views(self):
+        cold = fresh_copy(sdd_matrix(64, 4.0, seed=2))
+        cast = cold.astype(np.float32)
+        assert cast._cache == {}
+        np.testing.assert_array_equal(cast.row_ids(), cold.row_ids())
+        assert cast.structure_fingerprint() == cold.structure_fingerprint()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_cast_products_match_a_fresh_cast(self, matrix, dtype):
+        matrix.row_ids()
+        x = np.random.default_rng(8).standard_normal(matrix.n_cols)
+        x = x.astype(dtype)
+        shared = matrix.astype(dtype)
+        fresh = fresh_copy(matrix).astype(dtype)
+        assert shared.matvec(x).tobytes() == fresh.matvec(x).tobytes()
+        assert shared.rmatvec(x).tobytes() == fresh.rmatvec(x).tobytes()

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datasets import dataset_keys, load_problem
 from repro.datasets.pde import convection_diffusion_2d_matrix
-from repro.sparse import CSRMatrix
+from repro.sparse import COOMatrix, CSRMatrix
 from repro.sparse.properties import (
     analyze_properties,
     diagonal_dominance_margin,
@@ -14,6 +17,9 @@ from repro.sparse.properties import (
     jacobi_iteration_spectral_radius,
     positive_definite_probe,
 )
+from tests.sparse.test_hypothesis_sparse import dense_matrices
+from tests.sparse.test_spmv_oracle import coo_matrices
+from tests.sparse.test_structure_oracles import csr_matrices, diagonal_matrices
 
 
 DOMINANCE_SCALES = (1e-7, 0.3, 0.7, 1.0, 1e9)
@@ -97,6 +103,92 @@ class TestSymmetry:
     def test_convection_diffusion_is_nonsymmetric(self):
         dense = convection_diffusion_2d_matrix(16).to_dense()
         assert symmetry_verdicts(dense) == [False] * 3
+
+
+def csr_csc_verdict(matrix: CSRMatrix, rtol: float = 1e-6) -> bool:
+    """The symmetry check without the column-count exit: CSR against CSC."""
+    if matrix.shape[0] != matrix.shape[1]:
+        return False
+    cold = CSRMatrix(matrix.shape, matrix.indptr, matrix.indices, matrix.data)
+    transpose = cold.transpose()
+    if not transpose.structurally_equal(cold):
+        return False
+    scale = float(np.abs(cold.data).max(initial=0.0))
+    atol = rtol * scale if np.isfinite(scale) else 0.0
+    return bool(np.allclose(transpose.data, cold.data, rtol=rtol, atol=atol))
+
+
+def assert_same_symmetry_verdict(matrix: CSRMatrix) -> None:
+    verdict = is_symmetric(matrix)
+    assert verdict == csr_csc_verdict(matrix)
+    square = matrix.shape[0] == matrix.shape[1]
+    counts_match = square and np.array_equal(
+        np.bincount(matrix.indices, minlength=matrix.n_cols),
+        matrix.row_lengths(),
+    )
+    # The transposition is built only when the column counts match.
+    assert ("transpose" in matrix._cache) == counts_match
+
+
+@st.composite
+def permuted_patterns(draw):
+    """Square patterns whose column counts equal their row lengths.
+
+    A sum of permutation matrices: every row and every column holds the
+    same number of entries, so only the CSR/CSC comparison decides.
+    """
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perms = [rng.permutation(n) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        perms.append(np.argsort(perms[0]))  # the inverse permutation
+    rows = np.concatenate([np.arange(n)] * len(perms))
+    cols = np.concatenate(perms)
+    keys = np.unique(rows * n + cols)
+    values = draw(st.sampled_from([np.ones(len(keys)), rng.random(len(keys))]))
+    return CSRMatrix.from_dense(
+        np.bincount(keys, weights=values, minlength=n * n).reshape(n, n)
+    )
+
+
+class TestSymmetryEarlyExit:
+    """The column-count exit never changes the CSR/CSC verdict."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stand_ins(self, seed):
+        for key in dataset_keys():
+            matrix = load_problem(key, seed).matrix
+            fresh = CSRMatrix(
+                matrix.shape, matrix.indptr, matrix.indices, matrix.data
+            )
+            assert_same_symmetry_verdict(fresh)
+
+    @given(dense_matrices(square=True))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_matrices(self, dense):
+        assert_same_symmetry_verdict(CSRMatrix.from_dense(dense))
+        assert_same_symmetry_verdict(CSRMatrix.from_dense(dense + dense.T))
+
+    @given(coo_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_coo_matrices(self, coo):
+        assert_same_symmetry_verdict(coo.to_csr())
+
+    @given(st.one_of(csr_matrices(), diagonal_matrices()))
+    @settings(max_examples=100, deadline=None)
+    def test_structure_oracle_matrices(self, matrix):
+        assert_same_symmetry_verdict(matrix)
+
+    @given(permuted_patterns())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_counts_fall_through_to_the_comparison(self, matrix):
+        assert_same_symmetry_verdict(matrix)
+
+    def test_unequal_counts_skip_the_transposition(self):
+        coo = COOMatrix((3, 3), [0, 0, 1, 2], [0, 1, 1, 2], [1.0, 2.0, 3.0, 4.0])
+        matrix = coo.to_csr()
+        assert not is_symmetric(matrix)
+        assert "transpose" not in matrix._cache
 
 
 class TestDefinitenessProbe:

@@ -14,6 +14,11 @@ Two kinds of check:
 - **Pin.**  The ``csr`` plan returns exactly the seed formula
   ``np.add.reduceat(data * x[indices], starts)``, with NaN, +-inf and
   -0.0 in ``x``: same bits, same dtype.
+- **Non-finite operands on the banded plan.**  With NaN, +-inf and -0.0
+  in ``x``, the ``dia`` plan's rows are NaN and infinite exactly where
+  scipy's are, with the same signs, and its finite rows meet the
+  oracle's bound: a row's zero padding never multiplies an infinity into
+  NaN, while a stored zero still does.
 """
 
 import numpy as np
@@ -24,7 +29,7 @@ from hypothesis import strategies as st
 from repro.datasets import dataset_keys, load_problem
 from repro.sparse import COOMatrix, CSRMatrix
 from repro.sparse.csr import _DIA_MAX_DIAGONALS
-from tests.sparse.test_structure_oracles import banded
+from tests.sparse.test_structure_oracles import banded, diagonal_matrices
 
 sparse = pytest.importorskip("scipy.sparse")
 
@@ -317,3 +322,97 @@ class TestSeedKernelPin:
         if np.issubdtype(x_dtype, np.floating):
             x = with_specials(x, rng)
         assert_seed_bits(matrix, x)
+
+
+# -- non-finite operands on the banded plan -----------------------------
+
+
+def check_nonfinite(matrix: CSRMatrix, x: np.ndarray, transposed: bool) -> None:
+    """``matvec`` (or ``rmatvec``) against scipy with specials in ``x``."""
+    reference = to_scipy(matrix).T if transposed else to_scipy(matrix)
+    magnitude = to_scipy(abs_matrix(matrix))
+    if transposed:
+        magnitude = magnitude.T
+    with np.errstate(all="ignore"):
+        actual = matrix.rmatvec(x) if transposed else matrix.matvec(x)
+        expected = reference @ x
+        magnitudes = magnitude @ np.abs(x.astype(np.float64))
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(np.isnan(actual), np.isnan(expected))
+    infinite = np.isinf(expected)
+    np.testing.assert_array_equal(actual[infinite], expected[infinite])
+    finite = np.isfinite(expected)
+    lengths = np.bincount(matrix.indices, minlength=matrix.n_cols) \
+        if transposed else matrix.row_lengths()
+    assert_within_bound(
+        actual[finite], expected[finite], lengths[finite], magnitudes[finite]
+    )
+
+
+def stored_zero_on_a_diagonal(dtype) -> CSRMatrix:
+    """``diag(2)`` of 12 rows, the entry (0, 3), and a stored 0 at (6, 6)."""
+    indptr = np.r_[0, 2, np.arange(3, 14)]
+    indices = np.r_[0, 3, np.arange(1, 12)]
+    data = np.full(13, 2.0, dtype=dtype)
+    data[1] = 1.0
+    data[7] = 0.0
+    return CSRMatrix((12, 12), indptr, indices, data)
+
+
+class TestDiaNonFinite:
+    @given(diagonal_matrices(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_banded_matrices(self, matrix, seed):
+        assume(matrix._spmv_plan()[0] == "dia")
+        rng = np.random.default_rng(seed)
+        dtype = matrix.data.dtype
+        x = with_specials(rng.standard_normal(matrix.n_cols).astype(dtype), rng)
+        y = with_specials(rng.standard_normal(matrix.n_rows).astype(dtype), rng)
+        check_nonfinite(matrix, x, transposed=False)
+        check_nonfinite(matrix, y, transposed=True)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_padding_of_a_partial_diagonal(self, dtype):
+        # Diagonal +3 stores only row 0, so rows 1-8 pad it with zeros;
+        # x[6] = inf used to turn row 3 into NaN.
+        dense = 2.0 * np.eye(12)
+        dense[0, 3] = 1.0
+        matrix = CSRMatrix.from_dense(dense).astype(dtype)
+        assert matrix._spmv_plan()[0] == "dia"
+        x = np.ones(12, dtype=dtype)
+        x[6] = np.inf
+        with np.errstate(invalid="ignore"):
+            product = matrix.matvec(x)
+        expected = np.full(12, 2.0, dtype=dtype)
+        expected[0], expected[6] = 3.0, np.inf
+        assert product.tobytes() == expected.tobytes()
+        check_nonfinite(matrix, x, transposed=False)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    def test_a_stored_zero_is_not_padding(self, dtype, special):
+        matrix = stored_zero_on_a_diagonal(dtype)
+        assert matrix._spmv_plan()[0] == "dia"
+        x = np.ones(12, dtype=dtype)
+        x[6] = special
+        with np.errstate(invalid="ignore"):
+            product = matrix.matvec(x)
+        # 0 * inf is NaN in the row that stores the zero, as in scipy.
+        assert np.isnan(product[6])
+        assert np.isfinite(np.delete(product, 6)).all()
+        check_nonfinite(matrix, x, transposed=False)
+        check_nonfinite(matrix, x, transposed=True)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_poisson_stencil(self, dtype):
+        # The 5-point stencil's +-1 diagonals pad one row per grid line.
+        from repro.datasets.pde import poisson_2d
+
+        matrix = poisson_2d(12).matrix.astype(dtype)
+        assert matrix._spmv_plan()[0] == "dia"
+        assert any(gaps is not None for gaps in matrix._spmv_plan()[2])
+        rng = np.random.default_rng(9)
+        for _ in range(4):
+            x = with_specials(rng.standard_normal(144).astype(dtype), rng)
+            check_nonfinite(matrix, x, transposed=False)
+            check_nonfinite(matrix, x, transposed=True)
