@@ -223,10 +223,20 @@ def _assemble(
     permute: bool,
     rng: np.random.Generator,
 ) -> CSRMatrix:
-    """Add a diagonal, optionally relabel rows/columns, and build CSR."""
-    all_rows = np.concatenate([rows, np.arange(n)])
-    all_cols = np.concatenate([cols, np.arange(n)])
-    all_vals = np.concatenate([vals, diag])
+    """Add a diagonal, optionally relabel rows/columns, and build CSR.
+
+    No off-diagonal entry lies on the diagonal, so each ``(i, i)`` goes in
+    at its row-major place: off-diagonal entries already in row-major
+    order then stay in order, and :meth:`COOMatrix.canonical` does not
+    sort them.  Other input is sorted as before; the off-diagonal entries
+    keep their relative order, so duplicates sum alike.
+    """
+    diagonal = np.arange(n)
+    at = np.searchsorted(rows * n + cols, diagonal * (n + 1))
+    all_rows = np.insert(rows, at, diagonal)
+    all_cols = np.insert(cols, at, diagonal)
+    dtype = np.result_type(vals, diag)
+    all_vals = np.insert(vals.astype(dtype, copy=False), at, diag)
     if permute:
         perm = rng.permutation(n)
         all_rows = perm[all_rows]

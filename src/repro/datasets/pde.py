@@ -10,12 +10,49 @@ to BiCG-STAB.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.datasets.problem import Problem, manufacture_problem
 from repro.errors import ConfigurationError
-from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
+
+
+def _stencil_matrix(
+    dims: tuple[int, ...],
+    center: float,
+    lower: tuple[float, ...],
+    upper: tuple[float, ...],
+) -> CSRMatrix:
+    """Nearest-neighbour stencil on a grid of ``dims`` points (Dirichlet).
+
+    Axes run slowest first, so point ``(i_0, …, i_{d-1})`` is row
+    ``Σ i_k · stride_k``.  A row couples to itself with ``center`` and,
+    along axis ``k``, to the previous point with ``lower[k]`` and to the
+    next with ``upper[k]`` where that neighbour exists.  Each row lists
+    its couplings in ascending offset order (``-stride_0 … -1, 0, 1 …
+    stride_0``), which is ascending column order, so the CSR arrays are
+    built directly, with no sort.
+    """
+    n = math.prod(dims)
+    strides = [math.prod(dims[axis + 1:]) for axis in range(len(dims))]
+    point = np.arange(n)
+    position = [point // stride % size for stride, size in zip(strides, dims)]
+    offsets = [-stride for stride in strides] + [0] + strides[::-1]
+    values = [*lower, center, *upper[::-1]]
+    present = (
+        [at > 0 for at in position]
+        + [np.ones(n, dtype=bool)]
+        + [at < size - 1 for at, size in zip(position[::-1], dims[::-1])]
+    )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.sum(present, axis=0), out=indptr[1:])
+    # Row-major selection: each row's couplings, in offset order.
+    mask = np.stack(present, axis=1)
+    indices = (point[:, None] + np.array(offsets))[mask]
+    data = np.broadcast_to(np.array(values, dtype=np.float64), mask.shape)[mask]
+    return CSRMatrix((n, n), indptr, indices, data)
 
 
 def poisson_2d_matrix(nx: int, ny: int | None = None) -> CSRMatrix:
@@ -28,24 +65,7 @@ def poisson_2d_matrix(nx: int, ny: int | None = None) -> CSRMatrix:
     ny = ny if ny is not None else nx
     if nx < 1 or ny < 1:
         raise ConfigurationError(f"grid must be at least 1x1, got {nx}x{ny}")
-    n = nx * ny
-    index = np.arange(n).reshape(ny, nx)
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.full(n, 4.0)]
-    # Horizontal couplings.
-    left, right = index[:, :-1].ravel(), index[:, 1:].ravel()
-    rows += [left, right]
-    cols += [right, left]
-    vals += [np.full(len(left), -1.0)] * 2
-    # Vertical couplings.
-    up, down = index[:-1, :].ravel(), index[1:, :].ravel()
-    rows += [up, down]
-    cols += [down, up]
-    vals += [np.full(len(up), -1.0)] * 2
-    return COOMatrix(
-        (n, n), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    ).to_csr()
+    return _stencil_matrix((ny, nx), 4.0, (-1.0, -1.0), (-1.0, -1.0))
 
 
 def poisson_3d_matrix(
@@ -56,20 +76,7 @@ def poisson_3d_matrix(
     nz = nz if nz is not None else nx
     if min(nx, ny, nz) < 1:
         raise ConfigurationError(f"grid must be at least 1x1x1, got {nx}x{ny}x{nz}")
-    n = nx * ny * nz
-    index = np.arange(n).reshape(nz, ny, nx)
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.full(n, 6.0)]
-    for axis in range(3):
-        lo = np.moveaxis(index, axis, 0)[:-1].ravel()
-        hi = np.moveaxis(index, axis, 0)[1:].ravel()
-        rows += [lo, hi]
-        cols += [hi, lo]
-        vals += [np.full(len(lo), -1.0)] * 2
-    return COOMatrix(
-        (n, n), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    ).to_csr()
+    return _stencil_matrix((nz, ny, nx), 6.0, (-1.0,) * 3, (-1.0,) * 3)
 
 
 def convection_diffusion_2d_matrix(
@@ -87,24 +94,11 @@ def convection_diffusion_2d_matrix(
         raise ConfigurationError(f"grid must be at least 1x1, got {nx}x{ny}")
     if peclet < 0:
         raise ConfigurationError(f"peclet must be >= 0, got {peclet}")
-    n = nx * ny
-    index = np.arange(n).reshape(ny, nx)
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.full(n, 4.0 + peclet)]
-    left, right = index[:, :-1].ravel(), index[:, 1:].ravel()
     # Flow in +x: upwind difference takes (1 + peclet) from the left
     # neighbor, 1 from the right.
-    rows += [right, left]
-    cols += [left, right]
-    vals += [np.full(len(left), -(1.0 + peclet)), np.full(len(left), -1.0)]
-    up, down = index[:-1, :].ravel(), index[1:, :].ravel()
-    rows += [up, down]
-    cols += [down, up]
-    vals += [np.full(len(up), -1.0)] * 2
-    return COOMatrix(
-        (n, n), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    ).to_csr()
+    return _stencil_matrix(
+        (ny, nx), 4.0 + peclet, (-1.0, -(1.0 + peclet)), (-1.0, -1.0)
+    )
 
 
 def poisson_2d(nx: int, ny: int | None = None, seed: int = 1) -> Problem:

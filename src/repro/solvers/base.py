@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, TypeVar
 import numpy as np
 
 from repro.errors import ShapeMismatchError
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, _aligned_empty
 
 if TYPE_CHECKING:
     from repro.solvers.kernels import Kernels
@@ -170,7 +170,13 @@ class IterativeSolver(ABC):
     def _prepare(
         self, matrix: CSRMatrix, b: np.ndarray, x0: np.ndarray | None
     ) -> tuple[CSRMatrix, np.ndarray, np.ndarray]:
-        """Validate shapes and cast operands to the solver precision."""
+        """Validate shapes and cast operands to the solver precision.
+
+        The start vector comes back in a fresh buffer of the kind
+        :meth:`Kernels.vector` hands out (solver precision, on a cache
+        line), zeroed or holding a copy of ``x0``, so a solver iterates in
+        it directly.
+        """
         if matrix.shape[0] != matrix.shape[1]:
             raise ShapeMismatchError(
                 f"iterative solvers need a square matrix, got {matrix.shape}"
@@ -179,15 +185,17 @@ class IterativeSolver(ABC):
         b = np.asarray(b, dtype=self.dtype)
         if b.shape != (n,):
             raise ShapeMismatchError(f"b must have shape ({n},), got {b.shape}")
+        x = _aligned_empty(n, self.dtype)
         if x0 is None:
-            x0 = np.zeros(n, dtype=self.dtype)
+            x.fill(0)
         else:
-            x0 = np.asarray(x0, dtype=self.dtype).copy()
+            x0 = np.asarray(x0, dtype=self.dtype)
             if x0.shape != (n,):
                 raise ShapeMismatchError(f"x0 must have shape ({n},), got {x0.shape}")
+            x[:] = x0
         if matrix.data.dtype != self.dtype:
             matrix = matrix.astype(self.dtype)
-        return matrix, b, x0
+        return matrix, b, x
 
     def _monitor(self, b: np.ndarray) -> ConvergenceMonitor:
         """Residual monitor normalized by ``‖b‖`` (float64, not tallied)."""

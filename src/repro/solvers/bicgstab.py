@@ -41,12 +41,11 @@ class BiCGStabSolver(IterativeSolver):
         b: np.ndarray,
         x0: np.ndarray | None = None,
     ) -> SolveResult:
-        matrix, b, x0 = self._prepare(matrix, b, x0)
+        matrix, b, x = self._prepare(matrix, b, x0)
         k = Kernels(matrix)
         cast = self.dtype.type
         # One buffer per vector for the whole solve, updated in place.
-        x, r, p, s, ap, a_s = (k.vector() for _ in range(6))
-        x[:] = x0
+        r, p, s, ap, a_s = (k.vector() for _ in range(5))
 
         # Initialize unit: r_0 = b - A x_0 (static SpMV), r0* = r_0, p_0 = r_0.
         k.vsub(b, k.spmv(x, out=ap), out=r)

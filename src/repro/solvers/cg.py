@@ -42,11 +42,10 @@ class ConjugateGradientSolver(IterativeSolver):
         b: np.ndarray,
         x0: np.ndarray | None = None,
     ) -> SolveResult:
-        matrix, b, x0 = self._prepare(matrix, b, x0)
+        matrix, b, x = self._prepare(matrix, b, x0)
         k = Kernels(matrix)
         # One buffer per vector for the whole solve, updated in place.
-        x, r, p, ap = k.vector(), k.vector(), k.vector(), k.vector()
-        x[:] = x0
+        r, p, ap = k.vector(), k.vector(), k.vector()
 
         # Initialize unit: r_0 = b - A x_0, p_0 = r_0 (one static SpMV).
         k.vsub(b, k.spmv(x, out=ap), out=r)

@@ -42,11 +42,11 @@ class JacobiSolver(IterativeSolver):
         b: np.ndarray,
         x0: np.ndarray | None = None,
     ) -> SolveResult:
-        matrix, b, x0 = self._prepare(matrix, b, x0)
+        matrix, b, x = self._prepare(matrix, b, x0)
         diag = matrix.diagonal().astype(self.dtype)
         if np.any(diag == 0):
             # A zero diagonal makes D^-1 undefined: immediate breakdown.
-            return self._breakdown(x0)
+            return self._breakdown(x)
         inv_diag = (1.0 / diag).astype(self.dtype)
         off_diag = matrix.without_diagonal()
         # T = D^-1 (L + U): scale each stored row of (L+U) by 1/d_i.
@@ -59,8 +59,7 @@ class JacobiSolver(IterativeSolver):
         c = (inv_diag * b).astype(self.dtype)
         k = Kernels(matrix)
         # One buffer per vector for the whole solve; x and x_next swap.
-        x, x_next, work = k.vector(), k.vector(), k.vector()
-        x[:] = x0
+        x_next, work = k.vector(), k.vector()
 
         monitor = self._monitor(b)
         status = None

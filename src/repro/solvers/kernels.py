@@ -34,8 +34,9 @@ the solver precision and on a 64-byte cache-line boundary, and the
 SpMV, transposed-SpMV, AXPY, vector-add and scale kernels take an
 optional ``out`` that receives the result and is returned.  ``out`` must
 hold the shape and dtype the allocating call returns, and its bits are
-that call's.  CG, BiCG-STAB and Jacobi update their vectors this way;
-the other solvers let each call allocate its result.
+that call's.  CG, BiCG-STAB and Jacobi update their vectors this way,
+their iterate in the start vector ``IterativeSolver._prepare`` returns
+in the same form; the other solvers let each call allocate its result.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ itself (sort by row then column, merge duplicates, drop explicit zeros).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,46 @@ import numpy as np
 from repro.errors import ShapeMismatchError, SparseFormatError
 
 _DIGIT_BITS = 16
+
+_MAX_KEY = np.iinfo(np.int64).max
+"""Largest row-major key ``row * n_cols + col`` int64 holds."""
+
+
+def _shape(shape: tuple[int, int]) -> tuple[int, int]:
+    """``shape`` as two non-negative Python ints."""
+    try:
+        n_rows, n_cols = (operator.index(side) for side in shape)
+    except (TypeError, ValueError):
+        raise SparseFormatError(
+            f"shape must be two integers, got {shape!r}"
+        ) from None
+    if n_rows < 0 or n_cols < 0:
+        raise SparseFormatError(f"negative shape {shape}")
+    return n_rows, n_cols
+
+
+def _index_array(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array; integer input costs a dtype test.
+
+    Any other dtype is refused unless empty: a float or NaN coordinate
+    would otherwise be truncated, or raise numpy's own error.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu" and array.size:
+        raise SparseFormatError(f"{name} must be integers, got {array.dtype}")
+    if array.ndim != 1:
+        raise SparseFormatError(f"{name} must be 1-D, got shape {array.shape}")
+    return array.astype(np.int64, copy=False)
+
+
+def _value_array(values: np.ndarray) -> np.ndarray:
+    """``values`` as a 1-D array of real numbers (bool, integer or float)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise SparseFormatError(f"data must be real numbers, got {array.dtype}")
+    if array.ndim != 1:
+        raise SparseFormatError(f"data must be 1-D, got shape {array.shape}")
+    return array
 
 
 def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -47,11 +88,12 @@ class COOMatrix:
         Integer arrays of equal length with the coordinates of each stored
         entry.
     data:
-        Floating-point array of stored values, same length as the
-        coordinate arrays.
+        Real-valued (usually floating-point) array of stored values, same
+        length as the coordinate arrays.
 
-    The constructor validates bounds and lengths; use :meth:`canonical` to
-    obtain a duplicate-free, sorted copy.
+    The constructor validates the shape, dtypes, bounds and lengths and
+    raises :class:`~repro.errors.SparseFormatError` on malformed input;
+    use :meth:`canonical` to obtain a duplicate-free, sorted copy.
     """
 
     shape: tuple[int, int]
@@ -60,12 +102,10 @@ class COOMatrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        n_rows, n_cols = self.shape
-        if n_rows < 0 or n_cols < 0:
-            raise SparseFormatError(f"negative shape {self.shape}")
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        data = np.asarray(self.data)
+        n_rows, n_cols = _shape(self.shape)
+        rows = _index_array(self.rows, "rows")
+        cols = _index_array(self.cols, "cols")
+        data = _value_array(self.data)
         if not (len(rows) == len(cols) == len(data)):
             raise SparseFormatError(
                 "rows, cols and data must have equal length, got "
@@ -75,6 +115,7 @@ class COOMatrix:
             raise SparseFormatError("row index out of bounds")
         if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
             raise SparseFormatError("column index out of bounds")
+        object.__setattr__(self, "shape", (n_rows, n_cols))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
@@ -85,29 +126,49 @@ class COOMatrix:
         return len(self.data)
 
     def canonical(self) -> "COOMatrix":
-        """Return a sorted, duplicate-summed, zero-free copy."""
+        """Return a sorted, duplicate-summed, zero-free copy.
+
+        One pass over the row-major keys ``row * n_cols + col`` tells
+        whether the triplets are already in order, as every generator
+        emits them.  Triplets that are not, and any shape whose keys
+        would overflow int64, take two stable radix passes (equal to
+        ``np.lexsort((cols, rows))``).  Repeated coordinates are summed in
+        input order, a merge that runs only when one repeats: skipping it
+        leaves each value as ``0 + v`` would, but for the sign of a zero,
+        and zeros of both signs are dropped.  The returned arrays share
+        no memory with this matrix's.
+        """
         if self.nnz == 0:
             return self
-        # Two stable passes, minor key first: equal to
-        # ``np.lexsort((cols, rows))`` in linear time.
         n_rows, n_cols = self.shape
-        order = stable_order(self.cols, n_cols)
-        order = order[stable_order(self.rows[order], n_rows)]
-        rows, cols, data = self.rows[order], self.cols[order], self.data[order]
-        # Merge duplicate coordinates by summation.
-        new_group = np.empty(len(rows), dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        group_ids = np.cumsum(new_group) - 1
-        n_groups = group_ids[-1] + 1
-        summed = np.zeros(n_groups, dtype=data.dtype)
-        np.add.at(summed, group_ids, data)
-        keep_rows = rows[new_group]
-        keep_cols = cols[new_group]
-        nonzero = summed != 0
-        return COOMatrix(
-            self.shape, keep_rows[nonzero], keep_cols[nonzero], summed[nonzero]
-        )
+        rows, cols, data = self.rows, self.cols, self.data
+        steps = None
+        if n_rows * n_cols <= _MAX_KEY:
+            steps = np.diff(rows * n_cols + cols)
+        if steps is not None and (len(steps) == 0 or steps.min() >= 0):
+            distinct = steps != 0
+        else:
+            # Two stable passes, minor key first.
+            order = stable_order(cols, n_cols)
+            order = order[stable_order(rows[order], n_rows)]
+            rows, cols, data = rows[order], cols[order], data[order]
+            distinct = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not distinct.all():
+            # Merge duplicate coordinates by summation.
+            new_group = np.empty(len(rows), dtype=bool)
+            new_group[0] = True
+            new_group[1:] = distinct
+            group_ids = np.cumsum(new_group) - 1
+            summed = np.zeros(group_ids[-1] + 1, dtype=data.dtype)
+            np.add.at(summed, group_ids, data)
+            rows, cols, data = rows[new_group], cols[new_group], summed
+        nonzero = data != 0
+        if not nonzero.all():
+            rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
+        elif rows is self.rows:
+            # Nothing was gathered, so nothing was copied yet.
+            rows, cols, data = rows.copy(), cols.copy(), data.copy()
+        return COOMatrix(self.shape, rows, cols, data)
 
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense array (for tests and small examples)."""
@@ -116,7 +177,12 @@ class COOMatrix:
         return dense
 
     def to_csr(self) -> "CSRMatrix":
-        """Convert to CSR, canonicalizing first."""
+        """Convert to CSR, canonicalizing first.
+
+        Triplets already in row-major order cost one check pass and no
+        sort (see :meth:`canonical`).  The result shares no memory with
+        this matrix's arrays.
+        """
         from repro.sparse.csr import CSRMatrix
 
         canon = self.canonical()
@@ -124,7 +190,10 @@ class COOMatrix:
         counts = np.bincount(canon.rows, minlength=n_rows)
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return CSRMatrix(self.shape, indptr, canon.cols.copy(), canon.data.copy())
+        # ``canonical`` returns fresh, ordered, duplicate-free int64 arrays.
+        return CSRMatrix._from_canonical_parts(
+            self.shape, indptr, canon.cols, canon.data
+        )
 
     @staticmethod
     def from_dense(dense: np.ndarray) -> "COOMatrix":

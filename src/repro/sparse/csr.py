@@ -27,7 +27,7 @@ import hashlib
 import numpy as np
 
 from repro.errors import ShapeMismatchError, SparseFormatError, ValidationError
-from repro.sparse.coo import stable_order
+from repro.sparse.coo import _index_array, _shape, _value_array, stable_order
 
 _DIA_MAX_DIAGONALS = 24
 """Upper bound on distinct diagonals for the banded SpMV fast path."""
@@ -92,7 +92,11 @@ class CSRMatrix:
         be strictly increasing (canonical CSR); the constructor verifies
         this because the symmetry check and Jacobi splitting rely on it.
     data:
-        Stored values, same length as ``indices``.
+        Stored values (real numbers), same length as ``indices``.
+
+    Malformed input (a non-integer shape, index or offset, non-numeric
+    values, mismatched lengths) raises
+    :class:`~repro.errors.SparseFormatError`.
     """
 
     __slots__ = ("shape", "indptr", "indices", "data", "_cache")
@@ -104,10 +108,10 @@ class CSRMatrix:
         indices: np.ndarray,
         data: np.ndarray,
     ) -> None:
-        n_rows, n_cols = shape
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        data = np.asarray(data)
+        n_rows, n_cols = _shape(shape)
+        indptr = _index_array(indptr, "indptr")
+        indices = _index_array(indices, "indices")
+        data = _value_array(data)
         if indptr.shape != (n_rows + 1,):
             raise SparseFormatError(
                 f"indptr must have length n_rows+1={n_rows + 1}, got {len(indptr)}"
@@ -124,7 +128,7 @@ class CSRMatrix:
         if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
             raise SparseFormatError("column index out of bounds")
         self._check_sorted_rows(indptr, indices)
-        self.shape = (int(n_rows), int(n_cols))
+        self.shape = (n_rows, n_cols)
         self.indptr = indptr
         self.indices = indices
         self.data = data
@@ -142,7 +146,8 @@ class CSRMatrix:
 
         Skips the O(nnz) constructor validation; only for internal callers
         whose outputs are canonical by construction (transpose, casts,
-        diagonal removal).  ``indptr``/``indices`` must be int64.
+        diagonal removal, :meth:`COOMatrix.to_csr`).  ``indptr``/``indices``
+        must be int64.
         """
         self = object.__new__(cls)
         self.shape = (int(shape[0]), int(shape[1]))

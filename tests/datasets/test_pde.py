@@ -107,3 +107,75 @@ class TestConvectionDiffusion:
         result = Acamar().solve(problem.matrix, problem.b)
         assert result.converged
         assert result.selection.solver in ("bicgstab", "jacobi")
+
+
+GRIDS_2D = ((1, 1), (1, 5), (5, 1), (3, 4), (7, 3), (16, 16), (256, 256))
+GRIDS_3D = ((1, 1, 1), (2, 3, 4), (5, 5, 5))
+
+
+class TestScipyOracle:
+    """The stencils, array for array, against a Kronecker construction.
+
+    ``T_m`` is the 1-D second difference on ``m`` points; the grid
+    operator sums one ``T`` per axis, x fastest, so the arrays of the
+    canonical scipy CSR must equal the stencil's exactly.
+    """
+
+    @staticmethod
+    def band(m: int, lower: float, center: float, upper: float):
+        sparse = pytest.importorskip("scipy.sparse")
+        return sparse.diags([lower, center, upper], [-1, 0, 1], shape=(m, m))
+
+    @staticmethod
+    def identity(m: int):
+        return pytest.importorskip("scipy.sparse").identity(m)
+
+    @staticmethod
+    def assert_same_csr(matrix, reference) -> None:
+        reference = reference.tocsr()
+        reference.sum_duplicates()
+        reference.eliminate_zeros()
+        assert matrix.shape == reference.shape
+        assert matrix.indptr.dtype == matrix.indices.dtype == np.int64
+        assert matrix.data.dtype == np.float64
+        np.testing.assert_array_equal(matrix.indptr, reference.indptr)
+        np.testing.assert_array_equal(matrix.indices, reference.indices)
+        np.testing.assert_array_equal(matrix.data, reference.data)
+
+    def kron(self, *factors):
+        sparse = pytest.importorskip("scipy.sparse")
+        result = factors[0]
+        for factor in factors[1:]:
+            result = sparse.kron(result, factor)
+        return result
+
+    @pytest.mark.parametrize("nx, ny", GRIDS_2D)
+    def test_poisson_2d(self, nx, ny):
+        eye, t = self.identity, self.band
+        reference = self.kron(eye(ny), t(nx, -1.0, 2.0, -1.0)) + self.kron(
+            t(ny, -1.0, 2.0, -1.0), eye(nx)
+        )
+        self.assert_same_csr(poisson_2d_matrix(nx, ny), reference)
+
+    @pytest.mark.parametrize("nx, ny, nz", GRIDS_3D)
+    def test_poisson_3d(self, nx, ny, nz):
+        eye, t = self.identity, self.band
+        second = (-1.0, 2.0, -1.0)
+        reference = (
+            self.kron(eye(nz), eye(ny), t(nx, *second))
+            + self.kron(eye(nz), t(ny, *second), eye(nx))
+            + self.kron(t(nz, *second), eye(ny), eye(nx))
+        )
+        self.assert_same_csr(poisson_3d_matrix(nx, ny, nz), reference)
+
+    @pytest.mark.parametrize("peclet", (0.0, 3.5, 10.0))
+    @pytest.mark.parametrize("nx, ny", GRIDS_2D)
+    def test_convection_diffusion(self, nx, ny, peclet):
+        eye, t = self.identity, self.band
+        upwind = t(nx, -(1.0 + peclet), 2.0 + peclet, -1.0)
+        reference = self.kron(eye(ny), upwind) + self.kron(
+            t(ny, -1.0, 2.0, -1.0), eye(nx)
+        )
+        self.assert_same_csr(
+            convection_diffusion_2d_matrix(nx, peclet, ny), reference
+        )

@@ -41,6 +41,28 @@ class TestConstruction:
         with pytest.raises(SparseFormatError, match="strictly increasing"):
             CSRMatrix((1, 3), [0, 2], [1, 1], [1.0, 2.0])
 
+    def test_float_indptr_rejected(self):
+        with pytest.raises(SparseFormatError, match="indptr must be integers"):
+            CSRMatrix((2, 2), [0, 1.5, 2], [0, 1], [1.0, 2.0])
+
+    def test_float_indices_rejected(self):
+        with pytest.raises(SparseFormatError, match="indices must be integers"):
+            CSRMatrix((2, 2), [0, 1, 2], [0.0, 1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(2.5, 2), (2,), (-1, 2)])
+    def test_malformed_shape_rejected(self, shape):
+        with pytest.raises(SparseFormatError, match="shape"):
+            CSRMatrix(shape, [0, 1, 2], [0, 1], [1.0, 2.0])
+
+    def test_string_data_rejected(self):
+        with pytest.raises(SparseFormatError, match="data must be real numbers"):
+            CSRMatrix((2, 2), [0, 1, 2], [0, 1], ["a", "b"])
+
+    def test_empty_lists_accepted(self):
+        matrix = CSRMatrix((2, 3), [0, 0, 0], [], [])
+        assert matrix.nnz == 0
+        assert matrix.indices.dtype == np.int64
+
     def test_decreasing_across_row_boundary_allowed(self):
         matrix = CSRMatrix((2, 3), [0, 1, 2], [2, 0], [1.0, 2.0])
         assert matrix.nnz == 2

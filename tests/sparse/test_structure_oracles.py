@@ -1,8 +1,9 @@
 """Oracle tests for the linear-time structure work in ``repro.sparse``.
 
 ``stable_order`` replaces comparison sorts in ``CSRMatrix.transpose`` and
-``COOMatrix.canonical``, and a diagonal census replaces ``np.unique`` in
-the SpMV plan build.  Each is checked bit for bit against an independent
+``COOMatrix.canonical`` (which skips it for triplets already in row-major
+order), and a diagonal census replaces ``np.unique`` in the SpMV plan
+build.  Each is checked bit for bit against an independent
 reference: numpy's stable argsort, the ``np.lexsort`` canonicalization and
 ``np.unique`` plan build they replaced (copied below), and scipy.
 """
@@ -108,12 +109,43 @@ def triplets(draw):
     return COOMatrix(shape, rows, cols, np.array(data, dtype=dtype))
 
 
+@st.composite
+def ordered_triplets(draw):
+    """Triplets already in row-major order, the order generators emit.
+
+    Coordinates come from small pools and are sorted before the values
+    are drawn, so repeats sit next to each other in input order.
+    """
+    shape = (draw(st.sampled_from(SIDES)), draw(st.sampled_from(SIDES)))
+    row_pool = draw(st.lists(st.integers(0, shape[0] - 1), min_size=1, max_size=4))
+    col_pool = draw(st.lists(st.integers(0, shape[1] - 1), min_size=1, max_size=4))
+    nnz = draw(st.integers(0, 60))
+    cells = sorted(
+        draw(
+            st.lists(
+                st.tuples(st.sampled_from(row_pool), st.sampled_from(col_pool)),
+                min_size=nnz,
+                max_size=nnz,
+            )
+        )
+    )
+    data = draw(st.lists(st.sampled_from(VALUES), min_size=nnz, max_size=nnz))
+    dtype = draw(st.sampled_from((np.float64, np.float32)))
+    rows = np.array([row for row, _ in cells], dtype=np.int64)
+    cols = np.array([col for _, col in cells], dtype=np.int64)
+    return COOMatrix(shape, rows, cols, np.array(data, dtype=dtype))
+
+
 def assert_same_coo(actual: COOMatrix, expected: COOMatrix) -> None:
     assert actual.shape == expected.shape
     for name in ("rows", "cols", "data"):
         got, want = getattr(actual, name), getattr(expected, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def refuse_sort(keys, bound):
+    raise AssertionError("ordered triplets were sorted")
 
 
 class TestCanonicalOracle:
@@ -134,6 +166,45 @@ class TestCanonicalOracle:
         canon = coo.canonical()
         assert_same_coo(canon, lexsort_canonical(coo))
         assert canon.nnz == 0
+
+    @given(ordered_triplets())
+    @settings(max_examples=300, deadline=None)
+    def test_ordered_triplets_skip_the_sort(self, coo):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.sparse.coo.stable_order", refuse_sort)
+            canon = coo.canonical()
+        assert_same_coo(canon, lexsort_canonical(coo))
+        if coo.nnz:
+            for name in ("rows", "cols", "data"):
+                for given in (coo.rows, coo.cols, coo.data):
+                    assert not np.shares_memory(getattr(canon, name), given), name
+
+    @given(ordered_triplets())
+    @settings(max_examples=100, deadline=None)
+    def test_ordered_triplets_to_csr(self, coo):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.sparse.coo.stable_order", refuse_sort)
+            csr = coo.to_csr()
+        expected = lexsort_canonical(coo)
+        np.testing.assert_array_equal(csr.row_ids(), expected.rows)
+        np.testing.assert_array_equal(csr.indices, expected.cols)
+        assert csr.data.dtype == expected.data.dtype
+        np.testing.assert_array_equal(csr.data, expected.data)
+        for given in (coo.rows, coo.cols, coo.data):
+            for array in (csr.indptr, csr.indices, csr.data):
+                assert not np.shares_memory(array, given)
+
+    def test_keys_beyond_int64_take_the_sort(self):
+        # 2**40 x 2**40 cells: a row-major key overflows int64, so even
+        # ordered triplets are sorted, and still match the reference.
+        side = 2**40
+        coo = COOMatrix(
+            (side, side),
+            [0, 0, 5, side - 1, side - 1],
+            [3, 3, side - 1, 0, side - 1],
+            [1.0, 2.0, -0.0, 4.0, 5.0],
+        )
+        assert_same_coo(coo.canonical(), lexsort_canonical(coo))
 
     def test_wide_shape_orders_columns_across_digits(self):
         rng = np.random.default_rng(7)
