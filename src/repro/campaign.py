@@ -21,9 +21,8 @@ Scaling and observability:
   yields a **failure-annotated** :class:`CampaignEntry` instead of
   aborting the campaign,
 - every run collects :mod:`repro.telemetry` spans/counters from the
-  decision loops and cost model, a ``campaign.run`` span around the
-  fan-out and ``campaign.failures`` per failure record; the collector
-  rides on :attr:`CampaignReport.telemetry`.
+  decision loops and cost model and a ``campaign.run`` span around the
+  fan-out; the collector rides on :attr:`CampaignReport.telemetry`.
 """
 
 from __future__ import annotations
@@ -330,7 +329,7 @@ def run_campaign(
     derivation and :func:`solve_items`, so the parallel report is
     entry-for-entry identical to the serial one.  Unresolvable sources
     raise :class:`DatasetError` immediately; solve-time faults become
-    failure-annotated entries, each counted as ``campaign.failures``.
+    failure-annotated entries.
     """
     config = config if config is not None else AcamarConfig()
     source_list = list(sources)
@@ -357,11 +356,10 @@ def run_campaign(
                 work_fn=solve_items,
                 chunk_size=chunk_size,
             )
-        report.telemetry.merge(outcome.telemetry)
-        for result in outcome.results:
-            if result.entry is None:
-                tm.count("campaign.failures")
-                report.entries.append(failure_entry(result.label, result.error))
-            else:
-                report.entries.append(result.entry)
+    report.telemetry.merge(outcome.telemetry)
+    report.entries = [
+        result.entry if result.entry is not None
+        else failure_entry(result.label, result.error)
+        for result in outcome.results
+    ]
     return report

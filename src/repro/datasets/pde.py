@@ -11,6 +11,7 @@ to BiCG-STAB.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -55,6 +56,24 @@ def _stencil_matrix(
     return CSRMatrix((n, n), indptr, indices, data)
 
 
+def _check_grid(*sizes: int) -> None:
+    """Reject grid sizes that are not integers of at least 1.
+
+    ``bool`` is rejected, as :func:`~repro.config.check_integer_fields`
+    rejects it; Python and numpy integers pass.
+    """
+    for size in sizes:
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            raise ConfigurationError(
+                f"grid sizes must be integers, got {size!r}"
+            )
+    if min(sizes) < 1:
+        raise ConfigurationError(
+            f"grid must be at least {'x'.join('1' * len(sizes))}, "
+            f"got {'x'.join(str(size) for size in sizes)}"
+        )
+
+
 def poisson_2d_matrix(nx: int, ny: int | None = None) -> CSRMatrix:
     """Five-point Laplacian on an ``nx × ny`` interior grid (Dirichlet).
 
@@ -63,8 +82,7 @@ def poisson_2d_matrix(nx: int, ny: int | None = None) -> CSRMatrix:
     still converges — slowly, which is what makes solver choice matter.
     """
     ny = ny if ny is not None else nx
-    if nx < 1 or ny < 1:
-        raise ConfigurationError(f"grid must be at least 1x1, got {nx}x{ny}")
+    _check_grid(nx, ny)
     return _stencil_matrix((ny, nx), 4.0, (-1.0, -1.0), (-1.0, -1.0))
 
 
@@ -74,8 +92,7 @@ def poisson_3d_matrix(
     """Seven-point Laplacian on an ``nx × ny × nz`` interior grid."""
     ny = ny if ny is not None else nx
     nz = nz if nz is not None else nx
-    if min(nx, ny, nz) < 1:
-        raise ConfigurationError(f"grid must be at least 1x1x1, got {nx}x{ny}x{nz}")
+    _check_grid(nx, ny, nz)
     return _stencil_matrix((nz, ny, nx), 6.0, (-1.0,) * 3, (-1.0,) * 3)
 
 
@@ -90,10 +107,15 @@ def convection_diffusion_2d_matrix(
     Structure unit away from CG.
     """
     ny = ny if ny is not None else nx
-    if nx < 1 or ny < 1:
-        raise ConfigurationError(f"grid must be at least 1x1, got {nx}x{ny}")
-    if peclet < 0:
-        raise ConfigurationError(f"peclet must be >= 0, got {peclet}")
+    _check_grid(nx, ny)
+    if (
+        not isinstance(peclet, numbers.Real)
+        or not math.isfinite(peclet)
+        or peclet < 0
+    ):
+        raise ConfigurationError(
+            f"peclet must be a finite number >= 0, got {peclet!r}"
+        )
     # Flow in +x: upwind difference takes (1 + peclet) from the left
     # neighbor, 1 from the right.
     return _stencil_matrix(

@@ -398,8 +398,8 @@ def run_sweep(
     Returns one :class:`ItemResult` per point in declaration order
     regardless of ``workers`` — the pool only changes wall-clock time,
     never the records, so reports stay byte-identical per seed.  The
-    run's telemetry goes to ``collector``, with one
-    ``dse.points_evaluated`` or ``dse.points_failed`` per record.  A
+    run's telemetry goes to ``collector``; the report built from the
+    records states how many points completed and failed.  A
     negative or non-integer ``seed`` and a ``workers`` below 1 raise
     :class:`~repro.errors.ConfigurationError` before any point runs.
     """
@@ -424,12 +424,6 @@ def run_sweep(
         for index, (shape, traffic) in enumerate(space.points())
     ]
     outcome = run_sharded(items, base, workers, work_fn=evaluate_items)
-    collector = collector if collector is not None else Telemetry()
-    collector.merge(outcome.telemetry)
-    with collector.activate():
-        for result in outcome.results:
-            tm.count(
-                "dse.points_evaluated" if result.error is None
-                else "dse.points_failed"
-            )
+    if collector is not None:
+        collector.merge(outcome.telemetry)
     return outcome.results

@@ -28,7 +28,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from repro import telemetry as tm
 from repro.errors import ConfigurationError
 from repro.serve.api import SolveRequest
 
@@ -110,7 +109,6 @@ class AdmissionController:
         deadline = request.deadline_s
         if deadline_lapsed(deadline, now):
             self.shed_deadline += 1
-            tm.count("serve.shed.deadline")
             return AdmissionVerdict.SHED_DEADLINE, None
         victim: QueuedRequest | None = None
         if len(self.queue) >= self.capacity:
@@ -119,11 +117,9 @@ class AdmissionController:
             candidate = self.queue[-1]
             if candidate.priority <= int(request.priority):
                 self.shed_full += 1
-                tm.count("serve.shed.queue_full")
                 return AdmissionVerdict.SHED_QUEUE_FULL, None
             victim = self.queue.pop()
             self.preemptions += 1
-            tm.count("serve.preemptions")
         bisect.insort_right(
             self.queue,
             QueuedRequest(request=request, admitted_s=now),
@@ -131,7 +127,6 @@ class AdmissionController:
         )
         if deadline is not None and deadline < self._deadline_floor:
             self._deadline_floor = deadline
-        tm.count("serve.admitted")
         return AdmissionVerdict.ADMITTED, victim
 
     def expire(self, now: float) -> list[QueuedRequest]:
@@ -148,7 +143,6 @@ class AdmissionController:
         if lapsed:
             keep = {id(q) for q in lapsed}
             self.queue = [q for q in self.queue if id(q) not in keep]
-            tm.count("serve.expired", len(lapsed))
         self._deadline_floor = _earliest_deadline(self.queue)
         return lapsed
 

@@ -76,7 +76,6 @@ class TieredPlanCache:
     def __init__(self, local_capacity: int = 256) -> None:
         self.local_capacity = local_capacity
         self.directory: set[str] = set()
-        self.publishes = 0
         self.stats = TierStats()
         self._local: dict[int, PlanCache] = {}
 
@@ -123,15 +122,12 @@ class TieredPlanCache:
     def publish(self, fleet_id: int, fingerprint: str) -> None:
         """After a cold solve: directory insert + local install."""
         self.attach_fleet(fleet_id)
-        if fingerprint not in self.directory:
-            self.directory.add(fingerprint)
-            self.publishes += 1
+        self.directory.add(fingerprint)
         self._local[fleet_id].put(fingerprint)
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "directory_entries": len(self.directory),
-            "publishes": self.publishes,
             "local_evictions": self.local_evictions(),
             "lookups": self.stats.as_dict(),
         }

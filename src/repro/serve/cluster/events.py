@@ -58,7 +58,6 @@ class TimerWheel:
     def __init__(self) -> None:
         self._heap: list[TimerEvent] = []
         self._seq = 0
-        self.pushed = 0
         self.popped = 0
 
     def __len__(self) -> int:
@@ -73,7 +72,6 @@ class TimerWheel:
             payload=payload,
         )
         self._seq += 1
-        self.pushed += 1
         heapq.heappush(self._heap, event)
 
     def pop(self) -> TimerEvent:

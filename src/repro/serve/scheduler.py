@@ -250,7 +250,7 @@ class MicroBatchScheduler:
         pool*: a GPU-tenant fault can only darken (and evict the
         residency of) a GPU slot, never a co-scheduled FPGA instance.
         An event naming a class this fleet does not host is consumed
-        without effect or counter.
+        without effect.
         """
         while self._faults_applied < len(self.device_faults):
             event = self.device_faults[self._faults_applied]
@@ -270,7 +270,6 @@ class MicroBatchScheduler:
             )
             slot.resident_signature = None
             slot.outages += 1
-            tm.count("serve.device_faults")
 
     # -- placement ----------------------------------------------------
 
@@ -320,10 +319,6 @@ class MicroBatchScheduler:
         cursor = now + (swap_charge if config_load else 0.0)
         if config_load:
             slot.config_loads += 1
-            if on_gpu:
-                tm.count("gpu.transfers")
-            else:
-                tm.count("serve.config_loads")
         batch_warm = cache is not None and cache.get(profile.fingerprint)
         if cache is not None and not batch_warm:
             cache.put(profile.fingerprint)
@@ -369,10 +364,6 @@ class MicroBatchScheduler:
                 )
             )
             service = member_service
-        tm.count(
-            "serve.cache_hits" if batch_warm else "serve.cache_misses",
-            len(members),
-        )
         slot.resident_signature = signature
         slot.busy_seconds += cursor - now
         slot.busy_until_s = cursor
@@ -389,15 +380,6 @@ class MicroBatchScheduler:
                 device_class=device_class,
             )
         )
-        tm.count("serve.batches")
-        # Per-class batch counters only exist once placement is active
-        # (a mixed fleet); pure-FPGA fleets keep their pre-placement
-        # counter schema byte-for-byte.
-        if self.fleet.gpu_tenants > 0:
-            if on_gpu:
-                tm.count("placement.gpu_batches")
-            else:
-                tm.count("placement.fpga_batches")
         return responses
 
     def _fail_batch(
@@ -430,7 +412,6 @@ class MicroBatchScheduler:
                     detail=error,
                 )
             )
-            tm.count("serve.failed")
         slot.busy_seconds += cursor - now
         slot.busy_until_s = cursor
         slot.batches += 1

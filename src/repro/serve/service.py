@@ -477,7 +477,6 @@ def run_service(
             #    own arrival timestamp so deadline math stays exact.
             if pointer < total and arrivals[pointer] <= now:
                 end = bisect.bisect_right(arrivals, now, pointer)
-                tm.count("serve.requests", end - pointer)
                 for request in requests[pointer:end]:
                     verdict, victim = offer(request, request.arrival_s)
                     if victim is not None:
@@ -543,7 +542,6 @@ def run_service(
                             detail="drain limit reached",
                         )
                     )
-                    tm.count("serve.shed.drain_limit")
                 admission.queue = []
                 break
             # 4. On an empty queue nothing happens before the next arrival

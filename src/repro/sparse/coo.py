@@ -22,7 +22,11 @@ _MAX_KEY = np.iinfo(np.int64).max
 
 
 def _shape(shape: tuple[int, int]) -> tuple[int, int]:
-    """``shape`` as two non-negative Python ints."""
+    """``shape`` as two Python ints in ``[0, int64 max]``.
+
+    The index arrays are int64, so a larger side could not be indexed;
+    numpy would fail on it with a bare ``OverflowError``.
+    """
     try:
         n_rows, n_cols = (operator.index(side) for side in shape)
     except (TypeError, ValueError):
@@ -31,6 +35,8 @@ def _shape(shape: tuple[int, int]) -> tuple[int, int]:
         ) from None
     if n_rows < 0 or n_cols < 0:
         raise SparseFormatError(f"negative shape {shape}")
+    if max(n_rows, n_cols) > _MAX_KEY:
+        raise SparseFormatError(f"shape {shape} exceeds the int64 range")
     return n_rows, n_cols
 
 

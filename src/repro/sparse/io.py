@@ -115,11 +115,12 @@ def read_matrix_market(source: str | Path | IO[str]) -> CSRMatrix:
     diagonal must be absent or zero per the standard).
 
     Every malformed input raises :class:`SparseFormatError` naming the
-    offending line: bad or negative sizes, a declared size too large to
-    allocate, unparsable or out-of-range entries, non-finite values, a
-    wrong entry count, text that is not UTF-8, and corrupt or truncated
-    gzip data.  Entry storage grows with the entries actually present,
-    never with the declared count.
+    offending line: bad or negative sizes, a dimension beyond the int64
+    range, a declared size too large to allocate, unparsable or
+    out-of-range entries, non-finite values, a wrong entry count, text
+    that is not UTF-8, and corrupt or truncated gzip data.  Entry
+    storage grows with the entries actually present, never with the
+    declared count.
     """
     stream: IO
     close = False
@@ -198,6 +199,9 @@ def read_matrix_market(source: str | Path | IO[str]) -> CSRMatrix:
             values = np.concatenate([values, mirrored_vals])
         try:
             return COOMatrix((n_rows, n_cols), row_ids, col_ids, values).to_csr()
+        except SparseFormatError as error:
+            # The entries are checked above; only the shape can fail.
+            raise SparseFormatError(f"line {size_lineno}: {error}") from None
         except MemoryError:
             # The row pointer grows with the declared row count.
             raise SparseFormatError(

@@ -23,6 +23,14 @@ The instrumented sites are the Solver Decision loop and Fine-Grained
 Reconfiguration unit (:mod:`repro.core`) and the FPGA cost model
 (:mod:`repro.fpga.cost_model`); the campaign runner adds per-problem
 resolve/solve spans on top.
+
+A counter counts what no report records.  A component that writes a
+report states its counts there and does not count them again here: the
+serving and cluster reports already hold their requests, sheds,
+batches, cache lookups, routing and autoscaler decisions, and the DSE
+and campaign reports their points and failures.  What is left is the
+decision-loop events, the fan-out engine's pool events, the chaos
+injection ledger and the few counts no report field states.
 """
 
 from __future__ import annotations
@@ -80,78 +88,31 @@ KNOWN_COUNTERS = frozenset({
     "solver_swaps",
     "spmv_reconfig_events",
     "msid_events_removed",
-    # campaign runner: failure records, lost workers included
-    "campaign.failures",
     # fan-out engine (repro.parallel), pool path only
     "parallel.chunks",
     "parallel.pool_restarts",
     "parallel.in_process_items",
     "parallel.workers_lost",
-    # serving pipeline
-    "serve.requests",
-    "serve.admitted",
-    "serve.preemptions",
-    "serve.expired",
-    "serve.batches",
-    "serve.failed",
-    "serve.config_loads",
-    "serve.cache_hits",
-    "serve.cache_misses",
-    "serve.shed.deadline",
-    "serve.shed.queue_full",
-    "serve.shed.drain_limit",
+    # serving profiler: sources whose profiling solve raised
     "serve.profile_failures",
-    "serve.device_faults",
-    # cluster tier (repro.serve.cluster): request accounting
-    "cluster.requests",
-    "cluster.completed",
-    "cluster.failed",
-    "cluster.expired",
-    "cluster.batches",
-    "cluster.config_loads",
-    "cluster.shed.overflow",
-    "cluster.shed.drain_limit",
-    # cluster front-tier router (consistent-hash placement)
-    "router.routed",
-    "router.remapped",
-    "router.ring_rebuilds",
-    # cluster autoscaler decisions
-    "autoscale.evaluations",
-    "autoscale.scale_ups",
-    "autoscale.drains",
-    "autoscale.holds",
-    "autoscale.retired",
-    # tiered plan cache ladder
-    "cache.tier.local_hits",
-    "cache.tier.remote_hits",
-    "cache.tier.misses",
-    "cache.tier.evictions",
-    "cache.tier.publishes",
     # fault-injection harness (repro.faults): every injected event is
-    # counted, so a chaos report can reconcile injected vs. observed
+    # counted, so a chaos report can reconcile injected vs. observed;
+    # a fleet outage is not, since the cluster report's fleet members
+    # state their outages
     "faults.injected.worker_death",
     "faults.injected.worker_stall",
     "faults.injected.divergence",
     "faults.injected.reconfig_stall",
     "faults.injected.deadline_storm",
     "faults.injected.device_outage",
-    "faults.injected.fleet_outage",
     "faults.injected.forced_scale",
-    # design-space explorer (repro.dse): sweep progress accounting, the
-    # cluster runs that answered the evaluated points and the real
-    # solves their profiles ran
-    "dse.points_evaluated",
-    "dse.points_failed",
+    # design-space explorer (repro.dse): the cluster runs that answered
+    # the evaluated points and the real solves their profiles ran
     "dse.simulations",
     "dse.profile_solves",
-    # heterogeneous placement (repro.placement consumers): micro-batches
-    # dispatched per device class, GPU structure uploads (the PCIe
-    # analogue of serve.config_loads) and cold analyses offloaded to the
-    # CPU-assist tier
-    "placement.fpga_batches",
-    "placement.gpu_batches",
+    # heterogeneous placement: cold analyses offloaded to the CPU-assist
+    # tier
     "placement.cpu_assist_offloads",
-    "gpu.transfers",
 })
 """Sanctioned monotonic counter names."""
 
@@ -205,10 +166,16 @@ class SpanStats:
 def percentile(values: list[float], q: float) -> float:
     """Linear-interpolation percentile of ``values`` (``q`` in [0, 100]).
 
-    Matches ``numpy.percentile``'s default method but works on plain
-    lists (the cluster autoscaler's queue-depth window).  Returns 0.0
-    for an empty list — callers that must distinguish "no data" from
-    "zero" check emptiness themselves.
+    Works on plain lists (the cluster autoscaler's queue-depth window,
+    read as ``queue_depth_p90``).  It interpolates between the same two
+    order statistics at the same fraction as ``numpy.percentile``'s
+    default method, but evaluates ``low * (1 - f) + high * f``, so the
+    result can differ from numpy's in the last bit:
+    ``percentile([0.0, 1.0, 3.0], 90.0)`` is ``2.6000000000000005``
+    where numpy returns ``2.6``.  Swapping in numpy can therefore move
+    an autoscaler decision.  Returns 0.0 for an empty list — callers
+    that must distinguish "no data" from "zero" check emptiness
+    themselves.
     """
     if not values:
         return 0.0

@@ -287,8 +287,8 @@ class TestTelemetryNames:
         code = (
             "from repro import telemetry as tm\n"
             "def f(warm):\n"
-            "    tm.count('serve.cache_hits' if warm else"
-            " 'serve.cache_misses')\n"
+            "    tm.count('dse.simulations' if warm else"
+            " 'dse.profile_solves')\n"
             "    with tm.span('kernel.spmv'):\n        pass\n"
         )
         assert lint_snippet("repro/serve/mod.py", code, self.CHECKER) == []

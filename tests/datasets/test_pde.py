@@ -47,6 +47,30 @@ class TestPoisson2D:
         with pytest.raises(ConfigurationError):
             poisson_2d_matrix(0)
 
+    @pytest.mark.parametrize("build, args", [
+        (poisson_2d_matrix, (4.0,)),
+        (poisson_2d_matrix, (4, 2.5)),
+        (poisson_2d_matrix, (True,)),
+        (poisson_2d_matrix, ("4",)),
+        (poisson_3d_matrix, (2, 2, 1.5)),
+        (poisson_3d_matrix, (2, False, 2)),
+        (convection_diffusion_2d_matrix, (4.0,)),
+        (poisson_2d, (4.0,)),
+        (poisson_2d, ("4",)),
+        (poisson_3d, (3.0,)),
+        (convection_diffusion_2d, (np.float64(4),)),
+    ])
+    def test_non_integer_grid_rejected(self, build, args):
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            build(*args)
+
+    def test_numpy_integer_grid_accepted(self):
+        np.testing.assert_array_equal(
+            poisson_2d_matrix(np.int64(4), np.int32(3)).to_dense(),
+            poisson_2d_matrix(4, 3).to_dense(),
+        )
+        assert poisson_3d_matrix(np.int64(2)).shape == (8, 8)
+
     def test_problem_wrapper_solvable(self):
         problem = poisson_2d(10)
         from repro.solvers import ConjugateGradientSolver
@@ -99,6 +123,15 @@ class TestConvectionDiffusion:
     def test_negative_peclet_rejected(self):
         with pytest.raises(ConfigurationError):
             convection_diffusion_2d_matrix(4, peclet=-1.0)
+
+    @pytest.mark.parametrize(
+        "peclet", [float("nan"), float("inf"), -float("inf"), "10"]
+    )
+    def test_non_finite_peclet_rejected(self, peclet):
+        with pytest.raises(ConfigurationError, match="peclet"):
+            convection_diffusion_2d_matrix(4, peclet=peclet)
+        with pytest.raises(ConfigurationError, match="peclet"):
+            convection_diffusion_2d(4, peclet=peclet)
 
     def test_acamar_routes_to_bicgstab(self):
         from repro import Acamar

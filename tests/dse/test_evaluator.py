@@ -5,10 +5,12 @@ import pytest
 import repro.dse.evaluator as evaluator
 from repro.config import AcamarConfig
 from repro.dse import (
+    CapacityQuery,
     DesignSpace,
     FleetShape,
     TrafficSpec,
     acamar_config_for,
+    build_report,
     cluster_config_for,
     evaluate_items,
     evaluate_point,
@@ -118,15 +120,16 @@ class TestEvaluateItems:
         assert results[0].entry is None
         assert "ValueError" in results[0].error
         assert results[0].label == "broken"
-        # The sweep counts outcomes from the records; the item does not.
+        # The report states outcomes from the records; the item counts
+        # nothing.
         assert results[0].telemetry.counters == {}
 
     def test_counters_track_outcomes(self):
         space = tiny_space()
-        collector = Telemetry()
-        run_sweep(space, seed=0, collector=collector)
-        assert collector.counters["dse.points_evaluated"] == len(space)
-        assert "dse.points_failed" not in collector.counters
+        results = run_sweep(space, seed=0)
+        stated = build_report(space, 0, results, CapacityQuery()).as_dict()
+        assert stated["dse"]["evaluated"] == len(space)
+        assert stated["dse"]["failed"] == 0
 
 
 def two_regime_space():
@@ -233,13 +236,16 @@ class TestRunSweep:
         assert results[0].label == point_id(*space.points()[0])
 
     def test_lost_point_counts_as_a_failed_point(self, monkeypatch):
-        """The sweep counts the lost point as its own failure, the engine
-        counts the lost worker, and nothing counts a campaign event."""
+        """The report states the lost point as its own failure, the
+        engine counts the lost worker, and nothing counts a campaign
+        event."""
         collector = Telemetry()
-        self.sweep_losing_the_second_point(monkeypatch, collector)
+        results = self.sweep_losing_the_second_point(monkeypatch, collector)
+        stated = build_report(
+            tiny_space(), 0, results, CapacityQuery()
+        ).as_dict()
+        assert (stated["dse"]["evaluated"], stated["dse"]["failed"]) == (1, 1)
         counters = collector.counters
-        assert counters["dse.points_evaluated"] == 1
-        assert counters["dse.points_failed"] == 1
         assert counters["parallel.workers_lost"] == 1
         assert counters["parallel.pool_restarts"] == 2
         assert not any(name.startswith("campaign.") for name in counters)

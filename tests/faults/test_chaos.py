@@ -6,6 +6,7 @@ from repro.errors import UnknownNameError
 from repro.faults import run_chaos
 from repro.faults.plan import FaultPlan
 from repro.faults.runner import (
+    run_placement_profile,
     run_pool_profile,
     run_serve_profile,
     run_solver_profile,
@@ -110,6 +111,65 @@ class TestServeProfile:
             f.check in ("CHS-SERVE-ACCOUNT", "CHS-SERVE-IDS")
             for f in outcome.findings
         )
+
+    def test_detects_more_outages_than_scheduled(self, monkeypatch):
+        # The slots' outages are the report's fleet.device_faults; one
+        # more than the schedule holds must be flagged.
+        import repro.faults.runner as runner
+
+        real_run_service = runner.run_service
+
+        def refaulting_run_service(requests, config):
+            report = real_run_service(requests, config)
+            report.scheduler.slots[0].outages += len(config.device_faults)
+            return report
+
+        monkeypatch.setattr(runner, "run_service", refaulting_run_service)
+        outcome = run_serve_profile(FaultPlan(0))
+        assert [f.check for f in outcome.findings] == ["CHS-SERVE-FAULTS"]
+
+
+class TestPlacementProfile:
+    def test_invariants_hold_on_both_classes(self):
+        outcome = run_placement_profile(FaultPlan(0))
+        assert outcome.clean, [f.render() for f in outcome.findings]
+        batches = outcome.observed["batches"]
+        assert batches["fpga"] > 0 and batches["gpu"] > 0
+        assert outcome.observed["gpu_transfers"] > 0
+
+    def test_detects_a_skipped_fault(self, monkeypatch):
+        import dataclasses
+
+        import repro.faults.runner as runner
+
+        real_run_loadtest = runner.run_loadtest
+
+        def skipping_run_loadtest(spec, config):
+            skipped = dataclasses.replace(
+                config, device_faults=config.device_faults[1:]
+            )
+            return real_run_loadtest(spec, skipped)
+
+        monkeypatch.setattr(runner, "run_loadtest", skipping_run_loadtest)
+        outcome = run_placement_profile(FaultPlan(0))
+        assert "CHS-PLACE-INJECT" in [f.check for f in outcome.findings]
+
+    def test_detects_idle_gpu_tenants(self, monkeypatch):
+        import repro.faults.runner as runner
+
+        real_run_loadtest = runner.run_loadtest
+
+        def gpu_idle_run_loadtest(spec, config):
+            report = real_run_loadtest(spec, config)
+            for slot in report.scheduler.slots:
+                if slot.device_class == "gpu":
+                    slot.batches = 0
+            return report
+
+        monkeypatch.setattr(runner, "run_loadtest", gpu_idle_run_loadtest)
+        outcome = run_placement_profile(FaultPlan(0))
+        assert [f.check for f in outcome.findings] == ["CHS-PLACE-SERVE"]
+        assert outcome.observed["batches"]["gpu"] == 0
 
 
 class TestSolverProfile:

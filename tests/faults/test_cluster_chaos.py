@@ -71,10 +71,37 @@ class TestClusterProfile:
     def test_invariants_hold_and_faults_land(self):
         outcome = run_cluster_profile(FaultPlan(7))
         assert outcome.clean, [f.render() for f in outcome.findings]
-        assert outcome.injected["faults.injected.fleet_outage"] >= 1
+        assert outcome.observed["fleets"]["outages"] >= 1
         assert outcome.injected["faults.injected.forced_scale"] >= 1
         assert outcome.observed["requests"]["unaccounted"] == 0
         assert outcome.observed["requests"]["shed_overflow"] > 0
+
+    def test_detects_outages_that_never_land(self, monkeypatch):
+        from repro.serve.cluster.service import _ClusterSimulation
+
+        monkeypatch.setattr(
+            _ClusterSimulation, "_apply_fault", lambda self, event: None
+        )
+        outcome = run_cluster_profile(FaultPlan(7))
+        assert outcome.observed["fleets"]["outages"] == 0
+        assert "CHS-CLUSTER-INJECT" in [f.check for f in outcome.findings]
+
+    def test_detects_a_miss_missing_from_the_directory(self, monkeypatch):
+        from repro.serve.cluster.cache import TieredPlanCache
+
+        real_publish = TieredPlanCache.publish
+        dropped = []
+
+        def forgetful_publish(self, fleet_id, fingerprint):
+            if not dropped:  # the first miss never reaches the directory
+                dropped.append(fingerprint)
+                return
+            real_publish(self, fleet_id, fingerprint)
+
+        monkeypatch.setattr(TieredPlanCache, "publish", forgetful_publish)
+        outcome = run_cluster_profile(FaultPlan(7))
+        assert dropped
+        assert [f.check for f in outcome.findings] == ["CHS-CLUSTER-CACHE"]
 
     def test_profile_deterministic(self):
         a = run_cluster_profile(FaultPlan(7))

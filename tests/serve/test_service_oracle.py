@@ -68,22 +68,18 @@ class SortingAdmission(AdmissionController):
     def offer(self, request, now):
         if deadline_lapsed(request.deadline_s, now):
             self.shed_deadline += 1
-            tm.count("serve.shed.deadline")
             return AdmissionVerdict.SHED_DEADLINE, None
         victim = None
         if len(self.queue) >= self.capacity:
             candidate = max(self.queue, key=queue_order)
             if candidate.priority <= int(request.priority):
                 self.shed_full += 1
-                tm.count("serve.shed.queue_full")
                 return AdmissionVerdict.SHED_QUEUE_FULL, None
             self.queue.remove(candidate)
             victim = candidate
             self.preemptions += 1
-            tm.count("serve.preemptions")
         self.queue.append(QueuedRequest(request=request, admitted_s=now))
         self.queue.sort(key=queue_order)
-        tm.count("serve.admitted")
         return AdmissionVerdict.ADMITTED, victim
 
     def expire(self, now):
@@ -96,7 +92,6 @@ class SortingAdmission(AdmissionController):
         if lapsed:
             keep = {id(q) for q in lapsed}
             self.queue = [q for q in self.queue if id(q) not in keep]
-            tm.count("serve.expired", len(lapsed))
         return lapsed
 
 
@@ -167,10 +162,6 @@ def serve_batch(scheduler, slot, members, profile, now, batch_id):
     cursor = now + (swap_charge if config_load else 0.0)
     if config_load:
         slot.config_loads += 1
-        if on_gpu:
-            tm.count("gpu.transfers")
-        else:
-            tm.count("serve.config_loads")
     batch_warm = cache is not None and cache.get(profile.fingerprint)
     if cache is not None and not batch_warm:
         cache.put(profile.fingerprint)
@@ -207,10 +198,6 @@ def serve_batch(scheduler, slot, members, profile, now, batch_id):
                 iterations=profile.iterations,
             )
         )
-    tm.count(
-        "serve.cache_hits" if batch_warm else "serve.cache_misses",
-        len(members),
-    )
     slot.resident_signature = signature
     slot.busy_seconds += cursor - now
     slot.busy_until_s = cursor
@@ -227,12 +214,6 @@ def serve_batch(scheduler, slot, members, profile, now, batch_id):
             device_class=slot.device_class,
         )
     )
-    tm.count("serve.batches")
-    if scheduler.fleet.gpu_tenants > 0:
-        if on_gpu:
-            tm.count("placement.gpu_batches")
-        else:
-            tm.count("placement.fpga_batches")
     return responses
 
 
@@ -323,7 +304,6 @@ def every_tick_service(requests, config, build=build_profiles):
             ):
                 request = requests[pointer]
                 pointer += 1
-                tm.count("serve.requests")
                 verdict, victim = admission.offer(request, request.arrival_s)
                 if victim is not None:
                     responses.append(shed(
@@ -354,7 +334,6 @@ def every_tick_service(requests, config, build=build_profiles):
                 for queued in admission.queue:
                     responses.append(
                         shed(queued.request, now, "drain limit reached"))
-                    tm.count("serve.shed.drain_limit")
                 admission.queue = []
                 break
     responses.sort(key=lambda r: (r.finish_s, r.request_id))
@@ -504,6 +483,10 @@ def failing_unsorted_log():
     return log[::-1]
 
 
+def stated(report):
+    return report.as_dict(include_responses=False)
+
+
 # name -> (request log, config, the path the case must reach)
 CASES = {
     "repeat-heavy-600rps-seed1": (
@@ -550,7 +533,7 @@ CASES = {
             DeviceFaultEvent(0.3, 0, 0.01),
             DeviceFaultEvent(5.0, 0, 0.1),  # after the last arrival
         )),
-        lambda report: report.telemetry.counters["serve.device_faults"] == 4,
+        lambda report: stated(report)["fleet"]["device_faults"] == 4,
     ),
     "gpu-tenants-cpu-assist-gpu-fault": (
         lambda: generate_requests(LoadSpec(
@@ -561,8 +544,8 @@ CASES = {
                             cpu_assist=True),
             device_faults=(DeviceFaultEvent(0.2, 0, 0.05, GPU),),
         ),
-        lambda report: report.telemetry.counters["serve.device_faults"] == 1
-        and report.telemetry.counters["placement.gpu_batches"],
+        lambda report: stated(report)["fleet"]["device_faults"] == 1
+        and stated(report)["fleet"]["by_class"]["gpu"]["batches"],
     ),
     "window0-batch1": (
         lambda: generate_requests(LoadSpec(
@@ -588,12 +571,14 @@ CASES = {
         ServiceConfig(
             queue_capacity=300, fleet=FleetSpec(slots_per_device=1)
         ),
-        lambda report: report.telemetry.counters["serve.shed.drain_limit"],
+        lambda report: any(
+            r.detail == "drain limit reached" for r in report.responses
+        ),
     ),
     "failing-source-unsorted-log": (
         failing_unsorted_log,
         ServiceConfig(),
-        lambda report: report.telemetry.counters["serve.failed"],
+        lambda report: stated(report)["requests"]["failed"],
     ),
     "tick0.5-arrival-edges": (
         tick_edge_log,
@@ -623,8 +608,8 @@ CASES = {
         ),
         lambda report: report.completed
         and {b.size for b in report.scheduler.batches} == {1}
-        and report.telemetry.counters["placement.gpu_batches"]
-        and report.telemetry.counters["placement.fpga_batches"],
+        and stated(report)["fleet"]["by_class"]["gpu"]["batches"]
+        and stated(report)["fleet"]["by_class"]["fpga"]["batches"],
     ),
     "interactive-behind-older-batch-groups": (
         interactive_behind_batch_log,

@@ -58,6 +58,17 @@ class TestMalformedInput:
         with pytest.raises(SparseFormatError, match="shape must be two integers"):
             COOMatrix(shape, [0], [0], [1.0])
 
+    @pytest.mark.parametrize(
+        "shape", [(10**20, 2), (2, 2**63), (2**64, 2**64)]
+    )
+    def test_shape_beyond_int64_rejected(self, shape):
+        with pytest.raises(SparseFormatError, match="exceeds the int64 range"):
+            COOMatrix(shape, [0], [0], [1.0]).to_csr()
+
+    def test_int64_max_shape_accepted(self):
+        side = int(np.iinfo(np.int64).max)
+        assert COOMatrix((2, side), [0], [side - 1], [1.0]).shape == (2, side)
+
     def test_numpy_integer_shape_becomes_python_ints(self):
         coo = COOMatrix((np.int32(3), np.int64(4)), [0], [3], [1.0])
         assert coo.shape == (3, 4)

@@ -125,6 +125,14 @@ MALFORMED = [
         "line 2: cannot allocate", id="huge-declared-rows",
     ),
     pytest.param(
+        "big.mtx", BANNER + b"99999999999999999999 2 1\n1 1 2.0\n",
+        "line 2: .* exceeds the int64 range", id="rows-beyond-int64",
+    ),
+    pytest.param(
+        "wide.mtx", BANNER + b"2 9223372036854775808 1\n1 1 2.0\n",
+        "line 2: .* exceeds the int64 range", id="cols-beyond-int64",
+    ),
+    pytest.param(
         "u.mtx", BANNER + b"% caf\xe9\n1 1 1\n1 1 2.0\n", "line 2",
         id="not-utf8",
     ),

@@ -323,7 +323,10 @@ class TestServe:
         document = json.loads(path.read_text())
         assert set(document) == {"schema_version", "spans", "counters"}
         assert document["schema_version"] == 1
-        assert document["counters"]["serve.requests"] > 0
+        assert any(
+            name.startswith("solver_attempts.")
+            for name in document["counters"]
+        )
 
 
 class TestServingExitContract:

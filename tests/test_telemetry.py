@@ -133,6 +133,16 @@ class TestPercentile:
                 float(np.percentile(values, q))
             )
 
+    def test_last_bit_differs_from_numpy(self):
+        # The autoscaler's queue_depth_p90 comes from here: a swap to
+        # numpy.percentile must re-verify the cluster's scaling decisions.
+        import numpy as np
+
+        from repro.telemetry import percentile
+
+        assert percentile([0.0, 1.0, 3.0], 90.0) == 2.6000000000000005
+        assert float(np.percentile([0.0, 1.0, 3.0], 90.0)) == 2.6
+
 
 class TestModuleLevelAPI:
     def test_noop_without_active_collector(self):
