@@ -202,8 +202,9 @@ def read_matrix_market(source: str | Path | IO[str]) -> CSRMatrix:
         except SparseFormatError as error:
             # The entries are checked above; only the shape can fail.
             raise SparseFormatError(f"line {size_lineno}: {error}") from None
-        except MemoryError:
-            # The row pointer grows with the declared row count.
+        except (MemoryError, ValueError):
+            # The row pointer grows with the declared row count; numpy
+            # refuses a size beyond its address space with ValueError.
             raise SparseFormatError(
                 f"line {size_lineno}: cannot allocate the {n_rows}x{n_cols} "
                 "matrix the size line declares"

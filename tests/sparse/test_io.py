@@ -125,6 +125,10 @@ MALFORMED = [
         "line 2: cannot allocate", id="huge-declared-rows",
     ),
     pytest.param(
+        "max.mtx", BANNER + b"9223372036854775807 2 1\n1 1 2.0\n",
+        "line 2: cannot allocate", id="rows-at-int64-max",
+    ),
+    pytest.param(
         "big.mtx", BANNER + b"99999999999999999999 2 1\n1 1 2.0\n",
         "line 2: .* exceeds the int64 range", id="rows-beyond-int64",
     ),
